@@ -18,7 +18,7 @@ from .errors import (
     NotNormalized,
     OrderCapExceeded,
 )
-from .groups import DEFAULT_ORDER_CAP, Group, GroupHom, Subgroup
+from .groups import DEFAULT_ORDER_CAP, Group, GroupHom, Subgroup, cayley_tree, coset_representatives
 
 DEFAULT_GSET_CAP = 4096
 
@@ -94,8 +94,9 @@ def action_from_generator_images(
 ) -> ActionOnGroup:
     """Extend generator images to the unique action homomorphism, if one exists.
 
-    The extension is propagated along J's Cayley graph; if two paths to the
-    same element disagree, the images are inconsistent with J's relations.
+    Images are assigned along a spanning tree of J's Cayley graph, then every
+    (element, generator) edge is checked; an edge that disagrees shows the
+    images are inconsistent with J's relations.
     """
     if len(gens) != len(images):
         raise ValueError("need exactly one image per generator")
@@ -103,26 +104,19 @@ def action_from_generator_images(
         if not is_automorphism(N, img):
             raise NotAutomorphism(f"{list(img)} is not an automorphism of the target")
     gens = [int(g) for g in gens]
-    ident = tuple(range(N.order))
-    auto: dict[int, tuple[int, ...]] = {0: ident}
-    frontier = [0]
     gen_perms = [tuple(int(x) for x in img) for img in images]
-    while frontier:
-        nxt = []
-        for j in frontier:
-            pj = auto[j]
-            for g, pg in zip(gens, gen_perms):
-                k = J.mul[j][g]
-                pk = tuple(pj[pg[n]] for n in range(N.order))
-                if k in auto:
-                    if auto[k] != pk:
-                        raise NotAHomomorphism(
-                            f"images are inconsistent with relations at element {k}"
-                        )
-                else:
-                    auto[k] = pk
-                    nxt.append(k)
-        frontier = nxt
+    points = range(N.order)
+    auto: dict[int, tuple[int, ...]] = {0: tuple(points)}
+    for j, slot, k in cayley_tree(J, gens):
+        pj, pg = auto[j], gen_perms[slot]
+        auto[k] = tuple(pj[pg[n]] for n in points)
+    for j, pj in auto.items():
+        for g, pg in zip(gens, gen_perms):
+            k = J.mul[j][g]
+            if auto[k] != tuple(pj[pg[n]] for n in points):
+                raise NotAHomomorphism(
+                    f"images are inconsistent with relations at element {k}"
+                )
     if len(auto) != J.order:
         raise DoesNotGenerate(f"generators reach only {len(auto)} of {J.order} elements")
     return ActionOnGroup(J, N, [auto[j] for j in range(J.order)], name=name)
@@ -211,9 +205,6 @@ class SemidirectProduct:
     def j_part(self) -> Subgroup:
         return self.embed_J.image()
 
-    def pair(self, g: int) -> tuple[int, int]:
-        return divmod(g, self.action.actor.order)
-
 
 def semidirect(action: ActionOnGroup, order_cap: int = DEFAULT_ORDER_CAP) -> SemidirectProduct:
     return SemidirectProduct(action, order_cap=order_cap)
@@ -272,17 +263,7 @@ class GSet:
 def coset_gset(G: Group, H: Subgroup) -> GSet:
     """Left multiplication on the left cosets of H; point 0 is the coset H."""
     mul = G.mul
-    rep_of: dict[int, int] = {}
-    reps: list[int] = []
-    for g in range(G.order):
-        if g in rep_of:
-            continue
-        coset = sorted(mul[g][h] for h in H.elements)
-        rep = coset[0]
-        reps.append(rep)
-        for y in coset:
-            rep_of[y] = rep
-    reps.sort()
+    reps, rep_of = coset_representatives(G, H)
     index = {rep: i for i, rep in enumerate(reps)}
     act = [[index[rep_of[mul[g][r]]] for r in reps] for g in range(G.order)]
     return GSet(G, act)

@@ -29,7 +29,7 @@ from .errors import (
     NotASubgroup,
     NotNilpotent,
 )
-from .groups import Group, Subgroup, full_subgroup
+from .groups import Subgroup, cayley_tree, full_subgroup, generating_sequence
 from .structure import (
     hall_pprime,
     is_nilpotent,
@@ -81,28 +81,6 @@ def check_cocycle(action: ActionOnGroup, domain: Subgroup, values: tuple[int, ..
     return True
 
 
-def _generating_sequence(J: Group, K: Subgroup) -> list[int]:
-    """Greedy smallest-first generating sequence for K."""
-    gens: list[int] = []
-    closure = {0}
-    for x in K.elements:
-        if x not in closure:
-            gens.append(x)
-            frontier = list(closure)
-            closure.add(x)
-            frontier.append(x)
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for g in gens:
-                        z = J.mul[y][g]
-                        if z not in closure:
-                            closure.add(z)
-                            nxt.append(z)
-                frontier = nxt
-    return gens
-
-
 def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
              budget: int = GENERATOR_ENUM_BUDGET) -> list[Cocycle]:
     """The complete set Z1(K, N), ordered by value table.
@@ -116,26 +94,13 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
         K = full_subgroup(J)
     if K.parent is not J:
         raise NotASubgroup("domain must be a subgroup of the acting group")
-    gens = _generating_sequence(J, K)
+    gens = generating_sequence(J, K.elements)
     if N.order ** len(gens) > budget:
         raise BudgetExceeded(
             f"|N|^#gens = {N.order}^{len(gens)} exceeds budget {budget}"
         )
     pos = K.position
-    # Spanning tree of right-multiplication edges, rooted at the identity.
-    edges: list[tuple[int, int, int]] = []  # (element, generator slot, product)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for slot, g in enumerate(gens):
-                y = J.mul[x][g]
-                if y not in reached:
-                    reached.add(y)
-                    edges.append((x, slot, y))
-                    nxt.append(y)
-        frontier = nxt
+    edges = cayley_tree(J, gens)
     nmul = N.mul
     out: list[Cocycle] = []
     size = K.order

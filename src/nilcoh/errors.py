@@ -115,10 +115,6 @@ class NoConjugatorFound(NilcohError):
     """No conjugator exists although the hypotheses hold; a falsification."""
 
 
-class NoFixedPoint(NilcohError):
-    """No fixed point exists although the hypotheses hold; a falsification."""
-
-
 # -- harness ------------------------------------------------------------------
 
 

@@ -32,15 +32,7 @@ class Group:
         element_names: Sequence[str] | None = None,
     ):
         table = tuple(tuple(int(x) for x in row) for row in mul)
-        n = len(table)
-        if n == 0:
-            raise NoIdentity("empty table")
-        for i, row in enumerate(table):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"table entry {x} out of range [0, {n - 1}]")
+        n = _check_table_shape(table)
         if any(table[0][x] != x or table[x][0] != x for x in range(n)):
             raise NoIdentity("index 0 is not a two-sided identity")
         _check_associative(table)
@@ -109,6 +101,20 @@ class Group:
 
     def to_json(self) -> dict:
         return {"kind": "table", "n": self.order, "mul": [list(row) for row in self.mul]}
+
+
+def _check_table_shape(table: Sequence[Sequence[int]]) -> int:
+    """The order of a square table whose entries all lie in [0, order)."""
+    n = len(table)
+    if n == 0:
+        raise NoIdentity("empty table")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        for x in row:
+            if not 0 <= x < n:
+                raise ValueError(f"table entry {x} out of range [0, {n - 1}]")
+    return n
 
 
 def _check_associative(table: tuple[tuple[int, ...], ...]) -> None:
@@ -256,15 +262,7 @@ def group_from_table(table: Sequence[Sequence[int]], name: str | None = None,
                      element_names: Sequence[str] | None = None) -> Group:
     """Validate a raw multiplication table and canonicalize the identity to 0."""
     rows = [list(int(x) for x in row) for row in table]
-    n = len(rows)
-    if n == 0:
-        raise NoIdentity("empty table")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if not 0 <= x < n:
-                raise ValueError(f"table entry {x} out of range [0, {n - 1}]")
+    n = _check_table_shape(rows)
     e = next(
         (c for c in range(n) if all(rows[c][x] == x and rows[x][c] == x for x in range(n))),
         None,
@@ -330,20 +328,44 @@ def subgroup_generated(G: Group, seeds: Iterable[int]) -> Subgroup:
     for x in gens:
         if not 0 <= x < G.order:
             raise ValueError(f"seed {x} outside group of order {G.order}")
+    return Subgroup(G, [0] + [y for _, _, y in cayley_tree(G, gens)])
+
+
+def cayley_tree(G: Group, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning tree of the right Cayley graph of <gens>.
+
+    Rooted at the identity; each edge (x, slot, y) has y = x * gens[slot] and
+    reaches y for the first time, so the identity and the edge heads list the
+    subgroup generated, each element once, in discovery order.
+    """
     mul = G.mul
-    members = {0}
-    members.update(gens)
-    frontier = list(members)
+    edges: list[tuple[int, int, int]] = []
+    reached = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = mul[x][g]
-                if y not in members:
-                    members.add(y)
+            row = mul[x]
+            for slot, g in enumerate(gens):
+                y = row[g]
+                if y not in reached:
+                    reached.add(y)
+                    edges.append((x, slot, y))
                     nxt.append(y)
         frontier = nxt
-    return Subgroup(G, members)
+    return edges
+
+
+def generating_sequence(G: Group, elements: Iterable[int]) -> list[int]:
+    """Greedy generating sequence: each element, in the order given, that the
+    elements chosen before it do not generate."""
+    gens: list[int] = []
+    reached = {0}
+    for x in elements:
+        if x not in reached:
+            gens.append(x)
+            reached = {0, *(y for _, _, y in cayley_tree(G, gens))}
+    return gens
 
 
 def full_subgroup(G: Group) -> Subgroup:
@@ -390,6 +412,20 @@ def normalizer(G: Group, H: Subgroup) -> Subgroup:
     )
 
 
+def coset_representatives(G: Group, H: Subgroup) -> tuple[list[int], dict[int, int]]:
+    """The least element of each left coset gH, ascending, and a map from
+    every element to the least element of its coset."""
+    mul = G.mul
+    reps: list[int] = []
+    rep_of: dict[int, int] = {}
+    for g in range(G.order):
+        if g not in rep_of:  # every smaller element of gH is already mapped
+            reps.append(g)
+            for h in H.elements:
+                rep_of[mul[g][h]] = g
+    return reps, rep_of
+
+
 def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
     """Quotient group G/N on sorted coset representatives, with the projection.
 
@@ -400,17 +436,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
             if G.conj(h, g) not in N:
                 raise NotNormal(g, h)
     mul = G.mul
-    coset_rep: dict[int, int] = {}
-    reps: list[int] = []
-    for g in range(G.order):
-        if g in coset_rep:
-            continue
-        coset = sorted(mul[g][x] for x in N.elements)
-        rep = coset[0]
-        reps.append(rep)
-        for y in coset:
-            coset_rep[y] = rep
-    reps.sort()
+    reps, coset_rep = coset_representatives(G, N)
     index = {rep: i for i, rep in enumerate(reps)}
     table = [[index[coset_rep[mul[a][b]]] for b in reps] for a in reps]
     Q = Group(table, name=(f"{G.name}/N" if G.name else None))
@@ -424,8 +450,13 @@ def are_conjugate_subgroups(G: Group, H: Subgroup, K: Subgroup) -> int | None:
         raise ValueError("subgroups must share the given parent group")
     if H.order != K.order:
         return None
-    target = K._set
+    return conjugator_into(G, H, K)
+
+
+def conjugator_into(G: Group, S: Subgroup, H: Subgroup) -> int | None:
+    """Least g with S^g contained in H, or None."""
+    members = H._set
     for g in range(G.order):
-        if all(G.conj(h, g) in target for h in H.elements):
+        if all(G.conj(x, g) in members for x in S.elements):
             return g
     return None

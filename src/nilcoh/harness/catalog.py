@@ -8,6 +8,7 @@ cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -123,12 +124,14 @@ def direct_product(G: Group, H: Group) -> Group:
     return Group(table, name=name)
 
 
-BUILTIN_GROUPS: dict[str, Callable[..., Group]] = {
-    "cyclic": cyclic,
-    "abelian": abelian,
-    "dihedral": dihedral,
-    "quaternion8": quaternion8,
-    "heisenberg": heisenberg,
+# Each builtin with the order it builds from the same arguments, so that
+# scenario input can be capped before any table is built.
+BUILTIN_GROUPS: dict[str, tuple[Callable[..., Group], Callable[..., int]]] = {
+    "cyclic": (cyclic, lambda n: n),
+    "abelian": (abelian, lambda factors: math.prod(factors)),
+    "dihedral": (dihedral, lambda n: 2 * n),
+    "quaternion8": (quaternion8, lambda: 8),
+    "heisenberg": (heisenberg, lambda p: p ** 3),
 }
 
 
@@ -169,9 +172,6 @@ def conjugation_self_action(G: Group) -> ActionOnGroup:
 def power_map(n: int, k: int) -> list[int]:
     """The map x -> k x on Z_n (an automorphism when gcd(k, n) = 1)."""
     return [(k * x) % n for x in range(n)]
-
-
-BUILTIN_ACTIONS = ("trivial", "inversion", "swap")
 
 
 # -- catalog -----------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 A scenario is fully validated at load time; every constructor failure is
 reported as a ValidationError naming the constructor, and malformed JSON as a
-ParseError with line and column.
+ParseError with line and column.  A group of order above DEFAULT_ORDER_CAP is
+rejected before its table is built.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +23,15 @@ from ..actions import (
     semidirect,
     trivial_action,
 )
-from ..errors import NilcohError, ParseError, UnknownCheck, ValidationError
-from ..groups import Group, Subgroup, group_from_table, group_from_permutations, subgroup_generated
+from ..errors import NilcohError, OrderCapExceeded, ParseError, UnknownCheck, ValidationError
+from ..groups import (
+    DEFAULT_ORDER_CAP,
+    Group,
+    Subgroup,
+    group_from_permutations,
+    group_from_table,
+    subgroup_generated,
+)
 from .catalog import (
     BUILTIN_GROUPS,
     direct_product,
@@ -56,6 +66,24 @@ class Scenario:
         return self.semidirects[action_name]
 
 
+@contextmanager
+def _as_validation_error(where: str):
+    """Report a constructor failure inside the block as a ValidationError."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except NilcohError as exc:
+        raise ValidationError(where, f"{type(exc).__name__}: {exc}") from exc
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(where, str(exc)) from exc
+
+
+def _check_order(order: int) -> None:
+    if order > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(f"group order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+
+
 def _build_group(spec, groups: dict[str, Group], where: str) -> Group:
     if isinstance(spec, str):
         if spec not in groups:
@@ -63,38 +91,36 @@ def _build_group(spec, groups: dict[str, Group], where: str) -> Group:
         return groups[spec]
     if not isinstance(spec, dict):
         raise ValidationError(where, "group spec must be a name or an object")
-    try:
+    with _as_validation_error(where):
         if "builtin" in spec:
             name = spec["builtin"]
             if name == "direct_product":
                 parts = [_build_group(s, groups, where) for s in spec["factors"]]
                 if not parts:
                     raise ValidationError(where, "direct_product needs factors")
+                _check_order(math.prod(part.order for part in parts))
                 out = parts[0]
                 for rhs in parts[1:]:
                     out = direct_product(out, rhs)
                 return out
             if name not in BUILTIN_GROUPS:
                 raise ValidationError(where, f"unknown builtin group {name!r}")
+            build, order_of = BUILTIN_GROUPS[name]
             kwargs = {k: v for k, v in spec.items() if k != "builtin"}
-            return BUILTIN_GROUPS[name](**kwargs)
+            _check_order(order_of(**kwargs))
+            return build(**kwargs)
         kind = spec.get("kind")
         if kind == "table":
+            _check_order(len(spec["mul"]))
             return group_from_table(spec["mul"])
         if kind == "perm":
             return group_from_permutations(spec["generators"],
                                            degree=spec.get("degree"))
-    except ValidationError:
-        raise
-    except NilcohError as exc:
-        raise ValidationError(where, f"{type(exc).__name__}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(where, str(exc)) from exc
     raise ValidationError(where, f"unrecognized group spec {spec!r}")
 
 
 def _build_action(spec: dict, groups: dict[str, Group], where: str) -> ActionOnGroup:
-    try:
+    with _as_validation_error(where):
         if "builtin" in spec:
             name = spec["builtin"]
             if name == "trivial":
@@ -113,12 +139,6 @@ def _build_action(spec: dict, groups: dict[str, Group], where: str) -> ActionOnG
             spec["gens"],
             spec["images"],
         )
-    except ValidationError:
-        raise
-    except NilcohError as exc:
-        raise ValidationError(where, f"{type(exc).__name__}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(where, str(exc)) from exc
 
 
 def subgroup_of_semidirect(P: SemidirectProduct, spec, where: str = "subgroup") -> Subgroup:
@@ -129,7 +149,7 @@ def subgroup_of_semidirect(P: SemidirectProduct, spec, where: str = "subgroup") 
     """
     G = P.group
     nj = P.action.actor.order
-    try:
+    with _as_validation_error(where):
         if spec == "embedded_j":
             return Subgroup(G, range(nj))
         if spec == "embedded_n":
@@ -143,15 +163,11 @@ def subgroup_of_semidirect(P: SemidirectProduct, spec, where: str = "subgroup") 
         if isinstance(spec, dict) and "generated_by" in spec:
             seeds = [int(n) * nj + int(j) for n, j in spec["generated_by"]]
             return subgroup_generated(G, seeds)
-    except NilcohError as exc:
-        raise ValidationError(where, f"{type(exc).__name__}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(where, str(exc)) from exc
     raise ValidationError(where, f"unrecognized subgroup spec {spec!r}")
 
 
 def _build_gset(spec: dict, scenario: Scenario, where: str) -> tuple[str, GSet]:
-    try:
+    with _as_validation_error(where):
         action_name = spec["action"]
         if action_name not in scenario.actions:
             raise ValidationError(where, f"unknown action name {action_name!r}")
@@ -161,12 +177,6 @@ def _build_gset(spec: dict, scenario: Scenario, where: str) -> tuple[str, GSet]:
             return action_name, coset_gset(P.group, H)
         if "act" in spec:
             return action_name, GSet(P.group, spec["act"])
-    except ValidationError:
-        raise
-    except NilcohError as exc:
-        raise ValidationError(where, f"{type(exc).__name__}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(where, str(exc)) from exc
     raise ValidationError(where, f"unrecognized gset spec {spec!r}")
 
 

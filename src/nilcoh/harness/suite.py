@@ -8,6 +8,7 @@ error (the CLI maps load-time errors to 3).
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -27,6 +28,8 @@ from ..theorems import (
 )
 from .catalog import CATALOG, EQ3_EXTRA, ActionInstance, cyclic, dihedral, direct_product
 from .scenario import Scenario, ScenarioCheck, subgroup_of_semidirect
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -50,7 +53,7 @@ class CheckOutcome:
         return self.report.passed
 
 
-def correspondence_report(action, instance: str, max_gens: int = 3) -> VerificationReport:
+def correspondence_report(action, instance: str) -> VerificationReport:
     """Check the complement correspondence on the induced semidirect product:
     classes of H1 biject with N-conjugacy classes of independently enumerated
     complements."""
@@ -60,7 +63,7 @@ def correspondence_report(action, instance: str, max_gens: int = 3) -> Verificat
     G = P.group
     n_sub = P.n_part()
     report.hypotheses["within_order_cap"] = True
-    comps = complements(G, n_sub, max_gens=max_gens)
+    comps = complements(G, n_sub)
     classes = subgroup_conjugacy_classes(G, comps, under=n_sub)
     H = h1(action)
     ok = H.size == len(classes)
@@ -154,7 +157,7 @@ def _ambient_prop5_check(tag: str, build: Callable[[], tuple[Group, list[int], l
     return SuiteCheck(f"ambient/prop5:{tag}", run, expect_hypothesis_fail=expect_fail)
 
 
-def default_suite(max_gens: int = 3, relaxed: bool = False) -> list[SuiteCheck]:
+def default_suite(relaxed: bool = False) -> list[SuiteCheck]:
     """The shipped suite: every catalog action through the decomposition,
     correspondence, and complement-conjugacy verifiers, plus curated
     fixed-point, conjugator, and hypothesis-failure instances."""
@@ -170,9 +173,9 @@ def default_suite(max_gens: int = 3, relaxed: bool = False) -> list[SuiteCheck]:
                                             relaxed=relaxed))
         add(f"{inst.id}/correspondence",
             lambda inst=inst: correspondence_report(
-                inst.action(), f"{inst.id}/correspondence", max_gens=max_gens))
+                inst.action(), f"{inst.id}/correspondence"))
         add(f"{inst.id}/prop2",
-            lambda inst=inst: _prop2_on_semidirect(inst, max_gens, relaxed))
+            lambda inst=inst: _prop2_on_semidirect(inst, relaxed))
     for inst in CATALOG + EQ3_EXTRA:
         if "abelian_n" in inst.tags:
             add(f"{inst.id}/eq3",
@@ -242,7 +245,7 @@ def default_suite(max_gens: int = 3, relaxed: bool = False) -> list[SuiteCheck]:
     add("ambient/prop3:c6_c3",
         lambda: _prop3_on_c6(relaxed))
     add("c2_swap_c2c2/prop3",
-        lambda: _prop3_on_semidirect(by_id["c2_swap_c2c2"], max_gens, relaxed))
+        lambda: _prop3_on_semidirect(by_id["c2_swap_c2c2"], relaxed))
     add("ambient/prop2:d4_c4",
         lambda: verify_prop2(dihedral(4), subgroup_generated(dihedral(4), [1]),
                              "ambient/prop2:d4_c4", relaxed=relaxed))
@@ -252,18 +255,16 @@ def default_suite(max_gens: int = 3, relaxed: bool = False) -> list[SuiteCheck]:
     return checks
 
 
-def _prop2_on_semidirect(inst: ActionInstance, max_gens: int,
+def _prop2_on_semidirect(inst: ActionInstance,
                          relaxed: bool = False) -> VerificationReport:
     P = semidirect(inst.action())
-    return verify_prop2(P.group, P.n_part(), f"{inst.id}/prop2",
-                        max_gens=max_gens, relaxed=relaxed)
+    return verify_prop2(P.group, P.n_part(), f"{inst.id}/prop2", relaxed=relaxed)
 
 
-def _prop3_on_semidirect(inst: ActionInstance, max_gens: int,
+def _prop3_on_semidirect(inst: ActionInstance,
                          relaxed: bool = False) -> VerificationReport:
     P = semidirect(inst.action())
-    return verify_prop3(P.group, P.n_part(), f"{inst.id}/prop3",
-                        max_gens=max_gens, relaxed=relaxed)
+    return verify_prop3(P.group, P.n_part(), f"{inst.id}/prop3", relaxed=relaxed)
 
 
 def _prop3_on_c6(relaxed: bool = False) -> VerificationReport:
@@ -355,11 +356,15 @@ def _h1_report(scenario: Scenario, check: ScenarioCheck) -> VerificationReport:
 
 
 def run_checks(checks: Iterable[SuiteCheck]) -> list[CheckOutcome]:
+    """Run each check; one that raises becomes an error record (exit 1) and
+    the checks after it still run."""
     outcomes = []
     for check in checks:
         try:
             report = check.run()
-        except NilcohError as exc:
+        except Exception as exc:  # noqa: BLE001 - a crash must not end the suite
+            if not isinstance(exc, NilcohError):
+                log.exception("check %s raised an unexpected error", check.instance)
             report = VerificationReport("error", check.instance)
             report.hypotheses["ran"] = False
             report.details["ran"] = f"{type(exc).__name__}: {exc}"

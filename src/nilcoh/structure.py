@@ -6,7 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotNilpotent, SearchBudgetExceeded
-from .groups import Group, Subgroup, are_conjugate_subgroups, normalizer, subgroup_generated
+from .groups import (
+    Group,
+    Subgroup,
+    are_conjugate_subgroups,
+    generating_sequence,
+    normalizer,
+    subgroup_generated,
+)
 
 DEFAULT_ENUM_BUDGET = 200_000
 
@@ -168,14 +175,14 @@ def primary_projection(G: Group, p: int) -> tuple[Subgroup, Subgroup, tuple[int,
 
 
 def enumerate_subgroups_of_order(
-    G: Group, m: int, max_gens: int = 3, budget: int = DEFAULT_ENUM_BUDGET
+    G: Group, m: int, max_gens: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[Subgroup]:
     """All subgroups of order m generated by at most max_gens elements.
 
-    Complete whenever every group of order m is max_gens-generated; the
-    default of 3 covers all orders up to 8, and p-groups of order p^k need at
-    most k generators.  Candidates are grown by adjoining generators in
-    ascending index order, pruning closures whose order does not divide m.
+    Complete whenever every group of order m is max_gens-generated; 3 covers
+    all orders up to 8, and p-groups of order p^k need at most k generators.
+    Candidates are grown by adjoining generators in ascending index order,
+    pruning closures whose order does not divide m.
     """
     if m <= 0 or G.order % m != 0:
         raise ValueError(f"order {m} does not divide |G| = {G.order}")
@@ -215,18 +222,23 @@ def enumerate_subgroups_of_order(
     return [Subgroup(G, elts) for elts in sorted(found)]
 
 
-def complements(G: Group, N: Subgroup, max_gens: int = 3,
+def complements(G: Group, N: Subgroup,
                 budget: int = DEFAULT_ENUM_BUDGET) -> list[Subgroup]:
     """All complements K of a normal subgroup N: K meets N trivially, KN = G.
 
-    Enumerated through enumerate_subgroups_of_order(|G|/|N|), so the same
-    generator bound and completeness envelope apply.
+    Enumerated through enumerate_subgroups_of_order(|G|/|N|) under a
+    generator bound that makes the list complete.  Every complement is
+    isomorphic to G/N, so it needs no more generators than a generating
+    sequence of G/N has; that sequence is the part outside N of a greedy
+    generating sequence of G that lists the elements of N first.
     """
     if not N.is_normal():
         raise ValueError("complements are computed against a normal subgroup")
     m = G.order // N.order
+    n_first = N.elements + tuple(g for g in G.elements() if g not in N)
+    rank_bound = sum(1 for g in generating_sequence(G, n_first) if g not in N)
     out = []
-    for K in enumerate_subgroups_of_order(G, m, max_gens=max_gens, budget=budget):
+    for K in enumerate_subgroups_of_order(G, m, rank_bound, budget=budget):
         if sum(1 for x in K.elements if x in N) == 1:
             out.append(K)
     return out

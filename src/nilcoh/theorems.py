@@ -32,12 +32,14 @@ from .cohomology import (
 from .errors import (
     BudgetExceeded,
     HypothesisNotMet,
+    NilcohError,
     NoConjugatorFound,
     NotNilpotent,
 )
-from .groups import Group, Subgroup, are_conjugate_subgroups, quotient
+from .groups import Group, Subgroup, are_conjugate_subgroups, centralizer, conjugator_into, quotient
 from .structure import (
     complements,
+    hall_pprime,
     is_nilpotent,
     is_nilpotent_subgroup,
     locally_conjugate,
@@ -110,15 +112,6 @@ def _set_hypothesis(report: VerificationReport, name: str, met: bool, detail: st
     return met
 
 
-def _subgroup_conjugator_into(G: Group, S: Subgroup, H: Subgroup) -> int | None:
-    """Least g with S^g contained in H, or None."""
-    members = H._set
-    for g in range(G.order):
-        if all(G.conj(x, g) in members for x in S.elements):
-            return g
-    return None
-
-
 def _sylow_containment_data(
     G: Group, J: Subgroup, H: Subgroup
 ) -> tuple[dict[int, int | None], bool]:
@@ -127,7 +120,7 @@ def _sylow_containment_data(
     ok = True
     for p in prime_factors(J.order):
         Jp = sylow_subgroup(G, p, within=J)
-        g = _subgroup_conjugator_into(G, Jp, H)
+        g = conjugator_into(G, Jp, H)
         data[p] = g
         if g is None:
             ok = False
@@ -181,7 +174,7 @@ def find_conjugator(
             f"H contains no conjugate of the Sylow part at primes {missing}",
         )
     if strategy == "exhaustive":
-        g = _subgroup_conjugator_into(G, J, H)
+        g = conjugator_into(G, J, H)
         if g is None:
             raise NoConjugatorFound(
                 "hypotheses hold but no conjugate of J lies in H"
@@ -242,7 +235,7 @@ def _proof_guided(
     if len(jprimes) == 1:
         g = sylow_data.get(jprimes[0])
         if g is None:
-            g = _subgroup_conjugator_into(G, J, H)
+            g = conjugator_into(G, J, H)
         if g is not None and all(G.conj(x, g) in H for x in J.elements):
             return g
         return _fallback(G, J, H, "single-prime base case")
@@ -254,7 +247,7 @@ def _proof_guided(
 
 def _fallback(G: Group, J: Subgroup, H: Subgroup, where: str) -> int:
     log.warning("proof_guided: falling back to exhaustive scan at %s", where)
-    g = _subgroup_conjugator_into(G, J, H)
+    g = conjugator_into(G, J, H)
     if g is None:
         raise NoConjugatorFound(f"exhaustive fallback failed at {where}")
     return g
@@ -295,17 +288,6 @@ def _two_prime_step(G: Group, N: Subgroup, J: Subgroup, H: Subgroup, p: int) -> 
     return _fallback(G, J, H, "two-prime combination")
 
 
-def _center_of_subgroup(G: Group, N: Subgroup) -> Subgroup:
-    return Subgroup(
-        G,
-        (
-            z
-            for z in N.elements
-            if all(G.mul[z][x] == G.mul[x][z] for x in N.elements)
-        ),
-    )
-
-
 def _single_prime_coefficients(
     G: Group, N: Subgroup, J: Subgroup, H: Subgroup, q: int | None
 ) -> int:
@@ -315,7 +297,7 @@ def _single_prime_coefficients(
         return _fallback(G, J, H, "trivial-N case")
     # Arrange J_q <= H by switching to a conjugate of H.
     Jq = sylow_subgroup(G, q, within=J)
-    g0 = _subgroup_conjugator_into(G, Jq, H)
+    g0 = conjugator_into(G, Jq, H)
     if g0 is None:
         return _fallback(G, J, H, "q-Sylow placement")
     if g0 != 0:
@@ -325,7 +307,7 @@ def _single_prime_coefficients(
         if all(G.conj(x, g) in H for x in J.elements):
             return g
         return _fallback(G, J, H, "conjugate-of-H unwinding")
-    Z = _center_of_subgroup(G, N)
+    Z = Subgroup(G, (z for z in centralizer(G, N).elements if z in N))
     ZH = Subgroup(G, (z for z in Z.elements if z in H))
     if not ZH.is_trivial():
         try:
@@ -359,7 +341,7 @@ def _correspondence_finish(
     HN = Subgroup(G, (x for x in H.elements if x in N))
     try:
         act, kmap, mmap = conjugation_action_with_maps(G, HN, K)
-    except Exception:  # noqa: BLE001 - any failure here means the route is off
+    except NilcohError:
         return _fallback(G, J, H, "conjugation action on H-meet-N")
     mpos = {x: i for i, x in enumerate(mmap)}
     kpos = {x: i for i, x in enumerate(kmap)}
@@ -379,12 +361,10 @@ def _correspondence_finish(
     try:
         Hq = h1(act, Kq)
         cls = Hq.class_of(phi_q.values)
-        hall = Subgroup(Kg, (x for x in range(Kg.order)
-                             if Kg.element_order(x) % q != 0))
-        if cls not in fixed_classes(Hq, hall):
+        if cls not in fixed_classes(Hq, hall_pprime(Kg, q)):
             return _fallback(G, J, H, "restricted class not Hall-fixed")
         ext_cls = extend_from_sylow(act, q, cls)
-    except Exception:  # noqa: BLE001
+    except NilcohError:
         return _fallback(G, J, H, "extension through the correspondence")
     Hfull = h1(act)
     psi = next(
@@ -407,18 +387,19 @@ def _correspondence_finish(
 # -- verifiers --------------------------------------------------------------------
 
 
-def verify_prop2(G: Group, N: Subgroup, instance: str = "", max_gens: int = 3,
+def verify_prop2(G: Group, N: Subgroup, instance: str = "",
                  relaxed: bool = False) -> VerificationReport:
     """Nilpotent complements of a nilpotent normal subgroup are conjugate
     exactly when they are locally conjugate; both directions checked over all
-    pairs."""
+    pairs.  complements() derives a complete generator bound from G/N, so
+    only its work budget can fail the complements_enumerable hypothesis."""
     t0 = time.perf_counter()
     report = VerificationReport("prop2", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_normal", N.is_normal())
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
     comps: list[Subgroup] = []
     try:
-        comps = complements(G, N, max_gens=max_gens)
+        comps = complements(G, N)
         _set_hypothesis(report, "complements_enumerable", True)
     except BudgetExceeded as exc:
         _set_hypothesis(report, "complements_enumerable", False, str(exc))
@@ -450,16 +431,17 @@ def verify_prop2(G: Group, N: Subgroup, instance: str = "", max_gens: int = 3,
     return report
 
 
-def verify_prop3(G: Group, N: Subgroup, instance: str = "", max_gens: int = 3,
+def verify_prop3(G: Group, N: Subgroup, instance: str = "",
                  relaxed: bool = False) -> VerificationReport:
     """If some Sylow p-subgroup S of G has all complements of S-meet-N inside
     S conjugate in G (for every p), then all complements of N in G are
-    conjugate."""
+    conjugate.  complements() derives a complete generator bound from each
+    quotient, so only its work budget can leave complements out."""
     t0 = time.perf_counter()
     report = VerificationReport("prop3", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
     try:
-        comps = complements(G, N, max_gens=max_gens)
+        comps = complements(G, N)
     except BudgetExceeded as exc:
         comps = []
         _set_hypothesis(report, "complements_enumerable", False, str(exc))
@@ -472,7 +454,7 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "", max_gens: int = 3,
         sylows = _all_sylow_conjugates(G, p)
         good = None
         for S in sylows:
-            if _sylow_local_complements_conjugate(G, S, N, max_gens):
+            if _sylow_local_complements_conjugate(G, S, N):
                 good = S
                 break
         if good is not None:
@@ -510,14 +492,12 @@ def _all_sylow_conjugates(G: Group, p: int) -> list[Subgroup]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _sylow_local_complements_conjugate(
-    G: Group, S: Subgroup, N: Subgroup, max_gens: int
-) -> bool:
+def _sylow_local_complements_conjugate(G: Group, S: Subgroup, N: Subgroup) -> bool:
     SG, smap = S.as_group()
     inner = [i for i, x in enumerate(smap) if x in N]
     SN = Subgroup(SG, inner)
     try:
-        local = complements(SG, SN, max_gens=max_gens)
+        local = complements(SG, SN)
     except BudgetExceeded:
         return False
     lifted = [Subgroup(G, (smap[i] for i in K.elements)) for K in local]
@@ -551,7 +531,7 @@ def verify_prop5(G: Group, N: Subgroup, J: Subgroup, H: Subgroup,
     if not ok and not relaxed:
         report.elapsed = time.perf_counter() - t0
         return report
-    g_exhaustive = _subgroup_conjugator_into(G, J, H)
+    g_exhaustive = conjugator_into(G, J, H)
     if g_exhaustive is None:
         report.conclusion_verified = False
         report.witness = None

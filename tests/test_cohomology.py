@@ -45,7 +45,7 @@ from nilcoh.structure import (
     subgroup_conjugacy_classes,
     sylow_subgroup,
 )
-from conftest import CATALOG, cyclic, homomorphisms_by_scan
+from conftest import CATALOG, abelian, cyclic, homomorphisms_by_scan
 
 
 def inv_c4():
@@ -196,14 +196,23 @@ def test_cohomologous_iff_n_conjugate():
 
 def test_class_count_matches_complement_classes():
     from nilcoh.harness.catalog import catalog_by_id
+    from nilcoh.harness.suite import correspondence_report
 
-    for iid in ("c2_inv_c4", "c2_swap_c2c2", "c2_inv_c6", "c4_inv_c4",
-                "c3_cycle_q8", "d4_proj_c4"):
-        a = catalog_by_id()[iid].action()
+    actions = [catalog_by_id()[iid].action()
+               for iid in ("c2_inv_c4", "c2_swap_c2c2", "c2_inv_c6", "c4_inv_c4",
+                           "c3_cycle_q8", "d4_proj_c4")]
+    # Complements of C2 in C2 x C2^4 need four generators.
+    actions.append(trivial_action(abelian([2, 2, 2, 2]), cyclic(2)))
+    for a in actions:
         P = semidirect(a)
         comps = complements(P.group, P.n_part())
         classes = subgroup_conjugacy_classes(P.group, comps, under=P.n_part())
-        assert h1(a).size == len(classes), iid
+        assert len(comps) == len(cocycles(a)), a
+        assert h1(a).size == len(classes), a
+        report = correspondence_report(a, repr(a))
+        assert report.passed and not report.falsification, (a, report.witness)
+    assert report.witness == {"h1_classes": 16, "complements": 16,
+                              "n_conjugacy_classes": 16}
 
 
 def test_restriction():

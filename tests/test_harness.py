@@ -11,6 +11,7 @@ from nilcoh.harness.cli import main
 from nilcoh.harness.scenario import load_scenario
 from nilcoh.harness.suite import (
     CheckOutcome,
+    SuiteCheck,
     default_suite,
     exit_code,
     report_emit,
@@ -210,12 +211,45 @@ def test_cli_scenario_suite(tmp_path, capsys):
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 3
     bad = tmp_path / "corrupt.scn"
-    bad.write_text(json.dumps({
-        "id": "x",
-        "groups": {"g": {"kind": "table", "mul": [[0, 1], [1, 1]]}},
-    }))
-    assert main(["suite", "--scenario", str(bad)]) == 3
-    capsys.readouterr()
+    for doc in (
+        {"id": "x", "groups": {"g": {"kind": "table", "mul": [[0, 1], [1, 1]]}}},
+        {"id": "x", "groups": {"g": {"builtin": "heisenberg", "p": 1e200}}},
+        {"id": "x", "actions": {"a": {"actor": {"builtin": "cyclic", "n": 2},
+                                      "target": {"builtin": "cyclic", "n": 4},
+                                      "gens": [7], "images": [[0, 3, 2, 1]]}}},
+    ):
+        bad.write_text(json.dumps(doc))
+        assert main(["suite", "--scenario", str(bad)]) == 3, doc
+        assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    {"builtin": "cyclic", "n": 100000},
+    {"builtin": "heisenberg", "p": 13},
+    {"builtin": "direct_product",
+     "factors": [{"builtin": "cyclic", "n": 64}, {"builtin": "dihedral", "n": 32}]},
+    {"kind": "table", "mul": [[0]] * 2049},  # rejected before the shape check
+])
+def test_cli_rejects_group_over_order_cap(tmp_path, capsys, spec):
+    path = tmp_path / "big.scn"
+    path.write_text(json.dumps({"id": "big", "groups": {"g": spec}}))
+    assert main(["suite", "--scenario", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "group 'g'" in err and "OrderCapExceeded" in err and "2048" in err
+
+
+def test_run_checks_contains_unexpected_errors():
+    def crash():
+        raise RuntimeError("boom")
+
+    checks = [SuiteCheck("crash", crash)] + default_suite()[:2]
+    outcomes = run_checks(checks)
+    record = outcomes[0].report.to_json()
+    assert record["theorem"] == "error" and record["pass"] is False
+    assert record["hypotheses"] == {"ran": {"met": False, "detail": "RuntimeError: boom"}}
+    assert not record["falsification"]
+    assert [o.ok for o in outcomes] == [False, True, True]
+    assert exit_code(outcomes) == 1
 
 
 def test_default_suite_instance_filter(capsys):

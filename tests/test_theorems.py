@@ -2,7 +2,8 @@
 
 import pytest
 
-from nilcoh.actions import coset_gset, semidirect
+from nilcoh.actions import coset_gset, semidirect, trivial_action
+from nilcoh.cohomology import h1
 from nilcoh.errors import HypothesisNotMet
 from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated
 from nilcoh.harness.scenario import subgroup_of_semidirect
@@ -16,7 +17,7 @@ from nilcoh.theorems import (
     verify_prop5,
     verify_thm4,
 )
-from conftest import CATALOG, cyclic, dihedral, direct_product
+from conftest import CATALOG, abelian, cyclic, dihedral, direct_product
 
 
 def test_prop2_on_d4():
@@ -44,12 +45,18 @@ def test_prop2_skips_non_nilpotent_complements():
 
 
 def test_prop2_across_catalog_semidirects():
-    for inst in CATALOG:
-        P = semidirect(inst.action())
-        report = verify_prop2(P.group, P.n_part(), inst.id)
-        assert report.hypotheses_met, inst.id
-        assert report.passed, (inst.id, report.witness)
+    cases = [(inst.id, inst.action()) for inst in CATALOG]
+    # Complements of C2 in C2 x C2^4 need four generators.
+    cases.append(("c2e4_triv_c2", trivial_action(abelian([2, 2, 2, 2]), cyclic(2))))
+    for iid, action in cases:
+        P = semidirect(action)
+        report = verify_prop2(P.group, P.n_part(), iid)
+        assert report.hypotheses_met, iid
+        assert report.passed, (iid, report.witness)
         assert not report.falsification
+        # Complements correspond one to one with cocycles.
+        assert report.witness["complements"] == h1(action).cocycle_count(), iid
+    assert report.witness == {"complements": 16, "nilpotent": 16}
 
 
 def test_prop3_hypothesis_fails_on_d4():
