@@ -18,26 +18,39 @@ from .errors import (
     NotNormalized,
     OrderCapExceeded,
 )
-from .groups import DEFAULT_ORDER_CAP, Group, GroupHom, Subgroup, cayley_tree, coset_representatives
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    Group,
+    GroupHom,
+    Subgroup,
+    cayley_tree,
+    compose,
+    coset_representatives,
+)
 
 DEFAULT_GSET_CAP = 4096
 
 
 def is_automorphism(N: Group, perm: Sequence[int]) -> bool:
+    """Whether perm is a bijection of N fixing 0 that respects every product
+    with a generator in N.gens, which by the lemma on `Group.gens` makes it
+    respect every product."""
     if len(perm) != N.order or sorted(perm) != list(range(N.order)):
         return False
     if perm[0] != 0:
         return False
     mul = N.mul
     return all(
-        perm[mul[a][b]] == mul[perm[a]][perm[b]]
-        for a in range(N.order)
-        for b in range(N.order)
+        perm[mul[a][g]] == mul[perm[a]][perm[g]] for a in range(N.order) for g in N.gens
     )
 
 
 class ActionOnGroup:
-    """A homomorphism from J into Aut(N), one permutation of N per J-element."""
+    """A homomorphism from J into Aut(N), one permutation of N per J-element.
+
+    The homomorphism property is checked on (element, generator) pairs, which
+    suffices by the lemma on `Group.gens`.
+    """
 
     __slots__ = ("actor", "target", "auto", "name", "_h1_cache")
 
@@ -53,14 +66,11 @@ class ActionOnGroup:
         if perms[0] != ident:
             raise NotAHomomorphism("identity of J must act as the identity map")
         mul = actor.mul
-        for a in range(actor.order):
-            pa = perms[a]
-            for b in range(actor.order):
-                pb = perms[b]
-                pab = perms[mul[a][b]]
-                if any(pab[n] != pa[pb[n]] for n in range(target.order)):
+        for a, pa in enumerate(perms):
+            for g in actor.gens:
+                if perms[mul[a][g]] != compose(pa, perms[g]):
                     raise NotAHomomorphism(
-                        f"action of product {a}*{b} differs from composed action"
+                        f"action of product {a}*{g} differs from composed action"
                     )
         self.actor = actor
         self.target = target
@@ -94,9 +104,10 @@ def action_from_generator_images(
 ) -> ActionOnGroup:
     """Extend generator images to the unique action homomorphism, if one exists.
 
-    Images are assigned along a spanning tree of J's Cayley graph, then every
-    (element, generator) edge is checked; an edge that disagrees shows the
-    images are inconsistent with J's relations.
+    Images are assigned along a spanning tree of J's Cayley graph.
+    ActionOnGroup then checks that the result is a homomorphism, and each
+    given generator must act by its given image: a mismatch at either step
+    shows the images are inconsistent with J's relations.
     """
     if len(gens) != len(images):
         raise ValueError("need exactly one image per generator")
@@ -104,22 +115,20 @@ def action_from_generator_images(
         if not is_automorphism(N, img):
             raise NotAutomorphism(f"{list(img)} is not an automorphism of the target")
     gens = [int(g) for g in gens]
+    for g in gens:
+        if not 0 <= g < J.order:
+            raise ValueError(f"generator {g} outside group of order {J.order}")
     gen_perms = [tuple(int(x) for x in img) for img in images]
-    points = range(N.order)
-    auto: dict[int, tuple[int, ...]] = {0: tuple(points)}
+    auto: dict[int, tuple[int, ...]] = {0: tuple(range(N.order))}
     for j, slot, k in cayley_tree(J, gens):
-        pj, pg = auto[j], gen_perms[slot]
-        auto[k] = tuple(pj[pg[n]] for n in points)
-    for j, pj in auto.items():
-        for g, pg in zip(gens, gen_perms):
-            k = J.mul[j][g]
-            if auto[k] != tuple(pj[pg[n]] for n in points):
-                raise NotAHomomorphism(
-                    f"images are inconsistent with relations at element {k}"
-                )
+        auto[k] = compose(auto[j], gen_perms[slot])
     if len(auto) != J.order:
         raise DoesNotGenerate(f"generators reach only {len(auto)} of {J.order} elements")
-    return ActionOnGroup(J, N, [auto[j] for j in range(J.order)], name=name)
+    action = ActionOnGroup(J, N, [auto[j] for j in range(J.order)], name=name)
+    for g, pg in zip(gens, gen_perms):
+        if auto[g] != pg:
+            raise NotAHomomorphism(f"images are inconsistent with relations at element {g}")
+    return action
 
 
 def conjugation_action(G: Group, N: Subgroup, J: Subgroup,
@@ -211,7 +220,11 @@ def semidirect(action: ActionOnGroup, order_cap: int = DEFAULT_ORDER_CAP) -> Sem
 
 
 class GSet:
-    """A finite set with a G-action, stored as one point permutation per element."""
+    """A finite set with a G-action, stored as one point permutation per element.
+
+    The homomorphism property is checked on (element, generator) pairs, which
+    suffices by the lemma on `Group.gens`.
+    """
 
     __slots__ = ("group", "size", "act")
 
@@ -230,13 +243,10 @@ class GSet:
         if tables and tables[0] != tuple(pts):
             raise ValueError("identity must act trivially")
         mul = group.mul
-        for a in range(group.order):
-            ta = tables[a]
-            for b in range(group.order):
-                tb = tables[b]
-                tab = tables[mul[a][b]]
-                if any(tab[w] != ta[tb[w]] for w in range(size)):
-                    raise ValueError(f"action is not a homomorphism at ({a}, {b})")
+        for a, ta in enumerate(tables):
+            for g in group.gens:
+                if tables[mul[a][g]] != compose(ta, tables[g]):
+                    raise ValueError(f"action is not a homomorphism at ({a}, {g})")
         self.group = group
         self.size = size
         self.act = tables

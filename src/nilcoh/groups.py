@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import NoIdentity, NoInverse, NotAssociative, NotNormal, OrderCapExceeded
 
 DEFAULT_ORDER_CAP = 2048
@@ -19,11 +17,21 @@ DEFAULT_ORDER_CAP = 2048
 class Group:
     """A finite group given by its full multiplication table.
 
-    The table is validated at construction: two-sided identity at index 0,
-    two-sided inverses, and associativity over all triples.
+    The table is validated at construction, in this order: a two-sided
+    identity at index 0; associativity by Light's test on the generators
+    `gens` (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961),
+    which is a proof over all triples, not a sample; two-sided inverses.
+
+    `gens` is the greedy generating sequence of the elements in index order,
+    found by right multiplication from the identity.  A map f with
+    f(x*g) = f(x)f(g) for every x and every g in gens, and f(0) the identity,
+    is a homomorphism: induction on the length of y as a word in gens gives
+    f(x*y) = f(x)f(y).  Every homomorphism check in the package tests only
+    these (element, generator) pairs; Light's test is the same lemma for the
+    left translations x -> (y -> x*y).
     """
 
-    __slots__ = ("order", "mul", "inv", "name", "element_names")
+    __slots__ = ("order", "mul", "inv", "gens", "name", "element_names")
 
     def __init__(
         self,
@@ -35,18 +43,22 @@ class Group:
         n = _check_table_shape(table)
         if any(table[0][x] != x or table[x][0] != x for x in range(n)):
             raise NoIdentity("index 0 is not a two-sided identity")
-        _check_associative(table)
-        inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == 0 and table[b][a] == 0:
-                    inv[a] = b
-                    break
-            else:
-                raise NoInverse(a)
         self.order = n
         self.mul = table
-        self.inv = tuple(inv)
+        # Every element is a left-normed product of gens, which is all that
+        # Light's lemma needs: the a with (x*a)*y = x*(a*y) for all x, y are
+        # closed under products.
+        self.gens = tuple(generating_sequence(self, range(n)))
+        for g in self.gens:
+            right = table[g]
+            for x, row in enumerate(table):
+                if table[row[g]] != compose(row, right):
+                    y = next(y for y in range(n) if table[row[g]][y] != row[right[y]])
+                    raise NotAssociative(x, g, y)
+        for a, row in enumerate(table):
+            if 0 not in row or table[row.index(0)][a] != 0:
+                raise NoInverse(a)
+        self.inv = tuple(row.index(0) for row in table)
         self.name = name
         self.element_names = tuple(element_names) if element_names is not None else None
 
@@ -81,11 +93,8 @@ class Group:
         return x
 
     def is_abelian(self) -> bool:
-        return all(
-            self.mul[a][b] == self.mul[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        gens, mul = self.gens, self.mul
+        return all(mul[a][b] == mul[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def same_table(self, other: "Group") -> bool:
         return self.order == other.order and self.mul == other.mul
@@ -117,15 +126,9 @@ def _check_table_shape(table: Sequence[Sequence[int]]) -> int:
     return n
 
 
-def _check_associative(table: tuple[tuple[int, ...], ...]) -> None:
-    # One row at a time keeps memory at O(n^2) while staying vectorized.
-    m = np.asarray(table, dtype=np.int64)
-    for a in range(len(table)):
-        left = m[m[a]]          # left[b, c]  = m[m[a, b], c]
-        right = m[a][m]         # right[b, c] = m[a, m[b, c]]
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            raise NotAssociative(a, int(b), int(c))
+def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """p after q: the tuple whose entry i is p[q[i]]."""
+    return tuple(map(p.__getitem__, q))
 
 
 class Subgroup:
@@ -194,9 +197,7 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         G = self.parent
-        return all(
-            G.conj(h, g) in self._set for g in range(G.order) for h in self.elements
-        )
+        return all(G.conj(h, g) in self._set for g in G.gens for h in self.elements)
 
     def as_group(self) -> tuple[Group, tuple[int, ...]]:
         """Re-index this subgroup as a standalone Group.
@@ -218,7 +219,11 @@ class Subgroup:
 
 
 class GroupHom:
-    """A homomorphism between table groups, stored as a per-element image list."""
+    """A homomorphism between table groups, stored as a per-element image list.
+
+    Checked on (element, generator) pairs, which suffices by the lemma on
+    `Group.gens`.
+    """
 
     __slots__ = ("source", "target", "images")
 
@@ -232,9 +237,9 @@ class GroupHom:
             raise ValueError("homomorphism must send identity to identity")
         smul, tmul = source.mul, target.mul
         for a in range(source.order):
-            for b in range(source.order):
-                if imgs[smul[a][b]] != tmul[imgs[a]][imgs[b]]:
-                    raise ValueError(f"not a homomorphism at pair ({a}, {b})")
+            for g in source.gens:
+                if imgs[smul[a][g]] != tmul[imgs[a]][imgs[g]]:
+                    raise ValueError(f"not a homomorphism at pair ({a}, {g})")
         self.source = source
         self.target = target
         self.images = imgs
@@ -306,7 +311,7 @@ def group_from_permutations(
         nxt = []
         for p in frontier:
             for g in gens:
-                q = tuple(p[g[i]] for i in range(degree))
+                q = compose(p, g)
                 if q not in seen:
                     if len(seen) >= order_cap:
                         raise OrderCapExceeded(f"closure exceeds cap {order_cap}")
@@ -315,10 +320,7 @@ def group_from_permutations(
         frontier = nxt
     elts = sorted(seen)  # identity is lexicographically least, so it sits at 0
     index = {p: i for i, p in enumerate(elts)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(degree))] for q in elts]
-        for p in elts
-    ]
+    table = [[index[compose(p, q)] for q in elts] for p in elts]
     return Group(table, name=name)
 
 
@@ -380,15 +382,10 @@ def trivial_subgroup(G: Group) -> Subgroup:
 
 
 def center(G: Group) -> Subgroup:
-    """Elements commuting with everything."""
+    """Elements commuting with every generator, hence with everything."""
     mul = G.mul
     return Subgroup(
-        G,
-        (
-            z
-            for z in range(G.order)
-            if all(mul[z][g] == mul[g][z] for g in range(G.order))
-        ),
+        G, (z for z in range(G.order) if all(mul[z][g] == mul[g][z] for g in G.gens))
     )
 
 
@@ -431,7 +428,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
 
     Raises NotNormal (with a witnessing pair) when N is not normal in G.
     """
-    for g in range(G.order):
+    for g in G.gens:
         for h in N.elements:
             if G.conj(h, g) not in N:
                 raise NotNormal(g, h)

@@ -190,8 +190,17 @@ def cmd_suite(args) -> int:
     return exit_code(outcomes)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, the input-error code;
+    `--help` still exits 0.  Subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilcoh",
         description="First cohomology of finite nilpotent group actions, "
                     "complement conjugacy, and fixed-point verifiers.",
@@ -201,27 +210,30 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scenario", help="path to a scenario (.scn) file")
         p.add_argument("--instance", help="catalog instance id (or scenario action)")
-        p.add_argument("--budget", type=int, default=GENERATOR_ENUM_BUDGET,
-                       help="cap on enumeration candidates")
         p.add_argument("--format", choices=("json", "human"), default="human")
         p.add_argument("--relaxed-hypotheses", action="store_true",
                        help="run conclusions as observations when hypotheses fail")
+
+    def budgeted(p: argparse.ArgumentParser) -> None:
+        common(p)
+        p.add_argument("--budget", type=int, default=GENERATOR_ENUM_BUDGET,
+                       help="cap on enumeration candidates")
 
     p_catalog = sub.add_parser("catalog", help="list built-in instances")
     p_catalog.add_argument("--format", choices=("json", "human"), default="human")
     p_catalog.set_defaults(fn=cmd_catalog)
 
     p_h1 = sub.add_parser("h1", help="cocycles and cohomology classes of an action")
-    common(p_h1)
+    budgeted(p_h1)
     p_h1.set_defaults(fn=cmd_h1)
 
     p_comp = sub.add_parser("complements",
                             help="complements of N in the semidirect product")
-    common(p_comp)
+    budgeted(p_comp)
     p_comp.set_defaults(fn=cmd_complements)
 
     p_dec = sub.add_parser("decompose", help="Sylow-wise decomposition report")
-    common(p_dec)
+    budgeted(p_dec)
     p_dec.set_defaults(fn=cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="run one verifier on one instance")

@@ -145,15 +145,16 @@ def subgroup_of_semidirect(P: SemidirectProduct, spec, where: str = "subgroup") 
     """Resolve a subgroup spec against a semidirect product.
 
     Accepts "embedded_j", "embedded_n", "whole", "trivial", {"elements": [...]},
-    or {"generated_by": [[n, j], ...]} with pairs in N x J coordinates.
+    or {"generated_by": [[n, j], ...]} with pairs in N x J coordinates,
+    each checked to lie in range.
     """
     G = P.group
-    nj = P.action.actor.order
+    nn, nj = P.action.target.order, P.action.actor.order
     with _as_validation_error(where):
         if spec == "embedded_j":
             return Subgroup(G, range(nj))
         if spec == "embedded_n":
-            return Subgroup(G, (n * nj for n in range(P.action.target.order)))
+            return Subgroup(G, (n * nj for n in range(nn)))
         if spec == "whole":
             return Subgroup(G, range(G.order))
         if spec == "trivial":
@@ -161,7 +162,13 @@ def subgroup_of_semidirect(P: SemidirectProduct, spec, where: str = "subgroup") 
         if isinstance(spec, dict) and "elements" in spec:
             return Subgroup(G, spec["elements"])
         if isinstance(spec, dict) and "generated_by" in spec:
-            seeds = [int(n) * nj + int(j) for n, j in spec["generated_by"]]
+            seeds = []
+            for n, j in spec["generated_by"]:
+                n, j = int(n), int(j)
+                if not (0 <= n < nn and 0 <= j < nj):
+                    raise ValidationError(
+                        where, f"generated_by pair [{n}, {j}] outside |N| = {nn}, |J| = {nj}")
+                seeds.append(n * nj + j)
             return subgroup_generated(G, seeds)
     raise ValidationError(where, f"unrecognized subgroup spec {spec!r}")
 

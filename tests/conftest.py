@@ -1,7 +1,9 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's own enumeration paths:
-subgroups are found by scanning subsets, homomorphisms by scanning all maps.
+subgroups are found by scanning subsets, homomorphisms by scanning all maps,
+and table axioms by testing every triple or pair, where the library tests
+only products with its generators.
 """
 
 from __future__ import annotations
@@ -42,13 +44,48 @@ def homomorphisms_by_scan(K: Group, N: Group) -> list[tuple[int, ...]]:
     out = []
     for rest in product(range(N.order), repeat=K.order - 1):
         f = (0,) + rest
-        if all(
-            f[K.mul[a][b]] == N.mul[f[a]][f[b]]
-            for a in range(K.order)
-            for b in range(K.order)
-        ):
+        if homomorphic_by_scan(K, f, lambda x, y: N.mul[x][y]):
             out.append(f)
     return sorted(out)
+
+
+def homomorphic_by_scan(G: Group, image, product) -> bool:
+    """Whether image[a*b] == product(image[a], image[b]) for every pair."""
+    return all(
+        image[G.mul[a][b]] == product(image[a], image[b])
+        for a in range(G.order)
+        for b in range(G.order)
+    )
+
+
+def compose_by_scan(p, q) -> tuple[int, ...]:
+    """p after q, as a tuple."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def associative_by_scan(table) -> bool:
+    """Whether (a*b)*c == a*(b*c) for every triple."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def group_axiom_broken_by_scan(table) -> str | None:
+    """The first group axiom a square table breaks, in the order Group tests
+    them: "identity" at index 0, then "associativity", then "inverse"; None
+    for a group table."""
+    n = len(table)
+    if any(table[0][x] != x or table[x][0] != x for x in range(n)):
+        return "identity"
+    if not associative_by_scan(table):
+        return "associativity"
+    if not all(any(table[a][b] == 0 == table[b][a] for b in range(n)) for a in range(n)):
+        return "inverse"
+    return None
 
 
 def conjugator_by_scan(G: Group, H: Subgroup, K: Subgroup) -> int | None:
@@ -89,5 +126,9 @@ __all__ = [
     "quaternion8",
     "subgroups_by_subset_scan",
     "homomorphisms_by_scan",
+    "homomorphic_by_scan",
+    "compose_by_scan",
+    "associative_by_scan",
+    "group_axiom_broken_by_scan",
     "conjugator_by_scan",
 ]

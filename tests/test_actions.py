@@ -42,6 +42,18 @@ def test_swap_action_on_v4():
     assert a.act(1, 1) == 2
 
 
+def test_generator_must_act_by_its_given_image():
+    # The spanning tree reaches each element once, so a repeated generator or
+    # the identity listed as a generator never meets its image on the tree.
+    C2, C4 = cyclic(2), cyclic(4)
+    for gens, images in (([1, 1], [C4.inv, [0, 1, 2, 3]]),
+                         ([0, 1], [C4.inv, C4.inv])):
+        with pytest.raises(NotAHomomorphism, match="inconsistent with relations"):
+            action_from_generator_images(C2, C4, gens, images)
+    a = action_from_generator_images(C2, C4, [1, 1, 0], [C4.inv, C4.inv, [0, 1, 2, 3]])
+    assert a.auto[1] == (0, 3, 2, 1)
+
+
 def test_non_automorphism_rejected():
     C2, C4 = cyclic(2), cyclic(4)
     with pytest.raises(NotAutomorphism):
@@ -199,6 +211,10 @@ def test_gset_validation():
         GSet(C2, [[1, 0], [0, 1]])  # identity must act trivially
     ok = GSet(C2, [[0, 1], [1, 0]])
     assert ok.size == 2
+    # Every element of C4 acts by a permutation, but 3 = 2 + 1 acts trivially
+    # while 2 does and 1 does not; only the row of 3, a non-generator, is wrong.
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        GSet(cyclic(4), [[0, 1], [1, 0], [0, 1], [0, 1]])
 
 
 def test_action_homomorphism_validated_exhaustively():

@@ -43,16 +43,27 @@ def test_identity_canonicalized_to_zero():
 
 
 def test_nonassociative_table_rejected_with_witness():
-    table = [
+    magma = [
         [0, 1, 2],
         [1, 2, 2],
         [2, 2, 1],
     ]
-    with pytest.raises(NotAssociative) as info:
-        group_from_table(table)
-    a, b, c = info.value.triple
-    G = table
-    assert G[G[a][b]][c] != G[a][G[b][c]]
+    # A loop of order 5: a Latin square with an identity and two-sided
+    # inverses, so only the associativity test can reject it.
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    assert all(sorted(row) == list(range(5)) for row in loop)
+    assert all(sorted(col) == list(range(5)) for col in zip(*loop))
+    for G in (magma, loop):
+        with pytest.raises(NotAssociative) as info:
+            group_from_table(G)
+        a, b, c = info.value.triple
+        assert G[G[a][b]][c] != G[a][G[b][c]]
 
 
 def test_no_identity_rejected():

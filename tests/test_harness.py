@@ -1,10 +1,15 @@
 """Scenario ingestion, suite orchestration, report emission, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import nilcoh
 from nilcoh.errors import ParseError, UnknownCheck, ValidationError
 from nilcoh.harness.catalog import CATALOG, EQ3_EXTRA, catalog_by_id
 from nilcoh.harness.cli import main
@@ -217,6 +222,14 @@ def test_cli_scenario_suite(tmp_path, capsys):
         {"id": "x", "actions": {"a": {"actor": {"builtin": "cyclic", "n": 2},
                                       "target": {"builtin": "cyclic", "n": 4},
                                       "gens": [7], "images": [[0, 3, 2, 1]]}}},
+        # A negative generator used to index from the end of J's table.
+        {"id": "x", "actions": {"a": {"actor": {"builtin": "cyclic", "n": 2},
+                                      "target": {"builtin": "cyclic", "n": 4},
+                                      "gens": [-1], "images": [[0, 3, 2, 1]]}}},
+        # |J| = 2, so the pair [0, 3] is out of range (it used to alias (1, 1)).
+        {"id": "x", "groups": {"c4": {"builtin": "cyclic", "n": 4}},
+         "actions": {"inv": {"builtin": "inversion", "target": "c4"}},
+         "gsets": {"om": {"action": "inv", "coset_of": {"generated_by": [[0, 3]]}}}},
     ):
         bad.write_text(json.dumps(doc))
         assert main(["suite", "--scenario", str(bad)]) == 3, doc
@@ -311,7 +324,45 @@ def test_cli_verify_with_subgroup_spec(capsys):
     assert record["pass"] is True
     assert main(["verify", "prop5", "--instance", "c2_inv_c4",
                  "--h", "{not json"]) == 3
-    capsys.readouterr()
+    for pair in ([0, 3], [4, 0], [-1, 0]):
+        assert main(["verify", "prop5", "--instance", "c2_inv_c4",
+                     "--h", json.dumps({"generated_by": [pair]})]) == 3, pair
+        assert "generated_by pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "prop2", "--instanse", "x"], id="misspelt_flag"),
+    pytest.param(["verify", "lemma1", "--instance", "c3_shear_c3c3", "--budget", "2"],
+                 id="verify_budget"),
+    pytest.param(["suite", "--budget", "2"], id="suite_budget"),
+    pytest.param(["h1", "--instance", "c2_inv_c4", "--budget", "many"], id="bad_budget"),
+    pytest.param(["verify", "prop6", "--instance", "c2_inv_c4"], id="unknown_theorem"),
+    pytest.param([], id="no_command"),
+])
+def test_cli_usage_errors_are_input_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in (["--help"], ["verify", "--help"], ["h1", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "usage:" in out
+        assert ("--budget" in out) == (argv[0] == "h1")
+
+
+def test_import_does_not_load_numpy():
+    src = Path(nilcoh.__file__).resolve().parent.parent
+    probe = "import sys, nilcoh, nilcoh.harness; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_scenario_perm_group_and_direct_product(tmp_path, capsys):
