@@ -116,6 +116,12 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None,
     return P
 
 
+def pprime_part(G: Group, N: Subgroup, p: int) -> Subgroup:
+    """The elements of N of order prime to p: the Hall p'-subgroup of a
+    nilpotent N, as a subgroup of G."""
+    return Subgroup(G, (x for x in N.elements if G.element_order(x) % p != 0))
+
+
 def hall_pprime(J: Group, p: int) -> Subgroup:
     """Hall p'-subgroup of a nilpotent group: all elements of order prime to p."""
     if not is_nilpotent(J):

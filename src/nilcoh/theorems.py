@@ -42,8 +42,9 @@ from .structure import (
     hall_pprime,
     is_nilpotent,
     is_nilpotent_subgroup,
-    locally_conjugate,
+    pprime_part,
     prime_factors,
+    subgroup_conjugacy_classes,
     sylow_subgroup,
 )
 
@@ -271,7 +272,7 @@ def _recurse_in_quotient(
 def _two_prime_step(G: Group, N: Subgroup, J: Subgroup, H: Subgroup, p: int) -> int:
     """Split N into its p-part and p'-part and combine quotient conjugators."""
     Np = sylow_subgroup(G, p, within=N)
-    Npp = Subgroup(G, (x for x in N.elements if G.element_order(x) % p != 0))
+    Npp = pprime_part(G, N, p)
     try:
         g0, _ = _recurse_in_quotient(G, N, J, H, Np)   # J^g0 <= H Np
         g1, _ = _recurse_in_quotient(G, N, J, H, Npp)  # J^g1 <= H Npp
@@ -390,9 +391,12 @@ def _correspondence_finish(
 def verify_prop2(G: Group, N: Subgroup, instance: str = "",
                  relaxed: bool = False) -> VerificationReport:
     """Nilpotent complements of a nilpotent normal subgroup are conjugate
-    exactly when they are locally conjugate; both directions checked over all
-    pairs.  complements() derives a complete generator bound from G/N, so
-    only its work budget can fail the complements_enumerable hypothesis."""
+    exactly when they are locally conjugate.  Both relations are computed as
+    partitions of the complements, conjugacy classes and local keys, and
+    compared; the witness of a mismatch is the first pair (a, b), a < b in
+    lexicographic order, that one partition joins and the other separates.
+    complements() derives a complete generator bound from G/N, so only its
+    work budget can fail the complements_enumerable hypothesis."""
     t0 = time.perf_counter()
     report = VerificationReport("prop2", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_normal", N.is_normal())
@@ -410,20 +414,17 @@ def verify_prop2(G: Group, N: Subgroup, instance: str = "",
             report.note(
                 f"NonNilpotentComplementSkipped: {skipped} complements excluded"
             )
+        local = _local_keys(G, nilp)
+        conj = _class_labels(G, nilp)
         mismatch = None
-        for a in range(len(nilp)):
-            for b in range(a + 1, len(nilp)):
-                lc = locally_conjugate(G, nilp[a], nilp[b])
-                cj = are_conjugate_subgroups(G, nilp[a], nilp[b]) is not None
-                if lc != cj:
-                    mismatch = {
-                        "pair": [list(nilp[a].elements), list(nilp[b].elements)],
-                        "locally_conjugate": lc,
-                        "conjugate": cj,
-                    }
-                    break
-            if mismatch:
-                break
+        pair = _first_disagreement(local, conj)
+        if pair is not None:
+            a, b = pair
+            mismatch = {
+                "pair": [list(nilp[a].elements), list(nilp[b].elements)],
+                "locally_conjugate": local[a] == local[b],
+                "conjugate": conj[a] == conj[b],
+            }
         report.conclusion_verified = mismatch is None
         report.witness = mismatch if mismatch else {"complements": len(comps),
                                                     "nilpotent": len(nilp)}
@@ -467,14 +468,11 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
                 f"no Sylow {p}-subgroup has all local complements conjugate in G",
             )
     if report.hypotheses_met or relaxed:
-        bad = None
-        for a in range(len(comps)):
-            for b in range(a + 1, len(comps)):
-                if are_conjugate_subgroups(G, comps[a], comps[b]) is None:
-                    bad = [list(comps[a].elements), list(comps[b].elements)]
-                    break
-            if bad:
-                break
+        # All conjugate means one class; a pairwise scan would first fail at
+        # (0, b) for the least b outside the class of comps[0].
+        labels = _class_labels(G, comps)
+        b = next((b for b, c in enumerate(labels) if c != 0), None)
+        bad = None if b is None else [list(comps[0].elements), list(comps[b].elements)]
         report.conclusion_verified = bad is None
         report.witness = bad if bad else {"complement_count": len(comps),
                                           "certified": certified}
@@ -482,14 +480,47 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
     return report
 
 
+def _class_labels(G: Group, subs: list[Subgroup]) -> list[int]:
+    """For each of the distinct subgroups, the index of its G-conjugacy class
+    in first-seen order, so the class of subs[0] is 0."""
+    labels = [0] * len(subs)
+    for c, members in enumerate(subgroup_conjugacy_classes(G, subs)):
+        for i in members:
+            labels[i] = c
+    return labels
+
+
+def _local_keys(G: Group, subs: list[Subgroup]) -> list[tuple[int, ...]]:
+    """For each of the given subgroups, all of one order, the G-conjugacy
+    class labels of its Sylow subgroups prime by prime.  Two of them are
+    locally conjugate exactly when their keys are equal, since the Sylow
+    p-subgroups of one subgroup are conjugate within it."""
+    primes = prime_factors(subs[0].order) if subs else []
+    rows = [[sylow_subgroup(G, p, within=K) for p in primes] for K in subs]
+    distinct = list({S.elements: S for row in rows for S in row}.values())
+    label = {S.elements: c for S, c in zip(distinct, _class_labels(G, distinct))}
+    return [tuple(label[S.elements] for S in row) for row in rows]
+
+
+def _first_disagreement(x: list, y: list) -> tuple[int, int] | None:
+    """The first pair (a, b), a < b in lexicographic order, that the
+    partitions labelled by x and y treat differently: equal labels in one,
+    different labels in the other.  None when the partitions are equal."""
+    if len(set(zip(x, y))) == len(set(x)) == len(set(y)):
+        return None
+    return next(
+        (a, b)
+        for a in range(len(x))
+        for b in range(a + 1, len(x))
+        if (x[a] == x[b]) != (y[a] == y[b])
+    )
+
+
 def _all_sylow_conjugates(G: Group, p: int) -> list[Subgroup]:
+    """The distinct conjugates of one Sylow p-subgroup, by sorted elements."""
     base = sylow_subgroup(G, p)
-    seen = {base.elements: base}
-    for g in range(G.order):
-        conj = base.conjugate_by(g)
-        if conj.elements not in seen:
-            seen[conj.elements] = conj
-    return [seen[k] for k in sorted(seen)]
+    keys = {tuple(sorted(G.conj(x, g) for x in base.elements)) for g in range(G.order)}
+    return [Subgroup(G, k) for k in sorted(keys)]
 
 
 def _sylow_local_complements_conjugate(G: Group, S: Subgroup, N: Subgroup) -> bool:
@@ -501,11 +532,7 @@ def _sylow_local_complements_conjugate(G: Group, S: Subgroup, N: Subgroup) -> bo
     except BudgetExceeded:
         return False
     lifted = [Subgroup(G, (smap[i] for i in K.elements)) for K in local]
-    for a in range(len(lifted)):
-        for b in range(a + 1, len(lifted)):
-            if are_conjugate_subgroups(G, lifted[a], lifted[b]) is None:
-                return False
-    return True
+    return len(subgroup_conjugacy_classes(G, lifted)) <= 1
 
 
 def verify_prop5(G: Group, N: Subgroup, J: Subgroup, H: Subgroup,
@@ -636,7 +663,7 @@ def verify_lemma1(action: ActionOnGroup, instance: str = "",
 def intersection_lemma_check(G: Group, H: Subgroup, N: Subgroup, p: int) -> bool:
     """Set equality H*N_p meet H*N_p' = H, for nilpotent normal N."""
     Np = sylow_subgroup(G, p, within=N)
-    Npp = Subgroup(G, (x for x in N.elements if G.element_order(x) % p != 0))
+    Npp = pprime_part(G, N, p)
     left = {G.mul[h][x] for h in H.elements for x in Np.elements}
     right = {G.mul[h][x] for h in H.elements for x in Npp.elements}
     return left & right == H._set

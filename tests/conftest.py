@@ -12,7 +12,8 @@ from itertools import combinations, product
 
 import pytest
 
-from nilcoh.groups import Group, Subgroup
+from nilcoh.errors import BudgetExceeded
+from nilcoh.groups import Group, Subgroup, quotient
 from nilcoh.harness.catalog import (
     CATALOG,
     abelian,
@@ -23,6 +24,15 @@ from nilcoh.harness.catalog import (
     heisenberg,
     quaternion8,
 )
+from nilcoh.structure import (
+    complements,
+    is_nilpotent,
+    is_nilpotent_subgroup,
+    locally_conjugate,
+    prime_factors,
+    sylow_subgroup,
+)
+from nilcoh.theorems import VerificationReport
 
 
 def subgroups_by_subset_scan(G: Group, m: int) -> list[tuple[int, ...]]:
@@ -96,6 +106,97 @@ def conjugator_by_scan(G: Group, H: Subgroup, K: Subgroup) -> int | None:
     return None
 
 
+def prop2_pairwise_by_scan(G: Group, N: Subgroup, instance: str = "",
+                           relaxed: bool = False,
+                           local=locally_conjugate) -> VerificationReport:
+    """verify_prop2 as a scan over all pairs of nilpotent complements, each
+    judged by `local` and by conjugator_by_scan; the witness is the first
+    pair, in (a, b) order, on which the two disagree."""
+    report = VerificationReport("prop2", instance, relaxed=relaxed)
+    report.hypotheses["n_normal"] = N.is_normal()
+    report.hypotheses["n_nilpotent"] = is_nilpotent_subgroup(N)
+    comps: list[Subgroup] = []
+    try:
+        comps = complements(G, N)
+        report.hypotheses["complements_enumerable"] = True
+    except BudgetExceeded as exc:
+        report.hypotheses["complements_enumerable"] = False
+        report.details["complements_enumerable"] = str(exc)
+    if report.hypotheses_met or (relaxed and report.hypotheses["complements_enumerable"]):
+        nilp = [K for K in comps if is_nilpotent_subgroup(K)]
+        mismatch = None
+        for a, b in combinations(range(len(nilp)), 2):
+            lc = local(G, nilp[a], nilp[b])
+            cj = conjugator_by_scan(G, nilp[a], nilp[b]) is not None
+            if lc != cj:
+                mismatch = {
+                    "pair": [list(nilp[a].elements), list(nilp[b].elements)],
+                    "locally_conjugate": lc,
+                    "conjugate": cj,
+                }
+                break
+        report.conclusion_verified = mismatch is None
+        report.witness = mismatch if mismatch else {"complements": len(comps),
+                                                    "nilpotent": len(nilp)}
+    return report
+
+
+def prop3_pairwise_by_scan(G: Group, N: Subgroup, instance: str = "",
+                           relaxed: bool = False) -> VerificationReport:
+    """verify_prop3 with every conjugacy question a conjugator_by_scan over
+    pairs: the Sylow p-subgroups are the distinct conjugates S^g over all g in
+    G, in sorted order, and the witness is the first non-conjugate pair of
+    complements in (a, b) order."""
+    report = VerificationReport("prop3", instance, relaxed=relaxed)
+    report.hypotheses["n_nilpotent"] = is_nilpotent_subgroup(N)
+    try:
+        comps = complements(G, N)
+    except BudgetExceeded as exc:
+        comps = []
+        report.hypotheses["complements_enumerable"] = False
+        report.details["complements_enumerable"] = str(exc)
+    report.hypotheses["splits_over_n"] = bool(comps)
+    if comps:
+        report.hypotheses["quotient_nilpotent"] = is_nilpotent(quotient(G, N)[0])
+    certified: dict[int, list[int]] = {}
+    for p in prime_factors(G.order):
+        base = sylow_subgroup(G, p)
+        sylows = sorted({base.conjugate_by(g).elements for g in range(G.order)})
+        good = next((S for S in sylows if _local_complements_conjugate_by_scan(
+            G, Subgroup(G, S), N)), None)
+        name = f"local_conjugacy_p{p}"
+        report.hypotheses[name] = good is not None
+        if good is not None:
+            certified[p] = list(good)
+            report.details[name] = f"certified Sylow subgroup {list(good)}"
+        else:
+            report.details[name] = (
+                f"no Sylow {p}-subgroup has all local complements conjugate in G")
+    if report.hypotheses_met or relaxed:
+        bad = next(
+            ([list(comps[a].elements), list(comps[b].elements)]
+             for a, b in combinations(range(len(comps)), 2)
+             if conjugator_by_scan(G, comps[a], comps[b]) is None),
+            None,
+        )
+        report.conclusion_verified = bad is None
+        report.witness = bad if bad else {"complement_count": len(comps),
+                                          "certified": certified}
+    return report
+
+
+def _local_complements_conjugate_by_scan(G: Group, S: Subgroup, N: Subgroup) -> bool:
+    SG, smap = S.as_group()
+    SN = Subgroup(SG, [i for i, x in enumerate(smap) if x in N])
+    try:
+        local = complements(SG, SN)
+    except BudgetExceeded:
+        return False
+    lifted = [Subgroup(G, (smap[i] for i in K.elements)) for K in local]
+    return all(conjugator_by_scan(G, A, B) is not None
+               for A, B in combinations(lifted, 2))
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return catalog_by_id()
@@ -131,4 +232,6 @@ __all__ = [
     "associative_by_scan",
     "group_axiom_broken_by_scan",
     "conjugator_by_scan",
+    "prop2_pairwise_by_scan",
+    "prop3_pairwise_by_scan",
 ]

@@ -12,7 +12,7 @@ import pytest
 
 from nilcoh.actions import action_from_generator_images, semidirect, trivial_action
 from nilcoh.cohomology import decomposition_map, h1, shared_primes
-from nilcoh.groups import Group
+from nilcoh.groups import Group, cayley_tree
 from nilcoh.structure import complements, subgroup_conjugacy_classes
 from conftest import abelian, cyclic, quaternion8
 
@@ -24,38 +24,8 @@ def automorphisms(N: Group) -> list[tuple[int, ...]]:
     edges and checked against every generator pair, which forces the
     homomorphism property everywhere; bijectivity is checked last.
     """
-    gens: list[int] = []
-    closure = {0}
-    for x in range(N.order):
-        if x in closure:
-            continue
-        gens.append(x)
-        frontier = list(closure)
-        closure.add(x)
-        frontier.append(x)
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in gens:
-                    z = N.mul[y][g]
-                    if z not in closure:
-                        closure.add(z)
-                        nxt.append(z)
-            frontier = nxt
-    # Spanning tree of right-multiplication edges over the final generators.
-    edges: list[tuple[int, int, int]] = []  # (element, generator slot, product)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for slot, g in enumerate(gens):
-                z = N.mul[y][g]
-                if z not in reached:
-                    reached.add(z)
-                    edges.append((y, slot, z))
-                    nxt.append(z)
-        frontier = nxt
+    gens = N.gens
+    edges = cayley_tree(N, gens)
     out = []
     for images in product(range(N.order), repeat=len(gens)):
         f = [0] * N.order

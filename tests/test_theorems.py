@@ -1,6 +1,10 @@
 """Conjugacy and fixed-point verifiers, including the proof-guided search."""
 
+from itertools import combinations
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcoh.actions import coset_gset, semidirect, trivial_action
 from nilcoh.cohomology import h1
@@ -17,7 +21,16 @@ from nilcoh.theorems import (
     verify_prop5,
     verify_thm4,
 )
-from conftest import CATALOG, abelian, cyclic, dihedral, direct_product
+from nilcoh.harness.catalog import cyclic_action
+from conftest import (
+    CATALOG,
+    abelian,
+    cyclic,
+    dihedral,
+    direct_product,
+    prop2_pairwise_by_scan,
+    prop3_pairwise_by_scan,
+)
 
 
 def test_prop2_on_d4():
@@ -239,17 +252,92 @@ def test_no_falsification_across_catalog_verifiers():
 
 
 def test_falsification_channel_fires_on_mutated_logic(monkeypatch):
-    # Claiming every pair is locally conjugate must surface as a
-    # FALSIFICATION on D4, where the two reflection classes are not conjugate.
+    # Giving every complement one local key claims every pair is locally
+    # conjugate; that must surface as a FALSIFICATION on D4, where the two
+    # reflection classes are not conjugate.
     import nilcoh.theorems as th
 
-    monkeypatch.setattr(th, "locally_conjugate", lambda G, A, B: True)
+    monkeypatch.setattr(th, "_local_keys", lambda G, subs: [()] * len(subs))
     D4 = dihedral(4)
     report = th.verify_prop2(D4, subgroup_generated(D4, [1]), "mutated")
     assert report.hypotheses_met
     assert report.conclusion_verified is False
     assert report.falsification
     assert report.witness["locally_conjugate"] and not report.witness["conjugate"]
+
+
+def _ambient_cases():
+    S3xC2 = direct_product(dihedral(3), cyclic(2))
+    C6 = direct_product(cyclic(2), cyclic(3))
+    yield "d4", dihedral(4), subgroup_generated(dihedral(4), [1])
+    yield "s3", dihedral(3), subgroup_generated(dihedral(3), [1])
+    yield "s3xc2", S3xC2, Subgroup(S3xC2, [0, 1])
+    yield "c6", C6, Subgroup(C6, [0, 1, 2])
+    for inst in CATALOG:
+        P = semidirect(inst.action())
+        yield inst.id, P.group, P.n_part()
+
+
+def test_partition_verifiers_match_pairwise_oracles():
+    for iid, G, N in _ambient_cases():
+        assert verify_prop2(G, N, iid).to_json() == prop2_pairwise_by_scan(G, N, iid).to_json(), iid
+        assert verify_prop3(G, N, iid).to_json() == prop3_pairwise_by_scan(G, N, iid).to_json(), iid
+        relaxed = verify_prop3(G, N, iid, relaxed=True)
+        assert relaxed.to_json() == prop3_pairwise_by_scan(G, N, iid, relaxed=True).to_json(), iid
+
+
+@pytest.mark.parametrize("keys,local", [
+    (lambda G, subs: [()] * len(subs), lambda G, A, B: True),
+    (lambda G, subs: [(i,) for i in range(len(subs))], lambda G, A, B: False),
+], ids=["one_local_class", "no_two_locally_conjugate"])
+def test_prop2_witness_order_matches_oracle_under_mutation(monkeypatch, keys, local):
+    # A mutated local relation makes prop2 fail wherever two complements are
+    # (or are not) conjugate, so the reported pair pins the witness order.
+    import nilcoh.theorems as th
+
+    monkeypatch.setattr(th, "_local_keys", keys)
+    failed = 0
+    for iid, G, N in _ambient_cases():
+        report = th.verify_prop2(G, N, iid)
+        assert report.to_json() == prop2_pairwise_by_scan(G, N, iid, local=local).to_json(), iid
+        failed += report.falsification
+    assert failed >= 20
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=7))
+def test_first_disagreement_is_the_first_pair_scanned(labels):
+    from nilcoh.theorems import _first_disagreement
+
+    x = [a for a, _ in labels]
+    y = [b for _, b in labels]
+    expected = next(
+        ((a, b) for a, b in combinations(range(len(x)), 2)
+         if (x[a] == x[b]) != (y[a] == y[b])),
+        None,
+    )
+    assert _first_disagreement(x, y) == expected
+
+
+@st.composite
+def power_actions(draw):
+    """C_m acting on C_n by x -> x^k, for a unit k whose order divides m."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 10))
+    k = draw(st.sampled_from(
+        [k for k in range(1, n) if gcd(k, n) == 1 and pow(k, m, n) == 1]))
+    return m, n, k
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(power_actions())
+def test_partition_verifiers_match_oracles_on_power_actions(mnk):
+    m, n, k = mnk
+    P = semidirect(cyclic_action(cyclic(m), cyclic(n), [k * x % n for x in range(n)]))
+    G, N = P.group, P.n_part()
+    iid = f"c{m}_pow{k}_c{n}"
+    assert verify_prop2(G, N, iid).to_json() == prop2_pairwise_by_scan(G, N, iid).to_json()
+    assert verify_prop3(G, N, iid).to_json() == prop3_pairwise_by_scan(G, N, iid).to_json()
 
 
 def test_thm4_sweep_over_all_coset_spaces():
