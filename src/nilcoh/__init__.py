@@ -77,6 +77,7 @@ from .structure import (
 from .theorems import (
     VerificationReport,
     find_conjugator,
+    find_conjugator_proof_guided,
     intersection_lemma_check,
     verify_lemma1,
     verify_prop2,

@@ -4,7 +4,8 @@ semidirect product, and finite G-sets.
 Left-action convention throughout: act(j, n) applies the automorphism of j to
 n, and the semidirect multiplication is (n1, j1)(n2, j2) = (n1 * act(j1, n2),
 j1 j2).  The single source of truth tying this to conjugation is the checked
-identity  embed_J(j)' embed_N(n) embed_J(j) = embed_N(act(j', n)).
+identity  embed_J(j)' embed_N(n) embed_J(j) = embed_N(act(j', n)), which
+`semidirect_embeddings` tests on every table said to be a semidirect product.
 """
 
 from __future__ import annotations
@@ -156,6 +157,36 @@ def conjugation_action_with_maps(
     return ActionOnGroup(Jg, Ng, auto, name=name), j_map, n_map
 
 
+def semidirect_embeddings(action: ActionOnGroup,
+                          G: Group) -> tuple[GroupHom, GroupHom] | None:
+    """The embeddings n -> n * |J| of N and j -> j of J into G when G's table
+    is the semidirect table of the action, else None.
+
+    For a group G of order |N||J| this holds exactly when both maps are
+    homomorphisms, element n * |J| + j is embed_N(n) embed_J(j), and
+    conjugation realizes the action.  Then
+    embed_N(n1) embed_J(j1) embed_N(n2) embed_J(j2)
+    = embed_N(n1 act(j1, n2)) embed_J(j1 j2), which is the semidirect product.
+    """
+    N, J = action.target, action.actor
+    nj = J.order
+    if G.order != N.order * nj:
+        return None
+    try:
+        embed_N = GroupHom(N, G, [n * nj for n in range(N.order)])
+        embed_J = GroupHom(J, G, range(nj))
+    except ValueError:
+        return None
+    mul = G.mul
+    if any(mul[n * nj][j] != n * nj + j for n in range(N.order) for j in range(nj)):
+        return None
+    for j in range(nj):
+        inv_auto = action.auto[J.inv[j]]
+        if any(G.conj(n * nj, j) != inv_auto[n] * nj for n in range(N.order)):
+            return None
+    return embed_N, embed_J
+
+
 class SemidirectProduct:
     """The group N x| J for an action, with its embeddings and projection.
 
@@ -181,32 +212,16 @@ class SemidirectProduct:
                     base = n2 * nj
                     for j2 in range(J.order):
                         row[base + j2] = m + jrow[j2]
-        names = None
-        if N.element_names or J.element_names:
-            names = [
-                f"({N.label(n)},{J.label(j)})"
-                for n in range(N.order)
-                for j in range(J.order)
-            ]
-        group = Group(table, name="semidirect", element_names=names)
+        group = Group(table, name="semidirect")
+        embeddings = semidirect_embeddings(action, group)
+        if embeddings is None:
+            raise NotAHomomorphism(
+                "conjugation in the semidirect product does not realize the action"
+            )
         self.action = action
         self.group = group
-        self.embed_N = GroupHom(N, group, [n * nj for n in range(N.order)])
-        self.embed_J = GroupHom(J, group, list(range(nj)))
+        self.embed_N, self.embed_J = embeddings
         self.project_J = GroupHom(group, J, [g % nj for g in range(size)])
-        self._check_conjugation_realizes_action()
-
-    def _check_conjugation_realizes_action(self) -> None:
-        G = self.group
-        for j in range(self.action.actor.order):
-            ej = self.embed_J(j)
-            inv_auto = self.action.auto[self.action.actor.inv[j]]
-            for n in range(self.action.target.order):
-                lhs = G.mul[G.mul[G.inv[ej]][self.embed_N(n)]][ej]
-                if lhs != self.embed_N(inv_auto[n]):
-                    raise NotAHomomorphism(
-                        "conjugation in the semidirect product does not realize the action"
-                    )
 
     def n_part(self) -> Subgroup:
         return self.embed_N.image()
@@ -250,9 +265,6 @@ class GSet:
         self.group = group
         self.size = size
         self.act = tables
-
-    def apply(self, g: int, point: int) -> int:
-        return self.act[g][point]
 
     def orbit(self, point: int, S: Subgroup | None = None) -> set[int]:
         movers = S.elements if S is not None else range(self.group.order)

@@ -81,6 +81,11 @@ def check_cocycle(action: ActionOnGroup, domain: Subgroup, values: tuple[int, ..
     return True
 
 
+def _check_budget(n_order: int, ngens: int, budget: int) -> None:
+    if n_order ** ngens > budget:
+        raise BudgetExceeded(f"|N|^#gens = {n_order}^{ngens} exceeds budget {budget}")
+
+
 def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
              budget: int = GENERATOR_ENUM_BUDGET) -> list[Cocycle]:
     """The complete set Z1(K, N), ordered by value table.
@@ -95,10 +100,7 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
     if K.parent is not J:
         raise NotASubgroup("domain must be a subgroup of the acting group")
     gens = generating_sequence(J, K.elements)
-    if N.order ** len(gens) > budget:
-        raise BudgetExceeded(
-            f"|N|^#gens = {N.order}^{len(gens)} exceeds budget {budget}"
-        )
+    _check_budget(N.order, len(gens), budget)
     pos = K.position
     edges = cayley_tree(J, gens)
     nmul = N.mul
@@ -266,7 +268,11 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
     key = K.elements
     cached = action._h1_cache.get(key)
     if cached is not None:
-        return cached
+        # A cached result answers to the caller's budget as well, so the
+        # outcome does not depend on what ran before.
+        ngens, result = cached
+        _check_budget(action.target.order, ngens, budget)
+        return result
     zs = cocycles(action, K, budget=budget)
     index = {c.values: i for i, c in enumerate(zs)}
     assigned = [False] * len(zs)
@@ -283,7 +289,7 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
             assigned[j] = True
         classes.append([zs[j] for j in sorted(members)])
     result = CohomologySet(action, K, classes)
-    action._h1_cache[key] = result
+    action._h1_cache[key] = (len(generating_sequence(J, key)), result)
     return result
 
 

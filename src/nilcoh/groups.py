@@ -31,14 +31,9 @@ class Group:
     left translations x -> (y -> x*y).
     """
 
-    __slots__ = ("order", "mul", "inv", "gens", "name", "element_names")
+    __slots__ = ("order", "mul", "inv", "gens", "name")
 
-    def __init__(
-        self,
-        mul: Sequence[Sequence[int]],
-        name: str | None = None,
-        element_names: Sequence[str] | None = None,
-    ):
+    def __init__(self, mul: Sequence[Sequence[int]], name: str | None = None):
         table = tuple(tuple(int(x) for x in row) for row in mul)
         n = _check_table_shape(table)
         if any(table[0][x] != x or table[x][0] != x for x in range(n)):
@@ -60,13 +55,9 @@ class Group:
                 raise NoInverse(a)
         self.inv = tuple(row.index(0) for row in table)
         self.name = name
-        self.element_names = tuple(element_names) if element_names is not None else None
 
     def elements(self) -> range:
         return range(self.order)
-
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
     def conj(self, g: int, by: int) -> int:
         """g^by = by' * g * by."""
@@ -98,11 +89,6 @@ class Group:
 
     def same_table(self, other: "Group") -> bool:
         return self.order == other.order and self.mul == other.mul
-
-    def label(self, a: int) -> str:
-        if self.element_names is not None:
-            return self.element_names[a]
-        return str(a)
 
     def __repr__(self) -> str:
         tag = self.name or "Group"
@@ -208,11 +194,7 @@ class Subgroup:
         elts = self.elements
         pos = self._pos
         mul = self.parent.mul
-        table = [[pos[mul[a][b]] for b in elts] for a in elts]
-        names = None
-        if self.parent.element_names is not None:
-            names = [self.parent.element_names[x] for x in elts]
-        return Group(table, name=None, element_names=names), elts
+        return Group([[pos[mul[a][b]] for b in elts] for a in elts]), elts
 
     def to_json(self) -> list[int]:
         return list(self.elements)
@@ -253,9 +235,6 @@ class GroupHom:
     def image(self) -> Subgroup:
         return Subgroup(self.target, set(self.images))
 
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == self.source.order
-
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.order
 
@@ -263,8 +242,7 @@ class GroupHom:
 # -- constructors --------------------------------------------------------------
 
 
-def group_from_table(table: Sequence[Sequence[int]], name: str | None = None,
-                     element_names: Sequence[str] | None = None) -> Group:
+def group_from_table(table: Sequence[Sequence[int]], name: str | None = None) -> Group:
     """Validate a raw multiplication table and canonicalize the identity to 0."""
     rows = [list(int(x) for x in row) for row in table]
     n = _check_table_shape(rows)
@@ -279,11 +257,7 @@ def group_from_table(table: Sequence[Sequence[int]], name: str | None = None,
         sigma = list(range(n))
         sigma[0], sigma[e] = e, 0
         rows = [[sigma[rows[sigma[a]][sigma[b]]] for b in range(n)] for a in range(n)]
-        if element_names is not None:
-            names = list(element_names)
-            names[0], names[e] = names[e], names[0]
-            element_names = names
-    return Group(rows, name=name, element_names=element_names)
+    return Group(rows, name=name)
 
 
 def group_from_permutations(
@@ -398,15 +372,7 @@ def centralizer(G: Group, H: Subgroup) -> Subgroup:
 
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
-    members = H._set
-    return Subgroup(
-        G,
-        (
-            g
-            for g in range(G.order)
-            if all(G.conj(h, g) in members for h in H.elements)
-        ),
-    )
+    return Subgroup(G, (g for g in range(G.order) if conjugates_into(G, H, H, g)))
 
 
 def coset_representatives(G: Group, H: Subgroup) -> tuple[list[int], dict[int, int]]:
@@ -450,10 +416,13 @@ def are_conjugate_subgroups(G: Group, H: Subgroup, K: Subgroup) -> int | None:
     return conjugator_into(G, H, K)
 
 
+def conjugates_into(G: Group, S: Subgroup, H: Subgroup, g: int) -> bool:
+    """Whether S^g is contained in H."""
+    mul, members = G.mul, H._set
+    row = mul[G.inv[g]]
+    return all(mul[row[x]][g] in members for x in S.elements)
+
+
 def conjugator_into(G: Group, S: Subgroup, H: Subgroup) -> int | None:
     """Least g with S^g contained in H, or None."""
-    members = H._set
-    for g in range(G.order):
-        if all(G.conj(x, g) in members for x in S.elements):
-            return g
-    return None
+    return next((g for g in range(G.order) if conjugates_into(G, S, H, g)), None)

@@ -86,9 +86,8 @@ def quaternion8() -> Group:
         b2, s2 = divmod(g2, 2)
         return prod[b1][b2] * 2 + (s1 + s2 + signs[b1][b2]) % 2
 
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return Group(table, name="Q8", element_names=names)
+    return Group(table, name="Q8")
 
 
 def heisenberg(p: int) -> Group:

@@ -11,7 +11,7 @@ import json
 import sys
 
 from ..actions import coset_gset, semidirect
-from ..cohomology import GENERATOR_ENUM_BUDGET, cocycles, decomposition_map, h1
+from ..cohomology import GENERATOR_ENUM_BUDGET, decomposition_map, h1
 from ..errors import NilcohError, ParseError, ValidationError
 from ..structure import complements, subgroup_conjugacy_classes
 from ..theorems import (
@@ -101,10 +101,9 @@ def cmd_catalog(args) -> int:
 def cmd_h1(args) -> int:
     instance, action = _resolve_action(args)
     H = h1(action, budget=args.budget)
-    zs = cocycles(action, budget=args.budget)
     payload = {
         "instance": instance,
-        "cocycles": len(zs),
+        "cocycles": H.cocycle_count(),
         "classes": H.size,
         "distinguished": H.distinguished,
         "representatives": [list(rep.values) for rep in H.reps()],

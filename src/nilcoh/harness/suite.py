@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..actions import coset_gset, semidirect
-from ..cohomology import cocycle_to_complement, eq3_check, h1
+from ..cohomology import cocycle_to_complement, cocycles_bruteforce, eq3_check, h1
 from ..errors import NilcohError, NotAbelian
 from ..groups import Group, subgroup_generated
 from ..structure import complements, subgroup_conjugacy_classes
@@ -57,7 +56,6 @@ def correspondence_report(action, instance: str) -> VerificationReport:
     """Check the complement correspondence on the induced semidirect product:
     classes of H1 biject with N-conjugacy classes of independently enumerated
     complements."""
-    t0 = time.perf_counter()
     report = VerificationReport("correspondence", instance)
     P = semidirect(action)
     G = P.group
@@ -91,13 +89,11 @@ def correspondence_report(action, instance: str) -> VerificationReport:
         "complements": len(comps),
         "n_conjugacy_classes": len(classes),
     }
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
 def eq3_report(action, instance: str) -> VerificationReport:
     """Wrap the abelian primary-decomposition cross-check as a report."""
-    t0 = time.perf_counter()
     report = VerificationReport("eq3", instance)
     try:
         result = eq3_check(action)
@@ -105,11 +101,9 @@ def eq3_report(action, instance: str) -> VerificationReport:
     except NotAbelian as exc:
         report.hypotheses["n_abelian"] = False
         report.details["n_abelian"] = str(exc)
-        report.elapsed = time.perf_counter() - t0
         return report
     report.conclusion_verified = result.ok
     report.witness = result.to_json()
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -326,29 +320,25 @@ def run_scenario_check(scenario: Scenario, check: ScenarioCheck,
 
 
 def _h1_report(scenario: Scenario, check: ScenarioCheck) -> VerificationReport:
-    from ..cohomology import cocycles, cocycles_bruteforce
-
-    t0 = time.perf_counter()
     action = scenario.actions[check.spec["action"]]
     report = VerificationReport("h1", check.instance)
     H = h1(action)
-    zs = cocycles(action)
+    z1 = H.cocycle_count()
     ok = True
     oracle_limit = check.spec.get("oracle_limit", 8)
     if action.actor.order <= oracle_limit and action.target.order <= oracle_limit:
-        brute = cocycles_bruteforce(action)
-        ok &= [c.values for c in zs] == [c.values for c in brute]
+        fast = sorted(c.values for cls in H.classes for c in cls)
+        ok &= fast == [c.values for c in cocycles_bruteforce(action)]
         report.hypotheses["oracle_in_budget"] = True
     report.conclusion_verified = ok
     expected = True
     if "expect_classes" in check.spec:
         expected &= H.size == check.spec["expect_classes"]
     if "expect_cocycles" in check.spec:
-        expected &= len(zs) == check.spec["expect_cocycles"]
+        expected &= z1 == check.spec["expect_cocycles"]
     if "expect_classes" in check.spec or "expect_cocycles" in check.spec:
         report.expectation_met = expected
-    report.witness = {"classes": H.size, "cocycles": len(zs)}
-    report.elapsed = time.perf_counter() - t0
+    report.witness = {"classes": H.size, "cocycles": z1}
     return report
 
 

@@ -256,10 +256,13 @@ def subgroup_conjugacy_classes(
     """Partition a list of subgroups into conjugacy classes.
 
     Conjugating elements range over `under` (default: all of G); classes are
-    returned as index lists in first-seen order.
+    returned as index lists in first-seen order, and repeated copies of a
+    subgroup share its class.
     """
     movers = under.elements if under is not None else range(G.order)
-    index = {S.elements: i for i, S in enumerate(subs)}
+    positions: dict[tuple[int, ...], list[int]] = {}
+    for i, S in enumerate(subs):
+        positions.setdefault(S.elements, []).append(i)
     seen = [False] * len(subs)
     classes: list[list[int]] = []
     for i, S in enumerate(subs):
@@ -268,8 +271,7 @@ def subgroup_conjugacy_classes(
         members = set()
         for u in movers:
             key = tuple(sorted(G.conj(x, u) for x in S.elements))
-            j = index.get(key)
-            if j is not None:
+            for j in positions.get(key, ()):
                 members.add(j)
                 seen[j] = True
         classes.append(sorted(members))

@@ -9,7 +9,6 @@ implementation bug, and the reporting channel exists to make that testable.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 
 from .actions import (
@@ -18,7 +17,7 @@ from .actions import (
     conjugation_action_with_maps,
     fixed_points,
     is_transitive,
-    semidirect,
+    semidirect_embeddings,
     stabilizer,
 )
 from .cohomology import (
@@ -36,7 +35,15 @@ from .errors import (
     NoConjugatorFound,
     NotNilpotent,
 )
-from .groups import Group, Subgroup, are_conjugate_subgroups, centralizer, conjugator_into, quotient
+from .groups import (
+    Group,
+    Subgroup,
+    are_conjugate_subgroups,
+    centralizer,
+    conjugates_into,
+    conjugator_into,
+    quotient,
+)
 from .structure import (
     complements,
     hall_pprime,
@@ -61,7 +68,6 @@ class VerificationReport:
     details: dict[str, str] = field(default_factory=dict)
     conclusion_verified: bool | None = None
     witness: object = None
-    elapsed: float = 0.0
     notes: list[str] = field(default_factory=list)
     relaxed: bool = False
     # Outcome of user-supplied expectations (counts etc.); a miss fails the
@@ -113,19 +119,12 @@ def _set_hypothesis(report: VerificationReport, name: str, met: bool, detail: st
     return met
 
 
-def _sylow_containment_data(
-    G: Group, J: Subgroup, H: Subgroup
-) -> tuple[dict[int, int | None], bool]:
+def _sylow_containment_data(G: Group, J: Subgroup, H: Subgroup) -> dict[int, int | None]:
     """For each prime p dividing |J|: a conjugator of J_p into H, if any."""
-    data: dict[int, int | None] = {}
-    ok = True
-    for p in prime_factors(J.order):
-        Jp = sylow_subgroup(G, p, within=J)
-        g = conjugator_into(G, Jp, H)
-        data[p] = g
-        if g is None:
-            ok = False
-    return data, ok
+    return {
+        p: conjugator_into(G, sylow_subgroup(G, p, within=J), H)
+        for p in prime_factors(J.order)
+    }
 
 
 def _prop5_setting_checks(
@@ -144,47 +143,46 @@ def _prop5_setting_checks(
     ]
 
 
-def _check_prop5_setting(G: Group, N: Subgroup, J: Subgroup, H: Subgroup) -> None:
+def _prop5_hypotheses(G: Group, N: Subgroup, J: Subgroup, H: Subgroup) -> dict[int, int | None]:
+    """The Sylow containment data, once every prop5 hypothesis is checked;
+    raises HypothesisNotMet on the first that fails."""
     for name, ok, detail in _prop5_setting_checks(G, N, J, H):
         if not ok:
             raise HypothesisNotMet(name, detail)
-
-
-def find_conjugator(
-    G: Group,
-    N: Subgroup,
-    J: Subgroup,
-    H: Subgroup,
-    strategy: str = "exhaustive",
-) -> int:
-    """An element g with J^g contained in H, when every Sylow subgroup of J
-    has a conjugate inside H.
-
-    strategy "exhaustive" scans g over G in index order (the contract);
-    "proof_guided" follows the inductive argument through quotients, the
-    center of N, and the complement correspondence, falling back to the
-    exhaustive scan on any step it cannot complete.  The result is verified
-    elementwise either way.
-    """
-    _check_prop5_setting(G, N, J, H)
-    data, ok = _sylow_containment_data(G, J, H)
-    if not ok:
-        missing = sorted(p for p, g in data.items() if g is None)
+    data = _sylow_containment_data(G, J, H)
+    missing = sorted(p for p, g in data.items() if g is None)
+    if missing:
         raise HypothesisNotMet(
             "sylow_conjugate_in_h",
             f"H contains no conjugate of the Sylow part at primes {missing}",
         )
-    if strategy == "exhaustive":
-        g = conjugator_into(G, J, H)
-        if g is None:
-            raise NoConjugatorFound(
-                "hypotheses hold but no conjugate of J lies in H"
-            )
-        return g
-    if strategy != "proof_guided":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    g = _proof_guided(G, N, J, H, data)
-    if any(G.conj(x, g) not in H for x in J.elements):
+    return data
+
+
+def find_conjugator(G: Group, N: Subgroup, J: Subgroup, H: Subgroup) -> int:
+    """The least g with J^g contained in H, when every Sylow subgroup of J
+    has a conjugate inside H: the contract, a scan of G in index order."""
+    _prop5_hypotheses(G, N, J, H)
+    g = conjugator_into(G, J, H)
+    if g is None:
+        raise NoConjugatorFound("hypotheses hold but no conjugate of J lies in H")
+    return g
+
+
+def find_conjugator_proof_guided(G: Group, N: Subgroup, J: Subgroup, H: Subgroup) -> int:
+    """An element g with J^g contained in H under the hypotheses of
+    find_conjugator, found by the inductive argument through quotients, the
+    center of N and the complement correspondence, falling back to the scan
+    at any step it cannot complete."""
+    return _guided_conjugator(G, N, J, H, _prop5_hypotheses(G, N, J, H))
+
+
+def _guided_conjugator(
+    G: Group, N: Subgroup, J: Subgroup, H: Subgroup, sylow_data: dict[int, int | None]
+) -> int:
+    """The proof-guided conjugator from checked hypotheses, verified elementwise."""
+    g = _proof_guided(G, N, J, H, sylow_data)
+    if not conjugates_into(G, J, H, g):
         raise NoConjugatorFound("proof-guided conjugator failed elementwise check")
     return g
 
@@ -234,12 +232,8 @@ def _proof_guided(
         return 0
     jprimes = prime_factors(J.order)
     if len(jprimes) == 1:
-        g = sylow_data.get(jprimes[0])
-        if g is None:
-            g = conjugator_into(G, J, H)
-        if g is not None and all(G.conj(x, g) in H for x in J.elements):
-            return g
-        return _fallback(G, J, H, "single-prime base case")
+        g = sylow_data[jprimes[0]]  # J is its own Sylow subgroup
+        return g if g is not None else _fallback(G, J, H, "single-prime base case")
     nprimes = prime_factors(N.order)
     if len(nprimes) >= 2:
         return _two_prime_step(G, N, J, H, nprimes[0])
@@ -262,8 +256,8 @@ def _recurse_in_quotient(
     nbar = _image_subgroup(pi, N)
     jbar = _image_subgroup(pi, J)
     hbar = _image_subgroup(pi, H)
-    data, ok = _sylow_containment_data(Q, jbar, hbar)
-    if not ok:
+    data = _sylow_containment_data(Q, jbar, hbar)
+    if None in data.values():
         raise NoConjugatorFound("hypotheses degenerate in quotient")  # caught by caller
     gbar = _proof_guided(Q, nbar, jbar, hbar, data)
     return _preimage_element(pi, gbar), Q
@@ -284,7 +278,7 @@ def _two_prime_step(G: Group, N: Subgroup, J: Subgroup, H: Subgroup, p: int) -> 
     n0_p, n0_rest = _primary_component_of(G, N, n0, p)
     n1_p, _ = _primary_component_of(G, N, n1, p)
     g = G.mul[n0_rest][n1_p]  # n0' in N_p', n1_p in N_p; parts commute
-    if all(G.conj(x, g) in H for x in J.elements):
+    if conjugates_into(G, J, H, g):
         return g
     return _fallback(G, J, H, "two-prime combination")
 
@@ -305,7 +299,7 @@ def _single_prime_coefficients(
         H1 = H.conjugate_by(G.inv[g0])
         inner = _single_prime_coefficients(G, N, J, H1, q)
         g = G.mul[inner][g0]
-        if all(G.conj(x, g) in H for x in J.elements):
+        if conjugates_into(G, J, H, g):
             return g
         return _fallback(G, J, H, "conjugate-of-H unwinding")
     Z = Subgroup(G, (z for z in centralizer(G, N).elements if z in N))
@@ -315,7 +309,7 @@ def _single_prime_coefficients(
             g, _ = _recurse_in_quotient(G, N, J, H, ZH)
         except (NoConjugatorFound, ValueError, NotNilpotent):
             return _fallback(G, J, H, "central-intersection recursion")
-        if all(G.conj(x, g) in H for x in J.elements):
+        if conjugates_into(G, J, H, g):
             return g
         return _fallback(G, J, H, "central-intersection lift")
     if Z.is_trivial():
@@ -380,7 +374,7 @@ def _correspondence_finish(
         return _fallback(G, J, H, "aligning the extension with the q-part")
     L = Subgroup(G, (G.mul[mmap[psi.value_at(i)]][kmap[i]] for i in range(Kg.order)))
     conj = are_conjugate_subgroups(G, J, L)
-    if conj is None or any(G.conj(x, conj) not in H for x in J.elements):
+    if conj is None or not conjugates_into(G, J, H, conj):
         return _fallback(G, J, H, "final conjugation onto the complement in H")
     return conj
 
@@ -397,7 +391,6 @@ def verify_prop2(G: Group, N: Subgroup, instance: str = "",
     lexicographic order, that one partition joins and the other separates.
     complements() derives a complete generator bound from G/N, so only its
     work budget can fail the complements_enumerable hypothesis."""
-    t0 = time.perf_counter()
     report = VerificationReport("prop2", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_normal", N.is_normal())
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
@@ -428,7 +421,6 @@ def verify_prop2(G: Group, N: Subgroup, instance: str = "",
         report.conclusion_verified = mismatch is None
         report.witness = mismatch if mismatch else {"complements": len(comps),
                                                     "nilpotent": len(nilp)}
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -438,7 +430,6 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
     S conjugate in G (for every p), then all complements of N in G are
     conjugate.  complements() derives a complete generator bound from each
     quotient, so only its work budget can leave complements out."""
-    t0 = time.perf_counter()
     report = VerificationReport("prop3", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
     try:
@@ -476,13 +467,12 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
         report.conclusion_verified = bad is None
         report.witness = bad if bad else {"complement_count": len(comps),
                                           "certified": certified}
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
 def _class_labels(G: Group, subs: list[Subgroup]) -> list[int]:
-    """For each of the distinct subgroups, the index of its G-conjugacy class
-    in first-seen order, so the class of subs[0] is 0."""
+    """For each of the subgroups, the index of its G-conjugacy class in
+    first-seen order, so the class of subs[0] is 0."""
     labels = [0] * len(subs)
     for c, members in enumerate(subgroup_conjugacy_classes(G, subs)):
         for i in members:
@@ -496,10 +486,9 @@ def _local_keys(G: Group, subs: list[Subgroup]) -> list[tuple[int, ...]]:
     locally conjugate exactly when their keys are equal, since the Sylow
     p-subgroups of one subgroup are conjugate within it."""
     primes = prime_factors(subs[0].order) if subs else []
-    rows = [[sylow_subgroup(G, p, within=K) for p in primes] for K in subs]
-    distinct = list({S.elements: S for row in rows for S in row}.values())
-    label = {S.elements: c for S, c in zip(distinct, _class_labels(G, distinct))}
-    return [tuple(label[S.elements] for S in row) for row in rows]
+    sylows = [sylow_subgroup(G, p, within=K) for K in subs for p in primes]
+    labels = iter(_class_labels(G, sylows))
+    return [tuple(next(labels) for _ in primes) for _ in subs]
 
 
 def _first_disagreement(x: list, y: list) -> tuple[int, int] | None:
@@ -536,45 +525,31 @@ def _sylow_local_complements_conjugate(G: Group, S: Subgroup, N: Subgroup) -> bo
 
 
 def verify_prop5(G: Group, N: Subgroup, J: Subgroup, H: Subgroup,
-                 instance: str = "", strategy: str = "both",
-                 relaxed: bool = False) -> VerificationReport:
-    """Constructive search for a conjugate of J inside H, with the exhaustive
-    scan as the contract and the proof-guided route cross-checked against it."""
-    t0 = time.perf_counter()
+                 instance: str = "", relaxed: bool = False) -> VerificationReport:
+    """Constructive search for a conjugate of J inside H.  The hypotheses are
+    evaluated once; the exhaustive scan, the contract, gives the witness, and
+    under met hypotheses the proof-guided route must succeed as well."""
     report = VerificationReport("prop5", instance, relaxed=relaxed)
-    setting_ok = True
     for name, met, detail in _prop5_setting_checks(G, N, J, H):
         _set_hypothesis(report, name, met, "" if met else detail)
-        setting_ok &= met
-    if not setting_ok and not relaxed:
-        report.elapsed = time.perf_counter() - t0
+    if not report.hypotheses_met and not relaxed:
         return report
-    data, ok = _sylow_containment_data(G, J, H)
+    data = _sylow_containment_data(G, J, H)
     for p, g in sorted(data.items()):
         _set_hypothesis(
             report, f"sylow_in_h_p{p}", g is not None,
             f"conjugator {g}" if g is not None else "no conjugate of the Sylow part lies in H",
         )
-    if not ok and not relaxed:
-        report.elapsed = time.perf_counter() - t0
+    if not report.hypotheses_met and not relaxed:
         return report
-    g_exhaustive = conjugator_into(G, J, H)
-    if g_exhaustive is None:
-        report.conclusion_verified = False
-        report.witness = None
-        report.elapsed = time.perf_counter() - t0
-        return report
-    verified = all(G.conj(x, g_exhaustive) in H for x in J.elements)
-    if strategy in ("both", "proof_guided") and ok and setting_ok:
+    report.witness = conjugator_into(G, J, H)
+    report.conclusion_verified = report.witness is not None
+    if report.conclusion_verified and report.hypotheses_met:
         try:
-            g_guided = find_conjugator(G, N, J, H, strategy="proof_guided")
-            report.note(f"proof_guided conjugator {g_guided}")
+            report.note(f"proof_guided conjugator {_guided_conjugator(G, N, J, H, data)}")
         except NoConjugatorFound:
-            verified = False
+            report.conclusion_verified = False
             report.note("proof_guided failed although exhaustive succeeded")
-    report.conclusion_verified = verified
-    report.witness = g_exhaustive
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -583,20 +558,16 @@ def verify_thm4(action: ActionOnGroup, gset: GSet, instance: str = "",
     """If N acts transitively and each Sylow subgroup of J fixes a point, J
     fixes a point; the witness is built through the stabilizer argument and
     cross-checked against a direct fixed-point scan."""
-    t0 = time.perf_counter()
     report = VerificationReport("thm4", instance, relaxed=relaxed)
     J, N = action.actor, action.target
-    P = semidirect(action)
     G = gset.group
-    _set_hypothesis(report, "gset_over_semidirect", G.same_table(P.group))
+    embeddings = semidirect_embeddings(action, G)
+    _set_hypothesis(report, "gset_over_semidirect", embeddings is not None)
     _set_hypothesis(report, "j_nilpotent", is_nilpotent(J))
     _set_hypothesis(report, "n_nilpotent", is_nilpotent(N))
-    if not report.hypotheses["gset_over_semidirect"]:
-        report.elapsed = time.perf_counter() - t0
+    if embeddings is None:
         return report
-    nj = J.order
-    n_sub = Subgroup(G, (n * nj for n in range(N.order)))
-    j_sub = Subgroup(G, range(nj))
+    n_sub, j_sub = (embed.image() for embed in embeddings)
     _set_hypothesis(report, "omega_nonempty", gset.size > 0)
     _set_hypothesis(report, "n_transitive",
                     gset.size > 0 and is_transitive(gset, n_sub))
@@ -613,7 +584,7 @@ def verify_thm4(action: ActionOnGroup, gset: GSet, instance: str = "",
         witness = None
         try:
             g_alpha = stabilizer(gset, 0)
-            g = find_conjugator(G, n_sub, j_sub, g_alpha, strategy="exhaustive")
+            g = find_conjugator(G, n_sub, j_sub, g_alpha)
             witness = gset.act[g][0]
         except (HypothesisNotMet, NoConjugatorFound) as exc:
             report.note(f"stabilizer route failed: {exc}")
@@ -628,7 +599,6 @@ def verify_thm4(action: ActionOnGroup, gset: GSet, instance: str = "",
         else:
             report.conclusion_verified = bool(direct) and witness in direct
             report.witness = witness
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -636,7 +606,6 @@ def verify_lemma1(action: ActionOnGroup, instance: str = "",
                   relaxed: bool = False) -> VerificationReport:
     """The restriction map onto the product of Hall-fixed local classes is a
     pointed bijection."""
-    t0 = time.perf_counter()
     report = VerificationReport("lemma1", instance, relaxed=relaxed)
     _set_hypothesis(report, "j_nilpotent", is_nilpotent(action.actor))
     _set_hypothesis(report, "n_nilpotent", is_nilpotent(action.target))
@@ -646,7 +615,6 @@ def verify_lemma1(action: ActionOnGroup, instance: str = "",
             _set_hypothesis(report, "enumerable", True)
         except BudgetExceeded as exc:
             _set_hypothesis(report, "enumerable", False, str(exc))
-            report.elapsed = time.perf_counter() - t0
             return report
         report.conclusion_verified = dec.bijective
         report.witness = {
@@ -656,7 +624,6 @@ def verify_lemma1(action: ActionOnGroup, instance: str = "",
         }
         if dec.failure:
             report.witness = {"failure": dec.failure}
-    report.elapsed = time.perf_counter() - t0
     return report
 
 

@@ -167,7 +167,7 @@ def test_criterion_7_fixed_points_and_conjugators_no_falsification(caplog):
         assert rep.passed and not rep.falsification, iid
         assert rep.witness in fixed_points(om, P.j_part())
         g = find_conjugator(P.group, P.n_part(), P.j_part(),
-                            Subgroup(P.group, h_elements), "exhaustive")
+                            Subgroup(P.group, h_elements))
         assert all(P.group.conj(x, g) in H for x in P.j_part().elements)
         verified += 1
     with caplog.at_level(logging.WARNING, logger="nilcoh.theorems"):

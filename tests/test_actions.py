@@ -10,6 +10,7 @@ from nilcoh.actions import (
     fixed_points,
     is_transitive,
     semidirect,
+    semidirect_embeddings,
     stabilizer,
     trivial_action,
 )
@@ -20,8 +21,8 @@ from nilcoh.errors import (
     NotNormalized,
     OrderCapExceeded,
 )
-from nilcoh.groups import full_subgroup, subgroup_generated, trivial_subgroup
-from conftest import abelian, cyclic, dihedral, quaternion8
+from nilcoh.groups import Group, full_subgroup, subgroup_generated, trivial_subgroup
+from conftest import CATALOG, abelian, cyclic, dihedral, quaternion8
 
 
 def test_inversion_action_on_c4():
@@ -139,6 +140,44 @@ def test_semidirect_conjugation_realizes_action():
         for n in range(4):
             lhs = G.mul[G.mul[G.inv[ej]][P.embed_N(n)]][ej]
             assert lhs == P.embed_N(a.act(a.actor.inv[j], n))
+
+
+def _swap_labels(G, a, b):
+    """G with the labels of elements a and b exchanged."""
+    sigma = list(range(G.order))
+    sigma[a], sigma[b] = b, a
+    return Group([[sigma[G.mul[sigma[x]][sigma[y]]] for y in range(G.order)]
+                  for x in range(G.order)])
+
+
+def test_semidirect_embeddings_accept_exactly_the_semidirect_table():
+    # Oracle: table equality with a freshly built semidirect product.  The
+    # candidates are the semidirect tables of other actions (the same N and J
+    # with another action fail only the conjugation identity), other groups
+    # of the same orders, and relabelled copies that keep the embedded N and J
+    # (these fail only n * |J| + j = embed_N(n) embed_J(j)).
+    actions = [inst.action() for inst in CATALOG]
+    actions = [a for a in actions if a.actor.order * a.target.order <= 64]
+    actions += [trivial_action(cyclic(2), cyclic(4)), trivial_action(cyclic(2), cyclic(6))]
+    products = [semidirect(a) for a in actions]
+    others = [cyclic(8), quaternion8(), dihedral(4), abelian([2, 4]), cyclic(12),
+              dihedral(6), cyclic(4)]
+    verdicts = set()
+    for a, P in zip(actions, products):
+        nj, nn = a.actor.order, a.target.order
+        candidates = [Q.group for Q in products] + others
+        if nj >= 2 and nn >= 3:
+            candidates += [_swap_labels(P.group, nj + 1, 2 * nj + 1),
+                           _swap_labels(P.group, nj, 2 * nj)]
+        for G in candidates:
+            got = semidirect_embeddings(a, G)
+            expected = G.same_table(P.group)
+            assert (got is not None) == expected, (a, G)
+            if got is not None:
+                assert got[0].images == P.embed_N.images
+                assert got[1].images == P.embed_J.images
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_semidirect_order_cap():

@@ -120,6 +120,15 @@ def test_enumeration_budget():
         cocycles_bruteforce(a, budget=2)
 
 
+def test_h1_budget_holds_on_a_cached_result():
+    # The outcome of a budgeted call must not depend on what ran before.
+    a = trivial_action(cyclic(2), cyclic(3))
+    H = h1(a)
+    assert h1(a, budget=3) is H
+    with pytest.raises(BudgetExceeded, match="exceeds budget 2"):
+        h1(a, budget=2)
+
+
 def test_cohomologous_witnesses():
     a = inv_c4()
     zs = {c.values: c for c in cocycles(a)}

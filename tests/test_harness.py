@@ -205,6 +205,16 @@ def test_cli_verify(capsys):
     capsys.readouterr()
 
 
+GOLDEN_RELAXED_SUITE = Path(__file__).resolve().parent / "golden" / "suite_relaxed.jsonl"
+
+
+def test_cli_relaxed_suite_matches_golden(capsys):
+    # The relaxed run reaches conclusions that a strict run skips; its output
+    # is pinned byte for byte like the strict suite's.
+    assert main(["suite", "--format", "json", "--relaxed-hypotheses"]) == 0
+    assert capsys.readouterr().out == GOLDEN_RELAXED_SUITE.read_text(encoding="utf-8")
+
+
 def test_cli_unknown_instance_is_input_error(capsys):
     assert main(["h1", "--instance", "nope"]) == 3
     capsys.readouterr()

@@ -228,3 +228,6 @@ def test_subgroup_conjugacy_classes():
     rot = subgroup_generated(D4, [1])
     n_classes = subgroup_conjugacy_classes(D4, subs, under=rot)
     assert sorted(sorted(c) for c in n_classes) == [[0, 2], [1, 3]]
+    # A repeated subgroup shares its class; every index lands in one class.
+    S, T = subs[0], subs[1]
+    assert subgroup_conjugacy_classes(D4, [S, S, T]) == [[0, 1], [2]]

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from nilcoh.actions import coset_gset, semidirect, trivial_action
 from nilcoh.cohomology import h1
+from nilcoh import theorems
 from nilcoh.errors import HypothesisNotMet
-from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated
+from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated, trivial_subgroup
 from nilcoh.harness.scenario import subgroup_of_semidirect
 from nilcoh.structure import complements
 from nilcoh.theorems import (
     find_conjugator,
+    find_conjugator_proof_guided,
     intersection_lemma_check,
     verify_lemma1,
     verify_prop2,
@@ -28,6 +30,7 @@ from conftest import (
     cyclic,
     dihedral,
     direct_product,
+    quaternion8,
     prop2_pairwise_by_scan,
     prop3_pairwise_by_scan,
 )
@@ -143,15 +146,43 @@ def test_proof_guided_agrees_with_exhaustive(catalog, iid, h_spec):
     for g in range(G.order):
         H = base.conjugate_by(g)
         try:
-            ge = find_conjugator(G, N, J, H, strategy="exhaustive")
+            ge = find_conjugator(G, N, J, H)
         except HypothesisNotMet:
             continue
-        gp = find_conjugator(G, N, J, H, strategy="proof_guided")
+        gp = find_conjugator_proof_guided(G, N, J, H)
         for x in J.elements:
             assert G.conj(x, ge) in H
             assert G.conj(x, gp) in H
         tested += 1
     assert tested > 0
+
+
+@pytest.mark.parametrize("iid,h_spec", [
+    ("c2_inv_c4", {"elements": [0, 5]}),
+    ("c6_inv_c6", {"generated_by": [[0, 1], [3, 0]]}),
+    ("c6_inv_c12", {"generated_by": [[0, 1], [6, 0]]}),
+    ("q8_conj_q8", {"generated_by": [[0, 2], [0, 4], [1, 0]]}),
+    ("c6_twist_q8c3", {"generated_by": [[0, 1], [3, 0]]}),
+    ("c2_inv_c4", {"generated_by": [[1, 1]]}),
+])
+def test_verify_prop5_evaluates_its_hypotheses_once(monkeypatch, catalog, iid, h_spec):
+    # The proof-guided route runs from the setting checks and Sylow data
+    # that verify_prop5 has already computed; quotient groups in its
+    # induction are other groups and are not counted.
+    P = semidirect(catalog[iid].action())
+    G = P.group
+    calls = {"_prop5_setting_checks": 0, "_sylow_containment_data": 0}
+    for name in calls:
+        def counted(group, *args, original=getattr(theorems, name), name=name):
+            if group is G:
+                calls[name] += 1
+            return original(group, *args)
+        monkeypatch.setattr(theorems, name, counted)
+    H = subgroup_of_semidirect(P, h_spec)
+    report = verify_prop5(G, P.n_part(), P.j_part(), H, iid)
+    assert calls == {"_prop5_setting_checks": 1, "_sylow_containment_data": 1}
+    assert not report.falsification
+    assert report.passed == report.hypotheses_met
 
 
 def test_verify_prop5_reports():
@@ -221,6 +252,21 @@ def test_thm4_witness_via_supplement_stabilizer():
     report = verify_thm4(action, om, "supplement")
     assert report.passed
     assert report.witness == 0  # J lies inside H, so the H-coset is fixed
+
+
+@pytest.mark.parametrize("G", [cyclic(8), quaternion8(), abelian([2, 4]), cyclic(4)],
+                         ids=["C8", "Q8", "C2xC4", "C4"])
+def test_thm4_gset_over_another_group_is_an_unmet_hypothesis(catalog, G):
+    # c2_inv_c4 induces D4 (order 8): the same order as C8, Q8 and C2 x C4,
+    # but not their table; C4 has another order.
+    action = catalog["c2_inv_c4"].action()
+    for H in (trivial_subgroup(G), full_subgroup(G)):
+        for relaxed in (False, True):
+            report = verify_thm4(action, coset_gset(G, H), "other-group", relaxed=relaxed)
+            assert report.hypotheses["gset_over_semidirect"] is False
+            assert not report.hypotheses_met
+            assert report.conclusion_verified is None
+            assert not report.falsification
 
 
 def test_verify_lemma1_wraps_decomposition():
