@@ -115,6 +115,15 @@ class NoConjugatorFound(NilcohError):
     """No conjugator exists although the hypotheses hold; a falsification."""
 
 
+class ProofStepFailed(NoConjugatorFound):
+    """A step of the proof-guided conjugacy argument did not complete; under
+    the hypotheses a falsification that names the step."""
+
+    def __init__(self, step: str):
+        self.step = step
+        super().__init__(f"proof step failed: {step}")
+
+
 # -- harness ------------------------------------------------------------------
 
 

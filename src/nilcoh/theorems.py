@@ -8,7 +8,6 @@ implementation bug, and the reporting channel exists to make that testable.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .actions import (
@@ -31,9 +30,8 @@ from .cohomology import (
 from .errors import (
     BudgetExceeded,
     HypothesisNotMet,
-    NilcohError,
     NoConjugatorFound,
-    NotNilpotent,
+    ProofStepFailed,
 )
 from .groups import (
     Group,
@@ -54,8 +52,6 @@ from .structure import (
     subgroup_conjugacy_classes,
     sylow_subgroup,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -172,8 +168,8 @@ def find_conjugator(G: Group, N: Subgroup, J: Subgroup, H: Subgroup) -> int:
 def find_conjugator_proof_guided(G: Group, N: Subgroup, J: Subgroup, H: Subgroup) -> int:
     """An element g with J^g contained in H under the hypotheses of
     find_conjugator, found by the inductive argument through quotients, the
-    center of N and the complement correspondence, falling back to the scan
-    at any step it cannot complete."""
+    center of N and the complement correspondence.  A step it cannot
+    complete raises ProofStepFailed, which names the step."""
     return _guided_conjugator(G, N, J, H, _prop5_hypotheses(G, N, J, H))
 
 
@@ -183,7 +179,7 @@ def _guided_conjugator(
     """The proof-guided conjugator from checked hypotheses, verified elementwise."""
     g = _proof_guided(G, N, J, H, sylow_data)
     if not conjugates_into(G, J, H, g):
-        raise NoConjugatorFound("proof-guided conjugator failed elementwise check")
+        raise ProofStepFailed("elementwise check of the result")
     return g
 
 
@@ -195,7 +191,7 @@ def _preimage_element(pi, qbar: int) -> int:
     for g in range(pi.source.order):
         if pi(g) == qbar:
             return g
-    raise ValueError("projection image misses an element")  # pragma: no cover
+    raise ProofStepFailed("lifting from the quotient")  # pragma: no cover
 
 
 def _j_part_factor(G: Group, J: Subgroup, N: Subgroup, g: int) -> int:
@@ -204,7 +200,7 @@ def _j_part_factor(G: Group, J: Subgroup, N: Subgroup, g: int) -> int:
         n = G.mul[G.inv[j]][g]
         if n in N:
             return n
-    raise ValueError("element admits no J*N factorization")  # pragma: no cover
+    raise ProofStepFailed("J*N factorization")  # pragma: no cover
 
 
 def _primary_component_of(G: Group, N: Subgroup, n: int, p: int) -> tuple[int, int]:
@@ -225,32 +221,24 @@ def _primary_component_of(G: Group, N: Subgroup, n: int, p: int) -> tuple[int, i
 def _proof_guided(
     G: Group, N: Subgroup, J: Subgroup, H: Subgroup, sylow_data: dict[int, int | None]
 ) -> int:
-    """The induction of the conjugacy argument; falls back to scanning."""
+    """The induction of the conjugacy argument."""
     if all(j in H for j in J.elements):
-        return 0
-    if H.is_whole_group():
         return 0
     jprimes = prime_factors(J.order)
     if len(jprimes) == 1:
         g = sylow_data[jprimes[0]]  # J is its own Sylow subgroup
-        return g if g is not None else _fallback(G, J, H, "single-prime base case")
+        if g is None:
+            raise ProofStepFailed("single-prime base case")
+        return g
     nprimes = prime_factors(N.order)
     if len(nprimes) >= 2:
         return _two_prime_step(G, N, J, H, nprimes[0])
     return _single_prime_coefficients(G, N, J, H, nprimes[0] if nprimes else None)
 
 
-def _fallback(G: Group, J: Subgroup, H: Subgroup, where: str) -> int:
-    log.warning("proof_guided: falling back to exhaustive scan at %s", where)
-    g = conjugator_into(G, J, H)
-    if g is None:
-        raise NoConjugatorFound(f"exhaustive fallback failed at {where}")
-    return g
-
-
 def _recurse_in_quotient(
     G: Group, N: Subgroup, J: Subgroup, H: Subgroup, kernel: Subgroup
-) -> tuple[int, "Group"]:
+) -> int:
     """Run the induction in G/kernel; returns a lift of the quotient conjugator."""
     Q, pi = quotient(G, kernel)
     nbar = _image_subgroup(pi, N)
@@ -258,29 +246,23 @@ def _recurse_in_quotient(
     hbar = _image_subgroup(pi, H)
     data = _sylow_containment_data(Q, jbar, hbar)
     if None in data.values():
-        raise NoConjugatorFound("hypotheses degenerate in quotient")  # caught by caller
-    gbar = _proof_guided(Q, nbar, jbar, hbar, data)
-    return _preimage_element(pi, gbar), Q
+        raise ProofStepFailed("hypotheses degenerate in quotient")
+    return _preimage_element(pi, _proof_guided(Q, nbar, jbar, hbar, data))
 
 
 def _two_prime_step(G: Group, N: Subgroup, J: Subgroup, H: Subgroup, p: int) -> int:
     """Split N into its p-part and p'-part and combine quotient conjugators."""
-    Np = sylow_subgroup(G, p, within=N)
-    Npp = pprime_part(G, N, p)
-    try:
-        g0, _ = _recurse_in_quotient(G, N, J, H, Np)   # J^g0 <= H Np
-        g1, _ = _recurse_in_quotient(G, N, J, H, Npp)  # J^g1 <= H Npp
-    except (NoConjugatorFound, ValueError, NotNilpotent):
-        return _fallback(G, J, H, "two-prime quotient recursion")
+    g0 = _recurse_in_quotient(G, N, J, H, sylow_subgroup(G, p, within=N))  # J^g0 <= H Np
+    g1 = _recurse_in_quotient(G, N, J, H, pprime_part(G, N, p))  # J^g1 <= H Npp
     # Normalize both conjugators into N, then project to the complementary part.
     n0 = _j_part_factor(G, J, N, g0)
     n1 = _j_part_factor(G, J, N, g1)
     n0_p, n0_rest = _primary_component_of(G, N, n0, p)
     n1_p, _ = _primary_component_of(G, N, n1, p)
     g = G.mul[n0_rest][n1_p]  # n0' in N_p', n1_p in N_p; parts commute
-    if conjugates_into(G, J, H, g):
-        return g
-    return _fallback(G, J, H, "two-prime combination")
+    if not conjugates_into(G, J, H, g):
+        raise ProofStepFailed("two-prime combination")
+    return g
 
 
 def _single_prime_coefficients(
@@ -289,35 +271,29 @@ def _single_prime_coefficients(
     """The q-group coefficient case: climb through the center of N."""
     if q is None:
         # N trivial: H supplements, so H = G was already handled.
-        return _fallback(G, J, H, "trivial-N case")
+        raise ProofStepFailed("trivial-N case")
     # Arrange J_q <= H by switching to a conjugate of H.
     Jq = sylow_subgroup(G, q, within=J)
     g0 = conjugator_into(G, Jq, H)
     if g0 is None:
-        return _fallback(G, J, H, "q-Sylow placement")
+        raise ProofStepFailed("q-Sylow placement")
     if g0 != 0:
         H1 = H.conjugate_by(G.inv[g0])
         inner = _single_prime_coefficients(G, N, J, H1, q)
         g = G.mul[inner][g0]
-        if conjugates_into(G, J, H, g):
-            return g
-        return _fallback(G, J, H, "conjugate-of-H unwinding")
+        if not conjugates_into(G, J, H, g):
+            raise ProofStepFailed("conjugate-of-H unwinding")
+        return g
     Z = Subgroup(G, (z for z in centralizer(G, N).elements if z in N))
     ZH = Subgroup(G, (z for z in Z.elements if z in H))
     if not ZH.is_trivial():
-        try:
-            g, _ = _recurse_in_quotient(G, N, J, H, ZH)
-        except (NoConjugatorFound, ValueError, NotNilpotent):
-            return _fallback(G, J, H, "central-intersection recursion")
-        if conjugates_into(G, J, H, g):
-            return g
-        return _fallback(G, J, H, "central-intersection lift")
+        g = _recurse_in_quotient(G, N, J, H, ZH)
+        if not conjugates_into(G, J, H, g):
+            raise ProofStepFailed("central-intersection lift")
+        return g
     if Z.is_trivial():
-        return _fallback(G, J, H, "centerless coefficient group")
-    try:
-        g, _ = _recurse_in_quotient(G, N, J, H, Z)  # J^g <= HZ
-    except (NoConjugatorFound, ValueError, NotNilpotent):
-        return _fallback(G, J, H, "central quotient recursion")
+        raise ProofStepFailed("centerless coefficient group")
+    g = _recurse_in_quotient(G, N, J, H, Z)  # J^g <= HZ
     return _correspondence_finish(G, N, J, H, Z, q, g)
 
 
@@ -330,52 +306,43 @@ def _correspondence_finish(
     jg_images = {pizq(G.conj(x, g)) for x in J.elements}
     K_elements = [h for h in H.elements if pizq(h) in jg_images]
     if len(K_elements) != J.order:
-        return _fallback(G, J, H, "pulling the quotient complement into H")
+        raise ProofStepFailed("pulling the quotient complement into H")
     K = Subgroup(G, K_elements)
     # The cocycle of J against base complement K, valued in N.
     HN = Subgroup(G, (x for x in H.elements if x in N))
-    try:
-        act, kmap, mmap = conjugation_action_with_maps(G, HN, K)
-    except NilcohError:
-        return _fallback(G, J, H, "conjugation action on H-meet-N")
+    act, kmap, mmap = conjugation_action_with_maps(G, HN, K)
     mpos = {x: i for i, x in enumerate(mmap)}
-    kpos = {x: i for i, x in enumerate(kmap)}
     values = []
     for k in kmap:
         j = next((j for j in J.elements if G.mul[j][G.inv[k]] in N), None)
         if j is None:
-            return _fallback(G, J, H, "matching J across cosets of N")
-        nk = G.mul[j][G.inv[k]]
-        values.append(nk)
+            raise ProofStepFailed("matching J across cosets of N")
+        values.append(G.mul[j][G.inv[k]])
     Kg = act.actor
     Kq = sylow_subgroup(Kg, q)
     # phi restricted to K_q must take values in H-meet-N.
     if any(values[i] not in HN for i in Kq.elements):
-        return _fallback(G, J, H, "restricted cocycle values outside H")
+        raise ProofStepFailed("restricted cocycle values outside H")
     phi_q = Cocycle(act, Kq, tuple(mpos[values[i]] for i in Kq.elements))
-    try:
-        Hq = h1(act, Kq)
-        cls = Hq.class_of(phi_q.values)
-        if cls not in fixed_classes(Hq, hall_pprime(Kg, q)):
-            return _fallback(G, J, H, "restricted class not Hall-fixed")
-        ext_cls = extend_from_sylow(act, q, cls)
-    except NilcohError:
-        return _fallback(G, J, H, "extension through the correspondence")
-    Hfull = h1(act)
+    Hq = h1(act, Kq)
+    cls = Hq.class_of(phi_q.values)
+    if cls not in fixed_classes(Hq, hall_pprime(Kg, q)):
+        raise ProofStepFailed("restricted class not Hall-fixed")
+    ext_cls = extend_from_sylow(act, q, cls)
     psi = next(
         (
             c
-            for c in Hfull.classes[ext_cls]
+            for c in h1(act).classes[ext_cls]
             if restrict(c, Kq).values == phi_q.values
         ),
         None,
     )
     if psi is None:
-        return _fallback(G, J, H, "aligning the extension with the q-part")
+        raise ProofStepFailed("aligning the extension with the q-part")
     L = Subgroup(G, (G.mul[mmap[psi.value_at(i)]][kmap[i]] for i in range(Kg.order)))
     conj = are_conjugate_subgroups(G, J, L)
     if conj is None or not conjugates_into(G, J, H, conj):
-        return _fallback(G, J, H, "final conjugation onto the complement in H")
+        raise ProofStepFailed("final conjugation onto the complement in H")
     return conj
 
 
@@ -528,7 +495,8 @@ def verify_prop5(G: Group, N: Subgroup, J: Subgroup, H: Subgroup,
                  instance: str = "", relaxed: bool = False) -> VerificationReport:
     """Constructive search for a conjugate of J inside H.  The hypotheses are
     evaluated once; the exhaustive scan, the contract, gives the witness, and
-    under met hypotheses the proof-guided route must succeed as well."""
+    under met hypotheses the proof-guided route must succeed as well: a step
+    of it that fails is a falsification whose witness names the step."""
     report = VerificationReport("prop5", instance, relaxed=relaxed)
     for name, met, detail in _prop5_setting_checks(G, N, J, H):
         _set_hypothesis(report, name, met, "" if met else detail)
@@ -547,8 +515,9 @@ def verify_prop5(G: Group, N: Subgroup, J: Subgroup, H: Subgroup,
     if report.conclusion_verified and report.hypotheses_met:
         try:
             report.note(f"proof_guided conjugator {_guided_conjugator(G, N, J, H, data)}")
-        except NoConjugatorFound:
+        except ProofStepFailed as exc:
             report.conclusion_verified = False
+            report.witness = {"conjugator": report.witness, "proof_step_failed": exc.step}
             report.note("proof_guided failed although exhaustive succeeded")
     return report
 
@@ -584,7 +553,13 @@ def verify_thm4(action: ActionOnGroup, gset: GSet, instance: str = "",
         witness = None
         try:
             g_alpha = stabilizer(gset, 0)
-            g = find_conjugator(G, n_sub, j_sub, g_alpha)
+            if report.hypotheses_met:
+                # These imply prop5's: J nilpotent complements normal N, each J_p into G_alpha.
+                g = conjugator_into(G, j_sub, g_alpha)
+                if g is None:
+                    raise NoConjugatorFound("hypotheses hold but no conjugate of J is in G_alpha")
+            else:
+                g = find_conjugator(G, n_sub, j_sub, g_alpha)
             witness = gset.act[g][0]
         except (HypothesisNotMet, NoConjugatorFound) as exc:
             report.note(f"stabilizer route failed: {exc}")

@@ -5,7 +5,6 @@ envelopes are asserted where the criteria give them.  Run with `pytest -s`
 to see the per-criterion lines on a green run.
 """
 
-import logging
 import time
 from pathlib import Path
 
@@ -143,7 +142,7 @@ def test_criterion_6_local_conjugacy_iff_conjugacy():
            f"{len(ambients)} ambient groups, both directions")
 
 
-def test_criterion_7_fixed_points_and_conjugators_no_falsification(caplog):
+def test_criterion_7_fixed_points_and_conjugators_no_falsification():
     gset_specs = [
         ("c2_inv_c4", [0, 1]),        # embedded J
         ("c2_swap_c2c2", [0, 1]),
@@ -170,16 +169,21 @@ def test_criterion_7_fixed_points_and_conjugators_no_falsification(caplog):
                             Subgroup(P.group, h_elements))
         assert all(P.group.conj(x, g) in H for x in P.j_part().elements)
         verified += 1
-    with caplog.at_level(logging.WARNING, logger="nilcoh.theorems"):
-        outcomes = run_checks(default_suite())
+    outcomes = run_checks(default_suite())
     falsifications = [o.report.instance for o in outcomes if o.report.falsification]
-    fallbacks = [r for r in caplog.records
-                 if r.getMessage().startswith("proof_guided: falling back")]
-    ok = verified == len(gset_specs) and not falsifications and not fallbacks
+    # A met prop5 check notes the proof-guided conjugator only when every
+    # step of the guided route completed.
+    met_prop5 = [o.report for o in outcomes
+                 if o.report.theorem == "prop5" and o.report.hypotheses_met]
+    guided = [r for r in met_prop5
+              if any(n.startswith("proof_guided conjugator ") for n in r.notes)]
+    ok = (verified == len(gset_specs) and not falsifications
+          and len(guided) == len(met_prop5) > 0)
     report(7, ok,
            f"{verified} hypothesis-satisfying G-set instances verified with "
            f"independent fixed-point scans; {len(falsifications)} falsification "
-           f"records and {len(fallbacks)} proof-guided fallbacks across the "
+           f"records and {len(guided)} of {len(met_prop5)} met prop5 checks "
+           f"completed by the proof-guided route across the "
            f"{len(outcomes)}-check suite")
 
 

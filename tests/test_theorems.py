@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from nilcoh.actions import coset_gset, semidirect, trivial_action
 from nilcoh.cohomology import h1
 from nilcoh import theorems
-from nilcoh.errors import HypothesisNotMet
+from nilcoh.errors import HypothesisNotMet, ProofStepFailed
 from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated, trivial_subgroup
 from nilcoh.harness.scenario import subgroup_of_semidirect
+from nilcoh.harness.suite import default_suite
 from nilcoh.structure import complements
 from nilcoh.theorems import (
     find_conjugator,
@@ -183,6 +184,45 @@ def test_verify_prop5_evaluates_its_hypotheses_once(monkeypatch, catalog, iid, h
     assert calls == {"_prop5_setting_checks": 1, "_sylow_containment_data": 1}
     assert not report.falsification
     assert report.passed == report.hypotheses_met
+
+
+def test_verify_thm4_does_not_recheck_prop5_hypotheses(monkeypatch):
+    # thm4's own checks imply prop5's hypotheses, so a met run scans for the
+    # conjugator into the stabilizer without evaluating them again.
+    calls = {"is_nilpotent_subgroup": 0, "_sylow_containment_data": 0}
+    for name in calls:
+        def counted(*args, original=getattr(theorems, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(theorems, name, counted)
+    reports = [c.run() for c in default_suite() if "/thm4:" in c.instance]
+    assert len(reports) == 11
+    assert calls == {"is_nilpotent_subgroup": 0, "_sylow_containment_data": 0}
+    assert sum(r.passed for r in reports) == sum(r.hypotheses_met for r in reports) > 0
+    assert not any(r.falsification for r in reports)
+
+
+def test_broken_two_prime_combination_is_a_falsification(monkeypatch, catalog):
+    # Swap the N_p and N_p' parts that _two_prime_step combines: the step
+    # must fail by name, and no scan may stand in for it.
+    original = theorems._primary_component_of
+
+    def swapped(G, N, n, p):
+        n_p, n_rest = original(G, N, n, p)
+        return n_rest, n_p
+
+    monkeypatch.setattr(theorems, "_primary_component_of", swapped)
+    P = semidirect(catalog["c6_inv_c6"].action())
+    J = P.j_part()
+    H = J.conjugate_by(6)  # 6 = (n, j) = (1, 0) generates N
+    report = verify_prop5(P.group, P.n_part(), J, H, "c6_inv_c6")
+    assert report.hypotheses_met
+    assert report.falsification
+    assert report.witness == {"conjugator": find_conjugator(P.group, P.n_part(), J, H),
+                              "proof_step_failed": "two-prime combination"}
+    with pytest.raises(ProofStepFailed) as exc:
+        find_conjugator_proof_guided(P.group, P.n_part(), J, H)
+    assert exc.value.step == "two-prime combination"
 
 
 def test_verify_prop5_reports():
