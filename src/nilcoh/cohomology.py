@@ -513,8 +513,8 @@ def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int,
     falsifies the decomposition on this instance.
     """
     J = action.actor
-    if not is_nilpotent(J):
-        raise NotNilpotent("extension requires a nilpotent actor")
+    if not is_nilpotent(J) or not is_nilpotent(action.target):
+        raise NotNilpotent("extension requires nilpotent actor and target")
     Jq = sylow_subgroup(J, q)
     Hq = h1(action, Jq, budget=budget)
     if class_index not in fixed_classes(Hq, hall_pprime(J, q)):

@@ -115,7 +115,7 @@ class NoConjugatorFound(NilcohError):
     """No conjugator exists although the hypotheses hold; a falsification."""
 
 
-class ProofStepFailed(NoConjugatorFound):
+class ProofStepFailed(NilcohError):
     """A step of the proof-guided conjugacy argument did not complete; under
     the hypotheses a falsification that names the step."""
 

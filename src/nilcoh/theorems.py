@@ -31,6 +31,7 @@ from .errors import (
     BudgetExceeded,
     HypothesisNotMet,
     NoConjugatorFound,
+    NoPreimageFound,
     ProofStepFailed,
 )
 from .groups import (
@@ -515,10 +516,13 @@ def verify_prop5(G: Group, N: Subgroup, J: Subgroup, H: Subgroup,
     if report.conclusion_verified and report.hypotheses_met:
         try:
             report.note(f"proof_guided conjugator {_guided_conjugator(G, N, J, H, data)}")
-        except ProofStepFailed as exc:
+        except (ProofStepFailed, NoPreimageFound) as exc:
+            step = getattr(exc, "step", "extension through the correspondence")
             report.conclusion_verified = False
-            report.witness = {"conjugator": report.witness, "proof_step_failed": exc.step}
+            report.witness = {"conjugator": report.witness, "proof_step_failed": step}
             report.note("proof_guided failed although exhaustive succeeded")
+        except BudgetExceeded as exc:
+            report.note(f"proof_guided not evaluated: {exc}")
     return report
 
 
@@ -550,19 +554,12 @@ def verify_thm4(action: ActionOnGroup, gset: GSet, instance: str = "",
         )
     if report.hypotheses_met or relaxed:
         direct = fixed_points(gset, j_sub)
-        witness = None
-        try:
-            g_alpha = stabilizer(gset, 0)
-            if report.hypotheses_met:
-                # These imply prop5's: J nilpotent complements normal N, each J_p into G_alpha.
-                g = conjugator_into(G, j_sub, g_alpha)
-                if g is None:
-                    raise NoConjugatorFound("hypotheses hold but no conjugate of J is in G_alpha")
-            else:
-                g = find_conjugator(G, n_sub, j_sub, g_alpha)
-            witness = gset.act[g][0]
-        except (HypothesisNotMet, NoConjugatorFound) as exc:
-            report.note(f"stabilizer route failed: {exc}")
+        # thm4's checks imply prop5's hypotheses (J nilpotent complements
+        # normal N, each J_p conjugates into G_alpha), so no re-check here.
+        g = conjugator_into(G, j_sub, stabilizer(gset, 0))
+        witness = None if g is None else gset.act[g][0]
+        if g is None:
+            report.note("stabilizer route failed: no conjugate of J lies in G_alpha")
         if witness is not None and witness in direct:
             report.conclusion_verified = True
             report.witness = witness

@@ -37,6 +37,7 @@ from nilcoh.errors import (
     NotAComplement,
     NoPreimageFound,
     NotASubgroup,
+    NotNilpotent,
 )
 from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated, trivial_subgroup
 from nilcoh.structure import (
@@ -482,6 +483,16 @@ def test_extend_from_sylow_requires_fixed_class():
     assert unfixed
     with pytest.raises(ValueError):
         extend_from_sylow(part.action, 3, unfixed[0])
+
+
+def test_extend_from_sylow_requires_nilpotent_target():
+    # Glauberman's argument needs N = N_q x N_q'; a non-nilpotent N is
+    # outside the lemma, so no NoPreimageFound may be reported for it.
+    from nilcoh.harness.catalog import dihedral
+
+    a = trivial_action(cyclic(2), dihedral(3))
+    with pytest.raises(NotNilpotent):
+        extend_from_sylow(a, 2, 0)
 
 
 def test_coprime_actions_have_trivial_h1():

@@ -225,6 +225,22 @@ def test_broken_two_prime_combination_is_a_falsification(monkeypatch, catalog):
     assert exc.value.step == "two-prime combination"
 
 
+def test_failed_lift_in_the_correspondence_is_a_falsification(monkeypatch, catalog):
+    # A lift that extend_from_sylow cannot complete inside the guided route
+    # must be reported as a falsification naming the step, not as an error.
+    from nilcoh import cohomology
+
+    monkeypatch.setattr(cohomology, "check_cocycle", lambda *args: False)
+    P = semidirect(catalog["c6_inv_c6"].action())
+    J = P.j_part()
+    H = J.conjugate_by(6)
+    report = verify_prop5(P.group, P.n_part(), J, H, "c6_inv_c6")
+    assert report.hypotheses_met
+    assert report.falsification
+    assert report.witness == {"conjugator": find_conjugator(P.group, P.n_part(), J, H),
+                              "proof_step_failed": "extension through the correspondence"}
+
+
 def test_verify_prop5_reports():
     D4 = dihedral(4)
     N = subgroup_generated(D4, [1])
