@@ -8,9 +8,12 @@ phi^j is equivalent to phi with witness phi(j')):
     coboundary         phi'(j)   = n' * phi(j) * act(j, n)
     conjugate cocycle  phi^j(x)  = act(j', phi(j x j'))   on K^j = j' K j
 
-Enumeration is generator-based with a brute-force oracle alongside; class
-representatives are the lexicographically least value tables, and all
-reported sets are ordered by representative.
+Enumeration extends cocycles one generator at a time along the chain of
+subgroups that a generating sequence spans (Celler, Neubueser and Wright,
+Acta Appl. Math. 21, 1990), with a brute-force oracle alongside.  H1 is
+partitioned on the values at the generators alone.  Class representatives
+are the lexicographically least value tables, and all reported sets are
+ordered by representative.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     NotASubgroup,
     NotNilpotent,
 )
-from .groups import Subgroup, cayley_tree, full_subgroup, generating_sequence
+from .groups import Subgroup, cayley_tree, full_subgroup
 from .structure import (
     hall_pprime,
     is_nilpotent,
@@ -88,41 +91,59 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
              budget: int = GENERATOR_ENUM_BUDGET) -> list[Cocycle]:
     """The complete set Z1(K, N), ordered by value table.
 
-    Values are chosen on a generating sequence of K and propagated along K's
-    Cayley graph; a candidate survives iff the cocycle identity holds against
-    every generator, which forces it on all pairs.
+    With g_1..g_d the generating sequence of K, the cocycles are built along
+    the chain K_i = <g_1..g_i>.  Each cocycle on K_i, extended by each value
+    v in N at g_{i+1}, is propagated along the Cayley tree of K_{i+1}; it
+    survives iff the cocycle identity holds against every generator of
+    K_{i+1}, which forces it on all pairs.  A survivor is a cocycle on
+    K_{i+1}, and every cocycle there restricts to one on K_i, so the last
+    step yields all of Z1(K, N).  Step i tries |Z1(K_i, N)| * |N| candidates,
+    at most |N|^(i+1), so the |N|^d that the budget bounds also bounds the
+    candidates of all steps, within a factor of two when |N| > 1.
     """
     J, N = action.actor, action.target
     if K is None:
         K = full_subgroup(J)
     if K.parent is not J:
         raise NotASubgroup("domain must be a subgroup of the acting group")
-    gens = generating_sequence(J, K.elements)
+    gens = K.gens
     _check_budget(N.order, len(gens), budget)
-    pos = K.position
-    edges = cayley_tree(J, gens)
-    nmul = N.mul
-    out: list[Cocycle] = []
-    size = K.order
-    for assignment in product(range(N.order), repeat=len(gens)):
-        values = [0] * size
-        ok = True
-        for x, slot, y in edges:
-            values[pos(y)] = nmul[values[pos(x)]][action.auto[x][assignment[slot]]]
-        for x in K.elements:
-            vx = values[pos(x)]
-            ax = action.auto[x]
-            row = J.mul[x]
-            for slot, g in enumerate(gens):
-                if values[pos(row[g])] != nmul[vx][ax[assignment[slot]]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(Cocycle(action, K, tuple(values)))
-    out.sort(key=lambda c: c.values)
-    return out
+    nmul, auto = N.mul, action.auto
+    # The survivors on K_i, as value tables over K_i's elements in ascending
+    # order; the last step leaves them on K.
+    elts, survivors = [0], [(0,)]
+    for i in range(len(gens)):
+        sub = gens[:i + 1]
+        edges = cayley_tree(J, sub)
+        prev = {x: k for k, x in enumerate(elts)}
+        known = [prev[g] for g in gens[:i]]
+        elts = sorted([0] + [y for _, _, y in edges])
+        at = {x: k for k, x in enumerate(elts)}
+        tree = [(at[x], auto[x], slot, at[y]) for x, slot, y in edges]
+        spanned = {(kx, slot) for kx, _, slot, _ in tree}
+        checks = [
+            (kx, auto[x], slot, at[J.mul[x][g]])
+            for kx, x in enumerate(elts)
+            for slot, g in enumerate(sub)
+            if (kx, slot) not in spanned
+        ]
+        size = len(elts)
+        grown: list[tuple[int, ...]] = []
+        for t in survivors:
+            prefix = tuple(t[k] for k in known)
+            for v in range(N.order):
+                a = prefix + (v,)
+                values = [0] * size
+                for kx, ax, slot, ky in tree:
+                    values[ky] = nmul[values[kx]][ax[a[slot]]]
+                for kx, ax, slot, ky in checks:
+                    if values[ky] != nmul[values[kx]][ax[a[slot]]]:
+                        break
+                else:
+                    grown.append(tuple(values))
+        survivors = grown
+    survivors.sort()
+    return [Cocycle(action, K, t) for t in survivors]
 
 
 def cocycles_bruteforce(action: ActionOnGroup, K: Subgroup | None = None,
@@ -259,8 +280,14 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
 
     Classes are the orbits of Z1 under twisting by elements of N; they come
     out ordered by their least member, so the distinguished class is first.
+
+    A cocycle is fixed by its values on the generating sequence of K, so the
+    orbits are found on those coordinates alone.  Twisting is a right action
+    of N, and n in C = Z(N) meet the K-fixed points of N twists every
+    cocycle to itself: n' * phi(j) * act(j, n) = n' * phi(j) * n = phi(j).
+    So twisting by a transversal of N/C reaches each whole orbit.
     """
-    J = action.actor
+    J, N = action.actor, action.target
     if K is None:
         K = full_subgroup(J)
     key = K.elements
@@ -269,25 +296,48 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
         # A cached result answers to the caller's budget as well, so the
         # outcome does not depend on what ran before.
         ngens, result = cached
-        _check_budget(action.target.order, ngens, budget)
+        _check_budget(N.order, ngens, budget)
         return result
     zs = cocycles(action, K, budget=budget)
-    index = {c.values: i for i, c in enumerate(zs)}
+    gens = K.gens
+    at = [K.position(g) for g in gens]
+    # Each cocycle is keyed by its values at the generators, read as the
+    # digits of one base-|N| number.
+    index: dict[int, int] = {}
+    for i, c in enumerate(zs):
+        code = 0
+        for k in at:
+            code = code * N.order + c.values[k]
+        index[code] = i
+    nmul = N.mul
+    acts = [action.auto[g] for g in gens]
+    fixed_central = [
+        c for c in range(N.order)
+        if all(au[c] == c for au in acts) and all(nmul[c][m] == nmul[m][c] for m in N.gens)
+    ]
+    twists: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    covered: set[int] = set()
+    for n in range(N.order):
+        if n not in covered:
+            covered.update(nmul[c][n] for c in fixed_central)
+            twists.append((nmul[N.inv[n]], tuple(au[n] for au in acts)))
     assigned = [False] * len(zs)
     classes: list[list[Cocycle]] = []
-    N = action.target
     for i, c in enumerate(zs):
         if assigned[i]:
             continue
-        members = set()
-        for n in range(N.order):
-            t = twist(c, n)
-            j = index[t.values]
-            members.add(j)
+        orbit = set()
+        for left, rights in twists:
+            code = 0
+            for k, right in zip(at, rights):
+                code = code * N.order + nmul[left[c.values[k]]][right]
+            orbit.add(index[code])
+        members = sorted(orbit)
+        for j in members:
             assigned[j] = True
-        classes.append([zs[j] for j in sorted(members)])
+        classes.append([zs[j] for j in members])
     result = CohomologySet(action, K, classes)
-    action._h1_cache[key] = (len(generating_sequence(J, key)), result)
+    action._h1_cache[key] = (len(gens), result)
     return result
 
 
@@ -395,13 +445,19 @@ def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
     cohomology set (the Sylow case in a nilpotent actor).
     """
     K = H.domain
+    G = K.parent
+    # phi^s is phi with values act(s', phi(s x s')) at x, on K^s = K.
+    moves = []
     for s in S.elements:
-        if any(K.parent.conj(k, s) not in K for k in K.elements):
+        if any(G.conj(k, s) not in K for k in K.elements):
             raise DomainMismatch(f"element {s} does not normalize the domain")
+        sinv = G.inv[s]
+        moves.append((H.action.auto[sinv],
+                      [K.position(G.conj(x, sinv)) for x in K.elements]))
     out = []
     for i in range(H.size):
-        rep = H.rep(i)
-        if all(H.class_of(conjugate_cocycle(rep, s).values) == i for s in S.elements):
+        values = H.rep(i).values
+        if all(H.class_of(tuple(back[values[k]] for k in src)) == i for back, src in moves):
             out.append(i)
     return tuple(out)
 
@@ -597,17 +653,20 @@ def decomposition_map(action: ActionOnGroup,
     failure = None
     well_defined = True
     forward: list[tuple[int, ...]] = []
+    # Hfull's domain is J itself, so a value table is indexed by element.
+    fixed = [set(b.fixed) for b in blocks]
     for i, cls in enumerate(Hfull.classes):
         images = {
-            tuple(b.h1_local.class_of(restrict(c, b.sylow)) for b in blocks)
+            tuple(b.h1_local.class_of(tuple(c.values[x] for x in b.sylow.elements))
+                  for b in blocks)
             for c in cls
         }
         if len(images) != 1:
             well_defined = False
             failure = failure or f"class {i} restricts to multiple local class tuples"
         image = min(images)
-        for b, local_class in zip(blocks, image):
-            if local_class not in b.fixed:
+        for b, b_fixed, local_class in zip(blocks, fixed, image):
+            if local_class not in b_fixed:
                 failure = failure or (
                     f"class {i} restricts at p={b.prime} to class {local_class}, "
                     "which the Hall subgroup does not fix"

@@ -120,7 +120,7 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 class Subgroup:
     """A validated subset of a parent group, closed under product and inverse."""
 
-    __slots__ = ("parent", "elements", "_set", "_pos")
+    __slots__ = ("parent", "elements", "_set", "_pos", "_gens")
 
     def __init__(self, parent: Group, elements: Iterable[int]):
         elts = tuple(sorted({int(x) for x in elements}))
@@ -142,10 +142,19 @@ class Subgroup:
         self.elements = elts
         self._set = members
         self._pos = {x: i for i, x in enumerate(elts)}
+        self._gens: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def gens(self) -> tuple[int, ...]:
+        """The greedy generating sequence of the elements in index order,
+        computed on first use and kept."""
+        if self._gens is None:
+            self._gens = tuple(generating_sequence(self.parent, self.elements))
+        return self._gens
 
     def __contains__(self, x: int) -> bool:
         return x in self._set

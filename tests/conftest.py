@@ -12,6 +12,8 @@ from itertools import combinations, product
 
 import pytest
 
+from nilcoh.actions import ActionOnGroup
+from nilcoh.cohomology import cocycles_bruteforce
 from nilcoh.errors import BudgetExceeded
 from nilcoh.groups import Group, Subgroup, quotient
 from nilcoh.harness.catalog import (
@@ -104,6 +106,32 @@ def conjugator_by_scan(G: Group, H: Subgroup, K: Subgroup) -> int | None:
         if {G.conj(h, g) for h in H.elements} == target:
             return g
     return None
+
+
+def h1_classes_by_twist(action: ActionOnGroup,
+                        K: Subgroup | None = None) -> list[list[tuple[int, ...]]]:
+    """H1(K, N) as value tables, by twisting whole tables: the cocycles come
+    from cocycles_bruteforce, each class is the set of twists
+    j -> n' * phi(j) * act(j, n), over every n in N, of the least cocycle not
+    yet in a class, and classes are listed by their least member."""
+    N = action.target
+    domain = K.elements if K is not None else range(action.actor.order)
+    zs = [c.values for c in cocycles_bruteforce(action, K)]
+    index = {values: i for i, values in enumerate(zs)}
+    assigned = [False] * len(zs)
+    classes = []
+    for i, values in enumerate(zs):
+        if assigned[i]:
+            continue
+        members = {
+            index[tuple(N.mul[N.mul[N.inv[n]][v]][action.auto[j][n]]
+                        for j, v in zip(domain, values))]
+            for n in range(N.order)
+        }
+        for k in members:
+            assigned[k] = True
+        classes.append([zs[k] for k in sorted(members)])
+    return classes
 
 
 def prop2_pairwise_by_scan(G: Group, N: Subgroup, instance: str = "",
@@ -232,6 +260,7 @@ __all__ = [
     "associative_by_scan",
     "group_axiom_broken_by_scan",
     "conjugator_by_scan",
+    "h1_classes_by_twist",
     "prop2_pairwise_by_scan",
     "prop3_pairwise_by_scan",
 ]

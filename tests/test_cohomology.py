@@ -39,7 +39,15 @@ from nilcoh.errors import (
     NotASubgroup,
     NotNilpotent,
 )
-from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated, trivial_subgroup
+from nilcoh.groups import (
+    Subgroup,
+    center,
+    full_subgroup,
+    normalizer,
+    subgroup_generated,
+    trivial_subgroup,
+)
+from nilcoh.harness.catalog import conjugation_self_action
 from nilcoh.structure import (
     complements,
     hall_pprime,
@@ -48,7 +56,14 @@ from nilcoh.structure import (
     subgroup_conjugacy_classes,
     sylow_subgroup,
 )
-from conftest import CATALOG, abelian, cyclic, homomorphisms_by_scan
+from conftest import (
+    CATALOG,
+    abelian,
+    cyclic,
+    h1_classes_by_twist,
+    heisenberg,
+    homomorphisms_by_scan,
+)
 
 
 def inv_c4():
@@ -74,10 +89,9 @@ def test_spot_values_swap_on_v4():
 
 
 def test_oracle_equivalence_on_small_catalog_instances():
+    # Every catalog action fits the brute-force budget.
     for inst in CATALOG:
         a = inst.action()
-        if a.actor.order > 8 or a.target.order > 8:
-            continue
         fast = [c.values for c in cocycles(a)]
         brute = [c.values for c in cocycles_bruteforce(a)]
         assert fast == brute, inst.id
@@ -121,6 +135,47 @@ def test_enumeration_budget():
         cocycles(a, budget=2)
     with pytest.raises(BudgetExceeded):
         cocycles_bruteforce(a, budget=2)
+
+
+def test_chain_enumeration_closed_forms():
+    # C7 x C7 has no involution, so only the trivial map leaves C2^4.
+    a = trivial_action(abelian([2, 2, 2, 2]), abelian([7, 7]))
+    H = h1(a)
+    assert H.cocycle_count() == H.size == 1
+    # A trivial action on an abelian N has no coboundaries, and
+    # |Hom(C2^3, C2^5)| = 2^15.
+    a = trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2, 2]))
+    H = h1(a)
+    assert H.cocycle_count() == H.size == 2 ** 15
+
+
+def test_h1_builds_one_generating_sequence(monkeypatch):
+    import nilcoh.groups as groups
+
+    a = conjugation_self_action(heisenberg(3))
+    real = groups.generating_sequence
+    calls = []
+
+    def counted(G, elements):
+        calls.append(G)
+        return real(G, elements)
+
+    monkeypatch.setattr(groups, "generating_sequence", counted)
+    h1(a)
+    h1(a, subgroup_generated(a.actor, [1]))
+    assert len(calls) == 2
+
+
+def test_h1_classes_match_the_twist_partition_oracle():
+    actions = [(inst.id, inst.action()) for inst in CATALOG]
+    actions.append(("c2e3_triv_c2e4",
+                    trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2]))))
+    actions.append(("heis3_conj_heis3", conjugation_self_action(heisenberg(3))))
+    for iid, a in actions:
+        J = a.actor
+        for K in [None] + [sylow_subgroup(J, p) for p in prime_factors(J.order)]:
+            got = [[c.values for c in cls] for cls in h1(a, K).classes]
+            assert got == h1_classes_by_twist(a, K), (iid, K)
 
 
 def test_h1_budget_holds_on_a_cached_result():
@@ -327,6 +382,30 @@ def test_invariants_match_hall_fixed_classes_for_nilpotent_actor():
             local = h1(a, K)
             hall = hall_pprime(a.actor, p)
             assert invariant_classes(local) == fixed_classes(local, hall), iid
+
+
+def test_fixed_classes_match_conjugate_cocycle():
+    # Each Hall subgroup centralizes its Sylow subgroup.  The normalizer of
+    # <x, z> with z central can act on it nontrivially; in the Heisenberg
+    # group, y and y' even conjugate x differently.
+    actions = [inst.action() for inst in CATALOG]
+    actions.append(conjugation_self_action(heisenberg(3)))
+    for a in actions:
+        J = a.actor
+        domains = {subgroup_generated(J, [x, z]) for x in range(J.order)
+                   for z in center(J).elements}
+        pairs = [(K, normalizer(J, K)) for K in sorted(domains, key=lambda K: K.elements)]
+        if is_nilpotent(J):
+            pairs += [(sylow_subgroup(J, p), hall_pprime(J, p))
+                      for p in prime_factors(J.order)]
+        for K, S in pairs:
+            local = h1(a, K)
+            expected = tuple(
+                i for i in range(local.size)
+                if all(local.class_of(conjugate_cocycle(local.rep(i), s)) == i
+                       for s in S.elements)
+            )
+            assert fixed_classes(local, S) == expected, (a.name, K, S)
 
 
 def test_all_classes_invariant_when_domain_is_whole_group():

@@ -6,13 +6,15 @@ go through the complement correspondence and the coprime-triviality check.
 This is the wide net behind the curated catalog.
 """
 
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcoh.actions import action_from_generator_images, semidirect, trivial_action
-from nilcoh.cohomology import decomposition_map, h1, shared_primes
-from nilcoh.groups import Group, cayley_tree
+from nilcoh.cohomology import cocycles, cocycles_bruteforce, decomposition_map, h1, shared_primes
+from nilcoh.groups import Group, cayley_tree, compose, subgroup_generated
 from nilcoh.structure import complements, subgroup_conjugacy_classes
 from conftest import abelian, cyclic, quaternion8
 
@@ -109,6 +111,41 @@ def test_noncyclic_actor_sweep():
             assert rep.bijective, rep.failure
             pairs += 1
     assert pairs == len(auts) ** 2  # every involution pair commutes here
+
+
+# C_a x C_b, generated by (1, 0) = b and (0, 1) = 1 in abelian([a, b]).
+TWO_GENERATOR_ACTORS = ((2, 2), (2, 4), (3, 3), (2, 6))
+
+
+@cache
+def _targets_with_automorphisms():
+    return tuple((N, automorphisms(N)) for N in sweep_targets())
+
+
+@st.composite
+def two_generator_actions(draw):
+    """C_a x C_b acting on a sweep target by two commuting automorphisms whose
+    orders divide a and b, with a cyclic (so proper) subgroup of the actor."""
+    a, b = draw(st.sampled_from(TWO_GENERATOR_ACTORS))
+    N, auts = draw(st.sampled_from(_targets_with_automorphisms()))
+    alpha = draw(st.sampled_from([f for f in auts if a % perm_order(f) == 0]))
+    beta = draw(st.sampled_from([
+        f for f in auts
+        if b % perm_order(f) == 0 and compose(f, alpha) == compose(alpha, f)
+    ]))
+    J = abelian([a, b])
+    action = action_from_generator_images(J, N, [b, 1], [alpha, beta])
+    return action, subgroup_generated(J, [draw(st.integers(0, J.order - 1))])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(two_generator_actions())
+def test_chain_enumeration_matches_oracle_on_two_generator_actors(drawn):
+    action, K = drawn
+    for domain in (None, K):
+        fast = [c.values for c in cocycles(action, domain)]
+        brute = [c.values for c in cocycles_bruteforce(action, domain)]
+        assert fast == brute, (action.actor.name, action.target.name, domain)
 
 
 def test_degenerate_actor_and_target():
