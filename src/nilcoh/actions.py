@@ -10,6 +10,7 @@ identity  embed_J(j)' embed_N(n) embed_J(j) = embed_N(act(j', n)), which
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -50,10 +51,11 @@ class ActionOnGroup:
     """A homomorphism from J into Aut(N), one permutation of N per J-element.
 
     The homomorphism property is checked on (element, generator) pairs, which
-    suffices by the lemma on `Group.gens`.
+    suffices by the lemma on `Group.gens`.  An action is immutable, so its
+    H1 results and its semidirect product are computed once and kept on it.
     """
 
-    __slots__ = ("actor", "target", "auto", "name", "_h1_cache")
+    __slots__ = ("actor", "target", "auto", "name", "_h1_cache", "_semidirect")
 
     def __init__(self, actor: Group, target: Group, auto: Sequence[Sequence[int]],
                  name: str | None = None):
@@ -78,6 +80,7 @@ class ActionOnGroup:
         self.auto = perms
         self.name = name
         self._h1_cache: dict = {}
+        self._semidirect: SemidirectProduct | None = None
 
     def act(self, j: int, n: int) -> int:
         return self.auto[j][n]
@@ -190,28 +193,26 @@ def semidirect_embeddings(action: ActionOnGroup,
 class SemidirectProduct:
     """The group N x| J for an action, with its embeddings and projection.
 
-    Element (n, j) has index n * |J| + j, so the identity is index 0.
+    Element (n, j) has index n * |J| + j, so the identity is index 0.  The
+    product (n1, j1)(n2, j2) = (m, j1 j2) with m = n1 act(j1, n2) has index
+    m * |J| + J.mul[j1][j2], so row (n1, j1) of the table is the segments
+    [m * |J| + x for x in J.mul[j1]] laid end to end, m running over
+    n1 act(j1, n2) for n2 in order.  The |N| segments of each j1 are built
+    once and shared by all |N| rows with that j1.
     """
 
     __slots__ = ("action", "group", "embed_N", "embed_J", "project_J")
 
     def __init__(self, action: ActionOnGroup, order_cap: int = DEFAULT_ORDER_CAP):
         N, J = action.target, action.actor
-        size = N.order * J.order
-        if size > order_cap:
-            raise OrderCapExceeded(f"|N x| J| = {size} exceeds cap {order_cap}")
+        size = _product_order(action, order_cap)
         nj = J.order
-        table = [[0] * size for _ in range(size)]
-        for n1 in range(N.order):
-            for j1 in range(J.order):
-                row = table[n1 * nj + j1]
-                a1 = action.auto[j1]
-                for n2 in range(N.order):
-                    m = N.mul[n1][a1[n2]] * nj
-                    jrow = J.mul[j1]
-                    base = n2 * nj
-                    for j2 in range(J.order):
-                        row[base + j2] = m + jrow[j2]
+        segments = [[[m * nj + x for x in jrow] for m in range(N.order)] for jrow in J.mul]
+        table = [
+            list(chain.from_iterable(map(segs.__getitem__, map(n1_row.__getitem__, a1))))
+            for n1_row in N.mul
+            for segs, a1 in zip(segments, action.auto)
+        ]
         group = Group(table, name="semidirect")
         embeddings = semidirect_embeddings(action, group)
         if embeddings is None:
@@ -230,8 +231,21 @@ class SemidirectProduct:
         return self.embed_J.image()
 
 
+def _product_order(action: ActionOnGroup, order_cap: int) -> int:
+    """|N||J|, or OrderCapExceeded when it is above the cap."""
+    size = action.target.order * action.actor.order
+    if size > order_cap:
+        raise OrderCapExceeded(f"|N x| J| = {size} exceeds cap {order_cap}")
+    return size
+
+
 def semidirect(action: ActionOnGroup, order_cap: int = DEFAULT_ORDER_CAP) -> SemidirectProduct:
-    return SemidirectProduct(action, order_cap=order_cap)
+    """The action's semidirect product, built on the first call and kept on
+    the action.  The order cap is checked on every call."""
+    _product_order(action, order_cap)
+    if action._semidirect is None:
+        action._semidirect = SemidirectProduct(action, order_cap=order_cap)
+    return action._semidirect
 
 
 class GSet:

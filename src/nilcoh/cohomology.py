@@ -726,37 +726,37 @@ def primary_product_check(action: ActionOnGroup,
 
 
 class AbelianH1:
-    """H1 with its abelian group structure (pointwise class product)."""
+    """H1 with its abelian group structure (pointwise class product).
+
+    A product of classes is the class of the pointwise product of their
+    representatives; each one is computed when asked for.
+    """
 
     def __init__(self, H: CohomologySet):
         N = H.action.target
         if not N.is_abelian():
             raise NotAbelian("class products need an abelian coefficient group")
         self.h1 = H
-        size = H.size
-        table = []
-        for i in range(size):
-            vi = H.rep(i).values
-            row = []
-            for k in range(size):
-                vk = H.rep(k).values
-                prod_values = tuple(N.mul[a][b] for a, b in zip(vi, vk))
-                row.append(H.class_of(prod_values))
-            table.append(tuple(row))
-        self.table = tuple(table)
         self.identity = H.distinguished
 
     @property
     def order(self) -> int:
         return self.h1.size
 
+    def _times(self, values: tuple[int, ...], i: int) -> tuple[int, ...]:
+        """The pointwise product of a cocycle's values with class i's representative."""
+        mul = self.h1.action.target.mul
+        return tuple(mul[a][b] for a, b in zip(values, self.h1.rep(i).values))
+
     def multiply(self, i: int, k: int) -> int:
-        return self.table[i][k]
+        return self.h1.class_of(self._times(self.h1.rep(i).values, k))
 
     def class_order(self, i: int) -> int:
-        x, k = i, 1
-        while x != self.identity:
-            x = self.table[x][i]
+        """The least k >= 1 with i^k the identity class, by walking the powers
+        of class i's representative."""
+        values, k = self.h1.rep(i).values, 1
+        while self.h1.class_of(values) != self.identity:
+            values = self._times(values, i)
             k += 1
         return k
 

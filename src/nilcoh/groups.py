@@ -34,7 +34,7 @@ class Group:
     __slots__ = ("order", "mul", "inv", "gens", "name")
 
     def __init__(self, mul: Sequence[Sequence[int]], name: str | None = None):
-        table = tuple(tuple(int(x) for x in row) for row in mul)
+        table = tuple(tuple(map(int, row)) for row in mul)
         n = _check_table_shape(table)
         if any(table[0][x] != x or table[x][0] != x for x in range(n)):
             raise NoIdentity("index 0 is not a two-sided identity")
@@ -106,9 +106,9 @@ def _check_table_shape(table: Sequence[Sequence[int]]) -> int:
     for i, row in enumerate(table):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if not 0 <= x < n:
-                raise ValueError(f"table entry {x} out of range [0, {n - 1}]")
+        if min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if not 0 <= x < n)
+            raise ValueError(f"table entry {x} out of range [0, {n - 1}]")
     return n
 
 
@@ -279,7 +279,14 @@ def group_from_permutations(
 
     Permutations act on points 0..degree-1; the product p*q acts by
     (p*q)(i) = p(q(i)).  Raises OrderCapExceeded if the closure grows past
-    order_cap.
+    order_cap.  Elements are indexed in sorted order, so the identity is 0.
+
+    The breadth-first closure forms p*g for every element p and generator g:
+    these are the right multiplications R_g by the generators, and the first
+    time an element q is reached, as p*g, is an edge of a spanning tree.
+    Column q of the table is x -> x*q = R_g(x*p), so it is R_g after column
+    p, and the table costs |G| compositions of length |G| instead of |G|^2
+    of length degree.
     """
     gens = [tuple(int(x) for x in p) for p in generators]
     if degree is None:
@@ -287,24 +294,33 @@ def group_from_permutations(
     for p in gens:
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise ValueError(f"{p} is not a permutation of 0..{degree - 1}")
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q not in seen:
-                    if len(seen) >= order_cap:
-                        raise OrderCapExceeded(f"closure exceeds cap {order_cap}")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    elts = sorted(seen)  # identity is lexicographically least, so it sits at 0
-    index = {p: i for i, p in enumerate(elts)}
-    table = [[index[compose(p, q)] for q in elts] for p in elts]
-    return Group(table, name=name)
+    # Elements by discovery position: the queue of the breadth-first search.
+    perms = [tuple(range(degree))]
+    found = {perms[0]: 0}
+    tree: list[tuple[int, int]] = []       # (position of p, slot of g) reaching q = p*g
+    right = [[] for _ in gens]             # right[slot][d] = position of perms[d] * g
+    for d, p in enumerate(perms):          # perms grows while it is walked
+        for slot, g in enumerate(gens):
+            q = compose(p, g)
+            k = found.get(q)
+            if k is None:
+                if len(perms) >= order_cap:
+                    raise OrderCapExceeded(f"closure exceeds cap {order_cap}")
+                k = found[q] = len(perms)
+                perms.append(q)
+                tree.append((d, slot))
+            right[slot].append(k)
+    # Relabel by sorted position; the identity is lexicographically least.
+    n = len(perms)
+    by_rank = sorted(range(n), key=perms.__getitem__)
+    rank = [0] * n
+    for i, d in enumerate(by_rank):
+        rank[d] = i
+    right_sorted = [compose(rank, compose(r, by_rank)) for r in right]
+    cols: list[tuple[int, ...]] = [tuple(range(n))] * n
+    for k, (d, slot) in enumerate(tree, start=1):
+        cols[rank[k]] = compose(right_sorted[slot], cols[rank[d]])
+    return Group(list(zip(*cols)), name=name)
 
 
 def subgroup_generated(G: Group, seeds: Iterable[int]) -> Subgroup:

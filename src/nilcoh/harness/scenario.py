@@ -58,12 +58,6 @@ class Scenario:
     actions: dict[str, ActionOnGroup] = field(default_factory=dict)
     gsets: dict[str, tuple[str, GSet]] = field(default_factory=dict)  # action name, gset
     checks: list[ScenarioCheck] = field(default_factory=list)
-    semidirects: dict[str, SemidirectProduct] = field(default_factory=dict)
-
-    def semidirect_of(self, action_name: str) -> SemidirectProduct:
-        if action_name not in self.semidirects:
-            self.semidirects[action_name] = semidirect(self.actions[action_name])
-        return self.semidirects[action_name]
 
 
 @contextmanager
@@ -178,7 +172,7 @@ def _build_gset(spec: dict, scenario: Scenario, where: str) -> tuple[str, GSet]:
         action_name = spec["action"]
         if action_name not in scenario.actions:
             raise ValidationError(where, f"unknown action name {action_name!r}")
-        P = scenario.semidirect_of(action_name)
+        P = semidirect(scenario.actions[action_name])
         if "coset_of" in spec:
             H = subgroup_of_semidirect(P, spec["coset_of"], where)
             return action_name, coset_gset(P.group, H)

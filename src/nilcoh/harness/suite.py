@@ -292,7 +292,7 @@ def run_scenario_check(scenario: Scenario, check: ScenarioCheck,
                              relaxed=relaxed)
     if kind in ("prop2", "prop3"):
         if "action" in spec:
-            P = scenario.semidirect_of(spec["action"])
+            P = semidirect(scenario.actions[spec["action"]])
             G, N = P.group, P.n_part()
         else:
             G = scenario.groups[spec["group"]]
@@ -300,7 +300,7 @@ def run_scenario_check(scenario: Scenario, check: ScenarioCheck,
         fn = verify_prop2 if kind == "prop2" else verify_prop3
         return fn(G, N, check.instance, relaxed=relaxed)
     if kind == "prop5":
-        P = scenario.semidirect_of(spec["action"])
+        P = semidirect(scenario.actions[spec["action"]])
         H = subgroup_of_semidirect(P, spec.get("h", "embedded_j"))
         return verify_prop5(P.group, P.n_part(), P.j_part(), H, check.instance,
                             relaxed=relaxed)

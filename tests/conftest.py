@@ -13,8 +13,8 @@ from itertools import combinations, product
 import pytest
 
 from nilcoh.actions import ActionOnGroup
-from nilcoh.cohomology import cocycles_bruteforce
-from nilcoh.errors import BudgetExceeded
+from nilcoh.cohomology import CohomologySet, cocycles_bruteforce
+from nilcoh.errors import BudgetExceeded, OrderCapExceeded
 from nilcoh.groups import Group, Subgroup, quotient
 from nilcoh.harness.catalog import (
     CATALOG,
@@ -73,6 +73,64 @@ def homomorphic_by_scan(G: Group, image, product) -> bool:
 def compose_by_scan(p, q) -> tuple[int, ...]:
     """p after q, as a tuple."""
     return tuple(p[q[i]] for i in range(len(q)))
+
+
+def semidirect_table_by_loops(action: ActionOnGroup) -> tuple[tuple[int, ...], ...]:
+    """The table of N x| J, entry by entry: (n1, j1)(n2, j2) is
+    (n1 act(j1, n2), j1 j2), with (n, j) at index n * |J| + j."""
+    N, J = action.target, action.actor
+    nj = J.order
+    size = N.order * nj
+    table = [[0] * size for _ in range(size)]
+    for n1 in range(N.order):
+        for j1 in range(nj):
+            row = table[n1 * nj + j1]
+            for n2 in range(N.order):
+                m = N.mul[n1][action.auto[j1][n2]]
+                for j2 in range(nj):
+                    row[n2 * nj + j2] = m * nj + J.mul[j1][j2]
+    return tuple(tuple(row) for row in table)
+
+
+def permutation_table_by_pairs(generators, degree: int,
+                               order_cap: int) -> tuple[tuple[int, ...], ...]:
+    """The table of the closure of the generators under composition, elements
+    in sorted order, found by composing every pair of elements; raises
+    OrderCapExceeded when the closure has more than order_cap elements."""
+    ident = tuple(range(degree))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in generators:
+                q = compose_by_scan(p, g)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    if len(seen) > order_cap:
+        raise OrderCapExceeded(f"closure of order {len(seen)} exceeds cap {order_cap}")
+    elts = sorted(seen)
+    index = {p: i for i, p in enumerate(elts)}
+    return tuple(tuple(index[compose_by_scan(p, q)] for q in elts) for p in elts)
+
+
+def abelian_h1_table_by_scan(H: CohomologySet) -> tuple[tuple[int, ...], ...]:
+    """The full class-product table of H1 for an abelian coefficient group:
+    entry (i, k) is the class of the pointwise product of every member of
+    class i with every member of class k, which must be one class."""
+    mul = H.action.target.mul
+    table = []
+    for ci in H.classes:
+        row = []
+        for ck in H.classes:
+            hits = {H.class_of(tuple(mul[a][b] for a, b in zip(x.values, y.values)))
+                    for x in ci for y in ck}
+            assert len(hits) == 1, "class product is not well defined"
+            row.append(hits.pop())
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def associative_by_scan(table) -> bool:
@@ -257,6 +315,9 @@ __all__ = [
     "homomorphisms_by_scan",
     "homomorphic_by_scan",
     "compose_by_scan",
+    "semidirect_table_by_loops",
+    "permutation_table_by_pairs",
+    "abelian_h1_table_by_scan",
     "associative_by_scan",
     "group_axiom_broken_by_scan",
     "conjugator_by_scan",

@@ -22,7 +22,8 @@ from nilcoh.errors import (
     OrderCapExceeded,
 )
 from nilcoh.groups import Group, full_subgroup, subgroup_generated, trivial_subgroup
-from conftest import CATALOG, abelian, cyclic, dihedral, quaternion8
+from nilcoh.harness.catalog import inversion_action
+from conftest import CATALOG, abelian, cyclic, dihedral, quaternion8, semidirect_table_by_loops
 
 
 def test_inversion_action_on_c4():
@@ -181,8 +182,29 @@ def test_semidirect_embeddings_accept_exactly_the_semidirect_table():
 
 
 def test_semidirect_order_cap():
+    a = trivial_action(cyclic(4), cyclic(4))
     with pytest.raises(OrderCapExceeded):
-        semidirect(trivial_action(cyclic(4), cyclic(4)), order_cap=8)
+        semidirect(a, order_cap=8)
+    # The cap is checked on every call, also once the product is kept.
+    P = semidirect(a)
+    with pytest.raises(OrderCapExceeded):
+        semidirect(a, order_cap=8)
+    assert semidirect(a, order_cap=16) is P
+
+
+def test_semidirect_table_matches_entrywise_oracle():
+    # Every catalog action, and C2 inverting C_n up to the order-512 product.
+    actions = [inst.action() for inst in CATALOG]
+    actions += [inversion_action(cyclic(n)) for n in (32, 64, 128, 256)]
+    for a in actions:
+        assert semidirect(a).group.mul == semidirect_table_by_loops(a), a
+
+
+def test_semidirect_is_built_once_per_action():
+    a = trivial_action(cyclic(4), cyclic(4))
+    P = semidirect(a)
+    assert semidirect(a) is P
+    assert semidirect(trivial_action(cyclic(4), cyclic(4))) is not P
 
 
 def test_coset_gset_sizes_and_stabilizer():

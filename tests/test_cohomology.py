@@ -59,6 +59,7 @@ from nilcoh.structure import (
 from conftest import (
     CATALOG,
     abelian,
+    abelian_h1_table_by_scan,
     cyclic,
     h1_classes_by_twist,
     heisenberg,
@@ -595,21 +596,41 @@ def test_abelian_h1_group_structure():
 
 
 def test_abelian_group_law_well_defined():
-    from nilcoh.harness.catalog import catalog_by_id
+    # multiply, class_order and primary_parts against the full class-product
+    # table, whose oracle also checks that the product of every member of
+    # class i with every member of class k lies in one class.
+    from nilcoh.harness.catalog import EQ3_EXTRA
 
-    a = catalog_by_id()["c2c2_on_c4"].action()
-    H = h1(a)
-    ab = abelian_h1_group(a)
-    N = a.target
-    for i, ci in enumerate(H.classes):
-        for k, ck in enumerate(H.classes):
-            expected = ab.multiply(i, k)
-            for x in ci:
-                for y in ck:
-                    prod = tuple(N.mul[u][v] for u, v in zip(x.values, y.values))
-                    assert H.class_of(prod) == expected
-    for i in range(ab.order):
-        assert ab.order % ab.class_order(i) == 0
+    actions = [inst.action() for inst in CATALOG + EQ3_EXTRA]
+    # H1 = Hom(J, N) for a trivial action: C2 x C4 and C6, with classes of
+    # order 4 and of order 6.
+    actions += [trivial_action(cyclic(4), abelian([2, 4])),
+                trivial_action(cyclic(6), cyclic(6))]
+    checked = 0
+    for a in actions:
+        if not a.target.is_abelian():
+            continue
+        H = h1(a)
+        ab = abelian_h1_group(a)
+        table = abelian_h1_table_by_scan(H)
+        for i in range(H.size):
+            for k in range(H.size):
+                assert ab.multiply(i, k) == table[i][k], (a, i, k)
+        orders = []
+        for i in range(H.size):
+            x, k = i, 1
+            while x != H.distinguished:
+                x, k = table[x][i], k + 1
+            assert ab.class_order(i) == k, (a, i)
+            assert ab.order % k == 0, (a, i)
+            orders.append(k)
+        for p in (2, 3, 5):
+            powers = {p ** e for e in range(H.size.bit_length())}
+            expected = tuple(i for i, o in enumerate(orders) if o in powers)
+            assert ab.primary_parts(p) == expected, (a, p)
+        checked += 1
+    assert checked >= 20
+    assert 6 in orders
 
 
 def test_abelian_h1_rejects_nonabelian_target():

@@ -1,6 +1,7 @@
 """Group construction, validation errors, quotients, and conjugacy."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcoh.errors import NoIdentity, NoInverse, NotAssociative, NotNormal, OrderCapExceeded
 from nilcoh.groups import (
@@ -18,7 +19,13 @@ from nilcoh.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
-from conftest import cyclic, dihedral, quaternion8, subgroups_by_subset_scan
+from conftest import (
+    cyclic,
+    dihedral,
+    permutation_table_by_pairs,
+    quaternion8,
+    subgroups_by_subset_scan,
+)
 
 
 def test_c2_from_table():
@@ -66,6 +73,13 @@ def test_nonassociative_table_rejected_with_witness():
         assert G[G[a][b]][c] != G[a][G[b][c]]
 
 
+def test_table_entry_out_of_range_rejected():
+    for bad in (2, -1):
+        for build in (Group, group_from_table):
+            with pytest.raises(ValueError, match=f"table entry {bad} out of range"):
+                build([[0, 1], [1, bad]])
+
+
 def test_no_identity_rejected():
     with pytest.raises(NoIdentity):
         group_from_table([[1, 1], [1, 1]])
@@ -97,6 +111,38 @@ def test_permutation_closure_trivial_and_c2():
 def test_permutation_closure_cap():
     with pytest.raises(OrderCapExceeded):
         group_from_permutations([[1, 2, 3, 0]], order_cap=3)
+
+
+@st.composite
+def permutation_generators(draw):
+    """One to three permutations of one degree from 2 to 7, and an order cap
+    small enough for the pairwise oracle; closures above it must be refused.
+    The 200 derandomized draws give groups from order 1 to 120 and about 70
+    refusals."""
+    degree = draw(st.integers(2, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return degree, gens, draw(st.integers(1, 200))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(permutation_generators())
+def test_permutation_table_matches_pairwise_oracle(case):
+    degree, gens, cap = case
+    try:
+        expected = permutation_table_by_pairs(gens, degree, cap)
+    except OrderCapExceeded:
+        with pytest.raises(OrderCapExceeded):
+            group_from_permutations(gens, degree=degree, order_cap=cap)
+        return
+    G = group_from_permutations(gens, degree=degree, order_cap=cap)
+    assert G.mul == expected
+
+
+def test_permutation_table_of_a_long_cycle_matches_pairwise_oracle():
+    cycle = [(i + 1) % 128 for i in range(128)]
+    G = group_from_permutations([cycle])
+    assert G.mul == permutation_table_by_pairs([cycle], 128, 128)
+    assert G.mul[1][127] == 0
 
 
 def test_subgroup_generated_cyclic():

@@ -413,3 +413,23 @@ def test_serialization_round_trips():
     blob = H.to_json()
     assert blob["distinguished"] == 0
     assert [c["values"] for c in blob["classes"]] == [[0, 0], [0, 1]]
+
+
+def test_default_suite_builds_one_semidirect_product_per_action(monkeypatch):
+    # Fresh catalog actions, so that no product is cached by an earlier test.
+    from nilcoh import actions
+
+    for inst in CATALOG + EQ3_EXTRA:
+        monkeypatch.setattr(inst, "_cached", None)
+    built = []
+    init = actions.SemidirectProduct.__init__
+
+    def counting_init(self, action, *args, **kwargs):
+        built.append(action)
+        init(self, action, *args, **kwargs)
+
+    monkeypatch.setattr(actions.SemidirectProduct, "__init__", counting_init)
+    outcomes = run_checks(default_suite())
+    assert all(o.ok for o in outcomes)
+    assert len(built) >= 20
+    assert len({id(a) for a in built}) == len(built)
