@@ -10,6 +10,7 @@ from .groups import (
     Group,
     Subgroup,
     are_conjugate_subgroups,
+    cayley_tree,
     generating_sequence,
     normalizer,
     subgroup_generated,
@@ -49,18 +50,42 @@ def is_p_power(n: int, p: int) -> bool:
 
 
 def lower_central_series(G: Group) -> list[Subgroup]:
-    """G = g1 >= g2 >= ... with g_{i+1} = [g_i, G], until the series stabilizes."""
-    series = [Subgroup(G, range(G.order))]
+    """G = g1 >= g2 >= ... with g_{i+1} = [g_i, G], until the series
+    stabilizes or reaches the trivial group.
+
+    If X = <A> and Y = <B>, then [X, Y] is the normal closure in XY of the
+    commutators [a, b] (Robinson, *A Course in the Theory of Groups*, 5.1.7).
+    So g_{i+1} is the normal closure in G of [x, g] over x in the generating
+    sequence of g_i and g in G.gens, not a scan of all |g_i| x |G| pairs.
+    """
+    cur = Subgroup(G, range(G.order))
+    gens = G.gens
+    series = [cur]
     while True:
-        cur = series[-1]
-        comms = {G.commutator(x, g) for x in cur.elements for g in range(G.order)}
-        nxt = subgroup_generated(G, comms)
+        nxt = _normal_closure(G, {G.commutator(x, g) for x in gens for g in G.gens})
         if nxt.elements == cur.elements:
             break
         series.append(nxt)
         if nxt.is_trivial():
             break
+        cur, gens = nxt, nxt.gens
     return series
+
+
+def _normal_closure(G: Group, seeds: set[int]) -> Subgroup:
+    """The smallest normal subgroup of G containing the seeds.
+
+    The conjugates of the seeds by G.gens are adjoined until they all lie in
+    the subgroup generated so far; a subgroup whose generators stay inside
+    it under conjugation by every generator of G is normal.
+    """
+    seeds.discard(0)
+    while True:
+        H = subgroup_generated(G, seeds)
+        fresh = {G.conj(x, g) for x in seeds for g in G.gens} - H._set
+        if not fresh:
+            return H
+        seeds |= fresh
 
 
 def is_nilpotent(G: Group) -> bool:
@@ -232,22 +257,55 @@ def complements(G: Group, N: Subgroup,
                 budget: int = DEFAULT_ENUM_BUDGET) -> list[Subgroup]:
     """All complements K of a normal subgroup N: K meets N trivially, KN = G.
 
-    Enumerated through enumerate_subgroups_of_order(|G|/|N|) under a
-    generator bound that makes the list complete.  Every complement is
-    isomorphic to G/N, so it needs no more generators than a generating
-    sequence of G/N has; that sequence is the part outside N of a greedy
-    generating sequence of G that lists the elements of N first.
+    Enumerated by lifting generators of G/N (Celler, Neubüser & Wright, Acta
+    Appl. Math. 21, 1990; Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 2005, §7.6).  Let t_1..t_d be the part outside N of the
+    greedy generating sequence of G that lists the elements of N first, so
+    that the cosets t_iN generate G/N.  A complement K meets each coset t_iN
+    in exactly one element k_i = t_i n_i, and <k_1..k_d> maps onto G/N, so it
+    has order at least |G/N| = |K| and equals K.  Conversely, if
+    <t_1 n_1, ..., t_d n_d> has order |G/N|, it maps onto G/N with trivial
+    kernel and is a complement.  So complements correspond one-to-one with
+    the tuples (n_1..n_d) in N^d whose lifts generate a group of order
+    |G/N|, and the list is complete without a generator bound and needs no
+    deduplication.
+
+    The tuples are extended one coordinate at a time.  A prefix whose lifts
+    generate more than |<N, t_1..t_i>| / |N| elements meets N, so no
+    extension of it is a complement, and it is dropped.  The enumerator uses
+    neither an action nor a cocycle, so it also serves non-split and
+    non-semidirect extensions.
+
+    `budget` counts the closures tried, one per surviving prefix and element
+    of N.  The prefixes of length i-1 that survive are the complements of N
+    in <N, t_1..t_{i-1}>, so the count is |N| times their number, summed
+    over i = 1..d, which is at most |N| + |N|^2 + ... + |N|^d.
+    BudgetExceeded is raised when the count passes the budget.  The result
+    is sorted by element tuple.
     """
     if not N.is_normal():
         raise ValueError("complements are computed against a normal subgroup")
-    m = G.order // N.order
     n_first = N.elements + tuple(g for g in G.elements() if g not in N)
-    rank_bound = sum(1 for g in generating_sequence(G, n_first) if g not in N)
-    out = []
-    for K in enumerate_subgroups_of_order(G, m, rank_bound, budget=budget):
-        if sum(1 for x in K.elements if x in N) == 1:
-            out.append(K)
-    return out
+    sequence = generating_sequence(G, n_first)
+    n_rank = sum(1 for g in sequence if g in N)
+    prefixes: list[tuple[int, ...]] = [()]
+    work = 0
+    for i in range(n_rank, len(sequence)):
+        t = sequence[i]
+        target = (len(cayley_tree(G, sequence[:i + 1])) + 1) // N.order
+        extended = []
+        for lifted in prefixes:
+            for n in N.elements:
+                work += 1
+                if work > budget:
+                    raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
+                gens = lifted + (G.mul[t][n],)
+                if len(cayley_tree(G, gens)) + 1 == target:
+                    extended.append(gens)
+        prefixes = extended
+    comps = [subgroup_generated(G, gens) for gens in prefixes]
+    return sorted((K for K in comps if sum(1 for x in K.elements if x in N) == 1),
+                  key=lambda K: K.elements)
 
 
 def subgroup_conjugacy_classes(

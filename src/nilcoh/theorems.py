@@ -357,7 +357,7 @@ def verify_prop2(G: Group, N: Subgroup, instance: str = "",
     partitions of the complements, conjugacy classes and local keys, and
     compared; the witness of a mismatch is the first pair (a, b), a < b in
     lexicographic order, that one partition joins and the other separates.
-    complements() derives a complete generator bound from G/N, so only its
+    complements() lifts the generators of G/N and is complete, so only its
     work budget can fail the complements_enumerable hypothesis."""
     report = VerificationReport("prop2", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_normal", N.is_normal())
@@ -396,8 +396,8 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
                  relaxed: bool = False) -> VerificationReport:
     """If some Sylow p-subgroup S of G has all complements of S-meet-N inside
     S conjugate in G (for every p), then all complements of N in G are
-    conjugate.  complements() derives a complete generator bound from each
-    quotient, so only its work budget can leave complements out."""
+    conjugate.  complements() lifts the generators of each quotient and is
+    complete, so only its work budget can leave complements out."""
     report = VerificationReport("prop3", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
     try:

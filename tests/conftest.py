@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own enumeration paths:
 subgroups are found by scanning subsets, homomorphisms by scanning all maps,
 and table axioms by testing every triple or pair, where the library tests
-only products with its generators.
+only products with its generators.  Complements are found among all
+subgroups of order |G/N|, by the subgroup enumerator that is itself checked
+against the subset scan.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import pytest
 from nilcoh.actions import ActionOnGroup
 from nilcoh.cohomology import CohomologySet, cocycles_bruteforce
 from nilcoh.errors import BudgetExceeded, OrderCapExceeded
-from nilcoh.groups import Group, Subgroup, quotient
+from nilcoh.groups import Group, Subgroup, generating_sequence, quotient, subgroup_generated
 from nilcoh.harness.catalog import (
     CATALOG,
     abelian,
@@ -28,6 +30,7 @@ from nilcoh.harness.catalog import (
 )
 from nilcoh.structure import (
     complements,
+    enumerate_subgroups_of_order,
     is_nilpotent,
     is_nilpotent_subgroup,
     locally_conjugate,
@@ -49,6 +52,34 @@ def subgroups_by_subset_scan(G: Group, m: int) -> list[tuple[int, ...]]:
             continue
         out.append(cand)
     return sorted(out)
+
+
+def complements_by_subgroup_scan(G: Group, N: Subgroup) -> list[Subgroup]:
+    """All complements of a normal N, as subgroups of order |G/N| that meet N
+    trivially: enumerate_subgroups_of_order under the generator bound of
+    G/N, the part outside N of the greedy generating sequence of G that
+    lists N first.  Every complement is isomorphic to G/N, so the bound
+    leaves none out."""
+    n_first = N.elements + tuple(g for g in range(G.order) if g not in N)
+    rank_bound = sum(1 for g in generating_sequence(G, n_first) if g not in N)
+    return [K for K in enumerate_subgroups_of_order(G, G.order // N.order, rank_bound)
+            if sum(1 for x in K.elements if x in N) == 1]
+
+
+def lower_central_series_by_scan(G: Group) -> list[Subgroup]:
+    """The lower central series with g_{i+1} generated by [x, g] over every
+    x in g_i and every g in G, until it stabilizes or reaches 1."""
+    series = [Subgroup(G, range(G.order))]
+    while True:
+        cur = series[-1]
+        comms = {G.commutator(x, g) for x in cur.elements for g in range(G.order)}
+        nxt = subgroup_generated(G, comms)
+        if nxt.elements == cur.elements:
+            break
+        series.append(nxt)
+        if nxt.is_trivial():
+            break
+    return series
 
 
 def homomorphisms_by_scan(K: Group, N: Group) -> list[tuple[int, ...]]:
@@ -312,6 +343,8 @@ __all__ = [
     "heisenberg",
     "quaternion8",
     "subgroups_by_subset_scan",
+    "complements_by_subgroup_scan",
+    "lower_central_series_by_scan",
     "homomorphisms_by_scan",
     "homomorphic_by_scan",
     "compose_by_scan",

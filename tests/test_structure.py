@@ -2,8 +2,17 @@
 
 import pytest
 
-from nilcoh.errors import NotNilpotent
-from nilcoh.groups import Subgroup, are_conjugate_subgroups, full_subgroup, subgroup_generated
+from nilcoh.actions import semidirect
+from nilcoh.errors import BudgetExceeded, NotNilpotent
+from nilcoh.groups import (
+    Subgroup,
+    are_conjugate_subgroups,
+    full_subgroup,
+    generating_sequence,
+    group_from_permutations,
+    subgroup_generated,
+)
+from nilcoh.harness.catalog import CATALOG, EQ3_EXTRA, inversion_action
 from nilcoh.structure import (
     complements,
     enumerate_subgroups_of_order,
@@ -21,10 +30,12 @@ from nilcoh.structure import (
 from nilcoh.theorems import intersection_lemma_check
 from conftest import (
     abelian,
+    complements_by_subgroup_scan,
     cyclic,
     dihedral,
     direct_product,
     heisenberg,
+    lower_central_series_by_scan,
     quaternion8,
     subgroups_by_subset_scan,
 )
@@ -159,6 +170,8 @@ def test_complements_in_d4():
 def test_complements_nonsplit_extension():
     C4 = cyclic(4)
     assert complements(C4, subgroup_generated(C4, [2])) == []
+    Q8 = quaternion8()
+    assert complements(Q8, Subgroup(Q8, (0, 1))) == []
 
 
 def test_complements_of_trivial_subgroup():
@@ -231,3 +244,122 @@ def test_subgroup_conjugacy_classes():
     # A repeated subgroup shares its class; every index lands in one class.
     S, T = subs[0], subs[1]
     assert subgroup_conjugacy_classes(D4, [S, S, T]) == [[0, 1], [2]]
+
+
+def _elements(subgroups):
+    return [S.elements for S in subgroups]
+
+
+def _matches_subgroup_scan(G, N) -> bool:
+    """Whether complements() lists the oracle's complements in its order.
+    A bool, so that a failure does not diff two long lists of tuples."""
+    return _elements(complements(G, N)) == _elements(complements_by_subgroup_scan(G, N))
+
+
+@pytest.mark.parametrize("inst", CATALOG + EQ3_EXTRA, ids=lambda inst: inst.id)
+def test_complements_match_subgroup_scan_on_catalog_products(inst):
+    P = semidirect(inst.action())
+    assert _matches_subgroup_scan(P.group, P.n_part())
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_complements_match_subgroup_scan_on_c2_inverting_cn(n):
+    P = semidirect(inversion_action(cyclic(n)))
+    assert _matches_subgroup_scan(P.group, P.n_part())
+    assert len(complements(P.group, P.n_part())) == n
+
+
+def _normal_subgroups(G):
+    """Every normal subgroup, from the subgroup enumerator (every subgroup of
+    these groups is 3-generated)."""
+    return [S for m in range(1, G.order + 1) if G.order % m == 0
+            for S in enumerate_subgroups_of_order(G, m, max_gens=3) if S.is_normal()]
+
+
+NORMAL_SUBGROUP_HOSTS = {
+    "D4": lambda: dihedral(4),
+    "Q8": quaternion8,
+    "C8": lambda: cyclic(8),
+    "C2xC4": lambda: abelian([2, 4]),
+    "C4xC4": lambda: abelian([4, 4]),
+    "Heis3": lambda: heisenberg(3),
+    "D8": lambda: dihedral(8),
+    "Q8xC2": lambda: direct_product(quaternion8(), cyclic(2)),
+    "D4xC3": lambda: direct_product(dihedral(4), cyclic(3)),
+}
+
+
+@pytest.mark.parametrize("name", NORMAL_SUBGROUP_HOSTS)
+def test_complements_match_subgroup_scan_on_every_normal_subgroup(name):
+    G = NORMAL_SUBGROUP_HOSTS[name]()
+    normals = _normal_subgroups(G)
+    assert normals[0].is_trivial() and normals[-1].is_whole_group()
+    for N in normals:
+        assert _matches_subgroup_scan(G, N), N.elements
+
+
+def _lifts(G, N):
+    n_first = N.elements + tuple(g for g in range(G.order) if g not in N)
+    sequence = generating_sequence(G, n_first)
+    return sequence, sum(1 for g in sequence if g in N)
+
+
+def _closures_tried(G, N):
+    """|N| times the number of complements of N in <N, t_1..t_{i-1}>, summed
+    over the d lifted generators t_i: one closure per surviving prefix and
+    element of N."""
+    sequence, n_rank = _lifts(G, N)
+    total = 0
+    for i in range(n_rank, len(sequence)):
+        Gi, smap = subgroup_generated(G, sequence[:i]).as_group()
+        Ni = Subgroup(Gi, [k for k, x in enumerate(smap) if x in N])
+        total += N.order * len(complements_by_subgroup_scan(Gi, Ni))
+    return total
+
+
+@pytest.mark.parametrize("inst", CATALOG + EQ3_EXTRA, ids=lambda inst: inst.id)
+def test_complements_budget_counts_closures_tried(inst):
+    P = semidirect(inst.action())
+    G, N = P.group, P.n_part()
+    sequence, n_rank = _lifts(G, N)
+    d = len(sequence) - n_rank
+    work = _closures_tried(G, N)
+    # The envelope: at most |N| + |N|^2 + ... + |N|^d closures.
+    assert work <= sum(N.order ** i for i in range(1, d + 1))
+    expected = _elements(complements_by_subgroup_scan(G, N))
+    assert _elements(complements(G, N, budget=work)) == expected
+    with pytest.raises(BudgetExceeded) as refused:
+        complements(G, N, budget=work - 1)
+    assert str(refused.value) == f"subgroup enumeration exceeded budget {work - 1}"
+
+
+def _lcs_groups():
+    groups = {}
+    for inst in CATALOG + EQ3_EXTRA:
+        action = inst.action()
+        groups[f"{inst.id}/J"] = action.actor
+        groups[f"{inst.id}/N"] = action.target
+        groups[f"{inst.id}/NxJ"] = semidirect(action).group
+    groups["S3"] = dihedral(3)
+    groups["S4"] = group_from_permutations([[1, 2, 3, 0], [1, 0, 2, 3]])
+    groups["A5"] = group_from_permutations([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
+    groups["D16"] = dihedral(16)
+    groups["Heis5"] = heisenberg(5)
+    groups["S3xC4"] = direct_product(dihedral(3), cyclic(4))
+    return groups
+
+
+def test_lower_central_series_matches_commutator_scan():
+    mismatched = [name for name, G in _lcs_groups().items()
+                  if _elements(lower_central_series(G))
+                  != _elements(lower_central_series_by_scan(G))]
+    assert mismatched == []
+
+
+def test_lower_central_series_of_perfect_and_solvable_groups():
+    groups = _lcs_groups()
+    A5, S4 = groups["A5"], groups["S4"]
+    assert A5.order == 60 and _elements(lower_central_series(A5)) == [tuple(range(60))]
+    assert [S.order for S in lower_central_series(S4)] == [24, 12]
+    assert [S.order for S in lower_central_series(groups["D16"])] == [32, 8, 4, 2, 1]
+    assert [S.order for S in lower_central_series(groups["Heis5"])] == [125, 5, 1]

@@ -16,7 +16,7 @@ from nilcoh.actions import action_from_generator_images, semidirect, trivial_act
 from nilcoh.cohomology import cocycles, cocycles_bruteforce, decomposition_map, h1, shared_primes
 from nilcoh.groups import Group, cayley_tree, compose, subgroup_generated
 from nilcoh.structure import complements, subgroup_conjugacy_classes
-from conftest import abelian, cyclic, quaternion8
+from conftest import abelian, complements_by_subgroup_scan, cyclic, quaternion8
 
 
 def automorphisms(N: Group) -> list[tuple[int, ...]]:
@@ -146,6 +146,28 @@ def test_chain_enumeration_matches_oracle_on_two_generator_actors(drawn):
         fast = [c.values for c in cocycles(action, domain)]
         brute = [c.values for c in cocycles_bruteforce(action, domain)]
         assert fast == brute, (action.actor.name, action.target.name, domain)
+
+
+@st.composite
+def sweep_actions(draw):
+    """C2, C3, C4 or C6 acting on a sweep target by one automorphism whose
+    order divides the actor's, or a two-generator action."""
+    if draw(st.booleans()):
+        return draw(two_generator_actions())[0]
+    m = draw(st.sampled_from((2, 3, 4, 6)))
+    N, auts = draw(st.sampled_from(_targets_with_automorphisms()))
+    alpha = draw(st.sampled_from([f for f in auts if m % perm_order(f) == 0]))
+    return action_from_generator_images(cyclic(m), N, [1], [alpha])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sweep_actions())
+def test_complements_match_subgroup_scan_on_sweep_actions(action):
+    P = semidirect(action)
+    G, N = P.group, P.n_part()
+    same = ([K.elements for K in complements(G, N)]
+            == [K.elements for K in complements_by_subgroup_scan(G, N)])
+    assert same, (action.actor.name, action.target.name)
 
 
 def test_degenerate_actor_and_target():
