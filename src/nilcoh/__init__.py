@@ -20,30 +20,20 @@ from .actions import (
 )
 from .cohomology import (
     AbelianH1,
-    ClassMap,
     Cocycle,
     CohomologySet,
     DecompositionReport,
-    abelian_h1_group,
     cocycle_to_complement,
     cocycles,
     cocycles_bruteforce,
-    cohomologous,
     complement_to_cocycle,
-    conjugate_cocycle,
     decomposition_map,
     eq3_check,
     extend_from_sylow,
     fixed_classes,
     h1,
-    include_coefficients,
-    invariant_classes,
-    primary_part,
-    project_to_primary,
-    res_h1,
     restrict,
     shared_primes,
-    twist,
 )
 from .groups import (
     Group,
@@ -61,7 +51,6 @@ from .groups import (
     trivial_subgroup,
 )
 from .structure import (
-    NilpotentDecomposition,
     complements,
     enumerate_subgroups_of_order,
     hall_pprime,
@@ -69,7 +58,6 @@ from .structure import (
     is_nilpotent_subgroup,
     locally_conjugate,
     lower_central_series,
-    nilpotent_decomposition,
     prime_factors,
     subgroup_conjugacy_classes,
     sylow_subgroup,
@@ -78,7 +66,6 @@ from .theorems import (
     VerificationReport,
     find_conjugator,
     find_conjugator_proof_guided,
-    intersection_lemma_check,
     verify_lemma1,
     verify_prop2,
     verify_prop3,

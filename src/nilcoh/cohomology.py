@@ -203,30 +203,6 @@ def cocycles_bruteforce(action: ActionOnGroup, K: Subgroup | None = None,
     return out
 
 
-def twist(phi: Cocycle, n: int) -> Cocycle:
-    """The cohomologous cocycle j -> n' * phi(j) * act(j, n)."""
-    N = phi.action.target
-    ninv = N.inv[n]
-    values = tuple(
-        N.mul[N.mul[ninv][v]][phi.action.auto[j][n]]
-        for j, v in zip(phi.domain.elements, phi.values)
-    )
-    return Cocycle(phi.action, phi.domain, values)
-
-
-def cohomologous(phi: Cocycle, psi: Cocycle) -> int | None:
-    """Least witness n with psi = twist(phi, n), or None."""
-    if phi.action is not psi.action:
-        raise DomainMismatch("cocycles belong to different actions")
-    if phi.domain.elements != psi.domain.elements:
-        raise DomainMismatch("cocycles have different domains")
-    N = phi.action.target
-    for n in range(N.order):
-        if twist(phi, n).values == psi.values:
-            return n
-    return None
-
-
 class CohomologySet:
     """H1(K, N): all cocycles partitioned into classes, with the class of the
     all-identity cocycle distinguished."""
@@ -394,159 +370,47 @@ def restrict(phi: Cocycle, K2: Subgroup) -> Cocycle:
     return Cocycle(phi.action, K2, values)
 
 
-@dataclass(frozen=True)
-class ClassMap:
-    """A map of cohomology classes, as a table over source class indices."""
-
-    source: CohomologySet
-    target: CohomologySet
-    table: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
-
-    def is_surjective(self) -> bool:
-        return set(self.table) == set(range(self.target.size))
-
-    def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
-
-def res_h1(H: CohomologySet, K2: Subgroup,
-           budget: int = GENERATOR_ENUM_BUDGET) -> ClassMap:
-    """The map induced on classes by restricting cocycles to K2."""
-    target = h1(H.action, K2, budget=budget)
-    table = tuple(target.class_of(restrict(rep, K2)) for rep in H.reps())
-    return ClassMap(H, target, table)
-
-
-def conjugate_cocycle(phi: Cocycle, j: int) -> Cocycle:
-    """phi^j on K^j = j' K j, defined by phi^j(x) = act(j', phi(j x j')).
-
-    For phi defined on all of J, phi^j is cohomologous to phi with witness
-    phi(j').
-    """
-    J = phi.action.actor
-    K = phi.domain
-    domain = Subgroup(J, (J.conj(k, j) for k in K.elements))
-    jinv = J.inv[j]
-    back = phi.action.auto[jinv]
-    values = tuple(back[phi.value_at(J.conj(x, jinv))] for x in domain.elements)
-    return Cocycle(phi.action, domain, values)
-
-
 def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
-    """Classes of H fixed under conjugation by every element of S.
+    """The classes of H1(K, N) that every s in S fixes: the stable classes
+    (Cartan and Eilenberg, Homological Algebra, 1956, Ch. XII).
 
-    Requires S to normalize the domain, so conjugates stay in the same
-    cohomology set (the Sylow case in a nilpotent actor).
+    Class i is kept when, for every s, its representative phi and the
+    conjugate phi^s agree up to coboundary on K meet K^s.  When s normalizes
+    K, K^s = K and this is a lookup in H's partition.  Otherwise the two
+    restricted value tables are compared by twisting over N.
     """
-    K = H.domain
-    G = K.parent
-    # phi^s is phi with values act(s', phi(s x s')) at x, on K^s = K.
-    moves = []
+    action, K = H.action, H.domain
+    G, N = K.parent, action.target
+    nmul, ninv, auto = N.mul, N.inv, action.auto
+    # phi^s has value act(s', phi(s x s')) at x in K^s; x lies in K meet K^s
+    # exactly when s x s' lies in K.
+    lookups, scans = [], []
     for s in S.elements:
-        if any(G.conj(k, s) not in K for k in K.elements):
-            raise DomainMismatch(f"element {s} does not normalize the domain")
         sinv = G.inv[s]
-        moves.append((H.action.auto[sinv],
-                      [K.position(G.conj(x, sinv)) for x in K.elements]))
+        meet = [(kx, auto[x], K.position(y)) for kx, x in enumerate(K.elements)
+                if (y := G.conj(x, sinv)) in K]
+        if len(meet) == K.order:
+            lookups.append((auto[sinv], [ky for _, _, ky in meet]))
+        else:
+            scans.append((auto[sinv], meet))
+
+    def twists_onto(values: tuple[int, ...], back, meet) -> bool:
+        """Some n in N has n' * phi(x) * act(x, n) = phi^s(x) on the meet."""
+        return any(all(nmul[nmul[ninv[n]][values[kx]]][ax[n]] == back[values[ky]]
+                       for kx, ax, ky in meet)
+                   for n in range(N.order))
+
     out = []
     for i in range(H.size):
         values = H.rep(i).values
-        if all(H.class_of(tuple(back[values[k]] for k in src)) == i for back, src in moves):
+        if all(H.class_of(tuple(back[values[k]] for k in src)) == i for back, src in lookups):
             out.append(i)
-    return tuple(out)
-
-
-def invariant_classes(H: CohomologySet, over: Subgroup | None = None,
-                      budget: int = GENERATOR_ENUM_BUDGET) -> tuple[int, ...]:
-    """J-invariant classes: res to K meet K^j of phi and phi^j agree for all j.
-
-    This is the general notion for arbitrary subgroups; when the domain is a
-    normal Sylow subgroup of a nilpotent actor it coincides with
-    fixed_classes over the complementary Hall subgroup.
-    """
-    J = H.action.actor
-    S = over if over is not None else full_subgroup(J)
-    K = H.domain
-    out = []
-    for i in range(H.size):
-        rep = H.rep(i)
-        invariant = True
-        for j in S.elements:
-            conj = conjugate_cocycle(rep, j)
-            inter = Subgroup(J, (x for x in K.elements if x in conj.domain))
-            a = restrict(rep, inter)
-            b = restrict(conj, inter)
-            if cohomologous(a, b) is None:
-                invariant = False
-                break
-        if invariant:
-            out.append(i)
+    for back, meet in scans:
+        out = [i for i in out if twists_onto(H.rep(i).values, back, meet)]
     return tuple(out)
 
 
 # -- primary decomposition --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrimaryPart:
-    """The action of J on one primary component N_q of a nilpotent target."""
-
-    prime: int
-    parent_action: ActionOnGroup
-    action: ActionOnGroup          # J acting on N_q as a standalone group
-    to_parent: tuple[int, ...]     # N_q index -> N index
-    proj: tuple[int, ...]          # N index -> N_q index (primary projection)
-
-
-def primary_part(action: ActionOnGroup, q: int) -> PrimaryPart:
-    """Build the induced action of J on N_q together with both element maps."""
-    N = action.target
-    if not is_nilpotent(N):
-        raise NotNilpotent("primary components require a nilpotent target")
-    part, _, proj_parent = primary_projection(N, q)
-    sub, to_parent = part.as_group()
-    from_parent = {x: i for i, x in enumerate(to_parent)}
-    auto = [
-        [from_parent[action.auto[j][x]] for x in to_parent]
-        for j in range(action.actor.order)
-    ]
-    induced = ActionOnGroup(action.actor, sub, auto,
-                            name=f"{action.name or 'action'}@{q}")
-    proj = tuple(from_parent[proj_parent[n]] for n in range(N.order))
-    return PrimaryPart(q, action, induced, to_parent, proj)
-
-
-def project_to_primary(action: ActionOnGroup, q: int,
-                       budget: int = GENERATOR_ENUM_BUDGET
-                       ) -> tuple[ActionOnGroup, ClassMap]:
-    """The induced action on N_q and the class map H1(J, N) -> H1(J, N_q)."""
-    part = primary_part(action, q)
-    src = h1(action, budget=budget)
-    tgt = h1(part.action, budget=budget)
-    table = tuple(
-        tgt.class_of(tuple(part.proj[v] for v in rep.values)) for rep in src.reps()
-    )
-    return part.action, ClassMap(src, tgt, table)
-
-
-def include_coefficients(part: PrimaryPart, domain: Subgroup | None = None,
-                         budget: int = GENERATOR_ENUM_BUDGET) -> ClassMap:
-    """H1(K, N_q) -> H1(K, N): value tables reinterpreted in the big group."""
-    if domain is None:
-        domain = full_subgroup(part.action.actor)
-    src = h1(part.action, domain, budget=budget)
-    tgt = h1(part.parent_action, domain, budget=budget)
-    table = tuple(
-        tgt.class_of(tuple(part.to_parent[v] for v in rep.values))
-        for rep in src.reps()
-    )
-    return ClassMap(src, tgt, table)
 
 
 def shared_primes(action: ActionOnGroup) -> tuple[int, ...]:
@@ -697,31 +561,6 @@ def decomposition_map(action: ActionOnGroup,
     )
 
 
-def primary_product_check(action: ActionOnGroup,
-                          budget: int = GENERATOR_ENUM_BUDGET) -> tuple[bool, str | None]:
-    """Check that projections to the N_q induce a bijection of H1(J, N) with
-    the product over shared primes, and that other primes contribute trivially."""
-    N = action.target
-    if not is_nilpotent(N) or not is_nilpotent(action.actor):
-        raise NotNilpotent("primary product check requires nilpotent groups")
-    shared = set(shared_primes(action))
-    maps = []
-    for q in prime_factors(N.order):
-        _, cmap = project_to_primary(action, q, budget=budget)
-        if q in shared:
-            maps.append(cmap)
-        elif cmap.target.size != 1:
-            return False, f"prime {q} outside the shared set has a nontrivial H1"
-    src = h1(action, budget=budget)
-    tuples = [tuple(m.table[i] for m in maps) for i in range(src.size)]
-    if len(set(tuples)) != len(tuples):
-        return False, "product of primary projections is not injective"
-    target = set(product(*[range(m.target.size) for m in maps])) if maps else {()}
-    if set(tuples) != target:
-        return False, "product of primary projections is not surjective"
-    return True, None
-
-
 # -- abelian cross-check -----------------------------------------------------------
 
 
@@ -766,12 +605,6 @@ class AbelianH1:
         )
 
 
-def abelian_h1_group(action: ActionOnGroup, K: Subgroup | None = None,
-                     budget: int = GENERATOR_ENUM_BUDGET) -> AbelianH1:
-    """H1(K, N) as an abelian group; the actor need not be nilpotent."""
-    return AbelianH1(h1(action, K, budget=budget))
-
-
 @dataclass(frozen=True)
 class Eq3Report:
     """Abelian primary decomposition: the product over shared primes of
@@ -810,7 +643,8 @@ def eq3_check(action: ActionOnGroup, budget: int = GENERATOR_ENUM_BUDGET) -> Eq3
     if not N.is_abelian():
         raise NotAbelian("the abelian cross-check needs an abelian target")
     J = action.actor
-    ab = abelian_h1_group(action, budget=budget)
+    ab = AbelianH1(h1(action, budget=budget))
+    whole = full_subgroup(J)
     primes = shared_primes(action)
     inv_sizes = []
     failure = None
@@ -818,7 +652,7 @@ def eq3_check(action: ActionOnGroup, budget: int = GENERATOR_ENUM_BUDGET) -> Eq3
     for p in primes:
         Jp = sylow_subgroup(J, p)
         local = h1(action, Jp, budget=budget)
-        inv = invariant_classes(local, budget=budget)
+        inv = fixed_classes(local, whole)
         inv_sizes.append(len(inv))
         primary = ab.primary_parts(p)
         images = [local.class_of(restrict(ab.h1.rep(i), Jp)) for i in primary]

@@ -13,7 +13,7 @@ import sys
 from ..actions import coset_gset, semidirect
 from ..cohomology import GENERATOR_ENUM_BUDGET, decomposition_map, h1
 from ..errors import NilcohError, ParseError, ValidationError
-from ..structure import complements, subgroup_conjugacy_classes
+from ..structure import DEFAULT_ENUM_BUDGET, complements, subgroup_conjugacy_classes
 from ..theorems import (
     verify_lemma1,
     verify_prop2,
@@ -98,9 +98,14 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _budget(args, default: int) -> int:
+    """The --budget flag, or the default cap of the enumeration it bounds."""
+    return default if args.budget is None else args.budget
+
+
 def cmd_h1(args) -> int:
     instance, action = _resolve_action(args)
-    H = h1(action, budget=args.budget)
+    H = h1(action, budget=_budget(args, GENERATOR_ENUM_BUDGET))
     payload = {
         "instance": instance,
         "cocycles": H.cocycle_count(),
@@ -116,14 +121,14 @@ def cmd_complements(args) -> int:
     instance, action = _resolve_action(args)
     P = semidirect(action)
     n_sub = P.n_part()
-    comps = complements(P.group, n_sub)
+    comps = complements(P.group, n_sub, budget=_budget(args, DEFAULT_ENUM_BUDGET))
     classes = subgroup_conjugacy_classes(P.group, comps, under=n_sub)
     payload = {
         "instance": instance,
         "group_order": P.group.order,
         "complements": [list(K.elements) for K in comps],
         "n_conjugacy_classes": len(classes),
-        "h1_classes": h1(action, budget=args.budget).size,
+        "h1_classes": h1(action, budget=_budget(args, GENERATOR_ENUM_BUDGET)).size,
     }
     _emit(payload, args.format)
     return 0
@@ -131,7 +136,7 @@ def cmd_complements(args) -> int:
 
 def cmd_decompose(args) -> int:
     instance, action = _resolve_action(args)
-    report = decomposition_map(action, budget=args.budget)
+    report = decomposition_map(action, budget=_budget(args, GENERATOR_ENUM_BUDGET))
     payload = {"instance": instance}
     payload.update(report.to_json())
     _emit(payload, args.format)
@@ -210,13 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="path to a scenario (.scn) file")
         p.add_argument("--instance", help="catalog instance id (or scenario action)")
         p.add_argument("--format", choices=("json", "human"), default="human")
-        p.add_argument("--relaxed-hypotheses", action="store_true",
-                       help="run conclusions as observations when hypotheses fail")
 
     def budgeted(p: argparse.ArgumentParser) -> None:
         common(p)
-        p.add_argument("--budget", type=int, default=GENERATOR_ENUM_BUDGET,
-                       help="cap on enumeration candidates")
+        p.add_argument("--budget", type=int,
+                       help=f"cap on enumeration work: |N|^d for H1 (default "
+                            f"{GENERATOR_ENUM_BUDGET}) and closures tried for "
+                            f"complements (default {DEFAULT_ENUM_BUDGET})")
+
+    def relaxable(p: argparse.ArgumentParser) -> None:
+        common(p)
+        p.add_argument("--relaxed-hypotheses", action="store_true",
+                       help="run conclusions as observations when hypotheses fail")
 
     p_catalog = sub.add_parser("catalog", help="list built-in instances")
     p_catalog.add_argument("--format", choices=("json", "human"), default="human")
@@ -238,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run one verifier on one instance")
     p_ver.add_argument("theorem",
                        choices=("lemma1", "prop2", "prop3", "prop5", "thm4"))
-    common(p_ver)
+    relaxable(p_ver)
     p_ver.add_argument("--h", help="subgroup spec (JSON) for prop5/thm4")
     p_ver.set_defaults(fn=cmd_verify)
 
     p_suite = sub.add_parser("suite", help="run the default or a scenario suite")
-    common(p_suite)
+    relaxable(p_suite)
     p_suite.set_defaults(fn=cmd_suite)
     return parser
 

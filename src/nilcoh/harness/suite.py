@@ -287,7 +287,7 @@ def run_scenario_check(scenario: Scenario, check: ScenarioCheck,
                        relaxed: bool = False) -> VerificationReport:
     spec = check.spec
     kind = check.kind
-    if kind == "lemma1":
+    if kind in ("lemma1", "decompose"):
         return verify_lemma1(scenario.actions[spec["action"]], check.instance,
                              relaxed=relaxed)
     if kind in ("prop2", "prop3"):
@@ -313,9 +313,6 @@ def run_scenario_check(scenario: Scenario, check: ScenarioCheck,
     if kind == "complements":
         action = scenario.actions[spec["action"]]
         return correspondence_report(action, check.instance)
-    if kind == "decompose":
-        return verify_lemma1(scenario.actions[spec["action"]], check.instance,
-                             relaxed=relaxed)
     raise NilcohError(f"unhandled check kind {kind}")  # pragma: no cover
 
 

@@ -3,8 +3,6 @@ subgroups, subgroup enumeration, complements, and local conjugacy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BudgetExceeded, NotNilpotent, SearchBudgetExceeded
 from .groups import (
     Group,
@@ -152,34 +150,6 @@ def hall_pprime(J: Group, p: int) -> Subgroup:
     if not is_nilpotent(J):
         raise NotNilpotent("Hall p'-subgroups are only computed for nilpotent groups")
     return Subgroup(J, (x for x in range(J.order) if J.element_order(x) % p != 0))
-
-
-@dataclass(frozen=True)
-class NilpotentDecomposition:
-    """A nilpotent group as the internal direct product of its Sylow parts."""
-
-    parent: Group
-    primes: tuple[int, ...]
-    sylow_parts: tuple[Subgroup, ...]
-
-    def part(self, p: int) -> Subgroup:
-        return self.sylow_parts[self.primes.index(p)]
-
-
-def nilpotent_decomposition(G: Group) -> NilpotentDecomposition:
-    if not is_nilpotent(G):
-        raise NotNilpotent("group is not nilpotent")
-    primes = tuple(prime_factors(G.order))
-    parts = tuple(sylow_subgroup(G, p) for p in primes)
-    # Internal direct product sanity: orders multiply out and parts are normal.
-    total = 1
-    for part in parts:
-        total *= part.order
-        if not part.is_normal():
-            raise NotNilpotent(f"Sylow part of order {part.order} is not normal")
-    if total != G.order:
-        raise NotNilpotent("Sylow part orders do not multiply to the group order")
-    return NilpotentDecomposition(G, primes, parts)
 
 
 def primary_projection(G: Group, p: int) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:

@@ -598,11 +598,3 @@ def verify_lemma1(action: ActionOnGroup, instance: str = "",
             report.witness = {"failure": dec.failure}
     return report
 
-
-def intersection_lemma_check(G: Group, H: Subgroup, N: Subgroup, p: int) -> bool:
-    """Set equality H*N_p meet H*N_p' = H, for nilpotent normal N."""
-    Np = sylow_subgroup(G, p, within=N)
-    Npp = pprime_part(G, N, p)
-    left = {G.mul[h][x] for h in H.elements for x in Np.elements}
-    right = {G.mul[h][x] for h in H.elements for x in Npp.elements}
-    return left & right == H._set

@@ -5,18 +5,20 @@ subgroups are found by scanning subsets, homomorphisms by scanning all maps,
 and table axioms by testing every triple or pair, where the library tests
 only products with its generators.  Complements are found among all
 subgroups of order |G/N|, by the subgroup enumerator that is itself checked
-against the subset scan.
+against the subset scan.  Cocycles are twisted, compared and conjugated as
+whole value tables, which anchors the conventions of `nilcoh.cohomology`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import pytest
 
 from nilcoh.actions import ActionOnGroup
-from nilcoh.cohomology import CohomologySet, cocycles_bruteforce
-from nilcoh.errors import BudgetExceeded, OrderCapExceeded
+from nilcoh.cohomology import Cocycle, CohomologySet, cocycles_bruteforce, restrict
+from nilcoh.errors import BudgetExceeded, DomainMismatch, OrderCapExceeded
 from nilcoh.groups import Group, Subgroup, generating_sequence, quotient, subgroup_generated
 from nilcoh.harness.catalog import (
     CATALOG,
@@ -34,6 +36,8 @@ from nilcoh.structure import (
     is_nilpotent,
     is_nilpotent_subgroup,
     locally_conjugate,
+    pprime_part,
+    primary_projection,
     prime_factors,
     sylow_subgroup,
 )
@@ -223,6 +227,79 @@ def h1_classes_by_twist(action: ActionOnGroup,
     return classes
 
 
+def twist(phi: Cocycle, n: int) -> Cocycle:
+    """The cohomologous cocycle j -> n' * phi(j) * act(j, n)."""
+    N = phi.action.target
+    values = tuple(
+        N.mul[N.mul[N.inv[n]][v]][phi.action.auto[j][n]]
+        for j, v in zip(phi.domain.elements, phi.values)
+    )
+    return Cocycle(phi.action, phi.domain, values)
+
+
+def cohomologous(phi: Cocycle, psi: Cocycle) -> int | None:
+    """Least witness n with psi = twist(phi, n), or None."""
+    if phi.action is not psi.action or phi.domain.elements != psi.domain.elements:
+        raise DomainMismatch("cocycles belong to different actions or domains")
+    return next((n for n in range(phi.action.target.order)
+                 if twist(phi, n).values == psi.values), None)
+
+
+def conjugate_cocycle(phi: Cocycle, j: int) -> Cocycle:
+    """phi^j on K^j = j' K j, defined by phi^j(x) = act(j', phi(j x j'))."""
+    J = phi.action.actor
+    domain = Subgroup(J, (J.conj(k, j) for k in phi.domain.elements))
+    back = phi.action.auto[J.inv[j]]
+    values = tuple(back[phi.value_at(J.conj(x, J.inv[j]))] for x in domain.elements)
+    return Cocycle(phi.action, domain, values)
+
+
+def invariant_classes_by_twist(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
+    """The classes whose representative phi, for every s in S, restricts to a
+    cocycle cohomologous to phi^s on K meet K^s, built as a subgroup."""
+    J, K = H.action.actor, H.domain
+    out = []
+    for i, phi in enumerate(H.reps()):
+        for s in S.elements:
+            conj = conjugate_cocycle(phi, s)
+            meet = Subgroup(J, (x for x in K.elements if x in conj.domain))
+            if cohomologous(restrict(phi, meet), restrict(conj, meet)) is None:
+                break
+        else:
+            out.append(i)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class PrimaryPart:
+    """The action of J on one primary component N_q of a nilpotent target."""
+
+    action: ActionOnGroup          # J acting on N_q as a standalone group
+    to_parent: tuple[int, ...]     # N_q index -> N index
+    proj: tuple[int, ...]          # N index -> N_q index (primary projection)
+
+
+def primary_part(action: ActionOnGroup, q: int) -> PrimaryPart:
+    """The induced action of J on N_q, with both element maps."""
+    N = action.target
+    part, _, proj_parent = primary_projection(N, q)
+    sub, to_parent = part.as_group()
+    from_parent = {x: i for i, x in enumerate(to_parent)}
+    auto = [[from_parent[action.auto[j][x]] for x in to_parent]
+            for j in range(action.actor.order)]
+    induced = ActionOnGroup(action.actor, sub, auto, name=f"{action.name}@{q}")
+    return PrimaryPart(induced, to_parent,
+                       tuple(from_parent[proj_parent[n]] for n in range(N.order)))
+
+
+def intersection_lemma_by_scan(G: Group, H: Subgroup, N: Subgroup, p: int) -> bool:
+    """Set equality H*N_p meet H*N_p' = H, for nilpotent normal N."""
+    left = {G.mul[h][x] for h in H.elements
+            for x in sylow_subgroup(G, p, within=N).elements}
+    right = {G.mul[h][x] for h in H.elements for x in pprime_part(G, N, p).elements}
+    return left & right == set(H.elements)
+
+
 def prop2_pairwise_by_scan(G: Group, N: Subgroup, instance: str = "",
                            relaxed: bool = False,
                            local=locally_conjugate) -> VerificationReport:
@@ -355,6 +432,12 @@ __all__ = [
     "group_axiom_broken_by_scan",
     "conjugator_by_scan",
     "h1_classes_by_twist",
+    "twist",
+    "cohomologous",
+    "conjugate_cocycle",
+    "invariant_classes_by_twist",
+    "primary_part",
+    "intersection_lemma_by_scan",
     "prop2_pairwise_by_scan",
     "prop3_pairwise_by_scan",
 ]

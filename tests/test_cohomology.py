@@ -2,33 +2,25 @@
 correspondence, restriction/conjugation/invariance, the Sylow-wise
 decomposition, and the abelian cross-check."""
 
+from itertools import product
+
 import pytest
 
 from nilcoh.actions import action_from_generator_images, semidirect, trivial_action
 from nilcoh.cohomology import (
-    Cocycle,
+    AbelianH1,
     check_cocycle,
     cocycle_to_complement,
     cocycles,
     cocycles_bruteforce,
-    cohomologous,
     complement_to_cocycle,
-    conjugate_cocycle,
     decomposition_map,
     eq3_check,
     extend_from_sylow,
     fixed_classes,
     h1,
-    include_coefficients,
-    invariant_classes,
-    primary_part,
-    primary_product_check,
-    project_to_primary,
-    res_h1,
     restrict,
     shared_primes,
-    twist,
-    abelian_h1_group,
 )
 from nilcoh.errors import (
     BudgetExceeded,
@@ -43,6 +35,7 @@ from nilcoh.groups import (
     Subgroup,
     center,
     full_subgroup,
+    group_from_permutations,
     normalizer,
     subgroup_generated,
     trivial_subgroup,
@@ -60,10 +53,15 @@ from conftest import (
     CATALOG,
     abelian,
     abelian_h1_table_by_scan,
+    cohomologous,
+    conjugate_cocycle,
     cyclic,
     h1_classes_by_twist,
     heisenberg,
     homomorphisms_by_scan,
+    invariant_classes_by_twist,
+    primary_part,
+    twist,
 )
 
 
@@ -308,10 +306,8 @@ def test_res_h1_well_defined_on_members():
     H = h1(a)
     for p in (2, 3):
         K = sylow_subgroup(a.actor, p)
-        rmap = res_h1(H, K)
-        for i, cls in enumerate(H.classes):
-            images = {rmap.target.class_of(restrict(c, K)) for c in cls}
-            assert images == {rmap.table[i]}
+        for cls in H.classes:
+            assert len({h1(a, K).class_of(restrict(c, K)) for c in cls}) == 1
 
 
 def test_conjugate_cocycle_identity_element():
@@ -365,12 +361,11 @@ def test_res_image_lands_in_invariants():
 
     for iid in ("c2_inv_c4", "c6_inv_c6", "c6_inv_c3", "c9_pow4_c9"):
         a = catalog_by_id()[iid].action()
-        H = h1(a)
         for p in prime_factors(a.actor.order):
             K = sylow_subgroup(a.actor, p)
-            rmap = res_h1(H, K)
-            inv = set(invariant_classes(rmap.target))
-            assert set(rmap.table) <= inv, iid
+            local = h1(a, K)
+            inv = set(fixed_classes(local, full_subgroup(a.actor)))
+            assert {local.class_of(restrict(rep, K)) for rep in h1(a).reps()} <= inv, iid
 
 
 def test_invariants_match_hall_fixed_classes_for_nilpotent_actor():
@@ -382,56 +377,52 @@ def test_invariants_match_hall_fixed_classes_for_nilpotent_actor():
             K = sylow_subgroup(a.actor, p)
             local = h1(a, K)
             hall = hall_pprime(a.actor, p)
-            assert invariant_classes(local) == fixed_classes(local, hall), iid
+            assert fixed_classes(local, full_subgroup(a.actor)) == fixed_classes(local, hall)
 
 
 def test_fixed_classes_match_conjugate_cocycle():
-    # Each Hall subgroup centralizes its Sylow subgroup.  The normalizer of
-    # <x, z> with z central can act on it nontrivially; in the Heisenberg
-    # group, y and y' even conjugate x differently.
-    actions = [inst.action() for inst in CATALOG]
+    # Every domain <x, z> with z central, the cyclic ones among them, under
+    # its normalizer and under J.  The normalizer can act on it nontrivially;
+    # in the Heisenberg group, y and y' even conjugate x differently.  A
+    # reflection subgroup of S3 or D4 is not normal: it meets some K^s in less
+    # than K, where fixed_classes twists.  Each Hall subgroup centralizes its
+    # Sylow subgroup.
+    from nilcoh.harness.catalog import EQ3_EXTRA
+
+    actions = [inst.action() for inst in CATALOG + EQ3_EXTRA]
     actions.append(conjugation_self_action(heisenberg(3)))
+    non_normal = 0
     for a in actions:
         J = a.actor
-        domains = {subgroup_generated(J, [x, z]) for x in range(J.order)
-                   for z in center(J).elements}
-        pairs = [(K, normalizer(J, K)) for K in sorted(domains, key=lambda K: K.elements)]
+        domains = sorted({subgroup_generated(J, [x, z]) for x in range(J.order)
+                          for z in center(J).elements}, key=lambda K: K.elements)
+        pairs = [(K, S) for K in domains for S in (normalizer(J, K), full_subgroup(J))]
         if is_nilpotent(J):
             pairs += [(sylow_subgroup(J, p), hall_pprime(J, p))
                       for p in prime_factors(J.order)]
         for K, S in pairs:
             local = h1(a, K)
-            expected = tuple(
-                i for i in range(local.size)
-                if all(local.class_of(conjugate_cocycle(local.rep(i), s)) == i
-                       for s in S.elements)
-            )
-            assert fixed_classes(local, S) == expected, (a.name, K, S)
+            assert fixed_classes(local, S) == invariant_classes_by_twist(local, S), \
+                (a.name, K, S)
+        non_normal += sum(not K.is_normal() for K in domains)
+    assert non_normal >= 10
+    # The Sylow 2-subgroup P = D4 of S4 is self-normalizing, so only the
+    # twist scan can reject: 2 of the 4 classes of Hom(P, C2) are stable, as
+    # many as Hom(S4, C2) has (Cartan and Eilenberg, Ch. XII).
+    S4 = group_from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+    a = trivial_action(S4, cyclic(2))
+    P = sylow_subgroup(S4, 2)
+    local = h1(a, P)
+    assert fixed_classes(local, normalizer(S4, P)) == (0, 1, 2, 3)
+    stable = fixed_classes(local, full_subgroup(S4))
+    assert stable == invariant_classes_by_twist(local, full_subgroup(S4))
+    assert len(stable) == h1(a).size == 2
 
 
 def test_all_classes_invariant_when_domain_is_whole_group():
     a = inv_c4()
     H = h1(a)
-    assert invariant_classes(H) == tuple(range(H.size))
-
-
-def test_project_to_primary():
-    from nilcoh.harness.catalog import catalog_by_id
-
-    # q-group target: the projection is the identity on classes.
-    a = catalog_by_id()["c2_inv_c4"].action()
-    _, cmap = project_to_primary(a, 2)
-    assert cmap.is_bijective()
-    assert cmap.table == tuple(range(cmap.source.size))
-    # Mixed target: class counts multiply over the primary parts.
-    b = catalog_by_id()["c6_inv_c12"].action()
-    sizes = {}
-    for q in (2, 3):
-        _, cm = project_to_primary(b, q)
-        sizes[q] = cm.target.size
-    assert h1(b).size == sizes[2] * sizes[3]
-    ok, failure = primary_product_check(b)
-    assert ok, failure
+    assert fixed_classes(H, full_subgroup(a.actor)) == tuple(range(H.size))
 
 
 def test_primary_projection_of_coprime_prime_is_trivial():
@@ -446,22 +437,30 @@ def test_primary_projection_of_coprime_prime_is_trivial():
     assert h1(part2.action).size == 1
 
 
+def _included_classes(a, q):
+    """H1(J_q, N_q), H1(J_q, N) and the class table of the map that reads the
+    values of the first in N."""
+    part = primary_part(a, q)
+    Jq = sylow_subgroup(a.actor, q)
+    src, tgt = h1(part.action, Jq), h1(a, Jq)
+    table = tuple(tgt.class_of(tuple(part.to_parent[v] for v in rep.values))
+                  for rep in src.reps())
+    return src, tgt, table
+
+
 def test_include_coefficients_bijective():
     from nilcoh.harness.catalog import catalog_by_id
 
     a = catalog_by_id()["c2_inv_c6"].action()  # C2 inverting C6 = C2 x C3
     for q in (2, 3):
-        part = primary_part(a, q)
-        Jq = sylow_subgroup(a.actor, q)
-        cmap = include_coefficients(part, Jq)
-        assert cmap.is_bijective()
-        assert cmap.table[cmap.source.distinguished] == cmap.target.distinguished
+        src, tgt, table = _included_classes(a, q)
+        assert sorted(table) == list(range(tgt.size))
+        assert table[src.distinguished] == tgt.distinguished
     # Identity case: N already a q-group.
     b = catalog_by_id()["c2_inv_c4"].action()
-    part_b = primary_part(b, 2)
-    cmap_b = include_coefficients(part_b, sylow_subgroup(b.actor, 2))
-    assert cmap_b.is_bijective()
-    assert part_b.to_parent == tuple(range(4))
+    src, tgt, table = _included_classes(b, 2)
+    assert table == tuple(range(tgt.size))
+    assert primary_part(b, 2).to_parent == tuple(range(4))
 
 
 def test_include_coefficients_preserves_fixedness():
@@ -470,14 +469,12 @@ def test_include_coefficients_preserves_fixedness():
     for iid in ("c2_inv_c6", "c6_inv_c6", "c6_inv_c12"):
         a = catalog_by_id()[iid].action()
         for q in shared_primes(a):
-            part = primary_part(a, q)
-            Jq = sylow_subgroup(a.actor, q)
+            src, tgt, table = _included_classes(a, q)
             hall = hall_pprime(a.actor, q)
-            cmap = include_coefficients(part, Jq)
-            src_fixed = set(fixed_classes(cmap.source, hall))
-            tgt_fixed = set(fixed_classes(cmap.target, hall))
-            for i in range(cmap.source.size):
-                assert (i in src_fixed) == (cmap.table[i] in tgt_fixed), (iid, q)
+            src_fixed = set(fixed_classes(src, hall))
+            tgt_fixed = set(fixed_classes(tgt, hall))
+            for i in range(src.size):
+                assert (i in src_fixed) == (table[i] in tgt_fixed), (iid, q)
 
 
 def test_decomposition_spot_instances():
@@ -507,9 +504,27 @@ def test_decomposition_bijective_on_all_catalog_instances():
 
 
 def test_eq1_primary_product_on_catalog():
+    # Projecting values to N_q maps H1(J, N) bijectively onto the product of
+    # H1(J, N_q) over the shared primes q; any other q gives one class, and a
+    # q-group N projects onto itself class by class.
     for inst in CATALOG:
-        ok, failure = primary_product_check(inst.action())
-        assert ok, (inst.id, failure)
+        a = inst.action()
+        reps = h1(a).reps()
+        tables, sizes = [], []
+        for q in prime_factors(a.target.order):
+            part = primary_part(a, q)
+            Hq = h1(part.action)
+            table = tuple(Hq.class_of(tuple(part.proj[v] for v in rep.values))
+                          for rep in reps)
+            if q not in shared_primes(a):
+                assert Hq.size == 1, (inst.id, q)
+                continue
+            if part.action.target.order == a.target.order:
+                assert table == tuple(range(len(reps))), inst.id
+            tables.append(table)
+            sizes.append(Hq.size)
+        images = list(zip(*tables)) if tables else [()] * len(reps)
+        assert sorted(images) == sorted(product(*map(range, sizes))), inst.id
 
 
 def test_extend_from_sylow_round_trip():
@@ -583,14 +598,14 @@ def test_coprime_actions_have_trivial_h1():
 
 def test_abelian_h1_group_structure():
     a = trivial_action(cyclic(2), cyclic(2))
-    ab = abelian_h1_group(a)
+    ab = AbelianH1(h1(a))
     assert ab.order == 2
     assert ab.multiply(1, 1) == ab.identity
     assert ab.class_order(1) == 2
     assert ab.primary_parts(2) == (0, 1)
 
     b = inv_c4()
-    ab_b = abelian_h1_group(b)
+    ab_b = AbelianH1(h1(b))
     assert ab_b.order == 2
     assert shared_primes(b) == (2,)
 
@@ -611,7 +626,7 @@ def test_abelian_group_law_well_defined():
         if not a.target.is_abelian():
             continue
         H = h1(a)
-        ab = abelian_h1_group(a)
+        ab = AbelianH1(h1(a))
         table = abelian_h1_table_by_scan(H)
         for i in range(H.size):
             for k in range(H.size):
@@ -637,7 +652,7 @@ def test_abelian_h1_rejects_nonabelian_target():
     from nilcoh.harness.catalog import catalog_by_id
 
     with pytest.raises(NotAbelian):
-        abelian_h1_group(catalog_by_id()["q8_conj_q8"].action())
+        AbelianH1(h1(catalog_by_id()["q8_conj_q8"].action()))
 
 
 def test_eq3_on_abelian_catalog_instances():
@@ -646,6 +661,26 @@ def test_eq3_on_abelian_catalog_instances():
             continue
         report = eq3_check(inst.action())
         assert report.ok, (inst.id, report.failure)
+
+
+def test_eq3_builds_no_subgroup_to_decide_invariance(monkeypatch):
+    from nilcoh import cohomology
+
+    built = []
+    real_init, real_fixed = Subgroup.__init__, cohomology.fixed_classes
+
+    def counted_fixed(H, S):
+        monkeypatch.setattr(Subgroup, "__init__",
+                            lambda self, *args: built.append(1) or real_init(self, *args))
+        try:
+            return real_fixed(H, S)
+        finally:
+            monkeypatch.setattr(Subgroup, "__init__", real_init)
+
+    monkeypatch.setattr(cohomology, "fixed_classes", counted_fixed)
+    report = eq3_check(trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2])))
+    assert report.ok and report.invariant_sizes == (512,)
+    assert built == []
 
 
 def test_eq3_with_non_nilpotent_actor():

@@ -325,6 +325,9 @@ def test_cli_budget_exceeded_is_reported(capsys):
     assert main(["h1", "--instance", "c3_shear_c3c3", "--budget", "2"]) == 1
     err = capsys.readouterr().err
     assert "BudgetExceeded" in err
+    # The flag caps complement closures too: this enumeration needs 12.
+    assert main(["complements", "--instance", "c3c3_triv_c3", "--budget", "9"]) == 1
+    assert "BudgetExceeded: subgroup enumeration" in capsys.readouterr().err
 
 
 def test_cli_verify_with_subgroup_spec(capsys):
@@ -345,6 +348,8 @@ def test_cli_verify_with_subgroup_spec(capsys):
     pytest.param(["verify", "lemma1", "--instance", "c3_shear_c3c3", "--budget", "2"],
                  id="verify_budget"),
     pytest.param(["suite", "--budget", "2"], id="suite_budget"),
+    pytest.param(["h1", "--instance", "c2_inv_c4", "--relaxed-hypotheses"],
+                 id="h1_relaxed"),
     pytest.param(["h1", "--instance", "c2_inv_c4", "--budget", "many"], id="bad_budget"),
     pytest.param(["verify", "prop6", "--instance", "c2_inv_c4"], id="unknown_theorem"),
     pytest.param([], id="no_command"),
@@ -357,13 +362,16 @@ def test_cli_usage_errors_are_input_errors(capsys, argv):
 
 
 def test_cli_help_exits_zero(capsys):
-    for argv in (["--help"], ["verify", "--help"], ["h1", "--help"]):
+    # Each subcommand lists exactly the flags it honours.
+    budgeted, relaxable = {"h1", "complements", "decompose"}, {"verify", "suite"}
+    for command in (None, "h1", "complements", "decompose", "verify", "suite"):
         with pytest.raises(SystemExit) as info:
-            main(argv)
+            main([command, "--help"] if command else ["--help"])
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert "usage:" in out
-        assert ("--budget" in out) == (argv[0] == "h1")
+        assert ("--budget" in out) == (command in budgeted), command
+        assert ("--relaxed-hypotheses" in out) == (command in relaxable), command
 
 
 def test_import_does_not_load_numpy():

@@ -21,13 +21,11 @@ from nilcoh.structure import (
     is_nilpotent_subgroup,
     locally_conjugate,
     lower_central_series,
-    nilpotent_decomposition,
     p_part,
     prime_factors,
     subgroup_conjugacy_classes,
     sylow_subgroup,
 )
-from nilcoh.theorems import intersection_lemma_check
 from conftest import (
     abelian,
     complements_by_subgroup_scan,
@@ -35,6 +33,7 @@ from conftest import (
     dihedral,
     direct_product,
     heisenberg,
+    intersection_lemma_by_scan,
     lower_central_series_by_scan,
     quaternion8,
     subgroups_by_subset_scan,
@@ -117,22 +116,10 @@ def test_hall_pprime():
         hall_pprime(dihedral(3), 2)
 
 
-def test_nilpotent_decomposition():
-    dec = nilpotent_decomposition(cyclic(6))
-    assert dec.primes == (2, 3)
-    assert [P.order for P in dec.sylow_parts] == [2, 3]
-    assert nilpotent_decomposition(quaternion8()).primes == (2,)
-    dec12 = nilpotent_decomposition(cyclic(12))
-    assert [P.order for P in dec12.sylow_parts] == [4, 3]
-    with pytest.raises(NotNilpotent):
-        nilpotent_decomposition(dihedral(3))
-
-
 def test_decomposition_is_internal_direct_product():
     G = direct_product(cyclic(4), cyclic(9))
-    dec = nilpotent_decomposition(G)
     products = {0}
-    for P in dec.sylow_parts:
+    for P in (sylow_subgroup(G, p) for p in prime_factors(G.order)):
         products = {G.mul[x][y] for x in products for y in P.elements}
     assert len(products) == G.order
 
@@ -221,9 +208,9 @@ def test_intersection_lemma_over_subgroups():
     assert N.order == 6 and N.is_normal()
     for m in (1, 2, 3, 4, 6, 9, 12):
         for H in enumerate_subgroups_of_order(G, m, max_gens=2):
-            assert intersection_lemma_check(G, H, N, 2)
-            assert intersection_lemma_check(G, H, N, 3)
-    assert intersection_lemma_check(G, full_subgroup(G), N, 2)
+            assert intersection_lemma_by_scan(G, H, N, 2)
+            assert intersection_lemma_by_scan(G, H, N, 3)
+    assert intersection_lemma_by_scan(G, full_subgroup(G), N, 2)
 
 
 def test_is_nilpotent_subgroup():

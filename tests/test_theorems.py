@@ -17,7 +17,6 @@ from nilcoh.structure import complements
 from nilcoh.theorems import (
     find_conjugator,
     find_conjugator_proof_guided,
-    intersection_lemma_check,
     verify_lemma1,
     verify_prop2,
     verify_prop3,
@@ -31,6 +30,7 @@ from conftest import (
     cyclic,
     dihedral,
     direct_product,
+    intersection_lemma_by_scan,
     quaternion8,
     prop2_pairwise_by_scan,
     prop3_pairwise_by_scan,
@@ -341,8 +341,8 @@ def test_intersection_lemma_examples():
     C6 = direct_product(cyclic(2), cyclic(3))
     N = full_subgroup(C6)
     H = subgroup_generated(C6, [])
-    assert intersection_lemma_check(C6, H, N, 2)
-    assert intersection_lemma_check(C6, full_subgroup(C6), N, 2)
+    assert intersection_lemma_by_scan(C6, H, N, 2)
+    assert intersection_lemma_by_scan(C6, full_subgroup(C6), N, 2)
 
 
 def test_no_falsification_across_catalog_verifiers():
