@@ -10,7 +10,6 @@ identity  embed_J(j)' embed_N(n) embed_J(j) = embed_N(act(j', n)), which
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -27,7 +26,10 @@ from .groups import (
     Subgroup,
     cayley_tree,
     compose,
+    composer,
+    conjugates,
     coset_representatives,
+    respects_generators,
 )
 
 DEFAULT_GSET_CAP = 4096
@@ -41,10 +43,14 @@ def is_automorphism(N: Group, perm: Sequence[int]) -> bool:
         return False
     if perm[0] != 0:
         return False
-    mul = N.mul
-    return all(
-        perm[mul[a][g]] == mul[perm[a]][perm[g]] for a in range(N.order) for g in N.gens
-    )
+    return respects_generators(N, N.mul, perm)
+
+
+def _represents(group: Group, perms: Sequence[tuple[int, ...]]) -> bool:
+    """Whether perms[a*g] == perms[a] after perms[g] for every element a and
+    every g in group.gens: one C-level composition per (a, g)."""
+    return all([perms[row[g]] for row in group.mul] == list(map(composer(perms[g]), perms))
+               for g in group.gens)
 
 
 class ActionOnGroup:
@@ -59,7 +65,7 @@ class ActionOnGroup:
 
     def __init__(self, actor: Group, target: Group, auto: Sequence[Sequence[int]],
                  name: str | None = None):
-        perms = tuple(tuple(int(x) for x in p) for p in auto)
+        perms = tuple(tuple(map(int, p)) for p in auto)
         if len(perms) != actor.order:
             raise ValueError("need one permutation of N per element of J")
         for j, perm in enumerate(perms):
@@ -68,13 +74,14 @@ class ActionOnGroup:
         ident = tuple(range(target.order))
         if perms[0] != ident:
             raise NotAHomomorphism("identity of J must act as the identity map")
-        mul = actor.mul
-        for a, pa in enumerate(perms):
-            for g in actor.gens:
-                if perms[mul[a][g]] != compose(pa, perms[g]):
-                    raise NotAHomomorphism(
-                        f"action of product {a}*{g} differs from composed action"
-                    )
+        if not _represents(actor, perms):
+            mul = actor.mul
+            for a, pa in enumerate(perms):
+                for g in actor.gens:
+                    if perms[mul[a][g]] != compose(pa, perms[g]):
+                        raise NotAHomomorphism(
+                            f"action of product {a}*{g} differs from composed action"
+                        )
         self.actor = actor
         self.target = target
         self.auto = perms
@@ -122,10 +129,11 @@ def action_from_generator_images(
     for g in gens:
         if not 0 <= g < J.order:
             raise ValueError(f"generator {g} outside group of order {J.order}")
-    gen_perms = [tuple(int(x) for x in img) for img in images]
+    gen_perms = [tuple(map(int, img)) for img in images]
+    takes = [composer(p) for p in gen_perms]
     auto: dict[int, tuple[int, ...]] = {0: tuple(range(N.order))}
     for j, slot, k in cayley_tree(J, gens):
-        auto[k] = compose(auto[j], gen_perms[slot])
+        auto[k] = takes[slot](auto[j])
     if len(auto) != J.order:
         raise DoesNotGenerate(f"generators reach only {len(auto)} of {J.order} elements")
     action = ActionOnGroup(J, N, [auto[j] for j in range(J.order)], name=name)
@@ -146,17 +154,14 @@ def conjugation_action_with_maps(
     G: Group, N: Subgroup, J: Subgroup, name: str | None = None
 ) -> tuple[ActionOnGroup, tuple[int, ...], tuple[int, ...]]:
     """conjugation_action plus the element maps of actor and target into G."""
-    for j in J.elements:
-        for n in N.elements:
-            if G.mul[G.mul[j][n]][G.inv[j]] not in N:
-                raise NotNormalized(f"element {j} does not normalize the target")
+    # j acts by n -> j n j', which is conjugation by j'.
+    images = [conjugates(G, N.elements, G.inv[j]) for j in J.elements]
+    for j, img in zip(J.elements, images):
+        if not N._set.issuperset(img):
+            raise NotNormalized(f"element {j} does not normalize the target")
     Jg, j_map = J.as_group()
     Ng, n_map = N.as_group()
-    n_pos = {x: i for i, x in enumerate(n_map)}
-    auto = [
-        [n_pos[G.mul[G.mul[j][n]][G.inv[j]]] for n in n_map]
-        for j in j_map
-    ]
+    auto = [compose(N._pos, img) for img in images]
     return ActionOnGroup(Jg, Ng, auto, name=name), j_map, n_map
 
 
@@ -180,12 +185,11 @@ def semidirect_embeddings(action: ActionOnGroup,
         embed_J = GroupHom(J, G, range(nj))
     except ValueError:
         return None
-    mul = G.mul
-    if any(mul[n * nj][j] != n * nj + j for n in range(N.order) for j in range(nj)):
+    embedded = embed_N.images
+    if any(G.mul[x][:nj] != tuple(range(x, x + nj)) for x in embedded):
         return None
     for j in range(nj):
-        inv_auto = action.auto[J.inv[j]]
-        if any(G.conj(n * nj, j) != inv_auto[n] * nj for n in range(N.order)):
+        if conjugates(G, embedded, j) != compose(embedded, action.auto[J.inv[j]]):
             return None
     return embed_N, embed_J
 
@@ -193,27 +197,21 @@ def semidirect_embeddings(action: ActionOnGroup,
 class SemidirectProduct:
     """The group N x| J for an action, with its embeddings and projection.
 
-    Element (n, j) has index n * |J| + j, so the identity is index 0.  The
-    product (n1, j1)(n2, j2) = (m, j1 j2) with m = n1 act(j1, n2) has index
-    m * |J| + J.mul[j1][j2], so row (n1, j1) of the table is the segments
-    [m * |J| + x for x in J.mul[j1]] laid end to end, m running over
-    n1 act(j1, n2) for n2 in order.  The |N| segments of each j1 are built
-    once and shared by all |N| rows with that j1.
+    Element (n, j) has index n * |J| + j, so the identity is index 0, and
+    the product (n1, j1)(n2, j2) = (n1 act(j1, n2), j1 j2).  The table is
+    built along the Cayley tree of the generators (n, 0) for n in N.gens and
+    (0, j) for j in J.gens, which generate the product: their rows come from
+    the product formula, and every other row is one composition, since
+    row(x*s) = row(x) after row(s).  `Group` and `semidirect_embeddings`
+    then check the whole table.
     """
 
     __slots__ = ("action", "group", "embed_N", "embed_J", "project_J")
 
     def __init__(self, action: ActionOnGroup, order_cap: int = DEFAULT_ORDER_CAP):
         N, J = action.target, action.actor
-        size = _product_order(action, order_cap)
-        nj = J.order
-        segments = [[[m * nj + x for x in jrow] for m in range(N.order)] for jrow in J.mul]
-        table = [
-            list(chain.from_iterable(map(segs.__getitem__, map(n1_row.__getitem__, a1))))
-            for n1_row in N.mul
-            for segs, a1 in zip(segments, action.auto)
-        ]
-        group = Group(table, name="semidirect")
+        _product_order(action, order_cap)
+        group = Group(_semidirect_table(action), name="semidirect")
         embeddings = semidirect_embeddings(action, group)
         if embeddings is None:
             raise NotAHomomorphism(
@@ -222,13 +220,45 @@ class SemidirectProduct:
         self.action = action
         self.group = group
         self.embed_N, self.embed_J = embeddings
-        self.project_J = GroupHom(group, J, [g % nj for g in range(size)])
+        self.project_J = GroupHom(group, J, list(range(J.order)) * N.order)
 
     def n_part(self) -> Subgroup:
         return self.embed_N.image()
 
     def j_part(self) -> Subgroup:
         return self.embed_J.image()
+
+
+def _semidirect_row(action: ActionOnGroup, n1: int, j1: int) -> tuple[int, ...]:
+    """Row (n1, j1) of the semidirect table, by the product formula: entry
+    n2 * |J| + j2 is m * |J| + J.mul[j1][j2] with m = n1 act(j1, n2)."""
+    nj, jrow = action.actor.order, action.actor.mul[j1]
+    return tuple(m * nj + x for m in compose(action.target.mul[n1], action.auto[j1])
+                 for x in jrow)
+
+
+def _semidirect_table(action: ActionOnGroup) -> list[tuple[int, ...]]:
+    """The rows of N x| J, built along the Cayley tree of the embedded
+    generators of N and J: row(x*s) = row(x) after row(s)."""
+    N, J = action.target, action.actor
+    nj = J.order
+    gens = [(n, 0) for n in N.gens] + [(0, j) for j in J.gens]
+    steps = [(n * nj + j, composer(_semidirect_row(action, n, j))) for n, j in gens]
+    rows: list[tuple[int, ...] | None] = [None] * (N.order * nj)
+    rows[0] = tuple(range(len(rows)))
+    reached = [0]
+    for x in reached:                      # reached grows while it is walked
+        row = rows[x]
+        for s, take in steps:
+            y = row[s]
+            if rows[y] is None:
+                rows[y] = take(row)
+                reached.append(y)
+    if len(reached) != len(rows):
+        raise NotAHomomorphism(
+            f"the generators of N and J reach {len(reached)} of {len(rows)} elements"
+        )
+    return rows
 
 
 def _product_order(action: ActionOnGroup, order_cap: int) -> int:
@@ -259,7 +289,7 @@ class GSet:
 
     def __init__(self, group: Group, act: Sequence[Sequence[int]],
                  size_cap: int = DEFAULT_GSET_CAP):
-        tables = tuple(tuple(int(x) for x in row) for row in act)
+        tables = tuple(tuple(map(int, row)) for row in act)
         if len(tables) != group.order:
             raise ValueError("need one point permutation per group element")
         size = len(tables[0]) if tables else 0
@@ -271,11 +301,12 @@ class GSet:
                 raise ValueError(f"element {g} does not act by a permutation")
         if tables and tables[0] != tuple(pts):
             raise ValueError("identity must act trivially")
-        mul = group.mul
-        for a, ta in enumerate(tables):
-            for g in group.gens:
-                if tables[mul[a][g]] != compose(ta, tables[g]):
-                    raise ValueError(f"action is not a homomorphism at ({a}, {g})")
+        if not _represents(group, tables):
+            mul = group.mul
+            for a, ta in enumerate(tables):
+                for g in group.gens:
+                    if tables[mul[a][g]] != compose(ta, tables[g]):
+                        raise ValueError(f"action is not a homomorphism at ({a}, {g})")
         self.group = group
         self.size = size
         self.act = tables
@@ -298,11 +329,9 @@ class GSet:
 
 def coset_gset(G: Group, H: Subgroup) -> GSet:
     """Left multiplication on the left cosets of H; point 0 is the coset H."""
-    mul = G.mul
-    reps, rep_of = coset_representatives(G, H)
-    index = {rep: i for i, rep in enumerate(reps)}
-    act = [[index[rep_of[mul[g][r]]] for r in reps] for g in range(G.order)]
-    return GSet(G, act)
+    reps, label = coset_representatives(G, H)
+    take = composer(reps)
+    return GSet(G, [compose(label, take(row)) for row in G.mul])
 
 
 def is_transitive(gset: GSet, S: Subgroup) -> bool:

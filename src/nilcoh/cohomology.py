@@ -503,9 +503,15 @@ def decomposition_map(action: ActionOnGroup,
     Any failure here falsifies the decomposition for this instance and
     signals an implementation bug; the report carries a witness.
     """
-    J, N = action.actor, action.target
-    if not is_nilpotent(J) or not is_nilpotent(N):
+    if not is_nilpotent(action.actor) or not is_nilpotent(action.target):
         raise NotNilpotent("decomposition requires nilpotent actor and target")
+    return _decompose(action, budget)
+
+
+def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
+    """decomposition_map for an action already known to be nilpotent on
+    nilpotent, so that `verify_lemma1` tests each group once."""
+    J = action.actor
     primes = shared_primes(action)
     blocks = []
     for p in primes:

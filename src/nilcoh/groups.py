@@ -7,7 +7,10 @@ higher-level algorithms are table-driven scans.  Conjugation is g^y = y' g y
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import chain
+from operator import eq, getitem, itemgetter, methodcaller
+from typing import Callable, Iterable, Sequence
 
 from .errors import NoIdentity, NoInverse, NotAssociative, NotNormal, OrderCapExceeded
 
@@ -21,6 +24,9 @@ class Group:
     identity at index 0; associativity by Light's test on the generators
     `gens` (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961),
     which is a proof over all triples, not a sample; two-sided inverses.
+    Each test compares whole rows (see `compose`); when one fails, a scan
+    entry by entry names the first witness.  The entries must be Python
+    ints; `group_from_table` converts a raw table.
 
     `gens` is the greedy generating sequence of the elements in index order,
     found by right multiplication from the identity.  A map f with
@@ -34,9 +40,10 @@ class Group:
     __slots__ = ("order", "mul", "inv", "gens", "name")
 
     def __init__(self, mul: Sequence[Sequence[int]], name: str | None = None):
-        table = tuple(tuple(map(int, row)) for row in mul)
+        table = tuple(map(tuple, mul))
         n = _check_table_shape(table)
-        if any(table[0][x] != x or table[x][0] != x for x in range(n)):
+        ident = tuple(range(n))
+        if table[0] != ident or [row[0] for row in table] != list(ident):
             raise NoIdentity("index 0 is not a two-sided identity")
         self.order = n
         self.mul = table
@@ -45,15 +52,21 @@ class Group:
         # closed under products.
         self.gens = tuple(generating_sequence(self, range(n)))
         for g in self.gens:
-            right = table[g]
-            for x, row in enumerate(table):
-                if table[row[g]] != compose(row, right):
-                    y = next(y for y in range(n) if table[row[g]][y] != row[right[y]])
-                    raise NotAssociative(x, g, y)
-        for a, row in enumerate(table):
-            if 0 not in row or table[row.index(0)][a] != 0:
-                raise NoInverse(a)
-        self.inv = tuple(row.index(0) for row in table)
+            # Row x*g of the table against row x composed with row g, for every x.
+            left = [table[row[g]] for row in table]
+            if not all(map(eq, left, map(composer(table[g]), table))):
+                x, y = next((x, y) for x, row in enumerate(table) for y in ident
+                             if table[row[g]][y] != row[table[g][y]])
+                raise NotAssociative(x, g, y)
+        try:
+            inv = tuple(map(methodcaller("index", 0), table))
+        except ValueError:
+            inv = None
+        # Entry a of row inv[a] must be 0; any() finds a nonzero one.
+        if inv is None or any(map(getitem, compose(table, inv), ident)):
+            raise NoInverse(next(a for a, row in enumerate(table)
+                                 if 0 not in row or table[row.index(0)][a] != 0))
+        self.inv = inv
         self.name = name
 
     def elements(self) -> range:
@@ -103,18 +116,67 @@ def _check_table_shape(table: Sequence[Sequence[int]]) -> int:
     n = len(table)
     if n == 0:
         raise NoIdentity("empty table")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        if min(row) < 0 or max(row) >= n:
-            x = next(x for x in row if not 0 <= x < n)
-            raise ValueError(f"table entry {x} out of range [0, {n - 1}]")
+    values = set(chain.from_iterable(table))
+    if any(len(row) != n for row in table) or min(values) < 0 or max(values) >= n:
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+            if min(row) < 0 or max(row) >= n:
+                x = next(x for x in row if not 0 <= x < n)
+                raise ValueError(f"table entry {x} out of range [0, {n - 1}]")
     return n
 
 
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """p after q: the tuple whose entry i is p[q[i]]."""
-    return tuple(map(p.__getitem__, q))
+def compose(p: Sequence, q: Sequence[int]) -> tuple:
+    """p after q: the tuple whose entry i is p[q[i]].
+
+    The whole-row kernel of the package's table scans: `itemgetter(*q)(p)`
+    makes all the lookups in one C-level call.  For rows of 8 to 512 entries
+    (Python 3.11) it is 1.7 to 2 times as fast as a list comprehension over
+    q, and 3.4 to 4.4 times as fast as `tuple(map(p.__getitem__, q))`.  A scan
+    that reads a column, x*g for every x, stays a list comprehension, which
+    is as fast as any composition of rows there.  `itemgetter` returns a
+    bare item for one index and cannot be built from none, so those lengths
+    are handled here.  p may be any indexable: a row, a table (giving a tuple
+    of rows) or a dict.
+    """
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    return (p[q[0]],) if q else ()
+
+
+def composer(q: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The function p -> compose(p, q), to map over many rows p."""
+    return itemgetter(*q) if len(q) > 1 else partial(compose, q=q)
+
+
+def conjugates(G: Group, elements: Sequence[int], g: int) -> tuple[int, ...]:
+    """The conjugates x^g = g' x g of the elements, in their order.
+
+    One pass of two lookups per element: each whole-row alternative needs
+    two passes (the column of g, or g' x' inverted), and measured slower
+    for 2 to 256 elements."""
+    mul = G.mul
+    row = mul[G.inv[g]]
+    return tuple([mul[row[x]][g] for x in elements])
+
+
+def respects_generators(source: Group, target_mul: Sequence[Sequence[int]],
+                        images: Sequence[int]) -> bool:
+    """Whether images[a*g] == images[a] * images[g] in target_mul for every
+    element a and every g in source.gens, which by the lemma on `Group.gens`
+    makes images a homomorphism when images[0] is the identity."""
+    rows = compose(target_mul, images)       # the target row of images[a], for each a
+    return all([images[row[g]] for row in source.mul] == [row[images[g]] for row in rows]
+               for g in source.gens)
+
+
+def _closed_by_rows(parent: Group, elts: tuple[int, ...], members: frozenset[int]) -> bool:
+    """Whether the inverse and every product of two of the elts (at least
+    two of them) lie in members: one C-level call per row of the table."""
+    take = itemgetter(*elts)
+    return (members.issuperset(take(parent.inv))
+            and all(map(members.issuperset, map(take, take(parent.mul)))))
 
 
 class Subgroup:
@@ -123,19 +185,23 @@ class Subgroup:
     __slots__ = ("parent", "elements", "_set", "_pos", "_gens")
 
     def __init__(self, parent: Group, elements: Iterable[int]):
-        elts = tuple(sorted({int(x) for x in elements}))
+        elts = tuple(sorted(set(map(int, elements))))
         if not elts or elts[0] != 0:
             raise ValueError("subgroup must contain the identity (index 0)")
         if elts[-1] >= parent.order:
             raise ValueError(f"element {elts[-1]} outside parent of order {parent.order}")
         members = frozenset(elts)
         mul = parent.mul
-        for a in elts:
-            if parent.inv[a] not in members:
-                raise ValueError(f"subgroup not closed under inverse at {a}")
-            for b in elts:
-                if mul[a][b] not in members:
-                    raise ValueError(f"subgroup not closed under product at ({a}, {b})")
+        # The scan below names the first witness.  Above 8 elements a test of
+        # whole rows restricted to the subset goes first: at 32 elements it
+        # takes 21 us to the scan's 30, at 2 elements 0.64 us to its 0.23.
+        if len(elts) <= 8 or not _closed_by_rows(parent, elts, members):
+            for a in elts:
+                if parent.inv[a] not in members:
+                    raise ValueError(f"subgroup not closed under inverse at {a}")
+                for b in elts:
+                    if mul[a][b] not in members:
+                        raise ValueError(f"subgroup not closed under product at ({a}, {b})")
         if parent.order % len(elts) != 0:
             raise ValueError("subgroup order does not divide parent order")
         self.parent = parent
@@ -187,12 +253,11 @@ class Subgroup:
 
     def conjugate_by(self, g: int) -> "Subgroup":
         """The subgroup {h^g : h in H} for h^g = g' h g."""
-        G = self.parent
-        return Subgroup(G, (G.conj(h, g) for h in self.elements))
+        return Subgroup(self.parent, conjugates(self.parent, self.elements, g))
 
     def is_normal(self) -> bool:
         G = self.parent
-        return all(G.conj(h, g) in self._set for g in G.gens for h in self.elements)
+        return all(self._set.issuperset(conjugates(G, self.elements, g)) for g in G.gens)
 
     def as_group(self) -> tuple[Group, tuple[int, ...]]:
         """Re-index this subgroup as a standalone Group.
@@ -200,10 +265,9 @@ class Subgroup:
         Returns the group together with the map new-index -> parent-index.
         Parent identity 0 is the least element, so it lands at new index 0.
         """
-        elts = self.elements
-        pos = self._pos
-        mul = self.parent.mul
-        return Group([[pos[mul[a][b]] for b in elts] for a in elts]), elts
+        elts, pos = self.elements, self._pos
+        take = composer(elts)
+        return Group([compose(pos, take(row)) for row in take(self.parent.mul)]), elts
 
     def to_json(self) -> list[int]:
         return list(self.elements)
@@ -219,18 +283,19 @@ class GroupHom:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source: Group, target: Group, images: Sequence[int]):
-        imgs = tuple(int(x) for x in images)
+        imgs = tuple(map(int, images))
         if len(imgs) != source.order:
             raise ValueError("image list length does not match source order")
         if any(not 0 <= x < target.order for x in imgs):
             raise ValueError("image outside target group")
         if imgs[0] != 0:
             raise ValueError("homomorphism must send identity to identity")
-        smul, tmul = source.mul, target.mul
-        for a in range(source.order):
-            for g in source.gens:
-                if imgs[smul[a][g]] != tmul[imgs[a]][imgs[g]]:
-                    raise ValueError(f"not a homomorphism at pair ({a}, {g})")
+        if not respects_generators(source, target.mul, imgs):
+            smul, tmul = source.mul, target.mul
+            for a in range(source.order):
+                for g in source.gens:
+                    if imgs[smul[a][g]] != tmul[imgs[a]][imgs[g]]:
+                        raise ValueError(f"not a homomorphism at pair ({a}, {g})")
         self.source = source
         self.target = target
         self.images = imgs
@@ -253,7 +318,7 @@ class GroupHom:
 
 def group_from_table(table: Sequence[Sequence[int]], name: str | None = None) -> Group:
     """Validate a raw multiplication table and canonicalize the identity to 0."""
-    rows = [list(int(x) for x in row) for row in table]
+    rows = [list(map(int, row)) for row in table]
     n = _check_table_shape(rows)
     e = next(
         (c for c in range(n) if all(rows[c][x] == x and rows[x][c] == x for x in range(n))),
@@ -288,20 +353,21 @@ def group_from_permutations(
     p, and the table costs |G| compositions of length |G| instead of |G|^2
     of length degree.
     """
-    gens = [tuple(int(x) for x in p) for p in generators]
+    gens = [tuple(map(int, p)) for p in generators]
     if degree is None:
         degree = len(gens[0]) if gens else 0
     for p in gens:
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise ValueError(f"{p} is not a permutation of 0..{degree - 1}")
+    takes = [composer(g) for g in gens]
     # Elements by discovery position: the queue of the breadth-first search.
     perms = [tuple(range(degree))]
     found = {perms[0]: 0}
     tree: list[tuple[int, int]] = []       # (position of p, slot of g) reaching q = p*g
     right = [[] for _ in gens]             # right[slot][d] = position of perms[d] * g
     for d, p in enumerate(perms):          # perms grows while it is walked
-        for slot, g in enumerate(gens):
-            q = compose(p, g)
+        for slot, take in enumerate(takes):
+            q = take(p)
             k = found.get(q)
             if k is None:
                 if len(perms) >= order_cap:
@@ -400,18 +466,16 @@ def normalizer(G: Group, H: Subgroup) -> Subgroup:
     return Subgroup(G, (g for g in range(G.order) if conjugates_into(G, H, H, g)))
 
 
-def coset_representatives(G: Group, H: Subgroup) -> tuple[list[int], dict[int, int]]:
-    """The least element of each left coset gH, ascending, and a map from
-    every element to the least element of its coset."""
-    mul = G.mul
+def coset_representatives(G: Group, H: Subgroup) -> tuple[list[int], tuple[int, ...]]:
+    """The least element of each left coset gH, ascending, and for every
+    element the position in that list of its coset."""
     reps: list[int] = []
-    rep_of: dict[int, int] = {}
+    label: dict[int, int] = {}
     for g in range(G.order):
-        if g not in rep_of:  # every smaller element of gH is already mapped
+        if g not in label:  # every smaller element of gH is already labelled
+            label.update(dict.fromkeys(compose(G.mul[g], H.elements), len(reps)))
             reps.append(g)
-            for h in H.elements:
-                rep_of[mul[g][h]] = g
-    return reps, rep_of
+    return reps, compose(label, range(G.order))
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
@@ -420,16 +484,13 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
     Raises NotNormal (with a witnessing pair) when N is not normal in G.
     """
     for g in G.gens:
-        for h in N.elements:
-            if G.conj(h, g) not in N:
-                raise NotNormal(g, h)
-    mul = G.mul
-    reps, coset_rep = coset_representatives(G, N)
-    index = {rep: i for i, rep in enumerate(reps)}
-    table = [[index[coset_rep[mul[a][b]]] for b in reps] for a in reps]
+        if not N._set.issuperset(conjugates(G, N.elements, g)):
+            raise NotNormal(g, next(h for h in N.elements if G.conj(h, g) not in N))
+    reps, label = coset_representatives(G, N)
+    take = composer(reps)
+    table = [compose(label, take(row)) for row in take(G.mul)]
     Q = Group(table, name=(f"{G.name}/N" if G.name else None))
-    pi = GroupHom(G, Q, [index[coset_rep[g]] for g in range(G.order)])
-    return Q, pi
+    return Q, GroupHom(G, Q, label)
 
 
 def are_conjugate_subgroups(G: Group, H: Subgroup, K: Subgroup) -> int | None:

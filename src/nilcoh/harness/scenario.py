@@ -3,7 +3,10 @@
 A scenario is fully validated at load time; every constructor failure is
 reported as a ValidationError naming the constructor, and malformed JSON as a
 ParseError with line and column.  A group of order above DEFAULT_ORDER_CAP is
-rejected before its table is built.
+rejected before its table is built.  Every table, permutation, image and
+element entry must be a JSON integer: `1.9`, `1.0`, `"1"` and `true` are
+refused here rather than converted, so the constructors behind this
+boundary never truncate one.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from ..actions import (
@@ -73,6 +77,18 @@ def _as_validation_error(where: str):
         raise ValidationError(where, str(exc)) from exc
 
 
+def _require_integers(value, where: str, field: str, depth: int = 1) -> None:
+    """Refuse an entry that is not a JSON integer in a list (depth 1) or a
+    list of lists (depth 2).  Other shapes are left to the constructors,
+    which report them as before."""
+    rows = [value] if depth == 1 else value
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        return
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+        raise ValidationError(where, f"{field} entry {json.dumps(bad)} is not an integer")
+
+
 def _check_order(order: int) -> None:
     if order > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(f"group order {order} exceeds cap {DEFAULT_ORDER_CAP}")
@@ -106,8 +122,10 @@ def _build_group(spec, groups: dict[str, Group], where: str) -> Group:
         kind = spec.get("kind")
         if kind == "table":
             _check_order(len(spec["mul"]))
+            _require_integers(spec["mul"], where, "mul", depth=2)
             return group_from_table(spec["mul"])
         if kind == "perm":
+            _require_integers(spec["generators"], where, "generators", depth=2)
             return group_from_permutations(spec["generators"],
                                            degree=spec.get("degree"))
     raise ValidationError(where, f"unrecognized group spec {spec!r}")
@@ -127,12 +145,11 @@ def _build_action(spec: dict, groups: dict[str, Group], where: str) -> ActionOnG
             if name == "swap":
                 return swap_action(_build_group(spec["factor"], groups, where))
             raise ValidationError(where, f"unknown builtin action {name!r}")
-        return action_from_generator_images(
-            _build_group(spec["actor"], groups, where),
-            _build_group(spec["target"], groups, where),
-            spec["gens"],
-            spec["images"],
-        )
+        actor = _build_group(spec["actor"], groups, where)
+        target = _build_group(spec["target"], groups, where)
+        _require_integers(spec["gens"], where, "gens")
+        _require_integers(spec["images"], where, "images", depth=2)
+        return action_from_generator_images(actor, target, spec["gens"], spec["images"])
 
 
 def subgroup_of_semidirect(P: SemidirectProduct, spec, where: str = "subgroup") -> Subgroup:
@@ -154,8 +171,10 @@ def subgroup_of_semidirect(P: SemidirectProduct, spec, where: str = "subgroup") 
         if spec == "trivial":
             return Subgroup(G, (0,))
         if isinstance(spec, dict) and "elements" in spec:
+            _require_integers(spec["elements"], where, "elements")
             return Subgroup(G, spec["elements"])
         if isinstance(spec, dict) and "generated_by" in spec:
+            _require_integers(spec["generated_by"], where, "generated_by", depth=2)
             seeds = []
             for n, j in spec["generated_by"]:
                 n, j = int(n), int(j)
@@ -177,6 +196,7 @@ def _build_gset(spec: dict, scenario: Scenario, where: str) -> tuple[str, GSet]:
             H = subgroup_of_semidirect(P, spec["coset_of"], where)
             return action_name, coset_gset(P.group, H)
         if "act" in spec:
+            _require_integers(spec["act"], where, "act", depth=2)
             return action_name, GSet(P.group, spec["act"])
     raise ValidationError(where, f"unrecognized gset spec {spec!r}")
 
@@ -239,6 +259,8 @@ def _validate_check_refs(spec: dict, scenario: Scenario, i: int) -> None:
         raise ValidationError(where, f"unknown gset name {spec['gset']!r}")
     if "group" in spec and spec["group"] not in scenario.groups:
         raise ValidationError(where, f"unknown group name {spec['group']!r}")
+    if isinstance(spec.get("normal"), dict):
+        _require_integers(spec["normal"].get("generated_by"), where, "normal.generated_by")
     needs_action = spec.get("verify") in ("lemma1", "prop5") or spec.get("check") in KNOWN_CHECKS
     if needs_action and "action" not in spec:
         raise ValidationError(where, "this check needs an 'action' reference")

@@ -9,6 +9,7 @@ from .groups import (
     Subgroup,
     are_conjugate_subgroups,
     cayley_tree,
+    conjugates,
     generating_sequence,
     normalizer,
     subgroup_generated,
@@ -298,7 +299,7 @@ def subgroup_conjugacy_classes(
             continue
         members = set()
         for u in movers:
-            key = tuple(sorted(G.conj(x, u) for x in S.elements))
+            key = tuple(sorted(conjugates(G, S.elements, u)))
             for j in positions.get(key, ()):
                 members.add(j)
                 seen[j] = True

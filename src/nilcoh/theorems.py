@@ -21,7 +21,8 @@ from .actions import (
 )
 from .cohomology import (
     Cocycle,
-    decomposition_map,
+    GENERATOR_ENUM_BUDGET,
+    _decompose,
     extend_from_sylow,
     fixed_classes,
     h1,
@@ -39,6 +40,7 @@ from .groups import (
     Subgroup,
     are_conjugate_subgroups,
     centralizer,
+    conjugates,
     conjugates_into,
     conjugator_into,
     quotient,
@@ -476,7 +478,7 @@ def _first_disagreement(x: list, y: list) -> tuple[int, int] | None:
 def _all_sylow_conjugates(G: Group, p: int) -> list[Subgroup]:
     """The distinct conjugates of one Sylow p-subgroup, by sorted elements."""
     base = sylow_subgroup(G, p)
-    keys = {tuple(sorted(G.conj(x, g) for x in base.elements)) for g in range(G.order)}
+    keys = {tuple(sorted(conjugates(G, base.elements, g))) for g in range(G.order)}
     return [Subgroup(G, k) for k in sorted(keys)]
 
 
@@ -583,7 +585,7 @@ def verify_lemma1(action: ActionOnGroup, instance: str = "",
     _set_hypothesis(report, "n_nilpotent", is_nilpotent(action.target))
     if report.hypotheses_met:
         try:
-            dec = decomposition_map(action)
+            dec = _decompose(action, GENERATOR_ENUM_BUDGET)
             _set_hypothesis(report, "enumerable", True)
         except BudgetExceeded as exc:
             _set_hypothesis(report, "enumerable", False, str(exc))

@@ -12,7 +12,7 @@ whole value tables, which anchors the conventions of `nilcoh.cohomology`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -125,6 +125,67 @@ def semidirect_table_by_loops(action: ActionOnGroup) -> tuple[tuple[int, ...], .
                 for j2 in range(nj):
                     row[n2 * nj + j2] = m * nj + J.mul[j1][j2]
     return tuple(tuple(row) for row in table)
+
+
+def semidirect_table_by_formula(action: ActionOnGroup) -> tuple[tuple[int, ...], ...]:
+    """The table of N x| J from shared row segments: row (n1, j1) is the
+    segments [m * |J| + x for x in J.mul[j1]] laid end to end, m running
+    over n1 act(j1, n2) for n2 in order, and the |N| segments of each j1
+    are built once."""
+    N, J = action.target, action.actor
+    nj = J.order
+    segments = [[[m * nj + x for x in jrow] for m in range(N.order)] for jrow in J.mul]
+    return tuple(
+        tuple(chain.from_iterable(segs[n1_row[n2]] for n2 in a1))
+        for n1_row in N.mul
+        for segs, a1 in zip(segments, action.auto)
+    )
+
+
+def subgroup_defect_by_scan(G: Group, elements) -> str | None:
+    """The first defect of a subset containing 0, in the words and order of
+    `Subgroup`: each element a in ascending order, its inverse, then a*b for
+    each b in ascending order; None for a subgroup."""
+    elts = sorted(set(elements))
+    members = set(elts)
+    for a in elts:
+        if G.inv[a] not in members:
+            return f"subgroup not closed under inverse at {a}"
+        for b in elts:
+            if G.mul[a][b] not in members:
+                return f"subgroup not closed under product at ({a}, {b})"
+    return None
+
+
+def as_group_table_by_scan(H: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """The table of H on positions 0..|H|-1, entry by entry."""
+    pos = {x: i for i, x in enumerate(H.elements)}
+    mul = H.parent.mul
+    return tuple(tuple(pos[mul[a][b]] for b in H.elements) for a in H.elements)
+
+
+def coset_labels_by_scan(G: Group, H: Subgroup) -> tuple[list[int], list[int]]:
+    """The least element of each left coset gH, ascending, and for every
+    element the position of its coset, by sorting the set gH of each g."""
+    cosets = sorted({tuple(sorted(G.mul[g][h] for h in H.elements)) for g in range(G.order)})
+    label = [0] * G.order
+    for i, coset in enumerate(cosets):
+        for x in coset:
+            label[x] = i
+    return [c[0] for c in cosets], label
+
+
+def quotient_table_by_scan(G: Group, N: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """The table of G/N on the cosets of coset_labels_by_scan."""
+    reps, label = coset_labels_by_scan(G, N)
+    return tuple(tuple(label[G.mul[a][b]] for b in reps) for a in reps)
+
+
+def coset_action_by_scan(G: Group, H: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """Left multiplication on the cosets of coset_labels_by_scan: row g
+    sends coset i to the coset of g * reps[i]."""
+    reps, label = coset_labels_by_scan(G, H)
+    return tuple(tuple(label[G.mul[g][r]] for r in reps) for g in range(G.order))
 
 
 def permutation_table_by_pairs(generators, degree: int,
@@ -426,6 +487,12 @@ __all__ = [
     "homomorphic_by_scan",
     "compose_by_scan",
     "semidirect_table_by_loops",
+    "semidirect_table_by_formula",
+    "subgroup_defect_by_scan",
+    "as_group_table_by_scan",
+    "coset_labels_by_scan",
+    "quotient_table_by_scan",
+    "coset_action_by_scan",
     "permutation_table_by_pairs",
     "abelian_h1_table_by_scan",
     "associative_by_scan",

@@ -23,7 +23,15 @@ from nilcoh.errors import (
 )
 from nilcoh.groups import Group, full_subgroup, subgroup_generated, trivial_subgroup
 from nilcoh.harness.catalog import inversion_action
-from conftest import CATALOG, abelian, cyclic, dihedral, quaternion8, semidirect_table_by_loops
+from conftest import (
+    CATALOG,
+    abelian,
+    cyclic,
+    dihedral,
+    quaternion8,
+    semidirect_table_by_formula,
+    semidirect_table_by_loops,
+)
 
 
 def test_inversion_action_on_c4():
@@ -193,11 +201,14 @@ def test_semidirect_order_cap():
 
 
 def test_semidirect_table_matches_entrywise_oracle():
-    # Every catalog action, and C2 inverting C_n up to the order-512 product.
+    # Every catalog action, and C2 inverting C_n up to the order-512 product,
+    # against the table entry by entry and from the product formula's row
+    # segments (the sweep actions are compared in test_sweep.py).
     actions = [inst.action() for inst in CATALOG]
     actions += [inversion_action(cyclic(n)) for n in (32, 64, 128, 256)]
     for a in actions:
-        assert semidirect(a).group.mul == semidirect_table_by_loops(a), a
+        table = semidirect(a).group.mul
+        assert table == semidirect_table_by_loops(a) == semidirect_table_by_formula(a), a
 
 
 def test_semidirect_is_built_once_per_action():

@@ -383,6 +383,48 @@ def test_import_does_not_load_numpy():
     assert out.strip() == "False"
 
 
+_C2 = {"builtin": "cyclic", "n": 2}
+_C4 = {"builtin": "cyclic", "n": 4}
+_INV_C4 = {"actions": {"inv": {"builtin": "inversion", "target": _C4}}}
+
+
+def _gset_doc(spec):
+    return {**_INV_C4, "gsets": {"om": {"action": "inv", **spec}}}
+
+
+_REGULAR_C2C2 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+@pytest.mark.parametrize("doc, where, field, bad", [
+    ({"groups": {"g": {"kind": "table", "mul": [[0, 1.9], [1, 0]]}}},
+     "group 'g'", "mul", "1.9"),
+    ({"groups": {"g": {"kind": "perm", "generators": [[2, True, 0]]}}},
+     "group 'g'", "generators", "true"),
+    ({"actions": {"a": {"actor": _C2, "target": _C4, "gens": [1.0],
+                        "images": [[0, 3, 2, 1]]}}},
+     "action 'a'", "gens", "1.0"),
+    ({"actions": {"a": {"actor": _C2, "target": _C4, "gens": [1],
+                        "images": [[0, 3, 2, "1"]]}}},
+     "action 'a'", "images", '"1"'),
+    ({"actions": {"t": {"builtin": "trivial", "actor": _C2, "target": _C2}},
+      "gsets": {"om": {"action": "t", "act": _REGULAR_C2C2[:3] + [[3, 2, 1, 0.0]]}}},
+     "gset 'om'", "act", "0.0"),
+    (_gset_doc({"coset_of": {"elements": [0, 1.0]}}), "gset 'om'", "elements", "1.0"),
+    (_gset_doc({"coset_of": {"generated_by": [[0, True]]}}),
+     "gset 'om'", "generated_by", "true"),
+    ({"groups": {"g": _C4},
+      "checks": [{"verify": "prop2", "group": "g", "normal": {"generated_by": [2.5]}}]},
+     "check 0", "normal.generated_by", "2.5"),
+])
+def test_cli_rejects_entries_that_are_not_integers(tmp_path, capsys, doc, where, field, bad):
+    # int() used to truncate such entries silently: [[0, 1.9], [1, 0]] loaded as C2.
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps({"id": "x", **doc}))
+    assert main(["suite", "--scenario", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{where}: {field} entry {bad} is not an integer" in err
+
+
 def test_scenario_perm_group_and_direct_product(tmp_path, capsys):
     doc = {
         "id": "perm",

@@ -16,7 +16,13 @@ from nilcoh.actions import action_from_generator_images, semidirect, trivial_act
 from nilcoh.cohomology import cocycles, cocycles_bruteforce, decomposition_map, h1, shared_primes
 from nilcoh.groups import Group, cayley_tree, compose, subgroup_generated
 from nilcoh.structure import complements, subgroup_conjugacy_classes
-from conftest import abelian, complements_by_subgroup_scan, cyclic, quaternion8
+from conftest import (
+    abelian,
+    complements_by_subgroup_scan,
+    cyclic,
+    quaternion8,
+    semidirect_table_by_formula,
+)
 
 
 def automorphisms(N: Group) -> list[tuple[int, ...]]:
@@ -168,6 +174,26 @@ def test_complements_match_subgroup_scan_on_sweep_actions(action):
     same = ([K.elements for K in complements(G, N)]
             == [K.elements for K in complements_by_subgroup_scan(G, N)])
     assert same, (action.actor.name, action.target.name)
+
+
+def test_semidirect_table_matches_formula_on_sweep_actions():
+    # Every cyclic-actor action of the sweep, and C2 x C2 on C8 by every
+    # pair of involutions.
+    instances = 0
+    for N, auts in _targets_with_automorphisms():
+        for m in (2, 3, 4, 6):
+            for alpha in auts:
+                if m % perm_order(alpha) == 0:
+                    action = action_from_generator_images(cyclic(m), N, [1], [alpha])
+                    assert semidirect(action).group.mul == semidirect_table_by_formula(action)
+                    instances += 1
+    J, C8 = abelian([2, 2]), cyclic(8)
+    involutions = [a for a in automorphisms(C8) if perm_order(a) <= 2]
+    for a1 in involutions:
+        for a2 in involutions:
+            action = action_from_generator_images(J, C8, [2, 1], [a1, a2])
+            assert semidirect(action).group.mul == semidirect_table_by_formula(action)
+    assert instances > 150
 
 
 def test_degenerate_actor_and_target():
