@@ -59,13 +59,14 @@ class ActionOnGroup:
     The homomorphism property is checked on (element, generator) pairs, which
     suffices by the lemma on `Group.gens`.  An action is immutable, so its
     H1 results and its semidirect product are computed once and kept on it.
+    The entries must be Python ints, as in `Group`.
     """
 
     __slots__ = ("actor", "target", "auto", "name", "_h1_cache", "_semidirect")
 
     def __init__(self, actor: Group, target: Group, auto: Sequence[Sequence[int]],
                  name: str | None = None):
-        perms = tuple(tuple(map(int, p)) for p in auto)
+        perms = tuple(map(tuple, auto))
         if len(perms) != actor.order:
             raise ValueError("need one permutation of N per element of J")
         for j, perm in enumerate(perms):
@@ -282,14 +283,15 @@ class GSet:
     """A finite set with a G-action, stored as one point permutation per element.
 
     The homomorphism property is checked on (element, generator) pairs, which
-    suffices by the lemma on `Group.gens`.
+    suffices by the lemma on `Group.gens`.  The entries must be Python ints,
+    as in `Group`.
     """
 
     __slots__ = ("group", "size", "act")
 
     def __init__(self, group: Group, act: Sequence[Sequence[int]],
                  size_cap: int = DEFAULT_GSET_CAP):
-        tables = tuple(tuple(map(int, row)) for row in act)
+        tables = tuple(map(tuple, act))
         if len(tables) != group.order:
             raise ValueError("need one point permutation per group element")
         size = len(tables[0]) if tables else 0

@@ -10,16 +10,19 @@ phi^j is equivalent to phi with witness phi(j')):
 
 Enumeration extends cocycles one generator at a time along the chain of
 subgroups that a generating sequence spans (Celler, Neubueser and Wright,
-Acta Appl. Math. 21, 1990), with a brute-force oracle alongside.  H1 is
-partitioned on the values at the generators alone.  Class representatives
-are the lexicographically least value tables, and all reported sets are
-ordered by representative.
+Acta Appl. Math. 21, 1990), coset by coset: a candidate value at the new
+generator is tested on the Schreier relations of the right cosets of the
+subgroup so far, and only the survivors are expanded to whole value tables.
+A brute-force oracle stands alongside.  H1 is partitioned on the values at
+the generators alone.  Class representatives are the lexicographically
+least value tables, and all reported sets are ordered by representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, count, islice, product, repeat
+from operator import eq, getitem
 
 from .actions import ActionOnGroup, SemidirectProduct
 from .errors import (
@@ -31,7 +34,7 @@ from .errors import (
     NotASubgroup,
     NotNilpotent,
 )
-from .groups import Subgroup, cayley_tree, full_subgroup
+from .groups import Subgroup, compose, composer, conjugates, full_subgroup
 from .structure import (
     hall_pprime,
     is_nilpotent,
@@ -92,14 +95,36 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
     """The complete set Z1(K, N), ordered by value table.
 
     With g_1..g_d the generating sequence of K, the cocycles are built along
-    the chain K_i = <g_1..g_i>.  Each cocycle on K_i, extended by each value
-    v in N at g_{i+1}, is propagated along the Cayley tree of K_{i+1}; it
-    survives iff the cocycle identity holds against every generator of
-    K_{i+1}, which forces it on all pairs.  A survivor is a cocycle on
-    K_{i+1}, and every cocycle there restricts to one on K_i, so the last
-    step yields all of Z1(K, N).  Step i tries |Z1(K_i, N)| * |N| candidates,
-    at most |N|^(i+1), so the |N|^d that the budget bounds also bounds the
-    candidates of all steps, within a factor of two when |N| > 1.
+    the chain K_i = <g_1..g_i>, each cocycle phi on K_i extended to
+    K_{i+1} = <K_i, g> by each value v in N at g = g_{i+1}.  The extension
+    works on the right cosets K_i t (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 8):
+
+    - A breadth-first transversal over g_1..g_{i+1}, from t = 1, gives each
+      representative reached by a tree edge t s the value
+      phi'(t s) = phi'(t) * act(t, phi'(s)), with phi'(g) = v and phi' = phi
+      on K_i.
+    - Every other edge t s = h t' (h in K_i) is a Schreier relation, checked
+      as phi(h) * act(h, phi'(t')) = phi'(t) * act(t, phi'(s)).  The edges
+      1 s with s in K_i hold by themselves and are skipped.  When the
+      powers of g represent their cosets, the relation at t = g^(m-1) and
+      s = g, with g^m in K_i, is the power relation of a polycyclic
+      presentation.
+    - Setting phi'(h t) = phi(h) * act(h, phi'(t)), the cocycle identity at
+      (h t, s) reduces to the one at (t, s), since phi is a cocycle on K_i;
+      and identities at (element, generator) pairs force it on all pairs
+      (the lemma on `Group.gens`, for j -> (phi'(j), j) in N x| J).  So the
+      checks are necessary and sufficient, with no normality needed.
+
+    All v are tried at once, as vectors over N of the values at the
+    representatives; each check keeps the v that pass it.  Only the
+    survivors get their |K_{i+1}| - |K_i| new cells, a whole column of
+    candidates per cell.  K_i keeps its positions in K_{i+1}'s tables, which
+    list K_i and then each further coset as h t over K_i's order; the last
+    step lays its columns out in ascending element order.  Step i tries
+    |Z1(K_i, N)| * |N| candidates, at most |N|^(i+1), so the |N|^d that the
+    budget bounds also bounds the candidates of all steps, within a factor
+    of two when |N| > 1.
     """
     J, N = action.actor, action.target
     if K is None:
@@ -108,39 +133,74 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
         raise NotASubgroup("domain must be a subgroup of the acting group")
     gens = K.gens
     _check_budget(N.order, len(gens), budget)
-    nmul, auto = N.mul, action.auto
-    # The survivors on K_i, as value tables over K_i's elements in ascending
-    # order; the last step leaves them on K.
-    elts, survivors = [0], [(0,)]
-    for i in range(len(gens)):
-        sub = gens[:i + 1]
-        edges = cayley_tree(J, sub)
-        prev = {x: k for k, x in enumerate(elts)}
-        known = [prev[g] for g in gens[:i]]
-        elts = sorted([0] + [y for _, _, y in edges])
-        at = {x: k for k, x in enumerate(elts)}
-        tree = [(at[x], auto[x], slot, at[y]) for x, slot, y in edges]
-        spanned = {(kx, slot) for kx, _, slot, _ in tree}
-        checks = [
-            (kx, auto[x], slot, at[J.mul[x][g]])
-            for kx, x in enumerate(elts)
-            for slot, g in enumerate(sub)
-            if (kx, slot) not in spanned
-        ]
-        size = len(elts)
-        grown: list[tuple[int, ...]] = []
-        for t in survivors:
-            prefix = tuple(t[k] for k in known)
-            for v in range(N.order):
-                a = prefix + (v,)
-                values = [0] * size
-                for kx, ax, slot, ky in tree:
-                    values[ky] = nmul[values[kx]][ax[a[slot]]]
-                for kx, ax, slot, ky in checks:
-                    if values[ky] != nmul[values[kx]][ax[a[slot]]]:
-                        break
+    jmul, nmul, auto = J.mul, N.mul, action.auto
+    zeros, everything = (0,) * N.order, tuple(range(N.order))
+    columns: dict[int, tuple[int, ...]] = {}        # u -> (x*u for x in N), on demand
+
+    def times(xs: tuple[int, ...], at: tuple[int, ...], w) -> tuple[int, ...]:
+        """x * act(t, w) for each x in xs, at one w or at each of a vector."""
+        if isinstance(w, int):
+            u = at[w]
+            if u not in columns:
+                columns[u] = tuple([row[u] for row in nmul])
+            return compose(columns[u], xs)
+        return tuple(map(getitem, compose(nmul, xs), compose(at, w)))
+
+    # The survivors on K_i, as value tables over `layout`, the elements of
+    # K_i in coset order: K_{i+1} lists K_i, then each further coset K_i t
+    # as h t for h in K_i's layout, so K_i keeps its positions.
+    layout, survivors = [0], [(0,)]
+    for i, g in enumerate(gens):
+        sub, size = gens[:i + 1], len(layout)
+        known = [layout.index(s) for s in gens[:i]]
+        # Breadth-first transversal of the right cosets K_i t over sub, from
+        # t = 1; where[x] = (coset of x, position in layout of h) for x = h t.
+        # The first edge, 1 g = g, is a tree edge: coset 1 is K_i g.
+        reps = [0, g]
+        where = {x: (0, k) for k, x in enumerate(layout)}
+        where.update(zip([jmul[h][g] for h in layout], [(1, k) for k in range(size)]))
+        tree, checks = [], []
+        for c, t in enumerate(islice(reps, 1, None), start=1):  # reps grows meanwhile
+            row, at = jmul[t], auto[t]
+            for slot, s in enumerate(sub):
+                y = row[s]
+                hit = where.get(y)
+                if hit is None:
+                    where.update(zip([jmul[h][y] for h in layout],
+                                     [(len(reps), k) for k in range(size)]))
+                    tree.append((c, at, slot))
+                    reps.append(y)
                 else:
-                    grown.append(tuple(values))
+                    ct, kh = hit
+                    checks.append((c, at, slot, kh, auto[layout[kh]], ct))
+        acting = [composer(auto[h]) for h in layout]
+        layout = [jmul[h][t] for t in reps for h in layout]
+        last = i == len(gens) - 1
+        ascending = sorted(range(len(layout)), key=layout.__getitem__) if last else None
+        grown: list[tuple[int, ...]] = []
+        for phi in survivors:
+            # The candidates at g are vectors over v in N, and so are the
+            # values at the coset representatives, val[c] = phi'(t_c).
+            a = [phi[k] for k in known]
+            rows = compose(nmul, phi)
+            val = [zeros, everything]
+            for c, at, slot in tree:
+                val.append(times(val[c], at, val[1] if slot == i else a[slot]))
+            for c, at, slot, kh, ah, ct in checks:
+                lhs = compose(rows[kh], compose(ah, val[ct]))
+                rhs = times(val[c], at, val[1] if slot == i else a[slot])
+                if lhs != rhs:
+                    keep = list(compress(count(), map(eq, lhs, rhs)))
+                    if not keep:
+                        break
+                    val = list(map(composer(keep), val))
+            else:
+                # phi'(h t) = phi(h) * act(h, phi'(t)), a column per cell.
+                fills = [take(row) for take, row in zip(acting, rows)]
+                cells = [repeat(x, len(val[1])) for x in phi]
+                for vt in val[1:]:
+                    cells += map(composer(vt), fills)
+                grown.extend(zip(*(compose(cells, ascending) if last else cells)))
         survivors = grown
     survivors.sort()
     return [Cocycle(action, K, t) for t in survivors]
@@ -378,14 +438,19 @@ def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
     conjugate phi^s agree up to coboundary on K meet K^s.  When s normalizes
     K, K^s = K and this is a lookup in H's partition.  Otherwise the two
     restricted value tables are compared by twisting over N.
+
+    When every generator of S conjugates K.gens into K, S normalizes K and
+    acts on H1(K, N), so a class that S.gens fix is fixed by all of S, and
+    only S.gens are tried.
     """
     action, K = H.action, H.domain
     G, N = K.parent, action.target
     nmul, ninv, auto = N.mul, N.inv, action.auto
+    normalizes = all(y in K for s in S.gens for y in conjugates(G, K.gens, s))
     # phi^s has value act(s', phi(s x s')) at x in K^s; x lies in K meet K^s
     # exactly when s x s' lies in K.
     lookups, scans = [], []
-    for s in S.elements:
+    for s in (S.gens if normalizes else S.elements):
         sinv = G.inv[s]
         meet = [(kx, auto[x], K.position(y)) for kx, x in enumerate(K.elements)
                 if (y := G.conj(x, sinv)) in K]
@@ -400,11 +465,10 @@ def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
                        for kx, ax, ky in meet)
                    for n in range(N.order))
 
-    out = []
-    for i in range(H.size):
-        values = H.rep(i).values
-        if all(H.class_of(tuple(back[values[k]] for k in src)) == i for back, src in lookups):
-            out.append(i)
+    out = range(H.size)
+    for back, src in lookups:
+        take = composer(src)
+        out = [i for i in out if H.class_of(compose(back, take(H.rep(i).values))) == i]
     for back, meet in scans:
         out = [i for i in out if twists_onto(H.rep(i).values, back, meet)]
     return tuple(out)
@@ -525,12 +589,10 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     forward: list[tuple[int, ...]] = []
     # Hfull's domain is J itself, so a value table is indexed by element.
     fixed = [set(b.fixed) for b in blocks]
+    restrictions = [(b.h1_local.class_of, composer(b.sylow.elements)) for b in blocks]
     for i, cls in enumerate(Hfull.classes):
-        images = {
-            tuple(b.h1_local.class_of(tuple(c.values[x] for x in b.sylow.elements))
-                  for b in blocks)
-            for c in cls
-        }
+        images = {tuple([class_of(take(c.values)) for class_of, take in restrictions])
+                  for c in cls}
         if len(images) != 1:
             well_defined = False
             failure = failure or f"class {i} restricts to multiple local class tuples"

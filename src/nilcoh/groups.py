@@ -425,13 +425,31 @@ def cayley_tree(G: Group, gens: Sequence[int]) -> list[tuple[int, int, int]]:
 
 def generating_sequence(G: Group, elements: Iterable[int]) -> list[int]:
     """Greedy generating sequence: each element, in the order given, that the
-    elements chosen before it do not generate."""
+    elements chosen before it do not generate.
+
+    The closure is the set reached from the identity by right multiplication
+    with the generators.  It is closed under the earlier generators, so a new
+    generator x extends it from the products r*x alone: each element reached
+    is multiplied by every generator once.  On a table not yet known to be
+    associative (`Group.__init__`) this is still the closure by right
+    multiplication, so Light's test sees the same generators.
+    """
+    mul = G.mul
     gens: list[int] = []
     reached = {0}
     for x in elements:
-        if x not in reached:
-            gens.append(x)
-            reached = {0, *(y for _, _, y in cayley_tree(G, gens))}
+        if x in reached:
+            continue
+        gens.append(x)
+        frontier = [mul[r][x] for r in reached]
+        while frontier:
+            nxt: list[int] = []
+            for y in frontier:
+                if y not in reached:
+                    reached.add(y)
+                    row = mul[y]
+                    nxt += [row[g] for g in gens]
+            frontier = nxt
     return gens
 
 

@@ -271,12 +271,33 @@ def complements(G: Group, N: Subgroup,
                 if work > budget:
                     raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
                 gens = lifted + (G.mul[t][n],)
-                if len(cayley_tree(G, gens)) + 1 == target:
+                if _generates_exactly(G, gens, target):
                     extended.append(gens)
         prefixes = extended
     comps = [subgroup_generated(G, gens) for gens in prefixes]
     return sorted((K for K in comps if sum(1 for x in K.elements if x in N) == 1),
                   key=lambda K: K.elements)
+
+
+def _generates_exactly(G: Group, gens: tuple[int, ...], order: int) -> bool:
+    """Whether <gens> has exactly `order` elements: its closure by right
+    multiplication, abandoned as soon as it holds more."""
+    mul = G.mul
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = mul[x]
+            for g in gens:
+                y = row[g]
+                if y not in reached:
+                    if len(reached) == order:
+                        return False
+                    reached.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(reached) == order
 
 
 def subgroup_conjugacy_classes(

@@ -5,8 +5,14 @@ decomposition, and the abelian cross-check."""
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nilcoh.actions import action_from_generator_images, semidirect, trivial_action
+from nilcoh.actions import (
+    ActionOnGroup,
+    action_from_generator_images,
+    semidirect,
+    trivial_action,
+)
 from nilcoh.cohomology import (
     AbelianH1,
     check_cocycle,
@@ -34,6 +40,7 @@ from nilcoh.errors import (
 from nilcoh.groups import (
     Subgroup,
     center,
+    conjugates,
     full_subgroup,
     group_from_permutations,
     normalizer,
@@ -105,6 +112,94 @@ def test_oracle_on_proper_subgroup_domain():
         fast = [c.values for c in cocycles(a, K)]
         brute = [c.values for c in cocycles_bruteforce(a, K)]
         assert fast == brute
+
+
+S3_PERMS = [(1, 0, 2), (1, 2, 0)]
+A4_PERMS = [(1, 2, 0, 3), (1, 0, 3, 2)]
+S4_PERMS = [(1, 0, 2, 3), (1, 2, 3, 0)]
+A5_PERMS = [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]
+
+
+def _non_normal_chain_steps(J) -> int:
+    """How many steps K_i < K_{i+1} = <K_i, g> of the chain that `cocycles`
+    walks on J have a g that does not normalize K_i."""
+    gens = full_subgroup(J).gens
+    steps = 0
+    for i, g in enumerate(gens):
+        Ki = subgroup_generated(J, gens[:i])
+        steps += any(y not in Ki for y in conjugates(J, Ki.elements, g))
+    return steps
+
+
+def test_cocycles_match_oracle_on_non_normal_chains():
+    # Each of S3, A4, S4 and A5 has a chain step whose new generator does not
+    # normalize the subgroup so far, so the coset extension meets right
+    # cosets that are not left cosets.
+    for perms in (S3_PERMS, A4_PERMS, S4_PERMS, A5_PERMS):
+        J = group_from_permutations(perms)
+        assert _non_normal_chain_steps(J) >= 1, J.order
+        actions = [trivial_action(J, cyclic(2)), trivial_action(J, abelian([2, 2]))]
+        if J.order <= 24:
+            actions.append(conjugation_self_action(J))
+        for a in actions:
+            fast = [c.values for c in cocycles(a)]
+            assert fast == [c.values for c in cocycles_bruteforce(a)], (J.order, a.name)
+            assert all(check_cocycle(a, full_subgroup(J), t) for t in fast)
+            got = [[c.values for c in cls] for cls in h1(a).classes]
+            assert got == h1_classes_by_twist(a), (J.order, a.name)
+    # |Hom(S4, S4)| = 58, one cocycle of conjugation per homomorphism.
+    assert len(cocycles(conjugation_self_action(group_from_permutations(S4_PERMS)))) == 58
+
+
+def _closure(perms: list[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
+    """The permutations that perms generate, sorted, as group_from_permutations
+    indexes them."""
+    seen = {tuple(range(degree))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [q for q in {tuple(p[i] for i in g) for p in frontier for g in perms}
+                    if q not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+def _odd(perm: tuple[int, ...]) -> bool:
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 == 1
+
+
+@st.composite
+def permutation_actors(draw):
+    """Two random permutations of degree 3 to 5 generate J, which acts
+    trivially on a small N, by the sign through inversion on C3 or C4, or on
+    itself by conjugation (up to order 24); the domain is J or a subgroup
+    that two random elements generate."""
+    degree = draw(st.integers(3, 5))
+    perms = [tuple(draw(st.permutations(range(degree)))) for _ in range(2)]
+    J = group_from_permutations(perms, degree=degree)
+    kind = draw(st.sampled_from(("trivial", "sign", "conjugation")))
+    if kind == "conjugation" and J.order <= 24:
+        action = conjugation_self_action(J)
+    elif kind == "sign":
+        N = draw(st.sampled_from((cyclic(3), cyclic(4))))
+        ident = tuple(range(N.order))
+        auto = [N.inv if _odd(p) else ident for p in _closure(perms, degree)]
+        action = ActionOnGroup(J, N, auto)
+    else:
+        action = trivial_action(J, draw(st.sampled_from(
+            (cyclic(2), cyclic(3), abelian([2, 2]), cyclic(4)))))
+    if draw(st.booleans()):
+        return action, None
+    seeds = draw(st.lists(st.integers(0, J.order - 1), min_size=2, max_size=2))
+    return action, subgroup_generated(J, seeds)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(permutation_actors())
+def test_cocycles_match_oracle_on_random_permutation_actors(drawn):
+    action, K = drawn
+    fast = [c.values for c in cocycles(action, K)]
+    brute = [c.values for c in cocycles_bruteforce(action, K)]
+    assert fast == brute, (action.actor.order, action.target.order, action.name, K)
 
 
 def test_trivial_action_cocycles_are_homomorphisms():
@@ -417,6 +512,32 @@ def test_fixed_classes_match_conjugate_cocycle():
     stable = fixed_classes(local, full_subgroup(S4))
     assert stable == invariant_classes_by_twist(local, full_subgroup(S4))
     assert len(stable) == h1(a).size == 2
+
+
+def test_fixed_classes_on_generators_only_when_s_normalizes_k():
+    # heis3 normalizes its normal subgroup K = <x, z> of order 9 and moves
+    # 78 of the 105 classes of H1(K, heis3): deciding on S.gens must keep
+    # exactly the 27 classes that every element fixes.
+    a = conjugation_self_action(heisenberg(3))
+    J = a.actor
+    K = subgroup_generated(J, [3] + list(center(J).elements))
+    S = full_subgroup(J)
+    assert K.order == 9 and K.is_normal() and len(S.gens) < S.order
+    H = h1(a, K)
+    fixed = fixed_classes(H, S)
+    assert fixed == invariant_classes_by_twist(H, S)
+    assert len(fixed) == 27 and H.size == 105
+    # S4 does not normalize its Sylow 2-subgroup P = D4, so every element is
+    # tried: 4 of the 16 classes of Hom(P, C2 x C2) are stable, while the
+    # normalizer P fixes all of them.
+    S4 = group_from_permutations(S4_PERMS)
+    a = trivial_action(S4, abelian([2, 2]))
+    P = sylow_subgroup(S4, 2)
+    H = h1(a, P)
+    assert not P.is_normal()
+    assert fixed_classes(H, full_subgroup(S4)) == invariant_classes_by_twist(
+        H, full_subgroup(S4)) == (0, 4, 8, 12)
+    assert fixed_classes(H, normalizer(S4, P)) == tuple(range(16))
 
 
 def test_all_classes_invariant_when_domain_is_whole_group():
