@@ -162,7 +162,7 @@ def conjugation_action_with_maps(
             raise NotNormalized(f"element {j} does not normalize the target")
     Jg, j_map = J.as_group()
     Ng, n_map = N.as_group()
-    auto = [compose(N._pos, img) for img in images]
+    auto = [N.positions(img) for img in images]
     return ActionOnGroup(Jg, Ng, auto, name=name), j_map, n_map
 
 

@@ -245,6 +245,11 @@ class Subgroup:
         """Index of parent element x within this subgroup's element list."""
         return self._pos[x]
 
+    def positions(self, xs: Sequence[int]) -> tuple[int, ...]:
+        """The positions of the parent elements xs, in one `compose`; a
+        KeyError names an element outside this subgroup."""
+        return compose(self._pos, xs)
+
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
 

@@ -26,31 +26,15 @@ def cyclic(n: int) -> Group:
 
 
 def abelian(factors: list[int]) -> Group:
-    """Direct product of cyclic groups, mixed-radix encoded."""
-    size = 1
+    """Direct product of cyclic groups, mixed-radix encoded, the first factor
+    most significant.
+
+    Built one factor at a time: in T x C_f the element (x, u) is x*f + u, and
+    its row lists y*f + v for y in row x of T and v in row u of C_f."""
+    table = [[0]]
     for f in factors:
-        size *= f
-
-    def decode(x: int) -> list[int]:
-        out = []
-        for f in reversed(factors):
-            x, r = divmod(x, f)
-            out.append(r)
-        return out[::-1]
-
-    def encode(parts: list[int]) -> int:
-        x = 0
-        for f, v in zip(factors, parts):
-            x = x * f + v
-        return x
-
-    table = [
-        [
-            encode([(u + v) % f for f, u, v in zip(factors, decode(a), decode(b))])
-            for b in range(size)
-        ]
-        for a in range(size)
-    ]
+        cyclic_rows = [[(u + v) % f for v in range(f)] for u in range(f)]
+        table = [[y * f + v for y in r1 for v in r2] for r1 in table for r2 in cyclic_rows]
     name = "x".join(f"C{f}" for f in factors)
     return Group(table, name=name)
 

@@ -44,6 +44,34 @@ from nilcoh.structure import (
 from nilcoh.theorems import VerificationReport
 
 
+def abelian_table_by_decoding(factors: list[int]) -> list[list[int]]:
+    """The table of the direct product of cyclic groups, entry by entry: each
+    index is decoded into mixed-radix digits (the first factor most
+    significant), added digit by digit modulo its factor and encoded again."""
+    size = 1
+    for f in factors:
+        size *= f
+
+    def decode(x: int) -> list[int]:
+        out = []
+        for f in reversed(factors):
+            x, r = divmod(x, f)
+            out.append(r)
+        return out[::-1]
+
+    def encode(parts: list[int]) -> int:
+        x = 0
+        for f, v in zip(factors, parts):
+            x = x * f + v
+        return x
+
+    return [
+        [encode([(u + v) % f for f, u, v in zip(factors, decode(a), decode(b))])
+         for b in range(size)]
+        for a in range(size)
+    ]
+
+
 def subgroups_by_subset_scan(G: Group, m: int) -> list[tuple[int, ...]]:
     """All order-m subgroups found by testing every m-subset containing 0."""
     out = []
@@ -480,6 +508,7 @@ __all__ = [
     "direct_product",
     "heisenberg",
     "quaternion8",
+    "abelian_table_by_decoding",
     "subgroups_by_subset_scan",
     "complements_by_subgroup_scan",
     "lower_central_series_by_scan",

@@ -15,6 +15,8 @@ from nilcoh.actions import (
 )
 from nilcoh.cohomology import (
     AbelianH1,
+    Cocycle,
+    CohomologySet,
     check_cocycle,
     cocycle_to_complement,
     cocycles,
@@ -47,7 +49,7 @@ from nilcoh.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
-from nilcoh.harness.catalog import conjugation_self_action
+from nilcoh.harness.catalog import conjugation_self_action, inversion_action
 from nilcoh.structure import (
     complements,
     hall_pprime,
@@ -261,9 +263,16 @@ def test_h1_builds_one_generating_sequence(monkeypatch):
 
 
 def test_h1_classes_match_the_twist_partition_oracle():
+    # Besides the catalog: trivial actions on abelian N, where N/C = 1 and
+    # every class is one cocycle (4096 of them from C2^3 to C2^4); C2
+    # inverting C_n, whose n cocycles form 2 classes through n/2 - 1 twists
+    # besides the central coset; and heis3 on itself.
     actions = [(inst.id, inst.action()) for inst in CATALOG]
     actions.append(("c2e3_triv_c2e4",
                     trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2]))))
+    actions.append(("c2e4_triv_c5c5",
+                    trivial_action(abelian([2, 2, 2, 2]), abelian([5, 5]))))
+    actions += [(f"c2_inv_c{n}", inversion_action(cyclic(n))) for n in (32, 64, 128, 256)]
     actions.append(("heis3_conj_heis3", conjugation_self_action(heisenberg(3))))
     for iid, a in actions:
         J = a.actor
@@ -308,7 +317,27 @@ def test_h1_partition_is_twist_orbit():
         orbit = {twist(rep, n).values for n in range(N.order)}
         assert orbit == {c.values for c in cls}
     assert H.distinguished == 0
-    assert H.rep(0).is_distinguished()
+    assert H.rep(0).values == (0,) * H.domain.order
+
+
+def test_cocycle_is_a_frozen_value_object():
+    # Cocycles come out of `cocycles` built a slot at a time; they must act
+    # as constructed ones: no assignment, no instance dict, and equality and
+    # hashing by (action, domain, values).
+    from dataclasses import FrozenInstanceError
+
+    a = inv_c4()
+    phi = cocycles(a)[1]
+    with pytest.raises(FrozenInstanceError):
+        phi.values = (0, 0)
+    assert not hasattr(phi, "__dict__")
+    same = Cocycle(a, full_subgroup(a.actor), (0, 1))
+    assert phi is not same and phi == same and hash(phi) == hash(same)
+    assert phi == cocycles(a)[1] and hash(phi) == hash(cocycles(a)[1])
+    assert phi != Cocycle(a, phi.domain, (0, 3))
+    assert phi != Cocycle(inv_c4(), phi.domain, phi.values)
+    assert phi != Cocycle(a, trivial_subgroup(a.actor), phi.values)
+    assert len({phi, same, *cocycles(a)}) == 4
 
 
 def test_complement_correspondence_round_trip():
@@ -328,7 +357,7 @@ def test_complement_cocycle_values():
     a = inv_c4()
     P = semidirect(a)
     emb_j = P.j_part()
-    assert complement_to_cocycle(P, emb_j).is_distinguished()
+    assert complement_to_cocycle(P, emb_j).values == (0, 0)
     K = Subgroup(P.group, [0, 5])  # contains (a^2, r)
     assert complement_to_cocycle(P, K).values == (0, 2)
     with pytest.raises(NotAComplement):
@@ -614,6 +643,86 @@ def test_decomposition_spot_instances():
 
     rep = decomposition_map(cat["c2_inv_c3"].action())
     assert rep.shared_primes == () and rep.h1_full.size == 1 and rep.bijective
+
+
+def _patch_local_h1(monkeypatch, rebuild):
+    """Make `decomposition_map` see rebuild(H) for every local H1(J_p, N)."""
+    from nilcoh import cohomology
+
+    real = cohomology.h1
+
+    def local(action, K=None, budget=cohomology.GENERATOR_ENUM_BUDGET):
+        H = real(action, K, budget)
+        return H if K is None else rebuild(H)
+
+    monkeypatch.setattr(cohomology, "h1", local)
+
+
+def _split_classes(H):
+    return CohomologySet(H.action, H.domain, [[c] for cls in H.classes for c in cls])
+
+
+def _move_distinguished(H):
+    moved = CohomologySet(H.action, H.domain, H.classes)
+    moved.distinguished = H.size - 1
+    return moved
+
+
+def _merge_first_classes(H):
+    return CohomologySet(H.action, H.domain,
+                         [H.classes[0] + H.classes[1]] + list(H.classes[2:]))
+
+
+def _patch_fixed_classes(monkeypatch, change):
+    from nilcoh import cohomology
+
+    real = cohomology.fixed_classes
+    monkeypatch.setattr(cohomology, "fixed_classes", lambda H, S: change(H, real(H, S)))
+
+
+# Each fault, its instance, and the report's failure, forward images and
+# (well_defined, point_preserved, injective, surjective), as the class-by-
+# class scan of every cocycle reports them.
+DECOMPOSITION_FAULTS = {
+    "local_h1_splits_a_class": (
+        "c6_inv_c6", lambda mp: _patch_local_h1(mp, _split_classes),
+        "class 0 restricts to multiple local class tuples",
+        ((0, 0), (3, 0)), (False, True, True, False)),
+    "fixed_classes_drops_a_class": (
+        "c6_inv_c6", lambda mp: _patch_fixed_classes(mp, lambda H, fixed: fixed[:-1]),
+        "class 0 restricts at p=3 to class 0, which the Hall subgroup does not fix",
+        ((0, 0), (1, 0)), (True, True, True, False)),
+    "fixed_classes_drops_a_later_class": (
+        "c2_inv_c4", lambda mp: _patch_fixed_classes(mp, lambda H, fixed: fixed[:-1]),
+        "class 1 restricts at p=2 to class 1, which the Hall subgroup does not fix",
+        ((0,), (1,)), (True, True, True, False)),
+    "distinguished_class_moved": (
+        "c6_inv_c6", lambda mp: _patch_local_h1(mp, _move_distinguished),
+        "distinguished class does not map to the distinguished tuple",
+        ((0, 0), (1, 0)), (True, False, True, True)),
+    "two_classes_merged": (
+        "c6_inv_c6", lambda mp: _patch_local_h1(mp, _merge_first_classes),
+        "two classes restrict to the same local tuple",
+        ((0, 0), (0, 0)), (True, True, False, True)),
+    "fixed_classes_adds_a_class": (
+        "c6_inv_c6", lambda mp: _patch_fixed_classes(mp, lambda H, fixed: tuple(range(H.size))),
+        "fixed local tuple (0, 1) has no preimage",
+        ((0, 0), (1, 0)), (True, True, True, False)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DECOMPOSITION_FAULTS))
+def test_decomposition_failures_name_their_witness(monkeypatch, fault):
+    from nilcoh.harness.catalog import catalog_by_id
+
+    iid, patch, failure, forward, flags = DECOMPOSITION_FAULTS[fault]
+    a = catalog_by_id()[iid].action()
+    patch(monkeypatch)
+    rep = decomposition_map(a)
+    assert rep.failure == failure
+    assert rep.forward == forward
+    assert (rep.well_defined, rep.point_preserved, rep.injective, rep.surjective) == flags
+    assert not rep.bijective
 
 
 def test_decomposition_bijective_on_all_catalog_instances():

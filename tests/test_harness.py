@@ -11,7 +11,7 @@ import pytest
 
 import nilcoh
 from nilcoh.errors import ParseError, UnknownCheck, ValidationError
-from nilcoh.harness.catalog import CATALOG, EQ3_EXTRA, catalog_by_id
+from nilcoh.harness.catalog import CATALOG, EQ3_EXTRA, abelian, catalog_by_id
 from nilcoh.harness.cli import main
 from nilcoh.harness.scenario import load_scenario
 from nilcoh.harness.suite import (
@@ -24,6 +24,7 @@ from nilcoh.harness.suite import (
     scenario_checks,
 )
 from nilcoh.theorems import VerificationReport
+from conftest import abelian_table_by_decoding
 
 
 def shipped_scenario_path():
@@ -46,6 +47,14 @@ def test_catalog_instances_all_validate():
     for inst in CATALOG:
         action = inst.action()  # constructors validate groups and actions
         assert is_nilpotent(action.actor) and is_nilpotent(action.target)
+
+
+@pytest.mark.parametrize("factors", [[2, 2, 2, 2], [5, 5], [2, 2, 2], [2, 2, 2, 2, 2],
+                                     [3, 9], [4, 2, 3]])
+def test_abelian_matches_the_decoding_oracle(factors):
+    G = abelian(factors)
+    assert G.mul == tuple(map(tuple, abelian_table_by_decoding(factors)))
+    assert G.name == "x".join(f"C{f}" for f in factors)
 
 
 def test_load_shipped_scenario():

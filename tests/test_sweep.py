@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 from nilcoh.actions import action_from_generator_images, semidirect, trivial_action
 from nilcoh.cohomology import cocycles, cocycles_bruteforce, decomposition_map, h1, shared_primes
 from nilcoh.groups import Group, cayley_tree, compose, subgroup_generated
-from nilcoh.structure import complements, subgroup_conjugacy_classes
+from nilcoh.structure import complements, prime_factors, subgroup_conjugacy_classes, sylow_subgroup
 from conftest import (
     abelian,
     complements_by_subgroup_scan,
     cyclic,
+    h1_classes_by_twist,
     quaternion8,
     semidirect_table_by_formula,
 )
@@ -104,6 +105,20 @@ def test_sweep_decomposition_and_correspondence():
     assert checked_corr > 60
 
 
+def test_h1_matches_the_twist_oracle_on_the_sweep():
+    # Every action of a cyclic actor in the sweep, on J and on each Sylow
+    # subgroup of J.
+    instances = 0
+    for N in sweep_targets():
+        for J in (cyclic(2), cyclic(3), cyclic(4), cyclic(6)):
+            for action in _all_cyclic_actions(J, N):
+                for K in [None] + [sylow_subgroup(J, p) for p in prime_factors(J.order)]:
+                    classes = [[c.values for c in cls] for cls in h1(action, K).classes]
+                    assert classes == h1_classes_by_twist(action, K), (J.name, N.name, K)
+                instances += 1
+    assert instances > 150
+
+
 def test_noncyclic_actor_sweep():
     # Both generators of C2 x C2 range over commuting involutions.
     J = abelian([2, 2])
@@ -152,6 +167,9 @@ def test_chain_enumeration_matches_oracle_on_two_generator_actors(drawn):
         fast = [c.values for c in cocycles(action, domain)]
         brute = [c.values for c in cocycles_bruteforce(action, domain)]
         assert fast == brute, (action.actor.name, action.target.name, domain)
+        classes = [[c.values for c in cls] for cls in h1(action, domain).classes]
+        assert classes == h1_classes_by_twist(action, domain), (
+            action.actor.name, action.target.name, domain)
 
 
 @st.composite
