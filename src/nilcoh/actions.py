@@ -46,11 +46,16 @@ def is_automorphism(N: Group, perm: Sequence[int]) -> bool:
     return respects_generators(N, N.mul, perm)
 
 
-def _represents(group: Group, perms: Sequence[tuple[int, ...]]) -> bool:
-    """Whether perms[a*g] == perms[a] after perms[g] for every element a and
-    every g in group.gens: one C-level composition per (a, g)."""
-    return all([perms[row[g]] for row in group.mul] == list(map(composer(perms[g]), perms))
-               for g in group.gens)
+def _first_mismatch(group: Group, perms: Sequence[tuple[int, ...]]) -> tuple[int, int] | None:
+    """None when perms[a*g] == perms[a] after perms[g] for every element a and
+    every g in group.gens, tested with one C-level composition per (a, g);
+    otherwise the first failing pair (a, g), by a and then by g."""
+    mul = group.mul
+    if all([perms[row[g]] for row in mul] == list(map(composer(perms[g]), perms))
+           for g in group.gens):
+        return None
+    return next((a, g) for a, pa in enumerate(perms) for g in group.gens
+                if perms[mul[a][g]] != compose(pa, perms[g]))
 
 
 class ActionOnGroup:
@@ -75,14 +80,10 @@ class ActionOnGroup:
         ident = tuple(range(target.order))
         if perms[0] != ident:
             raise NotAHomomorphism("identity of J must act as the identity map")
-        if not _represents(actor, perms):
-            mul = actor.mul
-            for a, pa in enumerate(perms):
-                for g in actor.gens:
-                    if perms[mul[a][g]] != compose(pa, perms[g]):
-                        raise NotAHomomorphism(
-                            f"action of product {a}*{g} differs from composed action"
-                        )
+        pair = _first_mismatch(actor, perms)
+        if pair is not None:
+            raise NotAHomomorphism(
+                "action of product {}*{} differs from composed action".format(*pair))
         self.actor = actor
         self.target = target
         self.auto = perms
@@ -303,12 +304,9 @@ class GSet:
                 raise ValueError(f"element {g} does not act by a permutation")
         if tables and tables[0] != tuple(pts):
             raise ValueError("identity must act trivially")
-        if not _represents(group, tables):
-            mul = group.mul
-            for a, ta in enumerate(tables):
-                for g in group.gens:
-                    if tables[mul[a][g]] != compose(ta, tables[g]):
-                        raise ValueError(f"action is not a homomorphism at ({a}, {g})")
+        pair = _first_mismatch(group, tables)
+        if pair is not None:
+            raise ValueError("action is not a homomorphism at ({}, {})".format(*pair))
         self.group = group
         self.size = size
         self.act = tables

@@ -24,6 +24,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, product, repeat
+from math import prod
 from operator import attrgetter, eq, getitem, itemgetter
 
 from .actions import ActionOnGroup, SemidirectProduct
@@ -645,8 +646,9 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
         columns.append(tuple(map(b.h1_local._index.__getitem__, restricted)))
     firsts = [compose(column, starts) for column in columns]
     fixed = [set(b.fixed) for b in blocks]
-    if all(column == compose(first, owner) and all(map(b_fixed.__contains__, first))
-           for column, first, b_fixed in zip(columns, firsts, fixed)):
+    fast = all(column == compose(first, owner) and all(map(b_fixed.__contains__, first))
+               for column, first, b_fixed in zip(columns, firsts, fixed))
+    if fast:
         well_defined, failure = True, None
         forward = list(zip(*firsts)) if blocks else [()] * Hfull.size
     else:
@@ -655,13 +657,16 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     point_preserved = forward[Hfull.distinguished] == point
     if not point_preserved:
         failure = failure or "distinguished class does not map to the distinguished tuple"
-    injective = len(set(forward)) == len(forward)
+    images = set(forward)
+    injective = len(images) == len(forward)
     if not injective:
         failure = failure or "two classes restrict to the same local tuple"
-    full_target = set(product(*[b.fixed for b in blocks])) if blocks else {()}
-    surjective = set(forward) == full_target
+    # On the fast path every image is a tuple of fixed classes, so the images
+    # are all of them exactly when there are as many as fixed tuples.
+    surjective = len(images) == prod(map(len, fixed)) and (
+        fast or all(all(map(set.__contains__, fixed, image)) for image in images))
     if not surjective and failure is None:
-        missing = sorted(full_target - set(forward))[0]
+        missing = min(set(product(*fixed)) - images)
         failure = f"fixed local tuple {missing} has no preimage"
     return DecompositionReport(
         shared_primes=primes,

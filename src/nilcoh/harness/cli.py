@@ -10,25 +10,19 @@ import argparse
 import json
 import sys
 
-from ..actions import coset_gset, semidirect
+from ..actions import semidirect
 from ..cohomology import GENERATOR_ENUM_BUDGET, decomposition_map, h1
 from ..errors import NilcohError, ParseError, ValidationError
 from ..structure import DEFAULT_ENUM_BUDGET, complements, subgroup_conjugacy_classes
-from ..theorems import (
-    verify_lemma1,
-    verify_prop2,
-    verify_prop3,
-    verify_prop5,
-    verify_thm4,
-)
 from .catalog import CATALOG, EQ3_EXTRA, catalog_by_id
-from .scenario import load_scenario, subgroup_of_semidirect
+from .scenario import KNOWN_VERIFIERS, load_scenario
 from .suite import (
     default_suite,
     report_emit,
     run_checks,
     exit_code,
     scenario_checks,
+    verify_on_action,
 )
 
 
@@ -155,24 +149,8 @@ def _parse_h_spec(raw: str | None):
 def cmd_verify(args) -> int:
     instance, action = _resolve_action(args)
     relaxed = args.relaxed_hypotheses
-    if args.theorem == "lemma1":
-        report = verify_lemma1(action, instance, relaxed=relaxed)
-    elif args.theorem == "prop2":
-        P = semidirect(action)
-        report = verify_prop2(P.group, P.n_part(), instance, relaxed=relaxed)
-    elif args.theorem == "prop3":
-        P = semidirect(action)
-        report = verify_prop3(P.group, P.n_part(), instance, relaxed=relaxed)
-    elif args.theorem == "prop5":
-        P = semidirect(action)
-        H = subgroup_of_semidirect(P, _parse_h_spec(args.h))
-        report = verify_prop5(P.group, P.n_part(), P.j_part(), H, instance,
-                              relaxed=relaxed)
-    else:  # thm4
-        P = semidirect(action)
-        H = subgroup_of_semidirect(P, _parse_h_spec(args.h))
-        report = verify_thm4(action, coset_gset(P.group, H), instance,
-                             relaxed=relaxed)
+    h = _parse_h_spec(args.h) if args.theorem in ("prop5", "thm4") else "embedded_j"
+    report = verify_on_action(args.theorem, action, instance, relaxed, h)
     _emit(report.to_json(), args.format)
     if report.falsification:
         return 2
@@ -246,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(fn=cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="run one verifier on one instance")
-    p_ver.add_argument("theorem",
-                       choices=("lemma1", "prop2", "prop3", "prop5", "thm4"))
+    p_ver.add_argument("theorem", choices=KNOWN_VERIFIERS)
     relaxable(p_ver)
     p_ver.add_argument("--h", help="subgroup spec (JSON) for prop5/thm4")
     p_ver.set_defaults(fn=cmd_verify)

@@ -53,6 +53,7 @@ class ScenarioCheck:
     instance: str
     spec: dict
     expect_hypothesis_fail: bool = False
+    normal: Subgroup | None = None  # N of a prop2/prop3 check on a group
 
 
 @dataclass
@@ -239,19 +240,23 @@ def load_scenario(path: str | Path) -> Scenario:
                 raise UnknownCheck(kind)
         else:
             raise ValidationError(f"check {i}", "needs a 'verify' or 'check' key")
-        _validate_check_refs(spec, scenario, i)
         scenario.checks.append(
             ScenarioCheck(
                 kind=kind,
                 instance=f"{scenario.id}/{i}:{kind}",
                 spec=spec,
                 expect_hypothesis_fail=bool(spec.get("expect_hypothesis_fail")),
+                normal=_resolve_check_subgroups(spec, scenario, i),
             )
         )
     return scenario
 
 
-def _validate_check_refs(spec: dict, scenario: Scenario, i: int) -> None:
+def _resolve_check_subgroups(spec: dict, scenario: Scenario, i: int) -> Subgroup | None:
+    """Check the references of check i and resolve its subgroup specs: a
+    prop5 check's "h" is built once to validate it, and the normal subgroup
+    of a prop2/prop3 check on a group is returned.  Every failure is a
+    ValidationError naming the check."""
     where = f"check {i}"
     if "action" in spec and spec["action"] not in scenario.actions:
         raise ValidationError(where, f"unknown action name {spec['action']!r}")
@@ -268,3 +273,15 @@ def _validate_check_refs(spec: dict, scenario: Scenario, i: int) -> None:
         raise ValidationError(where, "this check needs an 'action' or 'group' reference")
     if spec.get("verify") == "thm4" and "gset" not in spec:
         raise ValidationError(where, "thm4 needs a 'gset' reference")
+    if spec.get("verify") == "prop5" and "h" in spec:
+        with _as_validation_error(where):
+            subgroup_of_semidirect(semidirect(scenario.actions[spec["action"]]),
+                                   spec["h"], where)
+    if spec.get("verify") in ("prop2", "prop3") and "action" not in spec:
+        normal = spec.get("normal", {})
+        if not isinstance(normal, dict):
+            raise ValidationError(where, "'normal' must be an object")
+        with _as_validation_error(where):
+            return subgroup_generated(scenario.groups[spec["group"]],
+                                      normal.get("generated_by", []))
+    return None

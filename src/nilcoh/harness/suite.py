@@ -12,9 +12,9 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ..actions import coset_gset, semidirect
+from ..actions import ActionOnGroup, coset_gset, semidirect
 from ..cohomology import cocycle_to_complement, cocycles_bruteforce, eq3_check, h1
-from ..errors import NilcohError, NotAbelian
+from ..errors import NilcohError, NotAbelian, UnknownCheck
 from ..groups import Group, subgroup_generated
 from ..structure import complements, subgroup_conjugacy_classes
 from ..theorems import (
@@ -26,7 +26,7 @@ from ..theorems import (
     verify_thm4,
 )
 from .catalog import CATALOG, EQ3_EXTRA, ActionInstance, cyclic, dihedral, direct_product
-from .scenario import Scenario, ScenarioCheck, subgroup_of_semidirect
+from .scenario import KNOWN_VERIFIERS, Scenario, ScenarioCheck, subgroup_of_semidirect
 
 log = logging.getLogger(__name__)
 
@@ -107,32 +107,35 @@ def eq3_report(action, instance: str) -> VerificationReport:
     return report
 
 
-def _thm4_check(inst: ActionInstance, tag: str, coset_spec,
-                expect_fail: bool = False, relaxed: bool = False) -> SuiteCheck:
-    def run() -> VerificationReport:
-        action = inst.action()
-        P = semidirect(action)
-        H = subgroup_of_semidirect(P, coset_spec)
-        gset = coset_gset(P.group, H)
-        return verify_thm4(action, gset, instance=f"{inst.id}/thm4:{tag}",
-                           relaxed=relaxed)
+def verify_on_action(theorem: str, action: ActionOnGroup, instance: str,
+                     relaxed: bool = False, h="embedded_j") -> VerificationReport:
+    """Run one of the paper's verifiers on an action: lemma1 on the action
+    itself, prop2, prop3, prop5 and thm4 on its semidirect product N x| J.
+    `h` is a subgroup spec of `subgroup_of_semidirect`; it names prop5's H
+    and the subgroup whose coset space thm4 acts on, and only they read it."""
+    if theorem == "lemma1":
+        return verify_lemma1(action, instance, relaxed=relaxed)
+    P = semidirect(action)
+    if theorem == "prop2":
+        return verify_prop2(P.group, P.n_part(), instance, relaxed=relaxed)
+    if theorem == "prop3":
+        return verify_prop3(P.group, P.n_part(), instance, relaxed=relaxed)
+    H = subgroup_of_semidirect(P, h)
+    if theorem == "prop5":
+        return verify_prop5(P.group, P.n_part(), P.j_part(), H, instance,
+                            relaxed=relaxed)
+    if theorem == "thm4":
+        return verify_thm4(action, coset_gset(P.group, H), instance, relaxed=relaxed)
+    raise UnknownCheck(theorem)
 
-    return SuiteCheck(f"{inst.id}/thm4:{tag}", run, expect_hypothesis_fail=expect_fail)
 
-
-def _prop5_semidirect_check(inst: ActionInstance, tag: str, h_spec,
-                            expect_fail: bool = False,
-                            relaxed: bool = False) -> SuiteCheck:
-    def run() -> VerificationReport:
-        action = inst.action()
-        P = semidirect(action)
-        H = subgroup_of_semidirect(P, h_spec)
-        return verify_prop5(
-            P.group, P.n_part(), P.j_part(), H,
-            instance=f"{inst.id}/prop5:{tag}", relaxed=relaxed,
-        )
-
-    return SuiteCheck(f"{inst.id}/prop5:{tag}", run, expect_hypothesis_fail=expect_fail)
+def _action_check(inst: ActionInstance, theorem: str, instance: str,
+                  relaxed: bool, h="embedded_j", expect_fail: bool = False) -> SuiteCheck:
+    return SuiteCheck(
+        instance,
+        lambda: verify_on_action(theorem, inst.action(), instance, relaxed, h),
+        expect_hypothesis_fail=expect_fail,
+    )
 
 
 def _ambient_prop5_check(tag: str, build: Callable[[], tuple[Group, list[int], list[int], list[int]]],
@@ -151,6 +154,32 @@ def _ambient_prop5_check(tag: str, build: Callable[[], tuple[Group, list[int], l
     return SuiteCheck(f"ambient/prop5:{tag}", run, expect_hypothesis_fail=expect_fail)
 
 
+_SUPPLEMENT = {"generated_by": [[0, 1], [3, 0]]}
+_Q8_CENTER_SUPPLEMENT = {"generated_by": [[0, 2], [0, 4], [1, 0]]}
+
+# The curated fixed-point and conjugator checks on semidirect products:
+# (catalog id, theorem, tag, subgroup spec, expect_hypothesis_fail).  For
+# thm4 the spec names the subgroup whose coset space is Omega, for prop5 H.
+CURATED_CHECKS = (
+    ("c2_inv_c4", "thm4", "omega_j", "embedded_j", False),
+    ("c2_inv_c4", "thm4", "omega_other_class", {"generated_by": [[1, 1]]}, True),
+    ("c2_inv_c4", "thm4", "omega_point", "whole", False),
+    ("c2_inv_c4", "thm4", "omega_regular", "trivial", True),
+    ("c2_swap_c2c2", "thm4", "omega_j", "embedded_j", False),
+    ("c6_inv_c6", "thm4", "omega_j", "embedded_j", False),
+    ("c6_inv_c6", "thm4", "omega_supplement", _SUPPLEMENT, False),
+    ("c3_cycle_q8", "thm4", "omega_j", "embedded_j", False),
+    ("q8_conj_q8", "thm4", "omega_center_supplement", _Q8_CENTER_SUPPLEMENT, False),
+    ("c3_inner_heis3", "thm4", "omega_j", "embedded_j", False),
+    ("c6_twist_q8c3", "thm4", "omega_supplement", _SUPPLEMENT, False),
+    ("c2_inv_c4", "prop5", "twisted_complement", {"elements": [0, 5]}, False),
+    ("c6_inv_c6", "prop5", "supplement", _SUPPLEMENT, False),
+    ("c6_inv_c12", "prop5", "supplement", {"generated_by": [[0, 1], [6, 0]]}, False),
+    ("q8_conj_q8", "prop5", "center_supplement", _Q8_CENTER_SUPPLEMENT, False),
+    ("c6_twist_q8c3", "prop5", "supplement", _SUPPLEMENT, False),
+)
+
+
 def default_suite(relaxed: bool = False) -> list[SuiteCheck]:
     """The shipped suite: every catalog action through the decomposition,
     correspondence, and complement-conjugacy verifiers, plus curated
@@ -162,65 +191,20 @@ def default_suite(relaxed: bool = False) -> list[SuiteCheck]:
         checks.append(SuiteCheck(instance, fn, expect_hypothesis_fail=expect_fail))
 
     for inst in CATALOG:
-        add(f"{inst.id}/lemma1",
-            lambda inst=inst: verify_lemma1(inst.action(), f"{inst.id}/lemma1",
-                                            relaxed=relaxed))
+        checks.append(_action_check(inst, "lemma1", f"{inst.id}/lemma1", relaxed))
         add(f"{inst.id}/correspondence",
             lambda inst=inst: correspondence_report(
                 inst.action(), f"{inst.id}/correspondence"))
-        add(f"{inst.id}/prop2",
-            lambda inst=inst: _prop2_on_semidirect(inst, relaxed))
+        checks.append(_action_check(inst, "prop2", f"{inst.id}/prop2", relaxed))
     for inst in CATALOG + EQ3_EXTRA:
         if "abelian_n" in inst.tags:
             add(f"{inst.id}/eq3",
                 lambda inst=inst: eq3_report(inst.action(), f"{inst.id}/eq3"))
 
     by_id = {inst.id: inst for inst in CATALOG}
-
-    # Fixed-point instances over coset spaces of the semidirect products.
-    checks.append(_thm4_check(by_id["c2_inv_c4"], "omega_j", "embedded_j",
-                              relaxed=relaxed))
-    checks.append(_thm4_check(by_id["c2_inv_c4"], "omega_other_class",
-                              {"generated_by": [[1, 1]]}, expect_fail=True,
-                              relaxed=relaxed))
-    checks.append(_thm4_check(by_id["c2_inv_c4"], "omega_point", "whole",
-                              relaxed=relaxed))
-    checks.append(_thm4_check(by_id["c2_inv_c4"], "omega_regular", "trivial",
-                              expect_fail=True, relaxed=relaxed))
-    checks.append(_thm4_check(by_id["c2_swap_c2c2"], "omega_j", "embedded_j",
-                              relaxed=relaxed))
-    checks.append(_thm4_check(by_id["c6_inv_c6"], "omega_j", "embedded_j",
-                              relaxed=relaxed))
-    checks.append(_thm4_check(by_id["c6_inv_c6"], "omega_supplement",
-                              {"generated_by": [[0, 1], [3, 0]]},
-                              relaxed=relaxed))
-    checks.append(_thm4_check(by_id["c3_cycle_q8"], "omega_j", "embedded_j",
-                              relaxed=relaxed))
-    checks.append(_thm4_check(by_id["q8_conj_q8"], "omega_center_supplement",
-                              {"generated_by": [[0, 2], [0, 4], [1, 0]]},
-                              relaxed=relaxed))
-    checks.append(_thm4_check(by_id["c3_inner_heis3"], "omega_j", "embedded_j",
-                              relaxed=relaxed))
-    checks.append(_thm4_check(by_id["c6_twist_q8c3"], "omega_supplement",
-                              {"generated_by": [[0, 1], [3, 0]]},
-                              relaxed=relaxed))
-
-    # Conjugator searches, semidirect and ambient.
-    checks.append(_prop5_semidirect_check(
-        by_id["c2_inv_c4"], "twisted_complement", {"elements": [0, 5]},
-        relaxed=relaxed))
-    checks.append(_prop5_semidirect_check(
-        by_id["c6_inv_c6"], "supplement", {"generated_by": [[0, 1], [3, 0]]},
-        relaxed=relaxed))
-    checks.append(_prop5_semidirect_check(
-        by_id["c6_inv_c12"], "supplement", {"generated_by": [[0, 1], [6, 0]]},
-        relaxed=relaxed))
-    checks.append(_prop5_semidirect_check(
-        by_id["q8_conj_q8"], "center_supplement",
-        {"generated_by": [[0, 2], [0, 4], [1, 0]]}, relaxed=relaxed))
-    checks.append(_prop5_semidirect_check(
-        by_id["c6_twist_q8c3"], "supplement",
-        {"generated_by": [[0, 1], [3, 0]]}, relaxed=relaxed))
+    for inst_id, theorem, tag, spec, expect_fail in CURATED_CHECKS:
+        checks.append(_action_check(by_id[inst_id], theorem, f"{inst_id}/{theorem}:{tag}",
+                                    relaxed, spec, expect_fail))
     checks.append(_ambient_prop5_check(
         "d4_contains_j", lambda: (dihedral(4), [1], [4], [4, 2]),
         relaxed=relaxed))
@@ -238,8 +222,8 @@ def default_suite(relaxed: bool = False) -> list[SuiteCheck]:
                              "ambient/prop3:s3_c3", relaxed=relaxed))
     add("ambient/prop3:c6_c3",
         lambda: _prop3_on_c6(relaxed))
-    add("c2_swap_c2c2/prop3",
-        lambda: _prop3_on_semidirect(by_id["c2_swap_c2c2"], relaxed))
+    checks.append(_action_check(by_id["c2_swap_c2c2"], "prop3", "c2_swap_c2c2/prop3",
+                                relaxed))
     add("ambient/prop2:d4_c4",
         lambda: verify_prop2(dihedral(4), subgroup_generated(dihedral(4), [1]),
                              "ambient/prop2:d4_c4", relaxed=relaxed))
@@ -247,18 +231,6 @@ def default_suite(relaxed: bool = False) -> list[SuiteCheck]:
         lambda: verify_prop2(dihedral(3), subgroup_generated(dihedral(3), [1]),
                              "ambient/prop2:s3_c3", relaxed=relaxed))
     return checks
-
-
-def _prop2_on_semidirect(inst: ActionInstance,
-                         relaxed: bool = False) -> VerificationReport:
-    P = semidirect(inst.action())
-    return verify_prop2(P.group, P.n_part(), f"{inst.id}/prop2", relaxed=relaxed)
-
-
-def _prop3_on_semidirect(inst: ActionInstance,
-                         relaxed: bool = False) -> VerificationReport:
-    P = semidirect(inst.action())
-    return verify_prop3(P.group, P.n_part(), f"{inst.id}/prop3", relaxed=relaxed)
 
 
 def _prop3_on_c6(relaxed: bool = False) -> VerificationReport:
@@ -287,27 +259,18 @@ def run_scenario_check(scenario: Scenario, check: ScenarioCheck,
                        relaxed: bool = False) -> VerificationReport:
     spec = check.spec
     kind = check.kind
-    if kind in ("lemma1", "decompose"):
-        return verify_lemma1(scenario.actions[spec["action"]], check.instance,
-                             relaxed=relaxed)
-    if kind in ("prop2", "prop3"):
-        if "action" in spec:
-            P = semidirect(scenario.actions[spec["action"]])
-            G, N = P.group, P.n_part()
-        else:
-            G = scenario.groups[spec["group"]]
-            N = subgroup_generated(G, spec.get("normal", {}).get("generated_by", []))
-        fn = verify_prop2 if kind == "prop2" else verify_prop3
-        return fn(G, N, check.instance, relaxed=relaxed)
-    if kind == "prop5":
-        P = semidirect(scenario.actions[spec["action"]])
-        H = subgroup_of_semidirect(P, spec.get("h", "embedded_j"))
-        return verify_prop5(P.group, P.n_part(), P.j_part(), H, check.instance,
-                            relaxed=relaxed)
     if kind == "thm4":
         action_name, gset = scenario.gsets[spec["gset"]]
         return verify_thm4(scenario.actions[action_name], gset, check.instance,
                            relaxed=relaxed)
+    if check.normal is not None:
+        fn = verify_prop2 if kind == "prop2" else verify_prop3
+        return fn(scenario.groups[spec["group"]], check.normal, check.instance,
+                  relaxed=relaxed)
+    if kind in KNOWN_VERIFIERS or kind == "decompose":
+        return verify_on_action("lemma1" if kind == "decompose" else kind,
+                                scenario.actions[spec["action"]], check.instance,
+                                relaxed, spec.get("h", "embedded_j"))
     if kind == "h1":
         return _h1_report(scenario, check)
     if kind == "complements":

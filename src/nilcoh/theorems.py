@@ -362,8 +362,10 @@ def verify_prop2(G: Group, N: Subgroup, instance: str = "",
     complements() lifts the generators of G/N and is complete, so only its
     work budget can fail the complements_enumerable hypothesis."""
     report = VerificationReport("prop2", instance, relaxed=relaxed)
-    _set_hypothesis(report, "n_normal", N.is_normal())
+    normal = _set_hypothesis(report, "n_normal", N.is_normal())
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
+    if not normal:
+        return report  # complements of N are defined only for N normal
     comps: list[Subgroup] = []
     try:
         comps = complements(G, N)
@@ -571,7 +573,7 @@ def verify_thm4(action: ActionOnGroup, gset: GSet, instance: str = "",
             report.witness = direct[0]
             report.note("witness from direct scan only")
         else:
-            report.conclusion_verified = bool(direct) and witness in direct
+            report.conclusion_verified = False
             report.witness = witness
     return report
 

@@ -15,6 +15,7 @@ from nilcoh.harness.catalog import CATALOG, EQ3_EXTRA, abelian, catalog_by_id
 from nilcoh.harness.cli import main
 from nilcoh.harness.scenario import load_scenario
 from nilcoh.harness.suite import (
+    CURATED_CHECKS,
     CheckOutcome,
     SuiteCheck,
     default_suite,
@@ -339,6 +340,28 @@ def test_cli_budget_exceeded_is_reported(capsys):
     assert "BudgetExceeded: subgroup enumeration" in capsys.readouterr().err
 
 
+_SHARED_DISPATCH = [(inst_id, theorem, f"{inst_id}/{theorem}:{tag}", spec)
+                    for inst_id, theorem, tag, spec, _ in CURATED_CHECKS] + [
+    ("c6_inv_c6", "lemma1", "c6_inv_c6/lemma1", None),
+    ("c6_inv_c6", "prop2", "c6_inv_c6/prop2", None),
+    ("c2_swap_c2c2", "prop3", "c2_swap_c2c2/prop3", None),
+]
+
+
+def test_cli_verify_prints_the_suite_record(capsys):
+    # `nilcoh verify` and the default suite dispatch through one function.
+    records = map(json.loads, report_emit(run_checks(default_suite())).splitlines())
+    suite = {record.pop("instance"): record for record in records}
+    for inst_id, theorem, name, spec in _SHARED_DISPATCH:
+        argv = ["verify", theorem, "--instance", inst_id, "--format", "json"]
+        if spec is not None:
+            argv += ["--h", json.dumps(spec)]
+        main(argv)
+        record = json.loads(capsys.readouterr().out)
+        assert record.pop("instance") == inst_id
+        assert record == suite[name], name
+
+
 def test_cli_verify_with_subgroup_spec(capsys):
     assert main(["verify", "prop5", "--instance", "c2_inv_c4",
                  "--h", '{"elements": [0, 5]}', "--format", "json"]) == 0
@@ -424,6 +447,9 @@ _REGULAR_C2C2 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     ({"groups": {"g": _C4},
       "checks": [{"verify": "prop2", "group": "g", "normal": {"generated_by": [2.5]}}]},
      "check 0", "normal.generated_by", "2.5"),
+    ({**_INV_C4, "checks": [{"verify": "prop5", "action": "inv",
+                             "h": {"elements": [0, 1.5]}}]},
+     "check 0", "elements", "1.5"),
 ])
 def test_cli_rejects_entries_that_are_not_integers(tmp_path, capsys, doc, where, field, bad):
     # int() used to truncate such entries silently: [[0, 1.9], [1, 0]] loaded as C2.
@@ -432,6 +458,27 @@ def test_cli_rejects_entries_that_are_not_integers(tmp_path, capsys, doc, where,
     assert main(["suite", "--scenario", str(path)]) == 3
     err = capsys.readouterr().err
     assert f"{where}: {field} entry {bad} is not an integer" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    # |J| = 2, so the pair [0, 3] is out of range.
+    ({**_INV_C4, "checks": [{"verify": "prop5", "action": "inv",
+                             "h": {"generated_by": [[0, 3]]}}]},
+     "generated_by pair [0, 3] outside |N| = 4, |J| = 2"),
+    ({"groups": {"d4": {"builtin": "dihedral", "n": 4}},
+      "checks": [{"verify": "prop3", "group": "d4", "normal": {"generated_by": [99]}}]},
+     "seed 99 outside group of order 8"),
+])
+def test_cli_rejects_bad_check_subgroups_at_load(tmp_path, capsys, caplog, doc, message):
+    # These specs used to be resolved only when the check ran, as an error
+    # record (exit 1); the seed outside D4 also logged a traceback.
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps({"id": "x", **doc}))
+    with pytest.raises(ValidationError, match="check 0"):
+        load_scenario(path)
+    assert main(["suite", "--scenario", str(path)]) == 3
+    assert f"check 0: {message}" in capsys.readouterr().err
+    assert not caplog.records
 
 
 def test_scenario_perm_group_and_direct_product(tmp_path, capsys):

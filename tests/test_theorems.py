@@ -52,6 +52,17 @@ def test_prop2_on_s3_coprime():
     assert report.witness["complements"] == 3
 
 
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_prop2_reports_a_non_normal_n(relaxed):
+    # <4> is generated by a reflection of D4; complements() would raise on it.
+    D4 = dihedral(4)
+    report = verify_prop2(D4, subgroup_generated(D4, [4]), "d4_reflection",
+                          relaxed=relaxed)
+    assert report.hypotheses == {"n_normal": False, "n_nilpotent": True}
+    assert report.conclusion_verified is None
+    assert not report.passed and not report.falsification
+
+
 def test_prop2_skips_non_nilpotent_complements():
     G = direct_product(dihedral(3), cyclic(2))
     N = Subgroup(G, [0, 1])  # the central C2 factor
