@@ -48,7 +48,6 @@ from .groups import (
     normalizer,
     quotient,
     subgroup_generated,
-    trivial_subgroup,
 )
 from .structure import (
     complements,

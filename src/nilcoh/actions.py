@@ -312,7 +312,10 @@ class GSet:
         self.act = tables
 
     def orbit(self, point: int, S: Subgroup | None = None) -> set[int]:
-        movers = S.elements if S is not None else range(self.group.order)
+        """The orbit of the point under S (default: the whole group), found
+        breadth first by the generators of S, which reach every element of
+        S as words since an inverse is a positive power."""
+        movers = S.gens if S is not None else self.group.gens
         seen = {point}
         frontier = [point]
         while frontier:

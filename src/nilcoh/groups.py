@@ -100,9 +100,6 @@ class Group:
         gens, mul = self.gens, self.mul
         return all(mul[a][b] == mul[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
 
-    def same_table(self, other: "Group") -> bool:
-        return self.order == other.order and self.mul == other.mul
-
     def __repr__(self) -> str:
         tag = self.name or "Group"
         return f"<{tag} of order {self.order}>"
@@ -159,6 +156,29 @@ def conjugates(G: Group, elements: Sequence[int], g: int) -> tuple[int, ...]:
     mul = G.mul
     row = mul[G.inv[g]]
     return tuple([mul[row[x]][g] for x in elements])
+
+
+def conjugacy_orbit(G: Group, elements: Sequence[int],
+                    gens: Sequence[int]) -> list[tuple[int, ...]]:
+    """The conjugates S^y of the subset S = elements over y in <gens>, each as
+    its sorted element tuple, breadth first from S itself.
+
+    The orbit algorithm (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 2005, §4.1): every y in <gens> is a word in gens, since
+    in a finite group an inverse is a positive power, so the orbit is the
+    closure of {S} under S -> S^g for g in gens.  Each member is conjugated
+    by each generator once, |orbit| x |gens| conjugations in all.
+    """
+    start = tuple(sorted(elements))
+    orbit = [start]
+    seen = {start}
+    for S in orbit:                        # orbit grows while it is walked
+        for g in gens:
+            T = tuple(sorted(conjugates(G, S, g)))
+            if T not in seen:
+                seen.add(T)
+                orbit.append(T)
+    return orbit
 
 
 def respects_generators(source: Group, target_mul: Sequence[Sequence[int]],
@@ -314,9 +334,6 @@ class GroupHom:
     def image(self) -> Subgroup:
         return Subgroup(self.target, set(self.images))
 
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.target.order
-
 
 # -- constructors --------------------------------------------------------------
 
@@ -460,10 +477,6 @@ def generating_sequence(G: Group, elements: Iterable[int]) -> list[int]:
 
 def full_subgroup(G: Group) -> Subgroup:
     return Subgroup(G, range(G.order))
-
-
-def trivial_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, (0,))
 
 
 # -- classical constructions ----------------------------------------------------

@@ -3,7 +3,8 @@
 A scenario is fully validated at load time; every constructor failure is
 reported as a ValidationError naming the constructor, and malformed JSON as a
 ParseError with line and column.  A group of order above DEFAULT_ORDER_CAP is
-rejected before its table is built.  Every table, permutation, image and
+rejected before its table is built, and so is a check that would run on a
+semidirect product above it.  Every table, permutation, image and
 element entry must be a JSON integer: `1.9`, `1.0`, `"1"` and `true` are
 refused here rather than converted, so the constructors behind this
 boundary never truncate one.
@@ -22,6 +23,7 @@ from ..actions import (
     ActionOnGroup,
     GSet,
     SemidirectProduct,
+    _product_order,
     action_from_generator_images,
     coset_gset,
     semidirect,
@@ -254,9 +256,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _resolve_check_subgroups(spec: dict, scenario: Scenario, i: int) -> Subgroup | None:
     """Check the references of check i and resolve its subgroup specs: a
-    prop5 check's "h" is built once to validate it, and the normal subgroup
-    of a prop2/prop3 check on a group is returned.  Every failure is a
-    ValidationError naming the check."""
+    check that runs on an action's semidirect product must keep it within
+    the order cap, a prop5 check's "h" is built once to validate it, and the
+    normal subgroup of a prop2/prop3 check on a group is returned.  Every
+    failure is a ValidationError naming the check."""
     where = f"check {i}"
     if "action" in spec and spec["action"] not in scenario.actions:
         raise ValidationError(where, f"unknown action name {spec['action']!r}")
@@ -273,6 +276,11 @@ def _resolve_check_subgroups(spec: dict, scenario: Scenario, i: int) -> Subgroup
         raise ValidationError(where, "this check needs an 'action' or 'group' reference")
     if spec.get("verify") == "thm4" and "gset" not in spec:
         raise ValidationError(where, "thm4 needs a 'gset' reference")
+    on_product = (spec.get("verify") in ("prop2", "prop3", "prop5")
+                  or spec.get("check") == "complements")
+    if on_product and "action" in spec:
+        with _as_validation_error(where):
+            _product_order(scenario.actions[spec["action"]], DEFAULT_ORDER_CAP)
     if spec.get("verify") == "prop5" and "h" in spec:
         with _as_validation_error(where):
             subgroup_of_semidirect(semidirect(scenario.actions[spec["action"]]),

@@ -3,13 +3,15 @@ subgroups, subgroup enumeration, complements, and local conjugacy."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import BudgetExceeded, NotNilpotent, SearchBudgetExceeded
 from .groups import (
     Group,
     Subgroup,
     are_conjugate_subgroups,
     cayley_tree,
-    conjugates,
+    conjugacy_orbit,
     generating_sequence,
     normalizer,
     subgroup_generated,
@@ -48,20 +50,27 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def lower_central_series(G: Group) -> list[Subgroup]:
-    """G = g1 >= g2 >= ... with g_{i+1} = [g_i, G], until the series
-    stabilizes or reaches the trivial group.
+def lower_central_series(G: Group, within: Subgroup | None = None) -> list[Subgroup]:
+    """The lower central series of H = `within` (default: all of G), as
+    subgroups of G: H = g1 >= g2 >= ... with g_{i+1} = [g_i, H], until the
+    series stabilizes or reaches the trivial group.
 
     If X = <A> and Y = <B>, then [X, Y] is the normal closure in XY of the
     commutators [a, b] (Robinson, *A Course in the Theory of Groups*, 5.1.7).
-    So g_{i+1} is the normal closure in G of [x, g] over x in the generating
-    sequence of g_i and g in G.gens, not a scan of all |g_i| x |G| pairs.
+    So g_{i+1} is the normal closure in H of [x, h] over x in the generating
+    sequence of g_i and h in H.gens, not a scan of all |g_i| x |H| pairs,
+    and a subgroup's series is computed in G's table without re-indexing it
+    as a group of its own.
     """
-    cur = Subgroup(G, range(G.order))
-    gens = G.gens
+    if within is None:
+        top, top_gens = Subgroup(G, range(G.order)), G.gens
+    else:
+        top, top_gens = within, within.gens
+    cur, gens = top, top_gens
     series = [cur]
     while True:
-        nxt = _normal_closure(G, {G.commutator(x, g) for x in gens for g in G.gens})
+        seeds = {G.commutator(x, h) for x in gens for h in top_gens}
+        nxt = _normal_closure(G, seeds, top_gens)
         if nxt.elements == cur.elements:
             break
         series.append(nxt)
@@ -71,17 +80,18 @@ def lower_central_series(G: Group) -> list[Subgroup]:
     return series
 
 
-def _normal_closure(G: Group, seeds: set[int]) -> Subgroup:
-    """The smallest normal subgroup of G containing the seeds.
+def _normal_closure(G: Group, seeds: set[int], gens: Sequence[int]) -> Subgroup:
+    """The smallest subgroup of G containing the seeds that is normalized by
+    every element of gens: the normal closure in <gens> of seeds inside it.
 
-    The conjugates of the seeds by G.gens are adjoined until they all lie in
+    The conjugates of the seeds by gens are adjoined until they all lie in
     the subgroup generated so far; a subgroup whose generators stay inside
-    it under conjugation by every generator of G is normal.
+    it under conjugation by every generator of <gens> is normalized by it.
     """
     seeds.discard(0)
     while True:
         H = subgroup_generated(G, seeds)
-        fresh = {G.conj(x, g) for x in seeds for g in G.gens} - H._set
+        fresh = {G.conj(x, g) for x in seeds for g in gens} - H._set
         if not fresh:
             return H
         seeds |= fresh
@@ -92,10 +102,9 @@ def is_nilpotent(G: Group) -> bool:
 
 
 def is_nilpotent_subgroup(H: Subgroup) -> bool:
-    if H.is_whole_group():
-        return is_nilpotent(H.parent)
-    sub, _ = H.as_group()
-    return is_nilpotent(sub)
+    """Whether H is nilpotent, from its lower central series in the
+    parent's table."""
+    return lower_central_series(H.parent, within=H)[-1].is_trivial()
 
 
 def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None,
@@ -303,13 +312,16 @@ def _generates_exactly(G: Group, gens: tuple[int, ...], order: int) -> bool:
 def subgroup_conjugacy_classes(
     G: Group, subs: list[Subgroup], under: Subgroup | None = None
 ) -> list[list[int]]:
-    """Partition a list of subgroups into conjugacy classes.
+    """Partition a list of subgroups into conjugacy classes under `under`
+    (default: all of G).
 
-    Conjugating elements range over `under` (default: all of G); classes are
-    returned as index lists in first-seen order, and repeated copies of a
-    subgroup share its class.
+    The class of each subgroup not yet placed is its orbit under conjugation
+    by the generators of `under` (`groups.conjugacy_orbit`), so a class costs
+    |orbit| x |gens| conjugations, not one per element of `under`.  Classes
+    are index lists in first-seen order, each sorted, and repeated copies of
+    a subgroup share its class.
     """
-    movers = under.elements if under is not None else range(G.order)
+    gens = under.gens if under is not None else G.gens
     positions: dict[tuple[int, ...], list[int]] = {}
     for i, S in enumerate(subs):
         positions.setdefault(S.elements, []).append(i)
@@ -318,13 +330,11 @@ def subgroup_conjugacy_classes(
     for i, S in enumerate(subs):
         if seen[i]:
             continue
-        members = set()
-        for u in movers:
-            key = tuple(sorted(conjugates(G, S.elements, u)))
-            for j in positions.get(key, ()):
-                members.add(j)
-                seen[j] = True
-        classes.append(sorted(members))
+        members = sorted(j for key in conjugacy_orbit(G, S.elements, gens)
+                         for j in positions.get(key, ()))
+        for j in members:
+            seen[j] = True
+        classes.append(members)
     return classes
 
 

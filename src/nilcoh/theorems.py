@@ -40,7 +40,7 @@ from .groups import (
     Subgroup,
     are_conjugate_subgroups,
     centralizer,
-    conjugates,
+    conjugacy_orbit,
     conjugates_into,
     conjugator_into,
     quotient,
@@ -478,10 +478,10 @@ def _first_disagreement(x: list, y: list) -> tuple[int, int] | None:
 
 
 def _all_sylow_conjugates(G: Group, p: int) -> list[Subgroup]:
-    """The distinct conjugates of one Sylow p-subgroup, by sorted elements."""
+    """The distinct conjugates of one Sylow p-subgroup, by sorted elements:
+    its orbit under conjugation by G.gens."""
     base = sylow_subgroup(G, p)
-    keys = {tuple(sorted(conjugates(G, base.elements, g))) for g in range(G.order)}
-    return [Subgroup(G, k) for k in sorted(keys)]
+    return [Subgroup(G, k) for k in sorted(conjugacy_orbit(G, base.elements, G.gens))]
 
 
 def _sylow_local_complements_conjugate(G: Group, S: Subgroup, N: Subgroup) -> bool:

@@ -16,10 +16,19 @@ from itertools import chain, combinations, product
 
 import pytest
 
-from nilcoh.actions import ActionOnGroup
+from nilcoh import theorems
+from nilcoh.actions import ActionOnGroup, GSet, coset_gset
 from nilcoh.cohomology import Cocycle, CohomologySet, cocycles_bruteforce, restrict
 from nilcoh.errors import BudgetExceeded, DomainMismatch, OrderCapExceeded
-from nilcoh.groups import Group, Subgroup, generating_sequence, quotient, subgroup_generated
+from nilcoh.groups import (
+    Group,
+    GroupHom,
+    Subgroup,
+    conjugates,
+    generating_sequence,
+    quotient,
+    subgroup_generated,
+)
 from nilcoh.harness.catalog import (
     CATALOG,
     abelian,
@@ -36,9 +45,11 @@ from nilcoh.structure import (
     is_nilpotent,
     is_nilpotent_subgroup,
     locally_conjugate,
+    lower_central_series,
     pprime_part,
     primary_projection,
     prime_factors,
+    subgroup_conjugacy_classes,
     sylow_subgroup,
 )
 from nilcoh.theorems import VerificationReport
@@ -112,6 +123,106 @@ def lower_central_series_by_scan(G: Group) -> list[Subgroup]:
         if nxt.is_trivial():
             break
     return series
+
+
+def is_nilpotent_subgroup_by_table(H: Subgroup) -> bool:
+    """Whether H is nilpotent, by re-indexing it as a standalone group and
+    computing that group's lower central series."""
+    return is_nilpotent(H.as_group()[0])
+
+
+def subgroup_conjugacy_classes_by_scan(G: Group, subs: list[Subgroup],
+                                       under: Subgroup | None = None) -> list[list[int]]:
+    """subgroup_conjugacy_classes by conjugating each unplaced subgroup by
+    every element of `under` (default: all of G)."""
+    movers = under.elements if under is not None else range(G.order)
+    positions: dict[tuple[int, ...], list[int]] = {}
+    for i, S in enumerate(subs):
+        positions.setdefault(S.elements, []).append(i)
+    seen = [False] * len(subs)
+    classes: list[list[int]] = []
+    for i, S in enumerate(subs):
+        if seen[i]:
+            continue
+        members = set()
+        for u in movers:
+            for j in positions.get(tuple(sorted(conjugates(G, S.elements, u))), ()):
+                members.add(j)
+                seen[j] = True
+        classes.append(sorted(members))
+    return classes
+
+
+def sylow_conjugates_by_scan(G: Group, p: int) -> list[tuple[int, ...]]:
+    """The distinct conjugates of sylow_subgroup(G, p) over every element of
+    G, as sorted element tuples in ascending order."""
+    base = sylow_subgroup(G, p)
+    return sorted({tuple(sorted(conjugates(G, base.elements, g))) for g in range(G.order)})
+
+
+def gset_orbit_by_scan(gset: GSet, point: int, S: Subgroup | None = None) -> set[int]:
+    """The orbit of a point, moved by every element of S (default: the whole
+    group) until nothing new is reached."""
+    movers = S.elements if S is not None else range(gset.group.order)
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in movers:
+                v = gset.act[g][w]
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def orbit_route_mismatches(G: Group, subs: list[Subgroup],
+                           spaces: list[Subgroup]) -> list[str]:
+    """Each place where a generator-orbit route differs from its scan oracle
+    on G, named: the conjugacy classes of subs under G and under each of
+    spaces; the Sylow conjugates at each prime of |G|; on the coset space of
+    each of spaces, the orbits of its first, middle and last point under G
+    and under each of spaces; and, for each of subs, nilpotency and the
+    lower central series in G's table against that of its standalone table,
+    mapped back to G."""
+    out = []
+    movers = [None] + spaces
+    for i, under in enumerate(movers):
+        if (subgroup_conjugacy_classes(G, subs, under)
+                != subgroup_conjugacy_classes_by_scan(G, subs, under)):
+            out.append(f"classes under movers[{i}]")
+    for p in prime_factors(G.order):
+        if ([S.elements for S in theorems._all_sylow_conjugates(G, p)]
+                != sylow_conjugates_by_scan(G, p)):
+            out.append(f"sylow conjugates at {p}")
+    for k, H in enumerate(spaces):
+        gset = coset_gset(G, H)
+        for i, S in enumerate(movers):
+            for w in sorted({0, gset.size // 2, gset.size - 1}):
+                if gset.orbit(w, S) != gset_orbit_by_scan(gset, w, S):
+                    out.append(f"orbit of {w} on G/spaces[{k}] under movers[{i}]")
+    for k, H in enumerate(subs):
+        if is_nilpotent_subgroup(H) != is_nilpotent_subgroup_by_table(H):
+            out.append(f"nilpotency of subs[{k}]")
+        HG, to_parent = H.as_group()
+        mapped = [tuple(to_parent[x] for x in K.elements) for K in lower_central_series(HG)]
+        if [K.elements for K in lower_central_series(G, within=H)] != mapped:
+            out.append(f"lower central series of subs[{k}]")
+    return out
+
+
+def trivial_subgroup(G: Group) -> Subgroup:
+    return Subgroup(G, (0,))
+
+
+def same_table(G: Group, H: Group) -> bool:
+    return G.order == H.order and G.mul == H.mul
+
+
+def is_surjective(f: GroupHom) -> bool:
+    return len(set(f.images)) == f.target.order
 
 
 def homomorphisms_by_scan(K: Group, N: Group) -> list[tuple[int, ...]]:
@@ -512,6 +623,14 @@ __all__ = [
     "subgroups_by_subset_scan",
     "complements_by_subgroup_scan",
     "lower_central_series_by_scan",
+    "is_nilpotent_subgroup_by_table",
+    "subgroup_conjugacy_classes_by_scan",
+    "sylow_conjugates_by_scan",
+    "gset_orbit_by_scan",
+    "orbit_route_mismatches",
+    "trivial_subgroup",
+    "same_table",
+    "is_surjective",
     "homomorphisms_by_scan",
     "homomorphic_by_scan",
     "compose_by_scan",

@@ -21,7 +21,7 @@ from nilcoh.errors import (
     NotNormalized,
     OrderCapExceeded,
 )
-from nilcoh.groups import Group, full_subgroup, subgroup_generated, trivial_subgroup
+from nilcoh.groups import Group, full_subgroup, subgroup_generated
 from nilcoh.harness.catalog import inversion_action
 from conftest import (
     CATALOG,
@@ -29,8 +29,10 @@ from conftest import (
     cyclic,
     dihedral,
     quaternion8,
+    same_table,
     semidirect_table_by_formula,
     semidirect_table_by_loops,
+    trivial_subgroup,
 )
 
 
@@ -180,7 +182,7 @@ def test_semidirect_embeddings_accept_exactly_the_semidirect_table():
                            _swap_labels(P.group, nj, 2 * nj)]
         for G in candidates:
             got = semidirect_embeddings(a, G)
-            expected = G.same_table(P.group)
+            expected = same_table(G, P.group)
             assert (got is not None) == expected, (a, G)
             if got is not None:
                 assert got[0].images == P.embed_N.images

@@ -47,7 +47,6 @@ from nilcoh.groups import (
     group_from_permutations,
     normalizer,
     subgroup_generated,
-    trivial_subgroup,
 )
 from nilcoh.harness.catalog import conjugation_self_action, inversion_action
 from nilcoh.structure import (
@@ -70,6 +69,7 @@ from conftest import (
     homomorphisms_by_scan,
     invariant_classes_by_twist,
     primary_part,
+    trivial_subgroup,
     twist,
 )
 

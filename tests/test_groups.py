@@ -17,14 +17,15 @@ from nilcoh.groups import (
     normalizer,
     quotient,
     subgroup_generated,
-    trivial_subgroup,
 )
 from conftest import (
     cyclic,
     dihedral,
+    is_surjective,
     permutation_table_by_pairs,
     quaternion8,
     subgroups_by_subset_scan,
+    trivial_subgroup,
 )
 
 
@@ -187,7 +188,7 @@ def test_quotient_d4_by_rotations():
     D4 = dihedral(4)
     Q, pi = quotient(D4, subgroup_generated(D4, [1]))
     assert Q.order == 2
-    assert pi.is_surjective()
+    assert is_surjective(pi)
 
 
 def test_quotient_requires_normal():

@@ -25,7 +25,7 @@ from nilcoh.harness.suite import (
     scenario_checks,
 )
 from nilcoh.theorems import VerificationReport
-from conftest import abelian_table_by_decoding
+from conftest import abelian_table_by_decoding, same_table
 
 
 def shipped_scenario_path():
@@ -481,6 +481,35 @@ def test_cli_rejects_bad_check_subgroups_at_load(tmp_path, capsys, caplog, doc, 
     assert not caplog.records
 
 
+_OVER_CAP = {"groups": {"c64": {"builtin": "cyclic", "n": 64}},
+             "actions": {"t": {"builtin": "trivial", "actor": "c64", "target": "c64"}}}
+
+
+@pytest.mark.parametrize("check, refused", [
+    ({"verify": "prop2"}, True),
+    ({"verify": "prop3"}, True),
+    ({"verify": "prop5"}, True),
+    ({"check": "complements"}, True),
+    ({"verify": "lemma1"}, False),
+    ({"check": "decompose"}, False),
+    ({"check": "h1"}, False),
+])
+def test_checks_on_a_product_over_the_order_cap(tmp_path, capsys, check, refused):
+    # |N||J| = 4096: the checks that build the product are refused at load,
+    # where they used to end as an error record (exit 1) when run.
+    path = tmp_path / "over_cap.scn"
+    path.write_text(json.dumps({"id": "x", **_OVER_CAP,
+                                "checks": [{**check, "action": "t"}]}))
+    if not refused:
+        assert len(load_scenario(path).checks) == 1
+        return
+    with pytest.raises(ValidationError, match="check 0"):
+        load_scenario(path)
+    assert main(["suite", "--scenario", str(path)]) == 3
+    assert ("check 0: OrderCapExceeded: |N x| J| = 4096 exceeds cap 2048"
+            in capsys.readouterr().err)
+
+
 def test_scenario_perm_group_and_direct_product(tmp_path, capsys):
     doc = {
         "id": "perm",
@@ -514,7 +543,7 @@ def test_serialization_round_trips():
     inst = catalog_by_id()["c2_inv_c4"]
     action = inst.action()
     G = action.target
-    assert group_from_table(G.to_json()["mul"]).same_table(G)
+    assert same_table(group_from_table(G.to_json()["mul"]), G)
     H = h1(action)
     blob = H.to_json()
     assert blob["distinguished"] == 0

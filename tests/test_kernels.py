@@ -17,7 +17,6 @@ from nilcoh.groups import (
     group_from_permutations,
     quotient,
     subgroup_generated,
-    trivial_subgroup,
 )
 from conftest import (
     as_group_table_by_scan,
@@ -30,6 +29,7 @@ from conftest import (
     quotient_table_by_scan,
     semidirect_table_by_formula,
     subgroup_defect_by_scan,
+    trivial_subgroup,
 )
 
 

@@ -21,8 +21,10 @@ from conftest import (
     complements_by_subgroup_scan,
     cyclic,
     h1_classes_by_twist,
+    orbit_route_mismatches,
     quaternion8,
     semidirect_table_by_formula,
+    trivial_subgroup,
 )
 
 
@@ -103,6 +105,23 @@ def test_sweep_decomposition_and_correspondence():
                     checked_corr += 1
     assert instances > 150
     assert checked_corr > 60
+
+
+def test_orbit_routes_match_scans_on_the_sweep():
+    # Every action of a cyclic actor in the sweep: the complements of N and
+    # the Sylow subgroups of the product, with N, J and 1 as coset spaces.
+    instances = 0
+    for N in sweep_targets():
+        for J in (cyclic(2), cyclic(3), cyclic(4), cyclic(6)):
+            for action in _all_cyclic_actions(J, N):
+                P = semidirect(action)
+                G, n_sub, j_sub = P.group, P.n_part(), P.j_part()
+                subs = complements(G, n_sub) + [
+                    sylow_subgroup(G, p) for p in prime_factors(G.order)]
+                spaces = [n_sub, j_sub, trivial_subgroup(G)]
+                assert orbit_route_mismatches(G, subs, spaces) == [], (J.name, N.name)
+                instances += 1
+    assert instances > 150
 
 
 def test_h1_matches_the_twist_oracle_on_the_sweep():

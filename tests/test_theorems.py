@@ -10,7 +10,7 @@ from nilcoh.actions import coset_gset, semidirect, trivial_action
 from nilcoh.cohomology import h1
 from nilcoh import theorems
 from nilcoh.errors import HypothesisNotMet, ProofStepFailed
-from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated, trivial_subgroup
+from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated
 from nilcoh.harness.scenario import subgroup_of_semidirect
 from nilcoh.harness.suite import default_suite
 from nilcoh.structure import complements
@@ -34,6 +34,7 @@ from conftest import (
     quaternion8,
     prop2_pairwise_by_scan,
     prop3_pairwise_by_scan,
+    trivial_subgroup,
 )
 
 

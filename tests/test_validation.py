@@ -12,7 +12,7 @@ from itertools import product
 
 from nilcoh.actions import ActionOnGroup, GSet, coset_gset, semidirect
 from nilcoh.errors import NilcohError, NoIdentity, NoInverse, NotAssociative, NotNormal
-from nilcoh.groups import Group, GroupHom, center, quotient, subgroup_generated, trivial_subgroup
+from nilcoh.groups import Group, GroupHom, center, quotient, subgroup_generated
 from conftest import (
     abelian,
     catalog_by_id,
@@ -24,6 +24,7 @@ from conftest import (
     heisenberg,
     homomorphic_by_scan,
     quaternion8,
+    trivial_subgroup,
 )
 
 
