@@ -63,10 +63,10 @@ def lower_central_series(G: Group, within: Subgroup | None = None) -> list[Subgr
     as a group of its own.
     """
     if within is None:
-        top, top_gens = Subgroup(G, range(G.order)), G.gens
+        cur, top_gens = Subgroup(G, range(G.order)), G.gens
     else:
-        top, top_gens = within, within.gens
-    cur, gens = top, top_gens
+        cur, top_gens = within, within.gens
+    gens = top_gens
     series = [cur]
     while True:
         seeds = {G.commutator(x, h) for x in gens for h in top_gens}
