@@ -26,7 +26,6 @@ from .cohomology import (
     cocycle_to_complement,
     cocycles,
     cocycles_bruteforce,
-    complement_to_cocycle,
     decomposition_map,
     eq3_check,
     extend_from_sylow,
@@ -57,6 +56,7 @@ from .structure import (
     is_nilpotent_subgroup,
     locally_conjugate,
     lower_central_series,
+    p_parts,
     prime_factors,
     subgroup_conjugacy_classes,
     sylow_subgroup,
@@ -64,7 +64,6 @@ from .structure import (
 from .theorems import (
     VerificationReport,
     find_conjugator,
-    find_conjugator_proof_guided,
     verify_lemma1,
     verify_prop2,
     verify_prop3,

@@ -33,7 +33,6 @@ from .errors import (
     DomainMismatch,
     NoPreimageFound,
     NotAbelian,
-    NotAComplement,
     NotASubgroup,
     NotNilpotent,
 )
@@ -42,8 +41,8 @@ from .structure import (
     hall_pprime,
     is_nilpotent,
     is_p_power,
+    p_parts,
     prime_factors,
-    primary_projection,
     sylow_subgroup,
 )
 
@@ -419,33 +418,6 @@ def _twist_orbits(zs: list[Cocycle], at: tuple[int, ...], transversal: list[int]
 # -- complement correspondence ---------------------------------------------------
 
 
-def complement_to_cocycle(P: SemidirectProduct, K: Subgroup) -> Cocycle:
-    """The cocycle phi_K with F(phi_K) = K, for a complement K of N in N x| J.
-
-    Each j in J factors uniquely as j = n' k with n in N and k in K; the
-    cocycle records phi(j) = n, i.e. the element of K over j is (n, j).
-    """
-    action = P.action
-    J, N = action.actor, action.target
-    if K.parent is not P.group:
-        raise NotAComplement("complement must live in the semidirect product")
-    nj = J.order
-    by_j: dict[int, int] = {}
-    for k in K.elements:
-        n, j = divmod(k, nj)
-        if j in by_j:
-            raise NotAComplement(f"two elements of K project to the same J part {j}")
-        by_j[j] = n
-    if len(by_j) != nj or K.order != nj:
-        raise NotAComplement("subgroup does not complement N")
-    domain = full_subgroup(J)
-    values = tuple(by_j[j] for j in range(nj))
-    phi = Cocycle(action, domain, values)
-    if not check_cocycle(action, domain, values):
-        raise NotAComplement("complement did not induce a cocycle; corrupt input")
-    return phi
-
-
 def cocycle_to_complement(P: SemidirectProduct, phi: Cocycle) -> Subgroup:
     """F(phi) = { phi(j) j : j in J }, a complement of N in the semidirect product."""
     action = P.action
@@ -541,11 +513,10 @@ def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int,
         raise NotNilpotent("extension requires nilpotent actor and target")
     Jq = sylow_subgroup(J, q)
     Hq = h1(action, Jq, budget=budget)
-    if class_index not in fixed_classes(Hq, hall_pprime(J, q)):
-        raise ValueError(f"class {class_index} is not fixed by the Hall subgroup")
-    _, _, proj = primary_projection(J, q)
     full = full_subgroup(J)
-    where = Jq.positions(proj)          # j -> position of its q-part in J_q
+    if class_index not in fixed_classes(Hq, hall_pprime(J, q, within=full)):
+        raise ValueError(f"class {class_index} is not fixed by the Hall subgroup")
+    where = Jq.positions(p_parts(J, q, range(J.order)))  # j -> place of its q-part in J_q
     for phi in Hq.classes[class_index]:
         values = compose(phi.values, where)
         if check_cocycle(action, full, values):
@@ -626,10 +597,11 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     """
     J = action.actor
     primes = shared_primes(action)
+    full = full_subgroup(J)
     blocks = []
     for p in primes:
         Jp = sylow_subgroup(J, p)
-        hall = hall_pprime(J, p)
+        hall = hall_pprime(J, p, within=full)
         local = h1(action, Jp, budget=budget)
         blocks.append(PrimeBlock(p, Jp, hall, local, fixed_classes(local, hall)))
     Hfull = h1(action, budget=budget)

@@ -81,10 +81,6 @@ class DomainMismatch(NilcohError):
     pass
 
 
-class NotAComplement(NilcohError):
-    pass
-
-
 class NotASubgroup(NilcohError):
     pass
 

@@ -11,7 +11,9 @@ from .groups import (
     Subgroup,
     are_conjugate_subgroups,
     cayley_tree,
+    compose,
     conjugacy_orbit,
+    conjugates,
     generating_sequence,
     normalizer,
     subgroup_generated,
@@ -149,40 +151,42 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None,
     return P
 
 
-def pprime_part(G: Group, N: Subgroup, p: int) -> Subgroup:
-    """The elements of N of order prime to p: the Hall p'-subgroup of a
-    nilpotent N, as a subgroup of G."""
-    return Subgroup(G, (x for x in N.elements if G.element_order(x) % p != 0))
-
-
-def hall_pprime(J: Group, p: int) -> Subgroup:
-    """Hall p'-subgroup of a nilpotent group: all elements of order prime to p."""
-    if not is_nilpotent(J):
+def hall_pprime(G: Group, p: int, within: Subgroup | None = None) -> Subgroup:
+    """The Hall p'-subgroup of a nilpotent G (or of a nilpotent `within`):
+    all of its elements of order prime to p, as a subgroup of G.  Without
+    `within`, G is tested for nilpotency first; a caller that passes
+    `within` has established it."""
+    if within is None and not is_nilpotent(G):
         raise NotNilpotent("Hall p'-subgroups are only computed for nilpotent groups")
-    return Subgroup(J, (x for x in range(J.order) if J.element_order(x) % p != 0))
+    domain = within.elements if within is not None else range(G.order)
+    return Subgroup(G, (x for x in domain if G.element_order(x) % p != 0))
 
 
-def primary_projection(G: Group, p: int) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:
-    """For nilpotent G: (G_p, G_p', projection table G -> G_p).
+def p_parts(G: Group, p: int, elements: Sequence[int]) -> tuple[int, ...]:
+    """The p-part of each of the elements, in their order.
 
-    Each g factors uniquely as g = g_p * g_p' with commuting parts of coprime
-    order; the table maps g to g_p.
+    Each x factors uniquely as x = x_p x_p' into commuting powers of x, x_p
+    of p-power order and x_p' of order prime to p.  With |x| = m = q r and q
+    the largest power of p dividing m, x_p = x^e for e = r (r^-1 mod q),
+    since e = 1 mod q and e = 0 mod r.  The same e gives the p-part of every
+    power of x, so one walk of the powers of x settles all of <x>.
     """
-    if not is_nilpotent(G):
-        raise NotNilpotent("primary projection requires a nilpotent group")
-    part = sylow_subgroup(G, p)
-    copart = hall_pprime(G, p)
-    coset = copart._set
-    mul, inv = G.mul, G.inv
-    proj = []
-    for g in range(G.order):
-        for np_ in part.elements:
-            if mul[inv[np_]][g] in coset:
-                proj.append(np_)
-                break
-        else:
-            raise NotNilpotent(f"element {g} has no primary factorization")
-    return part, copart, tuple(proj)
+    mul = G.mul
+    part: dict[int, int] = {}
+    for x in elements:
+        if x in part:
+            continue
+        powers = [0]
+        y = x
+        while y:
+            powers.append(y)
+            y = mul[y][x]
+        m = len(powers)
+        q = p_part(m, p)
+        e = m // q * pow(m // q, -1, q)
+        for k, y in enumerate(powers):
+            part[y] = powers[k * e % m]
+    return compose(part, elements)
 
 
 def enumerate_subgroups_of_order(
@@ -233,9 +237,12 @@ def enumerate_subgroups_of_order(
     return [Subgroup(G, elts) for elts in sorted(found)]
 
 
-def complements(G: Group, N: Subgroup,
-                budget: int = DEFAULT_ENUM_BUDGET) -> list[Subgroup]:
+def complements(G: Group, N: Subgroup, budget: int = DEFAULT_ENUM_BUDGET,
+                within: Subgroup | None = None) -> list[Subgroup]:
     """All complements K of a normal subgroup N: K meets N trivially, KN = G.
+    With `within` = S, the complements of N meet S in S, enumerated in G's
+    table: read S for G and N meet S for N below.  N meet S must be normal
+    in S.
 
     Enumerated by lifting generators of G/N (Celler, Neubüser & Wright, Acta
     Appl. Math. 21, 1990; Holt, Eick & O'Brien, *Handbook of Computational
@@ -263,9 +270,14 @@ def complements(G: Group, N: Subgroup,
     BudgetExceeded is raised when the count passes the budget.  The result
     is sorted by element tuple.
     """
-    if not N.is_normal():
+    if within is None:
+        top, movers = G.elements(), G.gens
+    else:
+        top, movers = within.elements, within.gens
+        N = Subgroup(G, (x for x in top if x in N))
+    if not all(N._set.issuperset(conjugates(G, N.elements, g)) for g in movers):
         raise ValueError("complements are computed against a normal subgroup")
-    n_first = N.elements + tuple(g for g in G.elements() if g not in N)
+    n_first = N.elements + tuple(g for g in top if g not in N)
     sequence = generating_sequence(G, n_first)
     n_rank = sum(1 for g in sequence if g in N)
     prefixes: list[tuple[int, ...]] = [()]

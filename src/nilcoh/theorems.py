@@ -50,7 +50,7 @@ from .structure import (
     hall_pprime,
     is_nilpotent,
     is_nilpotent_subgroup,
-    pprime_part,
+    p_parts,
     prime_factors,
     subgroup_conjugacy_classes,
     sylow_subgroup,
@@ -168,18 +168,14 @@ def find_conjugator(G: Group, N: Subgroup, J: Subgroup, H: Subgroup) -> int:
     return g
 
 
-def find_conjugator_proof_guided(G: Group, N: Subgroup, J: Subgroup, H: Subgroup) -> int:
-    """An element g with J^g contained in H under the hypotheses of
-    find_conjugator, found by the inductive argument through quotients, the
-    center of N and the complement correspondence.  A step it cannot
-    complete raises ProofStepFailed, which names the step."""
-    return _guided_conjugator(G, N, J, H, _prop5_hypotheses(G, N, J, H))
-
-
 def _guided_conjugator(
     G: Group, N: Subgroup, J: Subgroup, H: Subgroup, sylow_data: dict[int, int | None]
 ) -> int:
-    """The proof-guided conjugator from checked hypotheses, verified elementwise."""
+    """An element g with J^g contained in H, found by the inductive argument
+    through quotients, the center of N and the complement correspondence
+    from the Sylow data of checked hypotheses (`_prop5_hypotheses`), and
+    verified elementwise.  A step it cannot complete raises ProofStepFailed,
+    which names the step."""
     g = _proof_guided(G, N, J, H, sylow_data)
     if not conjugates_into(G, J, H, g):
         raise ProofStepFailed("elementwise check of the result")
@@ -204,21 +200,6 @@ def _j_part_factor(G: Group, J: Subgroup, N: Subgroup, g: int) -> int:
         if n in N:
             return n
     raise ProofStepFailed("J*N factorization")  # pragma: no cover
-
-
-def _primary_component_of(G: Group, N: Subgroup, n: int, p: int) -> tuple[int, int]:
-    """Split n in nilpotent N as n = n_p * n_p' with commuting coprime parts."""
-    order = G.element_order(n)
-    pp = 1
-    while order % p == 0:
-        order //= p
-        pp *= p
-    # n_p = n^(order * inverse of order mod pp), via CRT on the cyclic group <n>.
-    m = order  # p'-part of |n|
-    inv_m = pow(m, -1, pp) if pp > 1 else 0
-    n_p = G.power(n, m * inv_m)
-    n_rest = G.mul[G.inv[n_p]][n]
-    return n_p, n_rest
 
 
 def _proof_guided(
@@ -256,12 +237,12 @@ def _recurse_in_quotient(
 def _two_prime_step(G: Group, N: Subgroup, J: Subgroup, H: Subgroup, p: int) -> int:
     """Split N into its p-part and p'-part and combine quotient conjugators."""
     g0 = _recurse_in_quotient(G, N, J, H, sylow_subgroup(G, p, within=N))  # J^g0 <= H Np
-    g1 = _recurse_in_quotient(G, N, J, H, pprime_part(G, N, p))  # J^g1 <= H Npp
+    g1 = _recurse_in_quotient(G, N, J, H, hall_pprime(G, p, within=N))  # J^g1 <= H Npp
     # Normalize both conjugators into N, then project to the complementary part.
     n0 = _j_part_factor(G, J, N, g0)
     n1 = _j_part_factor(G, J, N, g1)
-    n0_p, n0_rest = _primary_component_of(G, N, n0, p)
-    n1_p, _ = _primary_component_of(G, N, n1, p)
+    n0_p, n1_p = p_parts(G, p, (n0, n1))
+    n0_rest = G.mul[G.inv[n0_p]][n0]
     g = G.mul[n0_rest][n1_p]  # n0' in N_p', n1_p in N_p; parts commute
     if not conjugates_into(G, J, H, g):
         raise ProofStepFailed("two-prime combination")
@@ -404,33 +385,39 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
     complete, so only its work budget can leave complements out."""
     report = VerificationReport("prop3", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
+    comps = None
     try:
         comps = complements(G, N)
     except BudgetExceeded as exc:
-        comps = []
+        # Whether G splits over N is left undecided.
         _set_hypothesis(report, "complements_enumerable", False, str(exc))
-    _set_hypothesis(report, "splits_over_n", bool(comps))
+    if comps is not None:
+        _set_hypothesis(report, "splits_over_n", bool(comps))
     if comps:
         Q, _ = quotient(G, N)
         _set_hypothesis(report, "quotient_nilpotent", is_nilpotent(Q))
     certified: dict[int, list[int]] = {}
     for p in prime_factors(G.order):
-        sylows = _all_sylow_conjugates(G, p)
-        good = None
+        good, stopped, sylows = None, [], _all_sylow_conjugates(G, p)
         for S in sylows:
-            if _sylow_local_complements_conjugate(G, S, N):
-                good = S
-                break
+            try:
+                if _sylow_local_complements_conjugate(G, S, N):
+                    good = S
+                    break
+            except BudgetExceeded as exc:
+                stopped.append(str(exc))
+        name = f"local_conjugacy_p{p}"
         if good is not None:
             certified[p] = list(good.elements)
-            _set_hypothesis(report, f"local_conjugacy_p{p}", True,
-                            f"certified Sylow subgroup {list(good.elements)}")
+            _set_hypothesis(report, name, True, f"certified Sylow subgroup {certified[p]}")
+        elif stopped:
+            _set_hypothesis(report, name, False,
+                            f"undecided: the local complement enumeration stopped on "
+                            f"{len(stopped)} of {len(sylows)} Sylow {p}-subgroups: {stopped[0]}")
         else:
-            _set_hypothesis(
-                report, f"local_conjugacy_p{p}", False,
-                f"no Sylow {p}-subgroup has all local complements conjugate in G",
-            )
-    if report.hypotheses_met or relaxed:
+            _set_hypothesis(report, name, False,
+                            f"no Sylow {p}-subgroup has all local complements conjugate in G")
+    if comps is not None and (report.hypotheses_met or relaxed):
         # All conjugate means one class; a pairwise scan would first fail at
         # (0, b) for the least b outside the class of comps[0].
         labels = _class_labels(G, comps)
@@ -485,15 +472,9 @@ def _all_sylow_conjugates(G: Group, p: int) -> list[Subgroup]:
 
 
 def _sylow_local_complements_conjugate(G: Group, S: Subgroup, N: Subgroup) -> bool:
-    SG, smap = S.as_group()
-    inner = [i for i, x in enumerate(smap) if x in N]
-    SN = Subgroup(SG, inner)
-    try:
-        local = complements(SG, SN)
-    except BudgetExceeded:
-        return False
-    lifted = [Subgroup(G, (smap[i] for i in K.elements)) for K in local]
-    return len(subgroup_conjugacy_classes(G, lifted)) <= 1
+    """Whether the complements of N meet S in S are all conjugate in G;
+    BudgetExceeded when their enumeration stops."""
+    return len(subgroup_conjugacy_classes(G, complements(G, N, within=S))) <= 1
 
 
 def verify_prop5(G: Group, N: Subgroup, J: Subgroup, H: Subgroup,

@@ -18,13 +18,20 @@ import pytest
 
 from nilcoh import theorems
 from nilcoh.actions import ActionOnGroup, GSet, coset_gset
-from nilcoh.cohomology import Cocycle, CohomologySet, cocycles_bruteforce, restrict
+from nilcoh.cohomology import (
+    Cocycle,
+    CohomologySet,
+    check_cocycle,
+    cocycles_bruteforce,
+    restrict,
+)
 from nilcoh.errors import BudgetExceeded, DomainMismatch, OrderCapExceeded
 from nilcoh.groups import (
     Group,
     GroupHom,
     Subgroup,
     conjugates,
+    full_subgroup,
     generating_sequence,
     quotient,
     subgroup_generated,
@@ -44,10 +51,9 @@ from nilcoh.structure import (
     enumerate_subgroups_of_order,
     is_nilpotent,
     is_nilpotent_subgroup,
+    is_p_power,
     locally_conjugate,
     lower_central_series,
-    pprime_part,
-    primary_projection,
     prime_factors,
     subgroup_conjugacy_classes,
     sylow_subgroup,
@@ -211,6 +217,22 @@ def orbit_route_mismatches(G: Group, subs: list[Subgroup],
         if [K.elements for K in lower_central_series(G, within=H)] != mapped:
             out.append(f"lower central series of subs[{k}]")
     return out
+
+
+def complement_to_cocycle(P, K: Subgroup) -> Cocycle:
+    """The cocycle phi_K with F(phi_K) = K, for a complement K of N in
+    P = N x| J: the element of K over j is (phi(j), j).  Raises ValueError
+    for a subgroup that is not a complement."""
+    action = P.action
+    nj = action.actor.order
+    by_j = dict(divmod(k, nj)[::-1] for k in K.elements)
+    if K.parent is not P.group or len(by_j) != nj or K.order != nj:
+        raise ValueError("subgroup does not complement N")
+    domain = full_subgroup(action.actor)
+    values = tuple(by_j[j] for j in range(nj))
+    if not check_cocycle(action, domain, values):
+        raise ValueError("complement did not induce a cocycle")
+    return Cocycle(action, domain, values)
 
 
 def trivial_subgroup(G: Group) -> Subgroup:
@@ -479,11 +501,22 @@ class PrimaryPart:
     proj: tuple[int, ...]          # N index -> N_q index (primary projection)
 
 
+def primary_projection_by_scan(G: Group, p: int) -> tuple[int, ...]:
+    """The p-part of every element of a nilpotent G: for each g, the first
+    x of p-power order with x' g of order prime to p.  In a nilpotent group
+    these are the unique Sylow and Hall subgroups, and g = g_p g_p' is the
+    only such factorization."""
+    part = [x for x in range(G.order) if is_p_power(G.element_order(x), p)]
+    copart = {x for x in range(G.order) if G.element_order(x) % p != 0}
+    return tuple(next(x for x in part if G.mul[G.inv[x]][g] in copart)
+                 for g in range(G.order))
+
+
 def primary_part(action: ActionOnGroup, q: int) -> PrimaryPart:
     """The induced action of J on N_q, with both element maps."""
     N = action.target
-    part, _, proj_parent = primary_projection(N, q)
-    sub, to_parent = part.as_group()
+    proj_parent = primary_projection_by_scan(N, q)
+    sub, to_parent = Subgroup(N, proj_parent).as_group()
     from_parent = {x: i for i, x in enumerate(to_parent)}
     auto = [[from_parent[action.auto[j][x]] for x in to_parent]
             for j in range(action.actor.order)]
@@ -496,7 +529,8 @@ def intersection_lemma_by_scan(G: Group, H: Subgroup, N: Subgroup, p: int) -> bo
     """Set equality H*N_p meet H*N_p' = H, for nilpotent normal N."""
     left = {G.mul[h][x] for h in H.elements
             for x in sylow_subgroup(G, p, within=N).elements}
-    right = {G.mul[h][x] for h in H.elements for x in pprime_part(G, N, p).elements}
+    right = {G.mul[h][x] for h in H.elements for x in N.elements
+             if G.element_order(x) % p != 0}
     return left & right == set(H.elements)
 
 
@@ -543,13 +577,13 @@ def prop3_pairwise_by_scan(G: Group, N: Subgroup, instance: str = "",
     complements in (a, b) order."""
     report = VerificationReport("prop3", instance, relaxed=relaxed)
     report.hypotheses["n_nilpotent"] = is_nilpotent_subgroup(N)
+    comps = None
     try:
         comps = complements(G, N)
+        report.hypotheses["splits_over_n"] = bool(comps)
     except BudgetExceeded as exc:
-        comps = []
         report.hypotheses["complements_enumerable"] = False
         report.details["complements_enumerable"] = str(exc)
-    report.hypotheses["splits_over_n"] = bool(comps)
     if comps:
         report.hypotheses["quotient_nilpotent"] = is_nilpotent(quotient(G, N)[0])
     certified: dict[int, list[int]] = {}
@@ -566,7 +600,7 @@ def prop3_pairwise_by_scan(G: Group, N: Subgroup, instance: str = "",
         else:
             report.details[name] = (
                 f"no Sylow {p}-subgroup has all local complements conjugate in G")
-    if report.hypotheses_met or relaxed:
+    if comps is not None and (report.hypotheses_met or relaxed):
         bad = next(
             ([list(comps[a].elements), list(comps[b].elements)]
              for a, b in combinations(range(len(comps)), 2)
@@ -579,14 +613,16 @@ def prop3_pairwise_by_scan(G: Group, N: Subgroup, instance: str = "",
     return report
 
 
-def _local_complements_conjugate_by_scan(G: Group, S: Subgroup, N: Subgroup) -> bool:
+def complements_within_by_table(G: Group, N: Subgroup, S: Subgroup) -> list[Subgroup]:
+    """The complements of N meet S in S: S re-indexed as a group of its
+    own, its complements enumerated there and lifted back to G."""
     SG, smap = S.as_group()
-    SN = Subgroup(SG, [i for i, x in enumerate(smap) if x in N])
-    try:
-        local = complements(SG, SN)
-    except BudgetExceeded:
-        return False
-    lifted = [Subgroup(G, (smap[i] for i in K.elements)) for K in local]
+    local = complements(SG, Subgroup(SG, [i for i, x in enumerate(smap) if x in N]))
+    return [Subgroup(G, (smap[i] for i in K.elements)) for K in local]
+
+
+def _local_complements_conjugate_by_scan(G: Group, S: Subgroup, N: Subgroup) -> bool:
+    lifted = complements_within_by_table(G, N, S)
     return all(conjugator_by_scan(G, A, B) is not None
                for A, B in combinations(lifted, 2))
 
@@ -628,6 +664,7 @@ __all__ = [
     "sylow_conjugates_by_scan",
     "gset_orbit_by_scan",
     "orbit_route_mismatches",
+    "complement_to_cocycle",
     "trivial_subgroup",
     "same_table",
     "is_surjective",
@@ -651,8 +688,10 @@ __all__ = [
     "cohomologous",
     "conjugate_cocycle",
     "invariant_classes_by_twist",
+    "primary_projection_by_scan",
     "primary_part",
     "intersection_lemma_by_scan",
     "prop2_pairwise_by_scan",
     "prop3_pairwise_by_scan",
+    "complements_within_by_table",
 ]

@@ -1,9 +1,12 @@
 """Scenario ingestion, suite orchestration, report emission, and the CLI."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +33,24 @@ from conftest import abelian_table_by_decoding, same_table
 
 def shipped_scenario_path():
     return resources.files("nilcoh.harness") / "scenarios" / "d4_inversion.scn"
+
+
+def test_every_traced_name_resolves_in_the_package(monkeypatch):
+    # perfbench/tracer.py wraps package functions and classes by name, and
+    # its own tests are not part of this suite: a traced name deleted from
+    # the package must fail here.  The tracer is read, not changed.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer, attr, _, _ in tracer.TARGETS:
+        try:
+            reduce(getattr, attr.split("."), importlib.import_module(f"nilcoh.{layer}"))
+        except (ImportError, AttributeError):
+            missing.append(f"{layer}.{attr}")
+    assert len(tracer.TARGETS) >= 30 and missing == []
 
 
 def test_catalog_requirements():

@@ -16,7 +16,6 @@ from nilcoh.harness.suite import default_suite
 from nilcoh.structure import complements
 from nilcoh.theorems import (
     find_conjugator,
-    find_conjugator_proof_guided,
     verify_lemma1,
     verify_prop2,
     verify_prop3,
@@ -36,6 +35,11 @@ from conftest import (
     prop3_pairwise_by_scan,
     trivial_subgroup,
 )
+
+
+def _proof_guided(G, N, J, H):
+    """The proof-guided conjugator under checked prop5 hypotheses."""
+    return theorems._guided_conjugator(G, N, J, H, theorems._prop5_hypotheses(G, N, J, H))
 
 
 def test_prop2_on_d4():
@@ -162,7 +166,7 @@ def test_proof_guided_agrees_with_exhaustive(catalog, iid, h_spec):
             ge = find_conjugator(G, N, J, H)
         except HypothesisNotMet:
             continue
-        gp = find_conjugator_proof_guided(G, N, J, H)
+        gp = _proof_guided(G, N, J, H)
         for x in J.elements:
             assert G.conj(x, ge) in H
             assert G.conj(x, gp) in H
@@ -215,15 +219,15 @@ def test_verify_thm4_does_not_recheck_prop5_hypotheses(monkeypatch):
 
 
 def test_broken_two_prime_combination_is_a_falsification(monkeypatch, catalog):
-    # Swap the N_p and N_p' parts that _two_prime_step combines: the step
-    # must fail by name, and no scan may stand in for it.
-    original = theorems._primary_component_of
+    # Hand _two_prime_step the N_p' part of each element for its N_p part,
+    # which swaps the parts it combines: the step must fail by name, and no
+    # scan may stand in for it.
+    original = theorems.p_parts
 
-    def swapped(G, N, n, p):
-        n_p, n_rest = original(G, N, n, p)
-        return n_rest, n_p
+    def swapped(G, p, elements):
+        return tuple(G.mul[G.inv[x_p]][x] for x, x_p in zip(elements, original(G, p, elements)))
 
-    monkeypatch.setattr(theorems, "_primary_component_of", swapped)
+    monkeypatch.setattr(theorems, "p_parts", swapped)
     P = semidirect(catalog["c6_inv_c6"].action())
     J = P.j_part()
     H = J.conjugate_by(6)  # 6 = (n, j) = (1, 0) generates N
@@ -233,7 +237,7 @@ def test_broken_two_prime_combination_is_a_falsification(monkeypatch, catalog):
     assert report.witness == {"conjugator": find_conjugator(P.group, P.n_part(), J, H),
                               "proof_step_failed": "two-prime combination"}
     with pytest.raises(ProofStepFailed) as exc:
-        find_conjugator_proof_guided(P.group, P.n_part(), J, H)
+        _proof_guided(P.group, P.n_part(), J, H)
     assert exc.value.step == "two-prime combination"
 
 
