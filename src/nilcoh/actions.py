@@ -290,14 +290,13 @@ class GSet:
 
     __slots__ = ("group", "size", "act")
 
-    def __init__(self, group: Group, act: Sequence[Sequence[int]],
-                 size_cap: int = DEFAULT_GSET_CAP):
+    def __init__(self, group: Group, act: Sequence[Sequence[int]]):
         tables = tuple(map(tuple, act))
         if len(tables) != group.order:
             raise ValueError("need one point permutation per group element")
         size = len(tables[0]) if tables else 0
-        if size > size_cap:
-            raise OrderCapExceeded(f"G-set size {size} exceeds cap {size_cap}")
+        if size > DEFAULT_GSET_CAP:
+            raise OrderCapExceeded(f"G-set size {size} exceeds cap {DEFAULT_GSET_CAP}")
         pts = list(range(size))
         for g, row in enumerate(tables):
             if len(row) != size or sorted(row) != pts:
@@ -345,8 +344,9 @@ def is_transitive(gset: GSet, S: Subgroup) -> bool:
 
 
 def fixed_points(gset: GSet, S: Subgroup) -> list[int]:
+    """The points that S fixes: those that its generators fix."""
     return [
-        w for w in range(gset.size) if all(gset.act[s][w] == w for s in S.elements)
+        w for w in range(gset.size) if all(gset.act[s][w] == w for s in S.gens)
     ]
 
 

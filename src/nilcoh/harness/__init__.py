@@ -11,6 +11,5 @@ from .suite import (
     exit_code,
     report_emit,
     run_checks,
-    run_suite,
     scenario_checks,
 )

@@ -361,7 +361,3 @@ def report_emit(outcomes: list[CheckOutcome], fmt: str = "json") -> str:
         out.append("FALSIFICATION present: see records above")
     return "\n".join(out) + "\n"
 
-
-def run_suite(checks: Iterable[SuiteCheck], fmt: str = "json") -> tuple[int, str]:
-    outcomes = run_checks(list(checks))
-    return exit_code(outcomes), report_emit(outcomes, fmt)

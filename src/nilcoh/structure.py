@@ -109,8 +109,7 @@ def is_nilpotent_subgroup(H: Subgroup) -> bool:
     return lower_central_series(H.parent, within=H)[-1].is_trivial()
 
 
-def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None,
-                   budget: int = 10_000) -> Subgroup:
+def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup:
     """A Sylow p-subgroup of G (or of `within`), as a subgroup of G.
 
     For a nilpotent ambient this is the unique set of p-power-order elements.
@@ -132,7 +131,6 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None,
         return Subgroup(G, (0,))
     seed = min(torsion[1:], key=lambda x: (G.element_order(x), x))
     P = subgroup_generated(G, [seed])
-    steps = 0
     while P.order < target:
         norm = [g for g in normalizer(G, P).elements if g in domain_set]
         grew = False
@@ -143,8 +141,7 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None,
                 P = subgroup_generated(G, P.elements + (g,))
                 grew = True
                 break
-        steps += 1
-        if not grew or steps > budget:
+        if not grew:
             raise SearchBudgetExceeded(
                 f"sylow search stalled at order {P.order} of {target}"
             )
@@ -275,7 +272,7 @@ def complements(G: Group, N: Subgroup, budget: int = DEFAULT_ENUM_BUDGET,
     else:
         top, movers = within.elements, within.gens
         N = Subgroup(G, (x for x in top if x in N))
-    if not all(N._set.issuperset(conjugates(G, N.elements, g)) for g in movers):
+    if not all(N._set.issuperset(conjugates(G, N.gens, g)) for g in movers):
         raise ValueError("complements are computed against a normal subgroup")
     n_first = N.elements + tuple(g for g in top if g not in N)
     sequence = generating_sequence(G, n_first)

@@ -385,6 +385,9 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
     complete, so only its work budget can leave complements out."""
     report = VerificationReport("prop3", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
+    if not N.is_normal():
+        _set_hypothesis(report, "n_normal", False, "N is not normal in G")
+        return report  # complements of N are defined only for N normal
     comps = None
     try:
         comps = complements(G, N)

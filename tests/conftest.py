@@ -423,6 +423,33 @@ def conjugator_by_scan(G: Group, H: Subgroup, K: Subgroup) -> int | None:
     return None
 
 
+def conjugates_into_by_scan(G: Group, S: Subgroup, H: Subgroup, g: int) -> bool:
+    """Whether x^g lies in H for every element x of S."""
+    return all(G.conj(x, g) in H for x in S.elements)
+
+
+def centralizer_by_scan(G: Group, H: Subgroup) -> tuple[int, ...]:
+    """The elements of G that commute with every element of H."""
+    mul = G.mul
+    return tuple(g for g in range(G.order) if all(mul[g][h] == mul[h][g] for h in H.elements))
+
+
+def normalizer_by_scan(G: Group, H: Subgroup) -> tuple[int, ...]:
+    """The elements g of G with h^g in H for every element h of H."""
+    return tuple(g for g in range(G.order) if conjugates_into_by_scan(G, H, H, g))
+
+
+def normality_witness_by_scan(G: Group, N: Subgroup, movers) -> tuple[int, int] | None:
+    """The first (g, h), g in movers in their order and h in N ascending,
+    with h^g outside N; None when every mover normalizes N."""
+    return next(((g, h) for g in movers for h in N.elements if G.conj(h, g) not in N), None)
+
+
+def fixed_points_by_scan(gset: GSet, S: Subgroup) -> list[int]:
+    """The points that every element of S fixes."""
+    return [w for w in range(gset.size) if all(gset.act[s][w] == w for s in S.elements)]
+
+
 def h1_classes_by_twist(action: ActionOnGroup,
                         K: Subgroup | None = None) -> list[list[tuple[int, ...]]]:
     """H1(K, N) as value tables, by twisting whole tables: the cocycles come
@@ -683,6 +710,11 @@ __all__ = [
     "associative_by_scan",
     "group_axiom_broken_by_scan",
     "conjugator_by_scan",
+    "conjugates_into_by_scan",
+    "centralizer_by_scan",
+    "normalizer_by_scan",
+    "normality_witness_by_scan",
+    "fixed_points_by_scan",
     "h1_classes_by_twist",
     "twist",
     "cohomologous",

@@ -502,6 +502,25 @@ def test_cli_rejects_bad_check_subgroups_at_load(tmp_path, capsys, caplog, doc, 
     assert not caplog.records
 
 
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_prop3_on_a_non_normal_n_reports_the_hypothesis(tmp_path, capsys, caplog, relaxed):
+    # <3> is generated by a reflection of S3.  complements() used to raise on
+    # it, which logged a traceback and printed an error record.
+    path = tmp_path / "s3.scn"
+    path.write_text(json.dumps({
+        "id": "x", "groups": {"s3": {"builtin": "dihedral", "n": 3}},
+        "checks": [{"verify": "prop3", "group": "s3", "normal": {"generated_by": [3]}}]}))
+    flags = ["--relaxed-hypotheses"] if relaxed else []
+    assert main(["suite", "--scenario", str(path), "--format", "json", *flags]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["theorem"] == "prop3"
+    assert record["hypotheses"] == {
+        "n_nilpotent": {"met": True, "detail": ""},
+        "n_normal": {"met": False, "detail": "N is not normal in G"}}
+    assert (record["pass"], record["falsification"], record["witness"]) == (False, False, None)
+    assert not caplog.records
+
+
 _OVER_CAP = {"groups": {"c64": {"builtin": "cyclic", "n": 64}},
              "actions": {"t": {"builtin": "trivial", "actor": "c64", "target": "c64"}}}
 

@@ -26,6 +26,7 @@ from conftest import (
     cyclic,
     dihedral,
     heisenberg,
+    normality_witness_by_scan,
     quotient_table_by_scan,
     semidirect_table_by_formula,
     subgroup_defect_by_scan,
@@ -153,7 +154,7 @@ def test_vectorised_scans_match_scalar_scans(case):
     HG, to_parent = H.as_group()
     assert (HG.mul, to_parent) == (as_group_table_by_scan(H), H.elements)
     assert coset_gset(G, H).act == coset_action_by_scan(G, H)
-    outside = next(((g, h) for g in G.gens for h in H.elements if G.conj(h, g) not in H), None)
+    outside = normality_witness_by_scan(G, H, G.gens)
     if outside is None:
         Q, pi = quotient(G, H)
         assert Q.mul == quotient_table_by_scan(G, H)
