@@ -50,7 +50,7 @@ class Group:
         # Every element is a left-normed product of gens, which is all that
         # Light's lemma needs: the a with (x*a)*y = x*(a*y) for all x, y are
         # closed under products.
-        self.gens = tuple(generating_sequence(self, range(n)))
+        self.gens = generating_sequence(self, range(n))[0]
         for g in self.gens:
             # Row x*g of the table against row x composed with row g, for every x.
             left = [table[row[g]] for row in table]
@@ -195,35 +195,35 @@ class Subgroup:
     """A validated subset of a parent group, closed under product and inverse.
 
     `gens` is the greedy generating sequence of the elements in index order.
-    The closure of the identity under right multiplication by gens is
-    <gens> = <elements>, so elements that hold the identity are a subgroup
-    exactly when right multiplication by each generator keeps them inside,
-    |H| x |gens| products (Holt, Eick & O'Brien 2005, §4.1).  Only when it fails
-    does a scan of inverses and products name the first witness.
+    The walk that finds it reaches <gens> = <elements>, which holds every
+    element, so elements that hold the identity are a subgroup exactly when
+    the walk reaches no more of them (`generating_sequence`, bounded by
+    |H|).  Only when it reaches more does a scan of inverses and products
+    name the first witness.
     """
 
     __slots__ = ("parent", "elements", "gens", "_set", "_pos")
 
     def __init__(self, parent: Group, elements: Iterable[int]):
         elts = tuple(sorted(set(map(int, elements))))
-        if not elts or elts[0] != 0:
+        if 0 not in elts:
             raise ValueError("subgroup must contain the identity (index 0)")
-        if elts[-1] >= parent.order:
-            raise ValueError(f"element {elts[-1]} outside parent of order {parent.order}")
-        members = frozenset(elts)
-        gens = tuple(generating_sequence(parent, elts))
-        rows = compose(parent.mul, elts)
-        if not members.issuperset([row[g] for g in gens for row in rows]):
-            for a, row in zip(elts, rows):
+        if elts[0] < 0 or elts[-1] >= parent.order:
+            x = elts[0] if elts[0] < 0 else elts[-1]
+            raise ValueError(f"element {x} outside parent of order {parent.order}")
+        walk = generating_sequence(parent, elts, limit=len(elts))
+        if walk is None:
+            members = set(elts)
+            for a in elts:
                 if parent.inv[a] not in members:
                     raise ValueError(f"subgroup not closed under inverse at {a}")
+                row = parent.mul[a]
                 for b in elts:
                     if row[b] not in members:
                         raise ValueError(f"subgroup not closed under product at ({a}, {b})")
         self.parent = parent
         self.elements = elts
-        self.gens = gens
-        self._set = members
+        self.gens, self._set = walk
         self._pos = {x: i for i, x in enumerate(elts)}
 
     @property
@@ -402,7 +402,7 @@ def subgroup_generated(G: Group, seeds: Iterable[int]) -> Subgroup:
     for x in gens:
         if not 0 <= x < G.order:
             raise ValueError(f"seed {x} outside group of order {G.order}")
-    return Subgroup(G, [0] + [y for _, _, y in cayley_tree(G, gens)])
+    return Subgroup(G, generating_sequence(G, gens)[1])
 
 
 def cayley_tree(G: Group, gens: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -430,18 +430,23 @@ def cayley_tree(G: Group, gens: Sequence[int]) -> list[tuple[int, int, int]]:
     return edges
 
 
-def generating_sequence(G: Group, elements: Iterable[int]) -> list[int]:
-    """Greedy generating sequence: each element, in the order given, that the
-    elements chosen before it do not generate.
+def generating_sequence(G: Group, elements: Iterable[int], limit: int | None = None
+                        ) -> tuple[tuple[int, ...], set[int]] | None:
+    """The package's closure walk: the greedy generating sequence of the
+    elements (each element, in the order given, that the elements chosen
+    before it do not generate) and the set of elements they generate, or
+    None as soon as that set holds more than `limit` elements.
 
     The closure is the set reached from the identity by right multiplication
-    with the generators.  It is closed under the earlier generators, so a new
-    generator x extends it from the products r*x alone: each element reached
-    is multiplied by every generator once.  On a table not yet known to be
-    associative (`Group.__init__`) this is still the closure by right
-    multiplication, so Light's test sees the same generators.
+    with the generators (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 2005, §4.1).  It is closed under the earlier generators,
+    so a new generator x extends it from the products r*x alone: each
+    element reached is multiplied by every generator once.  On a table not
+    yet known to be associative (`Group.__init__`) this is still the closure
+    by right multiplication, so Light's test sees the same generators.
     """
     mul = G.mul
+    bound = G.order if limit is None else limit
     gens: list[int] = []
     reached = {0}
     for x in elements:
@@ -454,10 +459,12 @@ def generating_sequence(G: Group, elements: Iterable[int]) -> list[int]:
             for y in frontier:
                 if y not in reached:
                     reached.add(y)
+                    if len(reached) > bound:
+                        return None
                     row = mul[y]
                     nxt += [row[g] for g in gens]
             frontier = nxt
-    return gens
+    return tuple(gens), reached
 
 
 def full_subgroup(G: Group) -> Subgroup:

@@ -10,7 +10,6 @@ from .groups import (
     Group,
     Subgroup,
     are_conjugate_subgroups,
-    cayley_tree,
     compose,
     conjugacy_orbit,
     conjugates,
@@ -86,17 +85,17 @@ def _normal_closure(G: Group, seeds: set[int], gens: Sequence[int]) -> Subgroup:
     """The smallest subgroup of G containing the seeds that is normalized by
     every element of gens: the normal closure in <gens> of seeds inside it.
 
-    The conjugates of the seeds by gens are adjoined until they all lie in
-    the subgroup generated so far; a subgroup whose generators stay inside
-    it under conjugation by every generator of <gens> is normalized by it.
+    The conjugates by gens of the generators the walk found are adjoined
+    until they all lie in the closure; a subgroup whose generators stay
+    inside it under conjugation by every generator of <gens> is normalized
+    by it.
     """
-    seeds.discard(0)
+    sequence, closure = generating_sequence(G, seeds)
     while True:
-        H = subgroup_generated(G, seeds)
-        fresh = {G.conj(x, g) for x in seeds for g in gens} - H._set
+        fresh = {G.conj(x, g) for x in sequence for g in gens} - closure
         if not fresh:
-            return H
-        seeds |= fresh
+            return Subgroup(G, closure)
+        sequence, closure = generating_sequence(G, sequence + tuple(fresh))
 
 
 def is_nilpotent(G: Group) -> bool:
@@ -112,7 +111,8 @@ def is_nilpotent_subgroup(H: Subgroup) -> bool:
 def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup:
     """A Sylow p-subgroup of G (or of `within`), as a subgroup of G.
 
-    For a nilpotent ambient this is the unique set of p-power-order elements.
+    For a nilpotent ambient this is the unique set of p-power-order elements,
+    the x equal to their p-part (`p_parts`).
     Otherwise a p-subgroup is grown by normalizer climbing: while |P| is short
     of the full p-part, some g in the normalizer of P has g^p in P, and
     adjoining it enlarges P.  Any valid Sylow subgroup is accepted.
@@ -123,7 +123,7 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup
     domain_set = set(domain)
     total = len(domain_set)
     target = p_part(total, p)
-    torsion = [x for x in domain if is_p_power(G.element_order(x), p)]
+    torsion = [x for x, x_p in zip(domain, p_parts(G, p, domain)) if x_p == x]
     if len(torsion) == target:
         # Unique Sylow subgroup (nilpotent case): the p-torsion is closed.
         return Subgroup(G, torsion)
@@ -150,13 +150,13 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup
 
 def hall_pprime(G: Group, p: int, within: Subgroup | None = None) -> Subgroup:
     """The Hall p'-subgroup of a nilpotent G (or of a nilpotent `within`):
-    all of its elements of order prime to p, as a subgroup of G.  Without
-    `within`, G is tested for nilpotency first; a caller that passes
-    `within` has established it."""
+    all of its elements of order prime to p, those whose p-part is the
+    identity, as a subgroup of G.  Without `within`, G is tested for
+    nilpotency first; a caller that passes `within` has established it."""
     if within is None and not is_nilpotent(G):
         raise NotNilpotent("Hall p'-subgroups are only computed for nilpotent groups")
     domain = within.elements if within is not None else range(G.order)
-    return Subgroup(G, (x for x in domain if G.element_order(x) % p != 0))
+    return Subgroup(G, (x for x, x_p in zip(domain, p_parts(G, p, domain)) if x_p == 0))
 
 
 def p_parts(G: Group, p: int, elements: Sequence[int]) -> tuple[int, ...]:
@@ -194,7 +194,8 @@ def enumerate_subgroups_of_order(
     Complete whenever every group of order m is max_gens-generated; 3 covers
     all orders up to 8, and p-groups of order p^k need at most k generators.
     Candidates are grown by adjoining generators in ascending index order,
-    pruning closures whose order does not divide m.
+    pruning closures whose order does not divide m; each closure is a walk
+    that stops past m elements, and only the subgroups found are built.
     """
     if m <= 0 or G.order % m != 0:
         raise ValueError(f"order {m} does not divide |G| = {G.order}")
@@ -220,11 +221,11 @@ def enumerate_subgroups_of_order(
                     raise BudgetExceeded(
                         f"subgroup enumeration exceeded budget {budget}"
                     )
-                closure = subgroup_generated(G, elts + (g,))
-                if m % closure.order != 0:
+                walk = generating_sequence(G, elts + (g,), limit=m)
+                if walk is None or m % len(walk[1]) != 0:
                     continue
-                key = closure.elements
-                if closure.order == m:
+                key = tuple(sorted(walk[1]))
+                if len(key) == m:
                     found.add(key)
                 elif key not in nxt or nxt[key] > g:
                     nxt[key] = g
@@ -275,47 +276,28 @@ def complements(G: Group, N: Subgroup, budget: int = DEFAULT_ENUM_BUDGET,
     if not all(N._set.issuperset(conjugates(G, N.gens, g)) for g in movers):
         raise ValueError("complements are computed against a normal subgroup")
     n_first = N.elements + tuple(g for g in top if g not in N)
-    sequence = generating_sequence(G, n_first)
+    sequence = generating_sequence(G, n_first)[0]
     n_rank = sum(1 for g in sequence if g in N)
-    prefixes: list[tuple[int, ...]] = [()]
+    prefixes: list[tuple[tuple[int, ...], set[int]]] = [((), {0})]
     work = 0
     for i in range(n_rank, len(sequence)):
         t = sequence[i]
-        target = (len(cayley_tree(G, sequence[:i + 1])) + 1) // N.order
+        target = len(generating_sequence(G, sequence[:i + 1])[1]) // N.order
         extended = []
-        for lifted in prefixes:
+        for lifted, _ in prefixes:
             for n in N.elements:
                 work += 1
                 if work > budget:
                     raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
+                # The lifts map onto <t_1..t_i>N/N, so they generate at least
+                # `target` elements, and a walk within the bound reaches exactly it.
                 gens = lifted + (G.mul[t][n],)
-                if _generates_exactly(G, gens, target):
-                    extended.append(gens)
+                walk = generating_sequence(G, gens, limit=target)
+                if walk is not None:
+                    extended.append((gens, walk[1]))
         prefixes = extended
-    comps = [subgroup_generated(G, gens) for gens in prefixes]
-    return sorted((K for K in comps if sum(1 for x in K.elements if x in N) == 1),
+    return sorted((Subgroup(G, closure) for _, closure in prefixes),
                   key=lambda K: K.elements)
-
-
-def _generates_exactly(G: Group, gens: tuple[int, ...], order: int) -> bool:
-    """Whether <gens> has exactly `order` elements: its closure by right
-    multiplication, abandoned as soon as it holds more."""
-    mul = G.mul
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = mul[x]
-            for g in gens:
-                y = row[g]
-                if y not in reached:
-                    if len(reached) == order:
-                        return False
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(reached) == order
 
 
 def subgroup_conjugacy_classes(

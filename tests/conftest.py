@@ -110,7 +110,7 @@ def complements_by_subgroup_scan(G: Group, N: Subgroup) -> list[Subgroup]:
     lists N first.  Every complement is isomorphic to G/N, so the bound
     leaves none out."""
     n_first = N.elements + tuple(g for g in range(G.order) if g not in N)
-    rank_bound = sum(1 for g in generating_sequence(G, n_first) if g not in N)
+    rank_bound = sum(1 for g in generating_sequence(G, n_first)[0] if g not in N)
     return [K for K in enumerate_subgroups_of_order(G, G.order // N.order, rank_bound)
             if sum(1 for x in K.elements if x in N) == 1]
 
@@ -316,6 +316,18 @@ def subgroup_defect_by_scan(G: Group, elements) -> str | None:
             if G.mul[a][b] not in members:
                 return f"subgroup not closed under product at ({a}, {b})"
     return None
+
+
+def closure_by_products(G: Group, elements) -> set[int]:
+    """<elements> as a set: the identity and the elements, with every product
+    of two members adjoined until none falls outside, which in a finite
+    group is the subgroup they generate."""
+    closure = {0, *elements}
+    while True:
+        grown = closure | {G.mul[a][b] for a in closure for b in closure}
+        if grown == closure:
+            return closure
+        closure = grown
 
 
 def as_group_table_by_scan(H: Subgroup) -> tuple[tuple[int, ...], ...]:

@@ -248,17 +248,19 @@ def test_h1_builds_one_generating_sequence(monkeypatch):
     import nilcoh.groups as groups
 
     a = conjugation_self_action(heisenberg(3))
+    K = subgroup_generated(a.actor, [1])
     real = groups.generating_sequence
     calls = []
 
-    def counted(G, elements):
+    def counted(G, elements, limit=None):
         calls.append(G)
-        return real(G, elements)
+        return real(G, elements, limit)
 
     monkeypatch.setattr(groups, "generating_sequence", counted)
     h1(a)
-    h1(a, subgroup_generated(a.actor, [1]))
-    assert len(calls) == 2
+    assert calls == [a.actor]          # full_subgroup(J), proven by one walk
+    h1(a, K)
+    assert calls == [a.actor]
 
 
 def test_h1_classes_match_the_twist_partition_oracle():

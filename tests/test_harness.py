@@ -394,6 +394,9 @@ def test_cli_verify_with_subgroup_spec(capsys):
         assert main(["verify", "prop5", "--instance", "c2_inv_c4",
                      "--h", json.dumps({"generated_by": [pair]})]) == 3, pair
         assert "generated_by pair" in capsys.readouterr().err
+    assert main(["verify", "prop5", "--instance", "c2_inv_c4",
+                 "--h", '{"elements": [-1, 0]}']) == 3
+    assert "element -1 outside parent of order 8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

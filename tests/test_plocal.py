@@ -1,13 +1,14 @@
-"""The p-local layer in the parent's table: p-parts, Hall p'-subgroups and
-the Sylow-local complements of prop3, each against the route it replaced,
-and prop3 on an enumeration that stopped at its budget."""
+"""The p-local layer in the parent's table: p-parts, the Sylow and Hall
+subgroups read from them and the Sylow-local complements of prop3, each
+against the route it replaced, and prop3 on an enumeration that stopped at
+its budget."""
 
 import pytest
 
 from nilcoh import cohomology, structure, theorems
 from nilcoh.actions import semidirect
 from nilcoh.cohomology import extend_from_sylow, h1
-from nilcoh.errors import BudgetExceeded
+from nilcoh.errors import BudgetExceeded, NotNilpotent
 from nilcoh.groups import Subgroup, group_from_permutations
 from nilcoh.harness.catalog import CATALOG, EQ3_EXTRA, catalog_by_id, inversion_action
 from nilcoh.structure import (
@@ -16,6 +17,7 @@ from nilcoh.structure import (
     is_nilpotent,
     is_nilpotent_subgroup,
     is_p_power,
+    p_part,
     p_parts,
     prime_factors,
     subgroup_conjugacy_classes,
@@ -68,6 +70,30 @@ def test_p_parts_factor_each_element(G):
         # Any order of the elements, repeats included, reads the same parts.
         backwards = list(reversed(G.elements())) * 2
         assert p_parts(G, p, backwards) == tuple(parts[x] for x in backwards)
+
+
+def test_sylow_and_hall_membership_match_the_element_order_comprehension():
+    # The p-torsion is the set of x equal to their p-part, the p'-elements
+    # those whose p-part is 0.  In a nilpotent group they are the Sylow and
+    # Hall subgroups; in S3 and A4 the Sylow search starts from the torsion.
+    nilpotent = 0
+    for name, G in [*_catalog_groups(), ("S3", S3), ("A4", A4)]:
+        for p in prime_factors(G.order):
+            torsion = tuple(x for x in G.elements() if is_p_power(G.element_order(x), p))
+            pprime = tuple(x for x in G.elements() if G.element_order(x) % p != 0)
+            parts = p_parts(G, p, G.elements())
+            assert tuple(x for x, x_p in zip(G.elements(), parts) if x_p == x) == torsion
+            assert tuple(x for x, x_p in zip(G.elements(), parts) if x_p == 0) == pprime
+            P = sylow_subgroup(G, p)
+            if is_nilpotent(G):
+                assert P.elements == torsion, (name, p)
+                assert hall_pprime(G, p).elements == pprime, (name, p)
+                nilpotent += 1
+            else:
+                assert set(P.elements) <= set(torsion) and P.order == p_part(G.order, p)
+                with pytest.raises(NotNilpotent):
+                    hall_pprime(G, p)
+    assert nilpotent >= 80
 
 
 def test_hall_pprime_within_matches_the_element_order_comprehension():

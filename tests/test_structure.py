@@ -287,7 +287,7 @@ def test_complements_match_subgroup_scan_on_every_normal_subgroup(name):
 
 def _lifts(G, N):
     n_first = N.elements + tuple(g for g in range(G.order) if g not in N)
-    sequence = generating_sequence(G, n_first)
+    sequence = generating_sequence(G, n_first)[0]
     return sequence, sum(1 for g in sequence if g in N)
 
 

@@ -1,10 +1,11 @@
-"""A subgroup's generating sequence: `Subgroup` proves closure from it, and
-every test over a subgroup's elements runs over it.  Each is checked
-against an element scan in conftest: closure on every subset containing 0
-of seven small groups, and the predicates on the 2-generated subgroups of
-catalog products and on Hypothesis groups."""
+"""A subgroup's generating sequence: the walk that finds it proves closure,
+and every test over a subgroup's elements runs over it.  Each is checked
+against an element scan in conftest: the bounded walk on every pair of
+elements of four small groups, closure on every subset containing 0 of
+seven, and the predicates on the 2-generated subgroups of catalog products
+and on Hypothesis groups."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from conftest import (
     abelian,
     catalog_by_id,
     centralizer_by_scan,
+    closure_by_products,
     conjugates_into_by_scan,
     conjugator_by_scan,
     cyclic,
@@ -63,11 +65,37 @@ def test_subgroup_accepts_exactly_the_closed_subsets(name):
             if defect is None:
                 H = Subgroup(G, elts)
                 assert H.elements == elts
-                assert H.gens == tuple(generating_sequence(G, elts))
+                assert H.gens == generating_sequence(G, elts)[0]
             else:
                 with pytest.raises(ValueError) as info:
                     Subgroup(G, elts)
                 assert str(info.value) == defect
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8", "C2xC4", "S3"])
+def test_walk_is_the_closure_by_products_within_its_bound(name):
+    # Every pair of elements, every bound from 1 to |G| and no bound: None
+    # exactly when <x, y> has more elements than the bound, and otherwise
+    # the closure and the greedy generating sequence.
+    G = SMALL_GROUPS[name]()
+    for xs in product(range(G.order), repeat=2):
+        closure = closure_by_products(G, xs)
+        greedy = tuple(g for i, g in enumerate(xs) if g not in closure_by_products(G, xs[:i]))
+        for limit in [*range(1, G.order + 1), None]:
+            walk = generating_sequence(G, xs, limit=limit)
+            if limit is not None and len(closure) > limit:
+                assert walk is None, (xs, limit)
+            else:
+                assert walk == (greedy, closure), (xs, limit)
+
+
+def test_subgroup_names_an_element_outside_the_parent():
+    G = dihedral(4)
+    for elements, x in (([-1, 0], -1), ([0, 8], 8), ([-3, 0, 1, 9], -3)):
+        with pytest.raises(ValueError, match=f"^element {x} outside parent of order 8$"):
+            Subgroup(G, elements)
+    with pytest.raises(ValueError, match="identity"):
+        Subgroup(G, [1, 9])
 
 
 def _two_generated_subgroups(G: Group) -> list[Subgroup]:
@@ -79,7 +107,7 @@ def _two_generated_subgroups(G: Group) -> list[Subgroup]:
 def _assert_generator_tests_match_scans(G: Group, subs: list[Subgroup]) -> None:
     gsets = [coset_gset(G, H) for H in subs]
     for S in subs:
-        assert S.gens == tuple(generating_sequence(G, S.elements))
+        assert S.gens == generating_sequence(G, S.elements)[0]
         assert centralizer(G, S).elements == centralizer_by_scan(G, S)
         assert normalizer(G, S).elements == normalizer_by_scan(G, S)
         witness = normality_witness_by_scan(G, S, G.gens)
