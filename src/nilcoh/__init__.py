@@ -10,7 +10,6 @@ from .actions import (
     GSet,
     SemidirectProduct,
     action_from_generator_images,
-    conjugation_action,
     coset_gset,
     fixed_points,
     is_transitive,
@@ -19,7 +18,6 @@ from .actions import (
     trivial_action,
 )
 from .cohomology import (
-    AbelianH1,
     Cocycle,
     CohomologySet,
     DecompositionReport,
@@ -39,7 +37,6 @@ from .groups import (
     GroupHom,
     Subgroup,
     are_conjugate_subgroups,
-    center,
     centralizer,
     full_subgroup,
     group_from_permutations,

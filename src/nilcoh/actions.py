@@ -145,17 +145,11 @@ def action_from_generator_images(
     return action
 
 
-def conjugation_action(G: Group, N: Subgroup, J: Subgroup,
-                       name: str | None = None) -> ActionOnGroup:
-    """Action of J on N by conjugation inside G; J must normalize N."""
-    action, _, _ = conjugation_action_with_maps(G, N, J, name=name)
-    return action
-
-
 def conjugation_action_with_maps(
     G: Group, N: Subgroup, J: Subgroup, name: str | None = None
 ) -> tuple[ActionOnGroup, tuple[int, ...], tuple[int, ...]]:
-    """conjugation_action plus the element maps of actor and target into G."""
+    """The action of J on N by conjugation inside G, with the element maps of
+    actor and target into G; J must normalize N."""
     # j acts by n -> j n j', which is conjugation by j'.
     images = [conjugates(G, N.elements, G.inv[j]) for j in J.elements]
     for j, img in zip(J.elements, images):

@@ -40,7 +40,7 @@ from .groups import Group, Subgroup, compose, composer, conjugates, full_subgrou
 from .structure import (
     hall_pprime,
     is_nilpotent,
-    is_p_power,
+    p_part,
     p_parts,
     prime_factors,
     sylow_subgroup,
@@ -67,21 +67,6 @@ class Cocycle:
 
     def to_json(self) -> dict:
         return {"domain": list(self.domain.elements), "values": list(self.values)}
-
-
-def check_cocycle(action: ActionOnGroup, domain: Subgroup, values: tuple[int, ...]) -> bool:
-    """Test the cocycle identity over all pairs of the domain."""
-    J, N = action.actor, action.target
-    pos = domain.position
-    mul = N.mul
-    for a in domain.elements:
-        va = values[pos(a)]
-        aa = action.auto[a]
-        row = J.mul[a]
-        for b in domain.elements:
-            if values[pos(row[b])] != mul[va][aa[values[pos(b)]]]:
-                return False
-    return True
 
 
 def _check_budget(n_order: int, ngens: int, budget: int) -> None:
@@ -506,7 +491,8 @@ def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int,
     N_q-orbit that a fixed class forms, so by Glauberman's lemma (Glauberman,
     Math. Z. 84, 1964) some representative has values that J'_q fixes
     pointwise, and on it the recipe gives a cocycle.  So NoPreimageFound
-    falsifies the decomposition on this instance.
+    falsifies the decomposition on this instance.  The recipe's tables are
+    looked up in H1(J, N), which must be within the budget as well.
     """
     J = action.actor
     if not is_nilpotent(J) or not is_nilpotent(action.target):
@@ -517,10 +503,13 @@ def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int,
     if class_index not in fixed_classes(Hq, hall_pprime(J, q, within=full)):
         raise ValueError(f"class {class_index} is not fixed by the Hall subgroup")
     where = Jq.positions(p_parts(J, q, range(J.order)))  # j -> place of its q-part in J_q
+    # H1(J, N)'s index holds every cocycle of Z1(J, N), since `cocycles` is
+    # complete, so a table is a cocycle exactly when it is a key there.
+    index = h1(action, budget=budget)._index
     for phi in Hq.classes[class_index]:
-        values = compose(phi.values, where)
-        if check_cocycle(action, full, values):
-            return h1(action, budget=budget).class_of(values)
+        cls = index.get(compose(phi.values, where))
+        if cls is not None:
+            return cls
     raise NoPreimageFound(
         f"no representative of fixed class {class_index} at q={q} extends to J"
     )
@@ -681,45 +670,20 @@ def _scan_classes(blocks: list[PrimeBlock], fixed: list[set[int]], columns: list
 # -- abelian cross-check -----------------------------------------------------------
 
 
-class AbelianH1:
-    """H1 with its abelian group structure (pointwise class product).
+def _p_primary_classes(H: CohomologySet, p: int) -> tuple[int, ...]:
+    """The classes of H1(J, N), for abelian N, whose order is a power of p.
 
-    A product of classes is the class of the pointwise product of their
-    representatives; each one is computed when asked for.
+    With abelian N, H1 is a group under the pointwise product of
+    representatives, and a class's order divides |H1|.  So a class is
+    p-primary exactly when its q-th power is the identity class, for q the
+    p-part of |H1|; that power is the class of the representative's
+    pointwise q-th power, one composition with n -> n^q.
     """
-
-    def __init__(self, H: CohomologySet):
-        N = H.action.target
-        if not N.is_abelian():
-            raise NotAbelian("class products need an abelian coefficient group")
-        self.h1 = H
-        self.identity = H.distinguished
-
-    @property
-    def order(self) -> int:
-        return self.h1.size
-
-    def _times(self, values: tuple[int, ...], i: int) -> tuple[int, ...]:
-        """The pointwise product of a cocycle's values with class i's representative."""
-        mul = self.h1.action.target.mul
-        return tuple(mul[a][b] for a, b in zip(values, self.h1.rep(i).values))
-
-    def multiply(self, i: int, k: int) -> int:
-        return self.h1.class_of(self._times(self.h1.rep(i).values, k))
-
-    def class_order(self, i: int) -> int:
-        """The least k >= 1 with i^k the identity class, by walking the powers
-        of class i's representative."""
-        values, k = self.h1.rep(i).values, 1
-        while self.h1.class_of(values) != self.identity:
-            values = self._times(values, i)
-            k += 1
-        return k
-
-    def primary_parts(self, p: int) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(self.order) if is_p_power(self.class_order(i), p)
-        )
+    N = H.action.target
+    q = p_part(H.size, p)
+    power = [N.power(n, q) for n in range(N.order)]
+    return tuple(i for i, phi in enumerate(H.reps())
+                 if H.class_of(compose(power, phi.values)) == H.distinguished)
 
 
 @dataclass(frozen=True)
@@ -760,7 +724,7 @@ def eq3_check(action: ActionOnGroup, budget: int = GENERATOR_ENUM_BUDGET) -> Eq3
     if not N.is_abelian():
         raise NotAbelian("the abelian cross-check needs an abelian target")
     J = action.actor
-    ab = AbelianH1(h1(action, budget=budget))
+    H = h1(action, budget=budget)
     whole = full_subgroup(J)
     primes = shared_primes(action)
     inv_sizes = []
@@ -771,8 +735,7 @@ def eq3_check(action: ActionOnGroup, budget: int = GENERATOR_ENUM_BUDGET) -> Eq3
         local = h1(action, Jp, budget=budget)
         inv = fixed_classes(local, whole)
         inv_sizes.append(len(inv))
-        primary = ab.primary_parts(p)
-        images = [local.class_of(restrict(ab.h1.rep(i), Jp)) for i in primary]
+        images = [local.class_of(restrict(H.rep(i), Jp)) for i in _p_primary_classes(H, p)]
         if len(set(images)) != len(images):
             restrictions_ok = False
             failure = failure or f"restriction at p={p} is not injective on the primary part"
@@ -782,17 +745,15 @@ def eq3_check(action: ActionOnGroup, budget: int = GENERATOR_ENUM_BUDGET) -> Eq3
                 f"restriction at p={p} does not map the primary part onto the "
                 "invariant classes"
             )
-    expected = 1
-    for s in inv_sizes:
-        expected *= s
-    product_matches = ab.order == expected
+    expected = prod(inv_sizes)
+    product_matches = H.size == expected
     if not product_matches:
         failure = failure or (
-            f"|H1| = {ab.order} but invariant class counts multiply to {expected}"
+            f"|H1| = {H.size} but invariant class counts multiply to {expected}"
         )
     return Eq3Report(
         shared_primes=primes,
-        h1_order=ab.order,
+        h1_order=H.size,
         invariant_sizes=tuple(inv_sizes),
         product_matches=product_matches,
         restrictions_bijective=restrictions_ok,

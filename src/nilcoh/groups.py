@@ -199,7 +199,10 @@ class Subgroup:
     element, so elements that hold the identity are a subgroup exactly when
     the walk reaches no more of them (`generating_sequence`, bounded by
     |H|).  Only when it reaches more does a scan of inverses and products
-    name the first witness.
+    name the first witness.  When there are as many elements as the parent
+    has, they are all of an already validated group, and their number is
+    the proof: `gens` is then `parent.gens`, the same walk's greedy
+    sequence over range(|G|), and no walk runs.
     """
 
     __slots__ = ("parent", "elements", "gens", "_set", "_pos")
@@ -211,7 +214,10 @@ class Subgroup:
         if elts[0] < 0 or elts[-1] >= parent.order:
             x = elts[0] if elts[0] < 0 else elts[-1]
             raise ValueError(f"element {x} outside parent of order {parent.order}")
-        walk = generating_sequence(parent, elts, limit=len(elts))
+        if len(elts) == parent.order:
+            walk = parent.gens, set(elts)
+        else:
+            walk = generating_sequence(parent, elts, limit=len(elts))
         if walk is None:
             members = set(elts)
             for a in elts:
@@ -472,14 +478,6 @@ def full_subgroup(G: Group) -> Subgroup:
 
 
 # -- classical constructions ----------------------------------------------------
-
-
-def center(G: Group) -> Subgroup:
-    """Elements commuting with every generator, hence with everything."""
-    mul = G.mul
-    return Subgroup(
-        G, (z for z in range(G.order) if all(mul[z][g] == mul[g][z] for g in G.gens))
-    )
 
 
 def centralizer(G: Group, H: Subgroup) -> Subgroup:

@@ -45,12 +45,6 @@ def p_part(n: int, p: int) -> int:
     return m
 
 
-def is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def lower_central_series(G: Group, within: Subgroup | None = None) -> list[Subgroup]:
     """The lower central series of H = `within` (default: all of G), as
     subgroups of G: H = g1 >= g2 >= ... with g_{i+1} = [g_i, H], until the

@@ -21,7 +21,6 @@ from nilcoh.actions import ActionOnGroup, GSet, coset_gset
 from nilcoh.cohomology import (
     Cocycle,
     CohomologySet,
-    check_cocycle,
     cocycles_bruteforce,
     restrict,
 )
@@ -51,7 +50,6 @@ from nilcoh.structure import (
     enumerate_subgroups_of_order,
     is_nilpotent,
     is_nilpotent_subgroup,
-    is_p_power,
     locally_conjugate,
     lower_central_series,
     prime_factors,
@@ -219,6 +217,21 @@ def orbit_route_mismatches(G: Group, subs: list[Subgroup],
     return out
 
 
+def check_cocycle(action: ActionOnGroup, domain: Subgroup, values: tuple[int, ...]) -> bool:
+    """Test the cocycle identity over all pairs of the domain."""
+    J, N = action.actor, action.target
+    pos = domain.position
+    mul = N.mul
+    for a in domain.elements:
+        va = values[pos(a)]
+        aa = action.auto[a]
+        row = J.mul[a]
+        for b in domain.elements:
+            if values[pos(row[b])] != mul[va][aa[values[pos(b)]]]:
+                return False
+    return True
+
+
 def complement_to_cocycle(P, K: Subgroup) -> Cocycle:
     """The cocycle phi_K with F(phi_K) = K, for a complement K of N in
     P = N x| J: the element of K over j is (phi(j), j).  Raises ValueError
@@ -233,6 +246,20 @@ def complement_to_cocycle(P, K: Subgroup) -> Cocycle:
     if not check_cocycle(action, domain, values):
         raise ValueError("complement did not induce a cocycle")
     return Cocycle(action, domain, values)
+
+
+def center(G: Group) -> Subgroup:
+    """Elements commuting with every generator, hence with everything."""
+    mul = G.mul
+    return Subgroup(
+        G, (z for z in range(G.order) if all(mul[z][g] == mul[g][z] for g in G.gens))
+    )
+
+
+def is_p_power(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def trivial_subgroup(G: Group) -> Subgroup:

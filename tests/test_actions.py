@@ -5,7 +5,7 @@ import pytest
 from nilcoh.actions import (
     GSet,
     action_from_generator_images,
-    conjugation_action,
+    conjugation_action_with_maps,
     coset_gset,
     fixed_points,
     is_transitive,
@@ -82,13 +82,13 @@ def test_conjugation_action_of_reflection_is_inversion():
     D4 = dihedral(4)
     rot = subgroup_generated(D4, [1])
     refl = subgroup_generated(D4, [4])
-    a = conjugation_action(D4, rot, refl)
+    a = conjugation_action_with_maps(D4, rot, refl)[0]
     assert a.auto[1] == (0, 3, 2, 1)  # the non-identity element inverts
 
 
 def test_conjugation_action_on_center_is_trivial():
     D4 = dihedral(4)
-    a = conjugation_action(D4, subgroup_generated(D4, [2]), full_subgroup(D4))
+    a = conjugation_action_with_maps(D4, subgroup_generated(D4, [2]), full_subgroup(D4))[0]
     assert a.is_trivial()
 
 
@@ -97,7 +97,7 @@ def test_conjugation_action_requires_normalizing():
     refl = subgroup_generated(D4, [4])
     rot = subgroup_generated(D4, [1])
     with pytest.raises(NotNormalized):
-        conjugation_action(D4, refl, rot)
+        conjugation_action_with_maps(D4, refl, rot)
 
 
 def test_semidirect_c4_by_inversion_is_d4():

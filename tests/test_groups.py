@@ -9,7 +9,6 @@ from nilcoh.groups import (
     GroupHom,
     Subgroup,
     are_conjugate_subgroups,
-    center,
     centralizer,
     full_subgroup,
     group_from_permutations,
@@ -19,6 +18,7 @@ from nilcoh.groups import (
     subgroup_generated,
 )
 from conftest import (
+    center,
     cyclic,
     dihedral,
     is_surjective,

@@ -16,7 +16,6 @@ from nilcoh.structure import (
     hall_pprime,
     is_nilpotent,
     is_nilpotent_subgroup,
-    is_p_power,
     p_part,
     p_parts,
     prime_factors,
@@ -28,6 +27,7 @@ from conftest import (
     complements_within_by_table,
     cyclic,
     dihedral,
+    is_p_power,
     primary_projection_by_scan,
     subgroups_by_subset_scan,
 )

@@ -12,15 +12,21 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilcoh import theorems
 from nilcoh.actions import action_from_generator_images, semidirect, trivial_action
 from nilcoh.cohomology import cocycles, cocycles_bruteforce, decomposition_map, h1, shared_primes
-from nilcoh.groups import Group, cayley_tree, compose, subgroup_generated
+from nilcoh.groups import Group, Subgroup, cayley_tree, compose, subgroup_generated
 from nilcoh.structure import complements, prime_factors, subgroup_conjugacy_classes, sylow_subgroup
+from nilcoh.theorems import verify_prop2
 from conftest import (
+    CATALOG,
     abelian,
     complements_by_subgroup_scan,
     cyclic,
+    dihedral,
+    direct_product,
     h1_classes_by_twist,
+    is_nilpotent_subgroup_by_table,
     orbit_route_mismatches,
     quaternion8,
     semidirect_table_by_formula,
@@ -136,6 +142,41 @@ def test_h1_matches_the_twist_oracle_on_the_sweep():
                     assert classes == h1_classes_by_twist(action, K), (J.name, N.name, K)
                 instances += 1
     assert instances > 150
+
+
+def test_prop2_tests_one_complement_for_nilpotency(monkeypatch):
+    # Every complement of N is isomorphic to G/N, so prop2 tests one of them
+    # and keeps all or none: its "nilpotent" count equals a count over every
+    # complement, with at most one nilpotency test on a complement per
+    # report.  On every catalog product, every sweep action and S3 x C2,
+    # whose complements are all S3.
+    real = theorems.is_nilpotent_subgroup
+    tested = []
+
+    def counted(H):
+        tested.append(H)
+        return real(H)
+
+    monkeypatch.setattr(theorems, "is_nilpotent_subgroup", counted)
+    cases = [(inst.id, semidirect(inst.action())) for inst in CATALOG]
+    for N in sweep_targets():
+        for J in (cyclic(2), cyclic(3), cyclic(4), cyclic(6)):
+            cases += [((J.name, N.name), semidirect(a)) for a in _all_cyclic_actions(J, N)]
+    products = [(iid, P.group, P.n_part()) for iid, P in cases]
+    S3xC2 = direct_product(dihedral(3), cyclic(2))
+    products.append(("s3xc2", S3xC2, Subgroup(S3xC2, [0, 1])))
+    none_nilpotent = 0
+    for iid, G, N in products:
+        tested.clear()
+        report = verify_prop2(G, N, str(iid))
+        comps = complements(G, N)
+        assert report.witness["complements"] == len(comps), iid
+        nilpotent = sum(map(is_nilpotent_subgroup_by_table, comps))
+        assert report.witness["nilpotent"] == nilpotent, iid
+        assert len([H for H in tested if H != N]) <= 1, iid
+        none_nilpotent += nilpotent == 0
+    assert len(products) > 180
+    assert none_nilpotent >= 1
 
 
 def test_noncyclic_actor_sweep():

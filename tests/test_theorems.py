@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nilcoh.actions import coset_gset, semidirect, trivial_action
 from nilcoh.cohomology import h1
 from nilcoh import theorems
-from nilcoh.errors import HypothesisNotMet, ProofStepFailed
+from nilcoh.errors import HypothesisNotMet, NoPreimageFound, ProofStepFailed
 from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated
 from nilcoh.harness.scenario import subgroup_of_semidirect
 from nilcoh.harness.suite import default_suite
@@ -244,9 +244,10 @@ def test_broken_two_prime_combination_is_a_falsification(monkeypatch, catalog):
 def test_failed_lift_in_the_correspondence_is_a_falsification(monkeypatch, catalog):
     # A lift that extend_from_sylow cannot complete inside the guided route
     # must be reported as a falsification naming the step, not as an error.
-    from nilcoh import cohomology
+    def no_preimage(*args, **kwargs):
+        raise NoPreimageFound("no representative extends to J")
 
-    monkeypatch.setattr(cohomology, "check_cocycle", lambda *args: False)
+    monkeypatch.setattr(theorems, "extend_from_sylow", no_preimage)
     P = semidirect(catalog["c6_inv_c6"].action())
     J = P.j_part()
     H = J.conjugate_by(6)

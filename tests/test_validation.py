@@ -12,10 +12,11 @@ from itertools import product
 
 from nilcoh.actions import ActionOnGroup, GSet, coset_gset, semidirect
 from nilcoh.errors import NilcohError, NoIdentity, NoInverse, NotAssociative, NotNormal
-from nilcoh.groups import Group, GroupHom, center, quotient, subgroup_generated
+from nilcoh.groups import Group, GroupHom, quotient, subgroup_generated
 from conftest import (
     abelian,
     catalog_by_id,
+    center,
     compose_by_scan,
     cyclic,
     dihedral,
