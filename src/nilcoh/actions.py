@@ -29,6 +29,7 @@ from .groups import (
     composer,
     conjugates,
     coset_representatives,
+    group_from_rows,
     respects_generators,
 )
 
@@ -194,20 +195,26 @@ class SemidirectProduct:
     """The group N x| J for an action, with its embeddings and projection.
 
     Element (n, j) has index n * |J| + j, so the identity is index 0, and
-    the product (n1, j1)(n2, j2) = (n1 act(j1, n2), j1 j2).  The table is
-    built along the Cayley tree of the generators (n, 0) for n in N.gens and
-    (0, j) for j in J.gens, which generate the product: their rows come from
-    the product formula, and every other row is one composition, since
-    row(x*s) = row(x) after row(s).  `Group` and `semidirect_embeddings`
-    then check the whole table.
+    the product (n1, j1)(n2, j2) = (n1 act(j1, n2), j1 j2).  The rows of the
+    generators (n, 0) for n in N.gens and (0, j) for j in J.gens come from
+    the product formula, and `group_from_rows` builds every other row as one
+    composition along their walk, which is at once the proof that the table
+    is a group.  `semidirect_embeddings` then checks that it is the
+    semidirect table of the action.  When the generators' rows do not reach
+    every element, NotAHomomorphism says so.
     """
 
     __slots__ = ("action", "group", "embed_N", "embed_J", "project_J")
 
     def __init__(self, action: ActionOnGroup, order_cap: int = DEFAULT_ORDER_CAP):
         N, J = action.target, action.actor
-        _product_order(action, order_cap)
-        group = Group(_semidirect_table(action), name="semidirect")
+        size, nj = _product_order(action, order_cap), J.order
+        gens = [(n, 0) for n in N.gens] + [(0, j) for j in J.gens]
+        rows = [(n * nj + j, _semidirect_row(action, n, j)) for n, j in gens]
+        try:
+            group = group_from_rows(size, rows, name="semidirect")
+        except DoesNotGenerate as exc:
+            raise NotAHomomorphism(f"in N x| J, {exc}") from exc
         embeddings = semidirect_embeddings(action, group)
         if embeddings is None:
             raise NotAHomomorphism(
@@ -231,30 +238,6 @@ def _semidirect_row(action: ActionOnGroup, n1: int, j1: int) -> tuple[int, ...]:
     nj, jrow = action.actor.order, action.actor.mul[j1]
     return tuple(m * nj + x for m in compose(action.target.mul[n1], action.auto[j1])
                  for x in jrow)
-
-
-def _semidirect_table(action: ActionOnGroup) -> list[tuple[int, ...]]:
-    """The rows of N x| J, built along the Cayley tree of the embedded
-    generators of N and J: row(x*s) = row(x) after row(s)."""
-    N, J = action.target, action.actor
-    nj = J.order
-    gens = [(n, 0) for n in N.gens] + [(0, j) for j in J.gens]
-    steps = [(n * nj + j, composer(_semidirect_row(action, n, j))) for n, j in gens]
-    rows: list[tuple[int, ...] | None] = [None] * (N.order * nj)
-    rows[0] = tuple(range(len(rows)))
-    reached = [0]
-    for x in reached:                      # reached grows while it is walked
-        row = rows[x]
-        for s, take in steps:
-            y = row[s]
-            if rows[y] is None:
-                rows[y] = take(row)
-                reached.append(y)
-    if len(reached) != len(rows):
-        raise NotAHomomorphism(
-            f"the generators of N and J reach {len(reached)} of {len(rows)} elements"
-        )
-    return rows
 
 
 def _product_order(action: ActionOnGroup, order_cap: int) -> int:

@@ -12,7 +12,14 @@ from itertools import chain
 from operator import eq, getitem, itemgetter, methodcaller
 from typing import Callable, Iterable, Sequence
 
-from .errors import NoIdentity, NoInverse, NotAssociative, NotNormal, OrderCapExceeded
+from .errors import (
+    DoesNotGenerate,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    NotNormal,
+    OrderCapExceeded,
+)
 
 DEFAULT_ORDER_CAP = 2048
 
@@ -26,7 +33,13 @@ class Group:
     which is a proof over all triples, not a sample; two-sided inverses.
     Each test compares whole rows (see `compose`); when one fails, a scan
     entry by entry names the first witness.  The entries must be Python
-    ints; `group_from_table` converts a raw table.
+    ints; `group_from_table` converts a raw table.  This is the path of
+    every table given whole.  A group known by the rows of its generators
+    is built by `group_from_rows` instead: its one walk over those rows
+    writes the table and proves it a group, since the rows, each a
+    permutation whose entry 0 is its element, are closed under composition
+    with the generators' rows and so, by Cayley's theorem, carry a
+    permutation group's composition.  None of the passes here runs then.
 
     `gens` is the greedy generating sequence of the elements in index order,
     found by right multiplication from the identity.  A map f with
@@ -345,6 +358,68 @@ def group_from_table(table: Sequence[Sequence[int]], name: str | None = None) ->
         sigma[0], sigma[e] = e, 0
         rows = [[sigma[rows[sigma[a]][sigma[b]]] for b in range(n)] for a in range(n)]
     return Group(rows, name=name)
+
+
+def group_from_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int]]],
+                    name: str | None = None) -> Group:
+    """The group on range(order) generated by elements s whose rows
+    L_s (L_s[y] = s*y) are given as pairs (s, L_s), built and proven in one
+    walk over the generators' rows.
+
+    Each L_s must be a permutation of range(order) with L_s[0] = s.  The walk
+    starts from the identity row; for every element x it reaches and every
+    generator s it forms L_x after L_s once.  The first such edge into
+    y = L_x[s] stores that composition as row y, and every other edge must
+    equal the row stored for its target: a mismatch at entry z is
+    (x*s)*z != x*(s*z) and raises NotAssociative(x, s, z).  Every element
+    must be reached (DoesNotGenerate otherwise).
+
+    The walk is a proof that the table is a group, by Cayley's theorem and
+    the orbit walk of Holt, Eick & O'Brien (*Handbook of Computational
+    Group Theory*, 2005, §4.1).  Every row is a permutation with L_x[0] = x,
+    the identity's edges store or match each L_s, and the rows are closed
+    under composition with the L_s.  So x -> L_x is a bijection onto the
+    permutation group the L_s generate, and T[x][y] = L_x[y] is that group's
+    composition carried over by the bijection: identity, associativity and
+    inverses follow, and `Group`'s shape pass, Light's test and inverse
+    check would have nothing left to prove.  The cost is one composition and
+    at most one row comparison per (element, generator) pair.  `gens` is
+    `Group`'s greedy generating sequence, and inv[x], the position of 0 in
+    row x, is read off L_s inverted when the edge (x, s) first reaches x*s.
+    """
+    if order < 1:
+        raise NoIdentity("empty table")
+    ident = tuple(range(order))
+    steps = []
+    for s, row in generator_rows:
+        if sorted(row) != list(ident):
+            raise ValueError(f"the row of generator {s} is not a permutation of "
+                             f"0..{order - 1}")
+        if row[0] != s:
+            raise NoIdentity(f"entry 0 of the row of generator {s} is {row[0]}")
+        steps.append((s, composer(row), sorted(ident, key=row.__getitem__)))
+    rows: list[tuple[int, ...] | None] = [None] * order
+    rows[0] = ident
+    inv = [0] * order                      # inv[x]: the position of 0 in row x
+    reached = [0]
+    for x in reached:                      # reached grows while it is walked
+        row = rows[x]
+        for s, take, back in steps:
+            y = row[s]
+            product = take(row)
+            if rows[y] is None:
+                rows[y] = product
+                inv[y] = back[inv[x]]      # row y is row x after L_s
+                reached.append(y)
+            elif rows[y] != product:
+                raise NotAssociative(x, s, next(z for z in ident if rows[y][z] != product[z]))
+    if len(reached) != order:
+        raise DoesNotGenerate(f"the generator rows reach {len(reached)} of {order} elements")
+    G = Group.__new__(Group)
+    G.order, G.mul, G.name = order, tuple(rows), name
+    G.gens = generating_sequence(G, ident)[0]
+    G.inv = tuple(inv)
+    return G
 
 
 def group_from_permutations(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..actions import ActionOnGroup, action_from_generator_images, trivial_action
-from ..groups import Group
+from ..groups import Group, group_from_rows
 from ..structure import prime_factors
 
 
@@ -21,8 +21,10 @@ from ..structure import prime_factors
 
 
 def cyclic(n: int) -> Group:
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return Group(table, name=f"C{n}")
+    """Z_n on 0..n-1, walked from the row y -> y + 1 of its generator 1
+    (no generator for n = 1; NoIdentity for n < 1)."""
+    gens = [(1, tuple(range(1, n)) + (0,))] if n > 1 else []
+    return group_from_rows(n, gens, name=f"C{n}")
 
 
 def abelian(factors: list[int]) -> Group:

@@ -4,10 +4,10 @@ A scenario is fully validated at load time; every constructor failure is
 reported as a ValidationError naming the constructor, and malformed JSON as a
 ParseError with line and column.  A group of order above DEFAULT_ORDER_CAP is
 rejected before its table is built, and so is a check that would run on a
-semidirect product above it.  Every table, permutation, image and
-element entry must be a JSON integer: `1.9`, `1.0`, `"1"` and `true` are
-refused here rather than converted, so the constructors behind this
-boundary never truncate one.
+semidirect product above it.  Every builtin group's parameter and every
+table, permutation, image and element entry must be a JSON integer: `1.9`,
+`1.0`, `"1"` and `true` are refused here rather than converted, so the
+constructors behind this boundary never truncate one.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ def _build_group(spec, groups: dict[str, Group], where: str) -> Group:
                 raise ValidationError(where, f"unknown builtin group {name!r}")
             build, order_of = BUILTIN_GROUPS[name]
             kwargs = {k: v for k, v in spec.items() if k != "builtin"}
+            for key, value in kwargs.items():   # n, p, or the list of factors
+                _require_integers(value if isinstance(value, list) else [value], where, key)
             _check_order(order_of(**kwargs))
             return build(**kwargs)
         kind = spec.get("kind")

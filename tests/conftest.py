@@ -270,6 +270,13 @@ def same_table(G: Group, H: Group) -> bool:
     return G.order == H.order and G.mul == H.mul
 
 
+def same_as_validated(G: Group) -> bool:
+    """Whether `Group`, validating G's table in full, gives the same table,
+    `gens` and `inv`: the oracle for groups that `group_from_rows` builds."""
+    V = Group(G.mul)
+    return (G.order, G.mul, G.gens, G.inv) == (V.order, V.mul, V.gens, V.inv)
+
+
 def is_surjective(f: GroupHom) -> bool:
     return len(set(f.images)) == f.target.order
 

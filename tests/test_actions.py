@@ -29,6 +29,7 @@ from conftest import (
     cyclic,
     dihedral,
     quaternion8,
+    same_as_validated,
     same_table,
     semidirect_table_by_formula,
     semidirect_table_by_loops,
@@ -205,12 +206,17 @@ def test_semidirect_order_cap():
 def test_semidirect_table_matches_entrywise_oracle():
     # Every catalog action, and C2 inverting C_n up to the order-512 product,
     # against the table entry by entry and from the product formula's row
-    # segments (the sweep actions are compared in test_sweep.py).
+    # segments (the sweep actions are compared in test_sweep.py).  The walk
+    # of group_from_rows proves each table a group; Group, validating the
+    # whole table, is its oracle for gens and inv, up to the order-1024
+    # product.
     actions = [inst.action() for inst in CATALOG]
     actions += [inversion_action(cyclic(n)) for n in (32, 64, 128, 256)]
     for a in actions:
-        table = semidirect(a).group.mul
-        assert table == semidirect_table_by_loops(a) == semidirect_table_by_formula(a), a
+        P = semidirect(a)
+        assert P.group.mul == semidirect_table_by_loops(a) == semidirect_table_by_formula(a), a
+        assert same_as_validated(P.group), a
+    assert same_as_validated(semidirect(inversion_action(cyclic(512))).group)
 
 
 def test_semidirect_is_built_once_per_action():

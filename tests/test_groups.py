@@ -24,6 +24,7 @@ from conftest import (
     is_surjective,
     permutation_table_by_pairs,
     quaternion8,
+    same_as_validated,
     subgroups_by_subset_scan,
     trivial_subgroup,
 )
@@ -258,6 +259,19 @@ def test_group_hom_validation():
     assert pi.kernel().elements == (0, 2)
     with pytest.raises(ValueError):
         GroupHom(C4, C2, [0, 1, 1, 0])
+
+
+def test_cyclic_groups_match_the_formula_and_the_validated_table():
+    # cyclic(n) walks the row of 1 for n >= 2; Group, validating the whole
+    # table, is its oracle for gens and inv.  Row a of the formula table
+    # (a + b) mod n is the run a..n-1 followed by the run 0..a-1.
+    for n in range(1, 301):
+        C = cyclic(n)
+        assert C.mul == tuple((*range(a, n), *range(a)) for a in range(n)), n
+        assert same_as_validated(C), n
+    for n in (0, -3):
+        with pytest.raises(NoIdentity):
+            cyclic(n)
 
 
 def test_axioms_hold_for_catalog_groups():

@@ -474,6 +474,12 @@ _REGULAR_C2C2 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     ({**_INV_C4, "checks": [{"verify": "prop5", "action": "inv",
                              "h": {"elements": [0, 1.5]}}]},
      "check 0", "elements", "1.5"),
+    # {"builtin": "cyclic", "n": true} used to load as a group "CTrue" of order 1.
+    ({"groups": {"g": {"builtin": "cyclic", "n": True}}}, "group 'g'", "n", "true"),
+    ({"groups": {"g": {"builtin": "dihedral", "n": 4.0}}}, "group 'g'", "n", "4.0"),
+    ({"groups": {"g": {"builtin": "heisenberg", "p": "3"}}}, "group 'g'", "p", '"3"'),
+    ({"groups": {"g": {"builtin": "abelian", "factors": [2, False]}}},
+     "group 'g'", "factors", "false"),
 ])
 def test_cli_rejects_entries_that_are_not_integers(tmp_path, capsys, doc, where, field, bad):
     # int() used to truncate such entries silently: [[0, 1.9], [1, 0]] loaded as C2.

@@ -9,12 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 from nilcoh import actions
 from nilcoh.actions import ActionOnGroup, GSet, SemidirectProduct, coset_gset, semidirect, trivial_action
-from nilcoh.errors import NilcohError, NotAHomomorphism, NotAssociative, NotNormal, OrderCapExceeded
+from nilcoh.errors import (
+    DoesNotGenerate,
+    NilcohError,
+    NoIdentity,
+    NotAHomomorphism,
+    NotAssociative,
+    NotNormal,
+    OrderCapExceeded,
+)
 from nilcoh.groups import (
     Group,
     Subgroup,
     compose,
     group_from_permutations,
+    group_from_rows,
     quotient,
     subgroup_generated,
 )
@@ -28,6 +37,7 @@ from conftest import (
     heisenberg,
     normality_witness_by_scan,
     quotient_table_by_scan,
+    same_as_validated,
     semidirect_table_by_formula,
     subgroup_defect_by_scan,
     trivial_subgroup,
@@ -108,36 +118,95 @@ def test_wrong_entry_in_a_generator_row_is_rejected(monkeypatch, ident):
 
 @pytest.mark.parametrize("ident", MUTANT_ACTIONS)
 def test_swapped_rows_are_rejected(monkeypatch, ident):
+    # Three mutants of the walk that builds the product, on each generator
+    # row in turn: two entries other than entry 0 swapped, so the row is
+    # still a permutation with the right entry 0; entry 0 swapped with entry
+    # 1; and, once, the last generator (one of J's) left out, which reaches
+    # only N x| <the other generators of J>, a proper subgroup since J's
+    # greedy generating sequence is irredundant.
     action = catalog_by_id()[ident].action()
-    size = action.actor.order * action.target.order
-    right_table = actions._semidirect_table
-    for a, b in ((0, 1), (1, size - 1), (size // 2, size // 2 + 1)):
-        def swapped(action, a=a, b=b):
-            rows = right_table(action)
-            rows[a], rows[b] = rows[b], rows[a]
-            return rows
-        monkeypatch.setattr(actions, "_semidirect_table", swapped)
-        with pytest.raises((NilcohError, ValueError)):
-            SemidirectProduct(action)
+    N, J = action.target, action.actor
+    size = J.order * N.order
+    gens = [(n, 0) for n in N.gens] + [(0, j) for j in J.gens]
+    right_row = actions._semidirect_row
+    for target in gens:
+        for (a, b), error in (((1, size - 1), (NotAssociative, NotAHomomorphism)),
+                              ((size // 2, size // 2 + 1), (NotAssociative, NotAHomomorphism)),
+                              ((0, 1), NoIdentity)):
+            def swapped(action, n1, j1, a=a, b=b, target=target):
+                row = list(right_row(action, n1, j1))
+                if (n1, j1) == target:
+                    row[a], row[b] = row[b], row[a]
+                return tuple(row)
+            monkeypatch.setattr(actions, "_semidirect_row", swapped)
+            with pytest.raises(error):
+                SemidirectProduct(action)
+    monkeypatch.undo()
+    right_walk = actions.group_from_rows
+    monkeypatch.setattr(actions, "group_from_rows",
+                        lambda order, rows, name=None: right_walk(order, rows[:-1], name))
+    reached = N.order * subgroup_generated(J, J.gens[:-1]).order
+    with pytest.raises(NotAHomomorphism, match=f"reach {reached} of {size} elements"):
+        SemidirectProduct(action)
+
+
+def _draw_permutation_group(draw) -> Group:
+    """A group generated by two permutations of degree 4 to 7, or by the
+    first alone when the closure passes order 120."""
+    degree = draw(st.integers(4, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=2))
+    try:
+        return group_from_permutations(gens, degree=degree, order_cap=120)
+    except OrderCapExceeded:
+        return group_from_permutations(gens[:1], degree=degree)
 
 
 @st.composite
 def groups_with_subsets(draw):
-    """A group generated by two permutations of degree 4 to 7 (by the first
-    alone when the closure passes order 120), a subset containing 0 and one
+    """A group from `_draw_permutation_group`, a subset containing 0 and one
     or two seeds of a subgroup.  The 120 derandomized draws give groups of
-    14 orders from 1 to 120, about half the subsets not closed and about a
+    13 orders from 1 to 120, about half the subsets not closed and about a
     quarter of the subgroups not normal."""
-    degree = draw(st.integers(4, 7))
-    gens = draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=2))
-    try:
-        G = group_from_permutations(gens, degree=degree, order_cap=120)
-    except OrderCapExceeded:
-        G = group_from_permutations(gens[:1], degree=degree)
+    G = _draw_permutation_group(draw)
     elements = st.integers(0, G.order - 1)
     subset = draw(st.lists(elements, max_size=6))
     seeds = draw(st.lists(elements, min_size=1, max_size=2))
     return G, [0] + subset, seeds
+
+
+@st.composite
+def generator_rows_with_a_transposition(draw):
+    """A group from `_draw_permutation_group`, the rows of its generators,
+    and the same rows with two entries of one row swapped, entry 0 kept
+    (None below order 3).  Moving entry 0 fails the walk's first check."""
+    G = _draw_permutation_group(draw)
+    rows = [(s, G.mul[s]) for s in G.gens]
+    if G.order < 3:
+        return G, rows, None
+    slot = draw(st.integers(0, len(rows) - 1))
+    a, b = draw(st.lists(st.integers(1, G.order - 1), min_size=2, max_size=2, unique=True))
+    s, row = rows[slot]
+    swapped = list(row)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    return G, rows, rows[:slot] + [(s, tuple(swapped))] + rows[slot + 1:]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(generator_rows_with_a_transposition())
+def test_row_walk_builds_the_group_and_accepts_only_groups(case):
+    # On the rows of G.gens the walk rebuilds G; on rows with one
+    # transposition it raises, or builds a table that Group accepts with the
+    # same gens and inv: it never accepts what Group would refuse.
+    G, rows, mutant = case
+    W = group_from_rows(G.order, rows)
+    assert (W.order, W.mul, W.gens, W.inv) == (G.order, G.mul, G.gens, G.inv)
+    if mutant is None:
+        return
+    try:
+        W = group_from_rows(G.order, mutant)
+    except (NotAssociative, DoesNotGenerate):
+        return
+    assert same_as_validated(W)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

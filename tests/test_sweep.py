@@ -29,6 +29,7 @@ from conftest import (
     is_nilpotent_subgroup_by_table,
     orbit_route_mismatches,
     quaternion8,
+    same_as_validated,
     semidirect_table_by_formula,
     trivial_subgroup,
 )
@@ -256,21 +257,25 @@ def test_complements_match_subgroup_scan_on_sweep_actions(action):
 
 def test_semidirect_table_matches_formula_on_sweep_actions():
     # Every cyclic-actor action of the sweep, and C2 x C2 on C8 by every
-    # pair of involutions.
+    # pair of involutions, against the formula and the validated table.
     instances = 0
     for N, auts in _targets_with_automorphisms():
         for m in (2, 3, 4, 6):
             for alpha in auts:
                 if m % perm_order(alpha) == 0:
                     action = action_from_generator_images(cyclic(m), N, [1], [alpha])
-                    assert semidirect(action).group.mul == semidirect_table_by_formula(action)
+                    P = semidirect(action)
+                    assert P.group.mul == semidirect_table_by_formula(action)
+                    assert same_as_validated(P.group)
                     instances += 1
     J, C8 = abelian([2, 2]), cyclic(8)
     involutions = [a for a in automorphisms(C8) if perm_order(a) <= 2]
     for a1 in involutions:
         for a2 in involutions:
             action = action_from_generator_images(J, C8, [2, 1], [a1, a2])
-            assert semidirect(action).group.mul == semidirect_table_by_formula(action)
+            P = semidirect(action)
+            assert P.group.mul == semidirect_table_by_formula(action)
+            assert same_as_validated(P.group)
     assert instances > 150
 
 
