@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from operator import eq, getitem, itemgetter, methodcaller
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DoesNotGenerate,
+    NilcohError,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -27,60 +28,38 @@ DEFAULT_ORDER_CAP = 2048
 class Group:
     """A finite group given by its full multiplication table.
 
-    The table is validated at construction, in this order: a two-sided
-    identity at index 0; associativity by Light's test on the generators
-    `gens` (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961),
-    which is a proof over all triples, not a sample; two-sided inverses.
-    Each test compares whole rows (see `compose`); when one fails, a scan
-    entry by entry names the first witness.  The entries must be Python
-    ints; `group_from_table` converts a raw table.  This is the path of
-    every table given whole.  A group known by the rows of its generators
-    is built by `group_from_rows` instead: its one walk over those rows
-    writes the table and proves it a group, since the rows, each a
-    permutation whose entry 0 is its element, are closed under composition
-    with the generators' rows and so, by Cayley's theorem, carry a
-    permutation group's composition.  None of the passes here runs then.
-
     `gens` is the greedy generating sequence of the elements in index order,
-    found by right multiplication from the identity.  A map f with
-    f(x*g) = f(x)f(g) for every x and every g in gens, and f(0) the identity,
-    is a homomorphism: induction on the length of y as a word in gens gives
-    f(x*y) = f(x)f(y).  Every homomorphism check in the package tests only
-    these (element, generator) pairs; Light's test is the same lemma for the
-    left translations x -> (y -> x*y).
+    found by right multiplication from the identity.  The table is a group
+    exactly when the walk of `group_from_rows` over the rows of `gens`
+    rebuilds it: that walk's rows always form a group table (Cayley's
+    theorem), and on a group table L_{x*s} = L_x after L_s, so it rebuilds
+    the table row for row.  When it fails or builds another table, a scan
+    entry by entry names the first witness, in this order: a two-sided
+    identity at index 0; associativity by Light's test on `gens` (Clifford
+    & Preston, *The Algebraic Theory of Semigroups* I, 1961); two-sided
+    inverses.  The entries must be Python ints; `group_from_table` converts
+    a raw table.  Every group the package builds from its generators' rows
+    is proven by the same walk, through `group_from_rows`.
+
+    A map f with f(x*g) = f(x)f(g) for every x and every g in gens, and f(0)
+    the identity, is a homomorphism: induction on the length of y as a word
+    in gens gives f(x*y) = f(x)f(y).  Every homomorphism check in the
+    package tests only these (element, generator) pairs.
     """
 
     __slots__ = ("order", "mul", "inv", "gens", "name")
 
     def __init__(self, mul: Sequence[Sequence[int]], name: str | None = None):
         table = tuple(map(tuple, mul))
-        n = _check_table_shape(table)
-        ident = tuple(range(n))
-        if table[0] != ident or [row[0] for row in table] != list(ident):
-            raise NoIdentity("index 0 is not a two-sided identity")
-        self.order = n
-        self.mul = table
-        # Every element is a left-normed product of gens, which is all that
-        # Light's lemma needs: the a with (x*a)*y = x*(a*y) for all x, y are
-        # closed under products.
-        self.gens = generating_sequence(self, range(n))[0]
-        for g in self.gens:
-            # Row x*g of the table against row x composed with row g, for every x.
-            left = [table[row[g]] for row in table]
-            if not all(map(eq, left, map(composer(table[g]), table))):
-                x, y = next((x, y) for x, row in enumerate(table) for y in ident
-                             if table[row[g]][y] != row[table[g][y]])
-                raise NotAssociative(x, g, y)
+        self.order = _check_table_shape(table)
+        self.mul, self.name = table, name
+        self.gens = generating_sequence(self, range(self.order))[0]
         try:
-            inv = tuple(map(methodcaller("index", 0), table))
-        except ValueError:
-            inv = None
-        # Entry a of row inv[a] must be 0; any() finds a nonzero one.
-        if inv is None or any(map(getitem, compose(table, inv), ident)):
-            raise NoInverse(next(a for a, row in enumerate(table)
-                                 if 0 not in row or table[row.index(0)][a] != 0))
-        self.inv = inv
-        self.name = name
+            rows, self.inv = _walk_rows(self.order, [(g, table[g]) for g in self.gens])
+        except (NilcohError, ValueError):
+            rows = None
+        if rows != table:
+            _raise_first_defect(table, self.gens)
 
     def elements(self) -> range:
         return range(self.order)
@@ -135,6 +114,21 @@ def _check_table_shape(table: Sequence[Sequence[int]]) -> int:
                 x = next(x for x in row if not 0 <= x < n)
                 raise ValueError(f"table entry {x} out of range [0, {n - 1}]")
     return n
+
+
+def _raise_first_defect(table: tuple[tuple[int, ...], ...], gens: Sequence[int]) -> None:
+    """Raise the first group axiom the square table breaks, with its witness:
+    NoIdentity, then NotAssociative(x, g, y) for the first generator g, row
+    x and entry y where (x*g)*y != x*(g*y), then NoInverse."""
+    ident = range(len(table))
+    if table[0] != tuple(ident) or any(row[0] != x for x, row in zip(ident, table)):
+        raise NoIdentity("index 0 is not a two-sided identity")
+    witness = next(((x, g, y) for g in gens for x, row in enumerate(table) for y in ident
+                    if table[row[g]][y] != row[table[g][y]]), None)
+    if witness:
+        raise NotAssociative(*witness)
+    raise NoInverse(next(a for a, row in enumerate(table)
+                         if 0 not in row or table[row.index(0)][a] != 0))
 
 
 def compose(p: Sequence, q: Sequence[int]) -> tuple:
@@ -289,14 +283,21 @@ class Subgroup:
         return all(self._set.issuperset(conjugates(G, self.gens, g)) for g in G.gens)
 
     def as_group(self) -> tuple[Group, tuple[int, ...]]:
-        """Re-index this subgroup as a standalone Group.
+        """Re-index this subgroup as a standalone Group, built from the
+        re-indexed rows of `gens`.
 
         Returns the group together with the map new-index -> parent-index.
         Parent identity 0 is the least element, so it lands at new index 0.
+        The walk proves the rows a group, and the map, a homomorphism on the
+        group's generators and a bijection onto this subgroup, proves it is
+        this subgroup re-indexed, as the projection does for `quotient`.
         """
-        elts, pos = self.elements, self._pos
+        elts, pos, mul = self.elements, self._pos, self.parent.mul
         take = composer(elts)
-        return Group([compose(pos, take(row)) for row in take(self.parent.mul)]), elts
+        G = group_from_rows(len(elts), [(pos[g], compose(pos, take(mul[g]))) for g in self.gens])
+        if not respects_generators(G, mul, elts):
+            raise ValueError("the re-indexed rows are not the subgroup's")
+        return G, elts
 
     def to_json(self) -> list[int]:
         return list(self.elements)
@@ -332,9 +333,6 @@ class GroupHom:
     def __call__(self, x: int) -> int:
         return self.images[x]
 
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.source, (x for x in range(self.source.order) if self.images[x] == 0))
-
     def image(self) -> Subgroup:
         return Subgroup(self.target, set(self.images))
 
@@ -364,7 +362,19 @@ def group_from_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int
                     name: str | None = None) -> Group:
     """The group on range(order) generated by elements s whose rows
     L_s (L_s[y] = s*y) are given as pairs (s, L_s), built and proven in one
-    walk over the generators' rows.
+    walk over the generators' rows (`_walk_rows`).  `gens` is `Group`'s
+    greedy generating sequence of the table the walk writes."""
+    G = Group.__new__(Group)
+    G.order, G.name = order, name
+    G.mul, G.inv = _walk_rows(order, generator_rows)
+    G.gens = generating_sequence(G, range(order))[0]
+    return G
+
+
+def _walk_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int]]]
+               ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The rows and the inverses of the group the rows L_s generate, from the
+    package's one proof of groupness.
 
     Each L_s must be a permutation of range(order) with L_s[0] = s.  The walk
     starts from the identity row; for every element x it reaches and every
@@ -374,18 +384,17 @@ def group_from_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int
     (x*s)*z != x*(s*z) and raises NotAssociative(x, s, z).  Every element
     must be reached (DoesNotGenerate otherwise).
 
-    The walk is a proof that the table is a group, by Cayley's theorem and
-    the orbit walk of Holt, Eick & O'Brien (*Handbook of Computational
-    Group Theory*, 2005, §4.1).  Every row is a permutation with L_x[0] = x,
-    the identity's edges store or match each L_s, and the rows are closed
-    under composition with the L_s.  So x -> L_x is a bijection onto the
-    permutation group the L_s generate, and T[x][y] = L_x[y] is that group's
-    composition carried over by the bijection: identity, associativity and
-    inverses follow, and `Group`'s shape pass, Light's test and inverse
-    check would have nothing left to prove.  The cost is one composition and
-    at most one row comparison per (element, generator) pair.  `gens` is
-    `Group`'s greedy generating sequence, and inv[x], the position of 0 in
-    row x, is read off L_s inverted when the edge (x, s) first reaches x*s.
+    The walk is a proof that the rows form a group table, by Cayley's
+    theorem and the orbit walk of Holt, Eick & O'Brien (*Handbook of
+    Computational Group Theory*, 2005, §4.1).  Every row is a permutation
+    with L_x[0] = x, the identity's edges store or match each L_s, and the
+    rows are closed under composition with the L_s.  So x -> L_x is a
+    bijection onto the permutation group the L_s generate, and
+    T[x][y] = L_x[y] is that group's composition carried over by the
+    bijection: identity, associativity and inverses follow.  The cost is one
+    composition and at most one row comparison per (element, generator)
+    pair.  inv[x], the position of 0 in row x, is read off L_s inverted when
+    the edge (x, s) first reaches x*s.
     """
     if order < 1:
         raise NoIdentity("empty table")
@@ -415,11 +424,7 @@ def group_from_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int
                 raise NotAssociative(x, s, next(z for z in ident if rows[y][z] != product[z]))
     if len(reached) != order:
         raise DoesNotGenerate(f"the generator rows reach {len(reached)} of {order} elements")
-    G = Group.__new__(Group)
-    G.order, G.mul, G.name = order, tuple(rows), name
-    G.gens = generating_sequence(G, ident)[0]
-    G.inv = tuple(inv)
-    return G
+    return tuple(rows), tuple(inv)
 
 
 def group_from_permutations(
@@ -434,12 +439,10 @@ def group_from_permutations(
     (p*q)(i) = p(q(i)).  Raises OrderCapExceeded if the closure grows past
     order_cap.  Elements are indexed in sorted order, so the identity is 0.
 
-    The breadth-first closure forms p*g for every element p and generator g:
-    these are the right multiplications R_g by the generators, and the first
-    time an element q is reached, as p*g, is an edge of a spanning tree.
-    Column q of the table is x -> x*q = R_g(x*p), so it is R_g after column
-    p, and the table costs |G| compositions of length |G| instead of |G|^2
-    of length degree.
+    The breadth-first closure forms g*p for every element p and generator g,
+    which is the left multiplication L_g; relabelled by sorted position,
+    these are the generators' rows, and `group_from_rows` writes the rest of
+    the table from them.
     """
     gens = [tuple(map(int, p)) for p in generators]
     if degree is None:
@@ -447,34 +450,30 @@ def group_from_permutations(
     for p in gens:
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise ValueError(f"{p} is not a permutation of 0..{degree - 1}")
-    takes = [composer(g) for g in gens]
     # Elements by discovery position: the queue of the breadth-first search.
     perms = [tuple(range(degree))]
     found = {perms[0]: 0}
-    tree: list[tuple[int, int]] = []       # (position of p, slot of g) reaching q = p*g
-    right = [[] for _ in gens]             # right[slot][d] = position of perms[d] * g
-    for d, p in enumerate(perms):          # perms grows while it is walked
-        for slot, take in enumerate(takes):
-            q = take(p)
+    left = [[] for _ in gens]              # left[slot][d] = position of g * perms[d]
+    for p in perms:                        # perms grows while it is walked
+        take = composer(p)
+        for slot, g in enumerate(gens):
+            q = take(g)
             k = found.get(q)
             if k is None:
                 if len(perms) >= order_cap:
                     raise OrderCapExceeded(f"closure exceeds cap {order_cap}")
                 k = found[q] = len(perms)
                 perms.append(q)
-                tree.append((d, slot))
-            right[slot].append(k)
+            left[slot].append(k)
     # Relabel by sorted position; the identity is lexicographically least.
     n = len(perms)
     by_rank = sorted(range(n), key=perms.__getitem__)
     rank = [0] * n
     for i, d in enumerate(by_rank):
         rank[d] = i
-    right_sorted = [compose(rank, compose(r, by_rank)) for r in right]
-    cols: list[tuple[int, ...]] = [tuple(range(n))] * n
-    for k, (d, slot) in enumerate(tree, start=1):
-        cols[rank[k]] = compose(right_sorted[slot], cols[rank[d]])
-    return Group(list(zip(*cols)), name=name)
+    rows = [(rank[found[g]], compose(rank, compose(moves, by_rank)))
+            for g, moves in zip(gens, left)]
+    return group_from_rows(n, rows, name=name)
 
 
 def subgroup_generated(G: Group, seeds: Iterable[int]) -> Subgroup:
@@ -524,7 +523,7 @@ def generating_sequence(G: Group, elements: Iterable[int], limit: int | None = N
     so a new generator x extends it from the products r*x alone: each
     element reached is multiplied by every generator once.  On a table not
     yet known to be associative (`Group.__init__`) this is still the closure
-    by right multiplication, so Light's test sees the same generators.
+    by right multiplication, which reaches every element.
     """
     mul = G.mul
     bound = G.order if limit is None else limit
@@ -582,15 +581,17 @@ def coset_representatives(G: Group, H: Subgroup) -> tuple[list[int], tuple[int, 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
     """Quotient group G/N on sorted coset representatives, with the projection.
 
-    Raises NotNormal (with a witnessing pair) when N is not normal in G.
+    Built from the rows of the cosets of G.gens: coset gN sends coset rN to
+    g*rN.  Raises NotNormal (with a witnessing pair) when N is not normal in
+    G.
     """
     for g in G.gens:
         if not N._set.issuperset(conjugates(G, N.gens, g)):
             raise NotNormal(g, next(h for h in N.elements if G.conj(h, g) not in N))
     reps, label = coset_representatives(G, N)
     take = composer(reps)
-    table = [compose(label, take(row)) for row in take(G.mul)]
-    Q = Group(table, name=(f"{G.name}/N" if G.name else None))
+    rows = [(label[g], compose(label, take(G.mul[g]))) for g in G.gens]
+    Q = group_from_rows(len(reps), rows, name=(f"{G.name}/N" if G.name else None))
     return Q, GroupHom(G, Q, label)
 
 

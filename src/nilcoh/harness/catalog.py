@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..actions import ActionOnGroup, action_from_generator_images, trivial_action
+from ..errors import NoIdentity
 from ..groups import Group, group_from_rows
 from ..structure import prime_factors
 
@@ -31,20 +32,23 @@ def abelian(factors: list[int]) -> Group:
     """Direct product of cyclic groups, mixed-radix encoded, the first factor
     most significant.
 
-    Built one factor at a time: in T x C_f the element (x, u) is x*f + u, and
-    its row lists y*f + v for y in row x of T and v in row u of C_f."""
-    table = [[0]]
-    for f in factors:
-        cyclic_rows = [[(u + v) % f for v in range(f)] for u in range(f)]
-        table = [[y * f + v for y in r1 for v in r2] for r1 in table for r2 in cyclic_rows]
-    name = "x".join(f"C{f}" for f in factors)
-    return Group(table, name=name)
+    Built from the rows of the unit vectors: with f a factor and s its
+    stride, the product of the factors after it, the unit vector s adds s
+    to x and wraps within x's block of f*s elements."""
+    if min(factors, default=1) < 1:
+        raise NoIdentity("empty table")
+    n = math.prod(factors)
+    strides = [math.prod(factors[i + 1:]) for i in range(len(factors))]
+    rows = [(s, tuple(x + s if x // s % f < f - 1 else x - (f - 1) * s for x in range(n)))
+            for f, s in zip(factors, strides) if f > 1]
+    return group_from_rows(n, rows, name="x".join(f"C{f}" for f in factors))
 
 
 def dihedral(n: int) -> Group:
     """Order 2n; index s*n + i encodes the map x -> (-1)^s x + i on Z_n.
 
-    Rotations occupy indices 0..n-1, reflections n..2n-1.
+    Rotations occupy indices 0..n-1, reflections n..2n-1.  Built from the
+    rows of 1 and n, the rotation x -> x + 1 and the reflection x -> -x.
     """
     def mul(g1: int, g2: int) -> int:
         s1, i1 = divmod(g1, n)
@@ -52,12 +56,13 @@ def dihedral(n: int) -> Group:
         i = (i1 + (i2 if s1 == 0 else -i2)) % n
         return ((s1 + s2) % 2) * n + i
 
-    table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
-    return Group(table, name=f"D{n}")
+    rows = [(g, tuple(mul(g, b) for b in range(2 * n))) for g in (1, n)]
+    return group_from_rows(2 * n, rows, name=f"D{n}")
 
 
 def quaternion8() -> Group:
-    """The quaternion group; index 2b + s encodes (-1)^s e_b for e in (1,i,j,k)."""
+    """The quaternion group; index 2b + s encodes (-1)^s e_b for e in (1,i,j,k).
+    Built from the rows of i and j."""
     # signs[a][b]: sign flip of e_a * e_b; rows follow i*j=k, j*k=i, k*i=j.
     signs = [
         [0, 0, 0, 0],   # 1 * x
@@ -72,12 +77,14 @@ def quaternion8() -> Group:
         b2, s2 = divmod(g2, 2)
         return prod[b1][b2] * 2 + (s1 + s2 + signs[b1][b2]) % 2
 
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return Group(table, name="Q8")
+    rows = [(g, tuple(mul(g, b) for b in range(8))) for g in (2, 4)]
+    return group_from_rows(8, rows, name="Q8")
 
 
 def heisenberg(p: int) -> Group:
-    """Upper unitriangular 3x3 matrices over F_p: order p^3, class 2."""
+    """Upper unitriangular 3x3 matrices over F_p: order p^3, class 2.
+    Built from the rows of the two elementary matrices, (1, 0, 0) at index
+    p^2 and (0, 1, 0) at index p."""
     if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     size = p ** 3
@@ -89,24 +96,20 @@ def heisenberg(p: int) -> Group:
         b2, c2 = divmod(r2, p)
         return ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
 
-    table = [[mul(a, b) for b in range(size)] for a in range(size)]
-    return Group(table, name=f"Heis{p}")
+    rows = [(g, tuple(mul(g, b) for b in range(size))) for g in (p * p, p)]
+    return group_from_rows(size, rows, name=f"Heis{p}")
 
 
 def direct_product(G: Group, H: Group) -> Group:
-    table = [
-        [
-            G.mul[a1][a2] * H.order + H.mul[b1][b2]
-            for a2 in range(G.order)
-            for b2 in range(H.order)
-        ]
-        for a1 in range(G.order)
-        for b1 in range(H.order)
-    ]
+    """G x H, (a, b) at index a*|H| + b, built from the rows of (g, 0) for g
+    in G.gens and (0, h) for h in H.gens."""
+    m = H.order
+    rows = [(g * m, tuple(a * m + b for a in G.mul[g] for b in range(m))) for g in G.gens]
+    rows += [(h, tuple(a * m + b for a in range(G.order) for b in H.mul[h])) for h in H.gens]
     name = None
     if G.name and H.name:
         name = f"{G.name}x{H.name}"
-    return Group(table, name=name)
+    return group_from_rows(G.order * m, rows, name=name)
 
 
 # Each builtin with the order it builds from the same arguments, so that

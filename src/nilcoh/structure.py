@@ -259,8 +259,9 @@ def complements(G: Group, N: Subgroup, budget: int = DEFAULT_ENUM_BUDGET,
     of N.  The prefixes of length i-1 that survive are the complements of N
     in <N, t_1..t_{i-1}>, so the count is |N| times their number, summed
     over i = 1..d, which is at most |N| + |N|^2 + ... + |N|^d.
-    BudgetExceeded is raised when the count passes the budget.  The result
-    is sorted by element tuple.
+    BudgetExceeded is raised before the first level that would take the
+    count past the budget.  Only the last level keeps its closures, which
+    are the complements.  The result is sorted by element tuple.
     """
     if within is None:
         top, movers = G.elements(), G.gens
@@ -272,23 +273,24 @@ def complements(G: Group, N: Subgroup, budget: int = DEFAULT_ENUM_BUDGET,
     n_first = N.elements + tuple(g for g in top if g not in N)
     sequence = generating_sequence(G, n_first)[0]
     n_rank = sum(1 for g in sequence if g in N)
-    prefixes: list[tuple[tuple[int, ...], set[int]]] = [((), {0})]
+    prefixes: list[tuple[tuple[int, ...], set[int] | None]] = [((), {0})]
     work = 0
     for i in range(n_rank, len(sequence)):
+        # Every try of a level runs, so the budget is settled before it starts.
+        work += len(prefixes) * N.order
+        if work > budget:
+            raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
         t = sequence[i]
         target = len(generating_sequence(G, sequence[:i + 1])[1]) // N.order
         extended = []
         for lifted, _ in prefixes:
             for n in N.elements:
-                work += 1
-                if work > budget:
-                    raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
                 # The lifts map onto <t_1..t_i>N/N, so they generate at least
                 # `target` elements, and a walk within the bound reaches exactly it.
                 gens = lifted + (G.mul[t][n],)
                 walk = generating_sequence(G, gens, limit=target)
                 if walk is not None:
-                    extended.append((gens, walk[1]))
+                    extended.append((gens, walk[1] if i == len(sequence) - 1 else None))
         prefixes = extended
     return sorted((Subgroup(G, closure) for _, closure in prefixes),
                   key=lambda K: K.elements)

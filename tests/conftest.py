@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product
+from operator import itemgetter
 
 import pytest
 
@@ -24,7 +25,14 @@ from nilcoh.cohomology import (
     cocycles_bruteforce,
     restrict,
 )
-from nilcoh.errors import BudgetExceeded, DomainMismatch, OrderCapExceeded
+from nilcoh.errors import (
+    BudgetExceeded,
+    DomainMismatch,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    OrderCapExceeded,
+)
 from nilcoh.groups import (
     Group,
     GroupHom,
@@ -85,6 +93,48 @@ def abelian_table_by_decoding(factors: list[int]) -> list[list[int]]:
          for b in range(size)]
         for a in range(size)
     ]
+
+
+def dihedral_table_by_formula(n: int) -> list[list[int]]:
+    """The table of D_n entry by entry: s*n + i is x -> (-1)^s x + i on Z_n."""
+    def mul(g1: int, g2: int) -> int:
+        s1, i1 = divmod(g1, n)
+        s2, i2 = divmod(g2, n)
+        return ((s1 + s2) % 2) * n + (i1 + (i2 if s1 == 0 else -i2)) % n
+
+    return [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
+
+
+def quaternion8_table_by_formula() -> list[list[int]]:
+    """The table of Q8 entry by entry: 2b + s is (-1)^s e_b for e in
+    (1, i, j, k), with e_a e_b = +-e_{a xor b}."""
+    signs = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]]
+
+    def mul(g1: int, g2: int) -> int:
+        b1, s1 = divmod(g1, 2)
+        b2, s2 = divmod(g2, 2)
+        return (b1 ^ b2) * 2 + (s1 + s2 + signs[b1][b2]) % 2
+
+    return [[mul(a, b) for b in range(8)] for a in range(8)]
+
+
+def heisenberg_table_by_formula(p: int) -> list[list[int]]:
+    """The table of the unitriangular 3x3 matrices over F_p entry by entry:
+    a*p^2 + b*p + c is the matrix with entries a, b above the diagonal and c
+    in the corner, so (a1, b1, c1)(a2, b2, c2) has corner c1 + c2 + a1*b2."""
+    def mul(g1: int, g2: int) -> int:
+        a1, b1, c1 = g1 // (p * p), g1 // p % p, g1 % p
+        a2, b2, c2 = g2 // (p * p), g2 // p % p, g2 % p
+        return ((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+
+    return [[mul(a, b) for b in range(p ** 3)] for a in range(p ** 3)]
+
+
+def direct_product_table_by_formula(G: Group, H: Group) -> list[list[int]]:
+    """The table of G x H entry by entry, (a, b) at index a*|H| + b."""
+    m = H.order
+    return [[G.mul[a1][a2] * m + H.mul[b1][b2] for a2 in range(G.order) for b2 in range(m)]
+            for a1 in range(G.order) for b1 in range(m)]
 
 
 def subgroups_by_subset_scan(G: Group, m: int) -> list[tuple[int, ...]]:
@@ -270,11 +320,62 @@ def same_table(G: Group, H: Group) -> bool:
     return G.order == H.order and G.mul == H.mul
 
 
+def greedy_generators_by_closure(table) -> tuple[int, ...]:
+    """Each element, in index order, that the closure of the identity under
+    right multiplication by the elements chosen before it does not hold."""
+    gens: list[int] = []
+    closure = {0}
+    for x in range(len(table)):
+        if x in closure:
+            continue
+        gens.append(x)
+        closure, stack = {0}, [0]
+        while stack:
+            row = table[stack.pop()]
+            for g in gens:
+                if row[g] not in closure:
+                    closure.add(row[g])
+                    stack.append(row[g])
+    return tuple(gens)
+
+
+def validate_by_light(table) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The greedy generators and the inverses of a square table with entries
+    in range, by three checks in this order: a two-sided identity at index 0
+    (NoIdentity); Light's test on the generators, row x*g against row x
+    composed with row g for every x (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, 1961), whose first failing entry y raises
+    NotAssociative(x, g, y); and two-sided inverses (NoInverse).  It shares
+    no code with the package's row walk, and is the oracle for every group
+    that the package builds."""
+    table = tuple(map(tuple, table))
+    ident = tuple(range(len(table)))
+    if table[0] != ident or tuple(row[0] for row in table) != ident:
+        raise NoIdentity("index 0 is not a two-sided identity")
+    gens = greedy_generators_by_closure(table)
+    for g in gens:
+        after_g = itemgetter(*table[g])     # a generator means order 2 or more
+        if any(table[row[g]] != after_g(row) for row in table):
+            x, y = next((x, y) for x, row in enumerate(table) for y in ident
+                        if table[row[g]][y] != row[table[g][y]])
+            raise NotAssociative(x, g, y)
+    inv = []
+    for a, row in enumerate(table):
+        if 0 not in row or table[row.index(0)][a] != 0:
+            raise NoInverse(a)
+        inv.append(row.index(0))
+    return gens, tuple(inv)
+
+
 def same_as_validated(G: Group) -> bool:
-    """Whether `Group`, validating G's table in full, gives the same table,
-    `gens` and `inv`: the oracle for groups that `group_from_rows` builds."""
-    V = Group(G.mul)
-    return (G.order, G.mul, G.gens, G.inv) == (V.order, V.mul, V.gens, V.inv)
+    """Whether `validate_by_light` accepts G's table and finds the same
+    `gens` and `inv`."""
+    return validate_by_light(G.mul) == (G.gens, G.inv)
+
+
+def kernel(f: GroupHom) -> Subgroup:
+    """The elements that f sends to the identity, as a subgroup of its source."""
+    return Subgroup(f.source, (x for x in range(f.source.order) if f.images[x] == 0))
 
 
 def is_surjective(f: GroupHom) -> bool:
@@ -729,6 +830,10 @@ __all__ = [
     "heisenberg",
     "quaternion8",
     "abelian_table_by_decoding",
+    "dihedral_table_by_formula",
+    "quaternion8_table_by_formula",
+    "heisenberg_table_by_formula",
+    "direct_product_table_by_formula",
     "subgroups_by_subset_scan",
     "complements_by_subgroup_scan",
     "lower_central_series_by_scan",
@@ -740,6 +845,9 @@ __all__ = [
     "complement_to_cocycle",
     "trivial_subgroup",
     "same_table",
+    "validate_by_light",
+    "same_as_validated",
+    "kernel",
     "is_surjective",
     "homomorphisms_by_scan",
     "homomorphic_by_scan",

@@ -207,9 +207,9 @@ def test_semidirect_table_matches_entrywise_oracle():
     # Every catalog action, and C2 inverting C_n up to the order-512 product,
     # against the table entry by entry and from the product formula's row
     # segments (the sweep actions are compared in test_sweep.py).  The walk
-    # of group_from_rows proves each table a group; Group, validating the
-    # whole table, is its oracle for gens and inv, up to the order-1024
-    # product.
+    # of group_from_rows proves each table a group; the conftest validator,
+    # checking the whole table, is its oracle for gens and inv, up to the
+    # order-1024 product.
     actions = [inst.action() for inst in CATALOG]
     actions += [inversion_action(cyclic(n)) for n in (32, 64, 128, 256)]
     for a in actions:

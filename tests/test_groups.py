@@ -21,9 +21,16 @@ from conftest import (
     center,
     cyclic,
     dihedral,
+    dihedral_table_by_formula,
+    direct_product,
+    direct_product_table_by_formula,
+    heisenberg,
+    heisenberg_table_by_formula,
     is_surjective,
+    kernel,
     permutation_table_by_pairs,
     quaternion8,
+    quaternion8_table_by_formula,
     same_as_validated,
     subgroups_by_subset_scan,
     trivial_subgroup,
@@ -138,6 +145,7 @@ def test_permutation_table_matches_pairwise_oracle(case):
         return
     G = group_from_permutations(gens, degree=degree, order_cap=cap)
     assert G.mul == expected
+    assert same_as_validated(G)
 
 
 def test_permutation_table_of_a_long_cycle_matches_pairwise_oracle():
@@ -145,6 +153,32 @@ def test_permutation_table_of_a_long_cycle_matches_pairwise_oracle():
     G = group_from_permutations([cycle])
     assert G.mul == permutation_table_by_pairs([cycle], 128, 128)
     assert G.mul[1][127] == 0
+    assert same_as_validated(G)
+
+
+S3_PERMS = [[1, 0, 2], [1, 2, 0]]
+BUILDERS = [
+    *((f"D{n}", lambda n=n: dihedral(n), lambda n=n: dihedral_table_by_formula(n))
+      for n in (1, 2, 3, 4, 6, 16, 64)),
+    ("Q8", quaternion8, quaternion8_table_by_formula),
+    *((f"Heis{p}", lambda p=p: heisenberg(p), lambda p=p: heisenberg_table_by_formula(p))
+      for p in (2, 3, 5)),
+    *((f"{a}x{b}", lambda a=a, b=b: direct_product(a(), b()),
+       lambda a=a, b=b: direct_product_table_by_formula(a(), b()))
+      for a, b in ((lambda: dihedral(4), quaternion8), (lambda: cyclic(3), lambda: heisenberg(3)),
+                   (lambda: cyclic(1), lambda: cyclic(5)), (lambda: cyclic(6), lambda: cyclic(1)),
+                   (lambda: group_from_permutations(S3_PERMS), lambda: cyclic(4)))),
+]
+
+
+@pytest.mark.parametrize("name, build, formula", BUILDERS, ids=[b[0] for b in BUILDERS])
+def test_builders_match_their_formula_and_the_oracle(name, build, formula):
+    # Each builder hands only its generators' rows to the row walk; its
+    # table must be the old entry-by-entry formula's, and the conftest
+    # validator must find the same gens and inv.
+    G = build()
+    assert G.mul == tuple(map(tuple, formula()))
+    assert same_as_validated(G)
 
 
 def test_subgroup_generated_cyclic():
@@ -182,7 +216,7 @@ def test_quotient_of_cyclic():
     C4 = cyclic(4)
     Q, pi = quotient(C4, subgroup_generated(C4, [2]))
     assert Q.order == 2
-    assert pi.kernel().elements == (0, 2)
+    assert kernel(pi).elements == (0, 2)
 
 
 def test_quotient_d4_by_rotations():
@@ -256,15 +290,16 @@ def test_subgroup_as_group_roundtrip():
 def test_group_hom_validation():
     C4, C2 = cyclic(4), cyclic(2)
     pi = GroupHom(C4, C2, [0, 1, 0, 1])
-    assert pi.kernel().elements == (0, 2)
+    assert kernel(pi).elements == (0, 2)
     with pytest.raises(ValueError):
         GroupHom(C4, C2, [0, 1, 1, 0])
 
 
 def test_cyclic_groups_match_the_formula_and_the_validated_table():
-    # cyclic(n) walks the row of 1 for n >= 2; Group, validating the whole
-    # table, is its oracle for gens and inv.  Row a of the formula table
-    # (a + b) mod n is the run a..n-1 followed by the run 0..a-1.
+    # cyclic(n) walks the row of 1 for n >= 2; the conftest validator,
+    # checking the whole table, is its oracle for gens and inv.  Row a of the
+    # formula table (a + b) mod n is the run a..n-1 followed by the run
+    # 0..a-1.
     for n in range(1, 301):
         C = cyclic(n)
         assert C.mul == tuple((*range(a, n), *range(a)) for a in range(n)), n

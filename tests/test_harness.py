@@ -28,7 +28,7 @@ from nilcoh.harness.suite import (
     scenario_checks,
 )
 from nilcoh.theorems import VerificationReport
-from conftest import abelian_table_by_decoding, same_table
+from conftest import abelian_table_by_decoding, same_as_validated, same_table
 
 
 def shipped_scenario_path():
@@ -72,10 +72,13 @@ def test_catalog_instances_all_validate():
 
 
 @pytest.mark.parametrize("factors", [[2, 2, 2, 2], [5, 5], [2, 2, 2], [2, 2, 2, 2, 2],
-                                     [3, 9], [4, 2, 3]])
+                                     [3, 9], [4, 2, 3], [], [1], [1, 3], [3, 1, 2],
+                                     [2] * 8, [4, 4, 8]])
 def test_abelian_matches_the_decoding_oracle(factors):
+    # abelian hands only the unit vectors' rows to the row walk.
     G = abelian(factors)
     assert G.mul == tuple(map(tuple, abelian_table_by_decoding(factors)))
+    assert same_as_validated(G)
     assert G.name == "x".join(f"C{f}" for f in factors)
 
 

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import actions
+from nilcoh import actions, groups
 from nilcoh.actions import ActionOnGroup, GSet, SemidirectProduct, coset_gset, semidirect, trivial_action
 from nilcoh.errors import (
     DoesNotGenerate,
@@ -22,12 +22,14 @@ from nilcoh.groups import (
     Group,
     Subgroup,
     compose,
+    full_subgroup,
     group_from_permutations,
     group_from_rows,
     quotient,
     subgroup_generated,
 )
 from conftest import (
+    abelian,
     as_group_table_by_scan,
     catalog_by_id,
     coset_action_by_scan,
@@ -36,6 +38,7 @@ from conftest import (
     dihedral,
     heisenberg,
     normality_witness_by_scan,
+    permutation_table_by_pairs,
     quotient_table_by_scan,
     same_as_validated,
     semidirect_table_by_formula,
@@ -150,6 +153,116 @@ def test_swapped_rows_are_rejected(monkeypatch, ident):
         SemidirectProduct(action)
 
 
+def _swap_in_generator_row(monkeypatch, slot, a, b):
+    """Make `groups.group_from_rows` see generator row `slot` with entries a
+    and b swapped: still a permutation, with entry 0 kept."""
+    right_walk = groups.group_from_rows
+
+    def swapped(order, rows, name=None):
+        rows = list(rows)
+        s, row = rows[slot]
+        row = list(row)
+        row[a], row[b] = row[b], row[a]
+        rows[slot] = (s, tuple(row))
+        return right_walk(order, rows, name)
+
+    monkeypatch.setattr(groups, "group_from_rows", swapped)
+
+
+def _swaps(order):
+    return {(1, order - 1), (order // 2, order // 2 + 1), (1, 2)}
+
+
+QUOTIENT_MUTANTS = {
+    "D4/Z": (lambda: dihedral(4), [2]),
+    "Heis3/Z": (lambda: heisenberg(3), [1]),
+    "C4xC2xC3/C4": (lambda: abelian([4, 2, 3]), [6]),
+    "D6/C3": (lambda: dihedral(6), [2]),
+    "D8/C4": (lambda: dihedral(8), [2]),
+}
+
+
+@pytest.mark.parametrize("ident", QUOTIENT_MUTANTS)
+def test_an_off_by_one_coset_label_is_rejected(monkeypatch, ident):
+    # One mutant per element x: coset_representatives labels x with the
+    # next coset.  The quotient's rows, its walk or its projection must
+    # refuse every one.
+    build, seeds = QUOTIENT_MUTANTS[ident]
+    G = build()
+    N = subgroup_generated(G, seeds)
+    assert quotient(G, N)[0].mul == quotient_table_by_scan(G, N)
+    right_labels = groups.coset_representatives
+    for x in range(G.order):
+        def wrong_labels(G, H, x=x):
+            reps, label = right_labels(G, H)
+            label = list(label)
+            label[x] = (label[x] + 1) % len(reps)
+            return reps, tuple(label)
+        monkeypatch.setattr(groups, "coset_representatives", wrong_labels)
+        with pytest.raises((NilcohError, ValueError)):
+            quotient(G, N)
+
+
+def _as_group_subjects():
+    subjects = {}
+    for ident in ("c3_inner_heis3", "c3_cycle_q8", "c6_twist_q8c3", "c2_inv_c2c4", "d4_proj_c4"):
+        P = semidirect(catalog_by_id()[ident].action())
+        subjects[f"{ident}/N"] = P.n_part()
+        subjects[f"{ident}/G"] = full_subgroup(P.group)
+    subjects["D8"] = full_subgroup(dihedral(8))
+    subjects["C4xC2<C4xC2xC3"] = subgroup_generated(abelian([4, 2, 3]), [6, 3])
+    subjects["C3xC3<Heis3"] = subgroup_generated(heisenberg(3), [9, 3])
+    return subjects
+
+
+@pytest.mark.parametrize("ident", list(_as_group_subjects()))
+def test_a_swapped_entry_in_an_as_group_row_is_rejected(monkeypatch, ident):
+    # Some swaps give the rows of another group of the same order (in
+    # C4 x C2, one gives C8's); the walk proves only that the rows form a
+    # group, and the check of the map to the parent refuses them.
+    H = _as_group_subjects()[ident]
+    assert H.as_group()[0].mul == as_group_table_by_scan(H)
+    for slot in range(len(H.gens)):
+        for a, b in _swaps(H.order):
+            _swap_in_generator_row(monkeypatch, slot, a, b)
+            with pytest.raises((NilcohError, ValueError)):
+                H.as_group()
+            monkeypatch.undo()
+
+
+PERMUTATION_MUTANTS = {
+    "S4": [[1, 2, 3, 0], [1, 0, 2, 3]],
+    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
+    "D4": [[1, 2, 3, 0], [0, 3, 2, 1]],
+    "C12": [[(i + 1) % 12 for i in range(12)]],
+    "A5": [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]],
+}
+
+
+@pytest.mark.parametrize("ident", PERMUTATION_MUTANTS)
+def test_a_swapped_entry_in_a_permutation_row_is_rejected(monkeypatch, ident):
+    perms = PERMUTATION_MUTANTS[ident]
+    order = group_from_permutations(perms).order
+    for slot in range(len(perms)):
+        for a, b in _swaps(order):
+            _swap_in_generator_row(monkeypatch, slot, a, b)
+            with pytest.raises((NilcohError, ValueError)):
+                group_from_permutations(perms)
+            monkeypatch.undo()
+
+
+def test_a_swapped_permutation_row_can_describe_another_group(monkeypatch):
+    # The walk proves that rows form a group table, not that they are the
+    # closure's.  In V4 = <(0 1)(2 3), (0 2)(1 3)>, sorted as the identity,
+    # (0 1)(2 3), (0 2)(1 3), (0 3)(1 2), the first generator's row is
+    # (1, 0, 3, 2); with entries 1 and 3 swapped it is the 4-cycle
+    # (1, 2, 3, 0), whose square is the second row, and the walk builds C4.
+    perms = [[1, 0, 3, 2], [2, 3, 0, 1]]
+    assert group_from_permutations(perms).mul == permutation_table_by_pairs(perms, 4, 4)
+    _swap_in_generator_row(monkeypatch, 0, 1, 3)
+    assert group_from_permutations(perms).mul == cyclic(4).mul
+
+
 def _draw_permutation_group(draw) -> Group:
     """A group generated by two permutations of degree 4 to 7, or by the
     first alone when the closure passes order 120."""
@@ -198,6 +311,7 @@ def test_row_walk_builds_the_group_and_accepts_only_groups(case):
     # transposition it raises, or builds a table that Group accepts with the
     # same gens and inv: it never accepts what Group would refuse.
     G, rows, mutant = case
+    assert same_as_validated(G)
     W = group_from_rows(G.order, rows)
     assert (W.order, W.mul, W.gens, W.inv) == (G.order, G.mul, G.gens, G.inv)
     if mutant is None:
@@ -222,11 +336,13 @@ def test_vectorised_scans_match_scalar_scans(case):
     H = subgroup_generated(G, seeds)
     HG, to_parent = H.as_group()
     assert (HG.mul, to_parent) == (as_group_table_by_scan(H), H.elements)
+    assert same_as_validated(HG)
     assert coset_gset(G, H).act == coset_action_by_scan(G, H)
     outside = normality_witness_by_scan(G, H, G.gens)
     if outside is None:
         Q, pi = quotient(G, H)
         assert Q.mul == quotient_table_by_scan(G, H)
+        assert same_as_validated(Q)
         assert list(pi.images) == coset_labels_by_scan(G, H)[1]
     else:
         with pytest.raises(NotNormal) as info:

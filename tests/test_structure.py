@@ -2,7 +2,8 @@
 
 import pytest
 
-from nilcoh.actions import semidirect
+from nilcoh import structure
+from nilcoh.actions import semidirect, trivial_action
 from nilcoh.errors import BudgetExceeded, NotNilpotent
 from nilcoh.groups import (
     Subgroup,
@@ -318,6 +319,24 @@ def test_complements_budget_counts_closures_tried(inst):
     with pytest.raises(BudgetExceeded) as refused:
         complements(G, N, budget=work - 1)
     assert str(refused.value) == f"subgroup enumeration exceeded budget {work - 1}"
+
+
+def test_over_budget_complements_stop_before_the_level_that_passes_it(monkeypatch):
+    # C2^3 acting trivially on C2^4: the three levels try 16, 256 and 4,096
+    # bounded closure walks.  Budget 1000 admits the first two levels, 272
+    # walks, and refuses the third before any of its walks runs.
+    P = semidirect(trivial_action(abelian([2] * 3), abelian([2] * 4)))
+    walks = []
+
+    def counted(G, elements, limit=None):
+        if limit is not None:
+            walks.append(limit)
+        return generating_sequence(G, elements, limit)
+
+    monkeypatch.setattr(structure, "generating_sequence", counted)
+    with pytest.raises(BudgetExceeded, match="^subgroup enumeration exceeded budget 1000$"):
+        complements(P.group, P.n_part(), budget=1000)
+    assert len(walks) == 272
 
 
 def _lcs_groups():

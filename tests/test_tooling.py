@@ -52,8 +52,9 @@ def test_unused_import_is_found():
 
 
 def referenced_names(tree: ast.AST) -> Counter:
-    """Every name the tree reads, and every attribute it reads or writes."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+    """Every name the tree reads, and every attribute it reads or writes,
+    an attribute counted as "." and its name."""
+    return Counter(node.id if isinstance(node, ast.Name) else f".{node.attr}"
                    for node in ast.walk(tree)
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
@@ -85,7 +86,9 @@ def definitions(tree: ast.Module) -> list[tuple[str, str, ast.AST]]:
 def unreferenced(package: dict[str, str], others: list[str], extra: set[str]) -> list[str]:
     """The definitions of the package modules (name -> source) that nothing
     references: not the package outside its own body, not the other sources,
-    and not a name in `extra`."""
+    and not a name in `extra`.  A function or class is referenced by its
+    name or as an attribute; a method only as an attribute, so a local name
+    that happens to spell it does not count."""
     trees = {name: ast.parse(source) for name, source in package.items()}
     counts = sum((referenced_names(tree) for tree in trees.values()), Counter())
     for source in others:
@@ -93,7 +96,8 @@ def unreferenced(package: dict[str, str], others: list[str], extra: set[str]) ->
     return [f"{module}: {qualified}" for module, tree in trees.items()
             for qualified, name, node in definitions(tree)
             if qualified not in CALLED_BY_LIBRARIES and name not in extra
-            and counts[name] <= referenced_names(node)[name]]
+            and all(counts[key] <= referenced_names(node)[key]
+                    for key in ([f".{name}"] if "." in qualified else [name, f".{name}"]))]
 
 
 def test_package_defines_nothing_that_only_tests_use():
@@ -113,3 +117,8 @@ def test_unreferenced_definition_is_found():
     assert unreferenced(package, [], set()) == ["a.py: recursive"]
     assert unreferenced(package, ["recursive(3)"], set()) == []
     assert unreferenced(package, [], {"recursive"}) == []
+    # A parameter that spells a method's name is not a use of the method.
+    package["c.py"] = "def run(m):\n    return m\n\nrun(0)\n"
+    package["b.py"] = package["b.py"].replace("K().m\n", "K()\n")
+    assert unreferenced(package, ["recursive(3)"], set()) == ["b.py: K.m"]
+    assert unreferenced(package, ["recursive(3)", "K().m()"], set()) == []
