@@ -10,7 +10,7 @@ identity  embed_J(j)' embed_N(n) embed_J(j) = embed_N(act(j', n)), which
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DoesNotGenerate,
@@ -24,10 +24,10 @@ from .groups import (
     Group,
     GroupHom,
     Subgroup,
-    cayley_tree,
     compose,
     composer,
     conjugates,
+    conjugates_into,
     coset_representatives,
     group_from_rows,
     respects_generators,
@@ -47,25 +47,66 @@ def is_automorphism(N: Group, perm: Sequence[int]) -> bool:
     return respects_generators(N, N.mul, perm)
 
 
-def _first_mismatch(group: Group, perms: Sequence[tuple[int, ...]]) -> tuple[int, int] | None:
-    """None when perms[a*g] == perms[a] after perms[g] for every element a and
-    every g in group.gens, tested with one C-level composition per (a, g);
-    otherwise the first failing pair (a, g), by a and then by g."""
+def _first_mismatch(group: Group, perms: Sequence[tuple[int, ...]]) -> tuple[int, int]:
+    """The first pair (a, g), by a and then by g in group.gens, with
+    perms[a*g] != perms[a] after perms[g]."""
     mul = group.mul
-    if all([perms[row[g]] for row in mul] == list(map(composer(perms[g]), perms))
-           for g in group.gens):
-        return None
     return next((a, g) for a, pa in enumerate(perms) for g in group.gens
                 if perms[mul[a][g]] != compose(pa, perms[g]))
+
+
+def _walk_points(group: Group, generator_perms: Iterable[tuple[int, Sequence[int]]],
+                 size: int) -> tuple[tuple[int, ...], ...]:
+    """The permutations P_x of range(size), one per element x, of the
+    homomorphism from the group that sends each generator s to the P_s of
+    its pair (s, P_s): the package's one proof that a map into permutations
+    is a homomorphism.
+
+    Each P_s must be a permutation of range(size).  The walk starts from the
+    identity permutation at element 0; for every element x it reaches and
+    every generator s it forms P_x after P_s once, for the element x*s read
+    from group.mul.  The first such edge into an element stores that
+    permutation, and every other edge must equal the one stored
+    (NotAHomomorphism otherwise, naming the edge).  Every element must be
+    reached (DoesNotGenerate otherwise), so each is a word in the s, and
+    P_{x*s} = P_x P_s for every x and s with P_0 the identity; the induction
+    of the lemma on `Group.gens` then makes x -> P_x a homomorphism, and
+    P_s is the one given, since the identity's edges store or match it.
+    This is the orbit walk of Holt, Eick & O'Brien (*Handbook of
+    Computational Group Theory*, 2005, §4.1): one composition and at most
+    one comparison per (element, generator) pair.
+    """
+    steps = [(s, composer(perm)) for s, perm in generator_perms]
+    perms: list[tuple[int, ...] | None] = [None] * group.order
+    perms[0] = tuple(range(size))
+    reached = [0]
+    for x in reached:                      # reached grows while it is walked
+        row, px = group.mul[x], perms[x]
+        for s, take in steps:
+            y = row[s]
+            product = take(px)
+            if perms[y] is None:
+                perms[y] = product
+                reached.append(y)
+            elif perms[y] != product:
+                raise NotAHomomorphism(
+                    f"images are inconsistent with relations at element {y} = {x}*{s}")
+    if len(reached) != group.order:
+        raise DoesNotGenerate(f"generators reach only {len(reached)} of {group.order} elements")
+    return tuple(perms)
 
 
 class ActionOnGroup:
     """A homomorphism from J into Aut(N), one permutation of N per J-element.
 
-    The homomorphism property is checked on (element, generator) pairs, which
-    suffices by the lemma on `Group.gens`.  An action is immutable, so its
-    H1 results and its semidirect product are computed once and kept on it.
-    The entries must be Python ints, as in `Group`.
+    A table given whole is proven by the walk on points (`_walk_points`)
+    from the images of `J.gens`, through `action_from_generator_images`:
+    it is accepted exactly when the walk rebuilds it.  Only when it does not
+    does a scan name the first defect, in this order: an element whose image
+    is not an automorphism, the identity acting other than trivially, the
+    first (element, generator) pair whose images do not compose.  An action
+    is immutable, so its H1 results and its semidirect product are computed
+    once and kept on it.  The entries must be Python ints, as in `Group`.
     """
 
     __slots__ = ("actor", "target", "auto", "name", "_h1_cache", "_semidirect")
@@ -75,20 +116,23 @@ class ActionOnGroup:
         perms = tuple(map(tuple, auto))
         if len(perms) != actor.order:
             raise ValueError("need one permutation of N per element of J")
-        for j, perm in enumerate(perms):
-            if not is_automorphism(target, perm):
-                raise NotAutomorphism(f"image of element {j} is not an automorphism")
-        ident = tuple(range(target.order))
-        if perms[0] != ident:
-            raise NotAHomomorphism("identity of J must act as the identity map")
-        pair = _first_mismatch(actor, perms)
-        if pair is not None:
-            raise NotAHomomorphism(
-                "action of product {}*{} differs from composed action".format(*pair))
-        self.actor = actor
-        self.target = target
-        self.auto = perms
-        self.name = name
+        try:
+            walked = action_from_generator_images(
+                actor, target, actor.gens, [perms[g] for g in actor.gens]).auto
+        except (NotAutomorphism, NotAHomomorphism):
+            walked = None
+        if walked != perms:
+            for j, perm in enumerate(perms):
+                if not is_automorphism(target, perm):
+                    raise NotAutomorphism(f"image of element {j} is not an automorphism")
+            if perms[0] != tuple(range(target.order)):
+                raise NotAHomomorphism("identity of J must act as the identity map")
+            raise NotAHomomorphism("action of product {}*{} differs from composed action"
+                                   .format(*_first_mismatch(actor, perms)))
+        self._keep(actor, target, perms, name)
+
+    def _keep(self, actor: Group, target: Group, auto: tuple, name: str | None) -> None:
+        self.actor, self.target, self.auto, self.name = actor, target, auto, name
         self._h1_cache: dict = {}
         self._semidirect: SemidirectProduct | None = None
 
@@ -105,8 +149,8 @@ class ActionOnGroup:
 
 
 def trivial_action(J: Group, N: Group, name: str | None = None) -> ActionOnGroup:
-    ident = tuple(range(N.order))
-    return ActionOnGroup(J, N, [ident] * J.order, name=name or "trivial")
+    return action_from_generator_images(J, N, J.gens, [range(N.order)] * len(J.gens),
+                                        name=name or "trivial")
 
 
 def action_from_generator_images(
@@ -118,10 +162,12 @@ def action_from_generator_images(
 ) -> ActionOnGroup:
     """Extend generator images to the unique action homomorphism, if one exists.
 
-    Images are assigned along a spanning tree of J's Cayley graph.
-    ActionOnGroup then checks that the result is a homomorphism, and each
-    given generator must act by its given image: a mismatch at either step
-    shows the images are inconsistent with J's relations.
+    Each image must be an automorphism of N (NotAutomorphism otherwise).
+    One walk on points (`_walk_points`) extends the images to every element
+    of J and proves the extension a homomorphism; it raises NotAHomomorphism
+    at the first edge where the images are inconsistent with J's relations,
+    and DoesNotGenerate when the generators do not reach all of J.  Every
+    element acts by a composition of automorphisms, which is one.
     """
     if len(gens) != len(images):
         raise ValueError("need exactly one image per generator")
@@ -132,17 +178,8 @@ def action_from_generator_images(
     for g in gens:
         if not 0 <= g < J.order:
             raise ValueError(f"generator {g} outside group of order {J.order}")
-    gen_perms = [tuple(map(int, img)) for img in images]
-    takes = [composer(p) for p in gen_perms]
-    auto: dict[int, tuple[int, ...]] = {0: tuple(range(N.order))}
-    for j, slot, k in cayley_tree(J, gens):
-        auto[k] = takes[slot](auto[j])
-    if len(auto) != J.order:
-        raise DoesNotGenerate(f"generators reach only {len(auto)} of {J.order} elements")
-    action = ActionOnGroup(J, N, [auto[j] for j in range(J.order)], name=name)
-    for g, pg in zip(gens, gen_perms):
-        if auto[g] != pg:
-            raise NotAHomomorphism(f"images are inconsistent with relations at element {g}")
+    action = ActionOnGroup.__new__(ActionOnGroup)
+    action._keep(J, N, _walk_points(J, zip(gens, images), N.order), name)
     return action
 
 
@@ -150,16 +187,24 @@ def conjugation_action_with_maps(
     G: Group, N: Subgroup, J: Subgroup, name: str | None = None
 ) -> tuple[ActionOnGroup, tuple[int, ...], tuple[int, ...]]:
     """The action of J on N by conjugation inside G, with the element maps of
-    actor and target into G; J must normalize N."""
+    actor and target into G.
+
+    J must normalize N, which it does exactly when its generators do.
+    Otherwise NotNormalized names the first generator that does not, which
+    is the least element of J that does not: `J.gens` is greedy in index
+    order, so every smaller element lies in the group of the generators
+    before it.  Only the conjugations by `J.gens` are formed, and
+    `action_from_generator_images` walks them.
+    """
     # j acts by n -> j n j', which is conjugation by j'.
-    images = [conjugates(G, N.elements, G.inv[j]) for j in J.elements]
-    for j, img in zip(J.elements, images):
-        if not N._set.issuperset(img):
-            raise NotNormalized(f"element {j} does not normalize the target")
+    j = next((j for j in J.gens if not conjugates_into(G, N, N, G.inv[j])), None)
+    if j is not None:
+        raise NotNormalized(f"element {j} does not normalize the target")
     Jg, j_map = J.as_group()
     Ng, n_map = N.as_group()
-    auto = [N.positions(img) for img in images]
-    return ActionOnGroup(Jg, Ng, auto, name=name), j_map, n_map
+    images = [N.positions(conjugates(G, N.elements, G.inv[j])) for j in J.gens]
+    action = action_from_generator_images(Jg, Ng, J.positions(J.gens), images, name=name)
+    return action, j_map, n_map
 
 
 def semidirect_embeddings(action: ActionOnGroup,
@@ -260,9 +305,13 @@ def semidirect(action: ActionOnGroup, order_cap: int = DEFAULT_ORDER_CAP) -> Sem
 class GSet:
     """A finite set with a G-action, stored as one point permutation per element.
 
-    The homomorphism property is checked on (element, generator) pairs, which
-    suffices by the lemma on `Group.gens`.  The entries must be Python ints,
-    as in `Group`.
+    A table given whole is proven by the walk on points (`_walk_points`)
+    from the permutations of `group.gens`: it is accepted exactly when the
+    walk rebuilds it.  Only when it does not does a scan name the first
+    defect, in this order: an element that does not act by a permutation,
+    the identity acting other than trivially, the first (element, generator)
+    pair whose permutations do not compose.  The entries must be Python
+    ints, as in `Group`.
     """
 
     __slots__ = ("group", "size", "act")
@@ -271,21 +320,26 @@ class GSet:
         tables = tuple(map(tuple, act))
         if len(tables) != group.order:
             raise ValueError("need one point permutation per group element")
-        size = len(tables[0]) if tables else 0
+        size = len(tables[0])
         if size > DEFAULT_GSET_CAP:
             raise OrderCapExceeded(f"G-set size {size} exceeds cap {DEFAULT_GSET_CAP}")
         pts = list(range(size))
-        for g, row in enumerate(tables):
-            if len(row) != size or sorted(row) != pts:
-                raise ValueError(f"element {g} does not act by a permutation")
-        if tables and tables[0] != tuple(pts):
-            raise ValueError("identity must act trivially")
-        pair = _first_mismatch(group, tables)
-        if pair is not None:
-            raise ValueError("action is not a homomorphism at ({}, {})".format(*pair))
-        self.group = group
-        self.size = size
-        self.act = tables
+        moves = [(g, tables[g]) for g in group.gens]
+        walked = None
+        if all(sorted(row) == pts for _, row in moves):
+            try:
+                walked = _walk_points(group, moves, size)
+            except NotAHomomorphism:
+                pass
+        if walked != tables:
+            for g, row in enumerate(tables):
+                if len(row) != size or sorted(row) != pts:
+                    raise ValueError(f"element {g} does not act by a permutation")
+            if tables[0] != tuple(pts):
+                raise ValueError("identity must act trivially")
+            raise ValueError("action is not a homomorphism at ({}, {})"
+                             .format(*_first_mismatch(group, tables)))
+        self.group, self.size, self.act = group, size, tables
 
     def orbit(self, point: int, S: Subgroup | None = None) -> set[int]:
         """The orbit of the point under S (default: the whole group), found
@@ -307,10 +361,23 @@ class GSet:
 
 
 def coset_gset(G: Group, H: Subgroup) -> GSet:
-    """Left multiplication on the left cosets of H; point 0 is the coset H."""
+    """Left multiplication on the left cosets of H; point 0 is the coset H.
+
+    Only the permutations of `G.gens` are formed (s sends coset i to the
+    coset of s * reps[i]), and the walk on points extends them to a
+    homomorphism rho.  The walk proves a G-set, not which one, so every x
+    must also send point 0 to the coset of x (ValueError otherwise).  Then
+    rho(x) sends the coset yH = rho(y)(0) to rho(xy)(0) = xyH, which is G/H.
+    """
     reps, label = coset_representatives(G, H)
-    take = composer(reps)
-    return GSet(G, [compose(label, take(row)) for row in G.mul])
+    act = _walk_points(G, [(s, compose(label, compose(G.mul[s], reps))) for s in G.gens],
+                       len(reps))
+    if [p[0] for p in act] != list(label):
+        x = next(x for x, p in enumerate(act) if p[0] != label[x])
+        raise ValueError(f"element {x} does not send the coset H to its own coset")
+    gset = GSet.__new__(GSet)
+    gset.group, gset.size, gset.act = G, len(reps), act
+    return gset
 
 
 def is_transitive(gset: GSet, S: Subgroup) -> bool:

@@ -341,16 +341,21 @@ class GroupHom:
 
 
 def group_from_table(table: Sequence[Sequence[int]], name: str | None = None) -> Group:
-    """Validate a raw multiplication table and canonicalize the identity to 0."""
+    """Validate a raw multiplication table and canonicalize the identity to 0.
+
+    A table whose row 0 and column 0 are the identity's goes to `Group` as
+    it is, and `Group` checks its shape; any other table is checked for
+    shape here, before its identity is looked for and moved to 0."""
     rows = [list(map(int, row)) for row in table]
-    n = _check_table_shape(rows)
-    e = next(
-        (c for c in range(n) if all(rows[c][x] == x and rows[x][c] == x for x in range(n))),
-        None,
-    )
-    if e is None:
-        raise NoIdentity("no two-sided identity element")
-    if e != 0:
+    n = len(rows)
+    if rows[:1] != [list(range(n))] or [row[:1] for row in rows] != [[x] for x in range(n)]:
+        _check_table_shape(rows)
+        e = next(
+            (c for c in range(n) if all(rows[c][x] == x and rows[x][c] == x for x in range(n))),
+            None,
+        )
+        if e is None:
+            raise NoIdentity("no two-sided identity element")
         # Swap labels 0 and e.
         sigma = list(range(n))
         sigma[0], sigma[e] = e, 0
@@ -483,31 +488,6 @@ def subgroup_generated(G: Group, seeds: Iterable[int]) -> Subgroup:
         if not 0 <= x < G.order:
             raise ValueError(f"seed {x} outside group of order {G.order}")
     return Subgroup(G, generating_sequence(G, gens)[1])
-
-
-def cayley_tree(G: Group, gens: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Breadth-first spanning tree of the right Cayley graph of <gens>.
-
-    Rooted at the identity; each edge (x, slot, y) has y = x * gens[slot] and
-    reaches y for the first time, so the identity and the edge heads list the
-    subgroup generated, each element once, in discovery order.
-    """
-    mul = G.mul
-    edges: list[tuple[int, int, int]] = []
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = mul[x]
-            for slot, g in enumerate(gens):
-                y = row[g]
-                if y not in reached:
-                    reached.add(y)
-                    edges.append((x, slot, y))
-                    nxt.append(y)
-        frontier = nxt
-    return edges
 
 
 def generating_sequence(G: Group, elements: Iterable[int], limit: int | None = None

@@ -14,7 +14,7 @@ from typing import Callable
 
 from ..actions import ActionOnGroup, action_from_generator_images, trivial_action
 from ..errors import NoIdentity
-from ..groups import Group, group_from_rows
+from ..groups import Group, conjugates, group_from_rows
 from ..structure import prime_factors
 
 
@@ -149,12 +149,10 @@ def cyclic_action(J: Group, N: Group, image: list[int], name: str | None = None)
 
 
 def conjugation_self_action(G: Group) -> ActionOnGroup:
-    """G acting on itself by conjugation: j sends n to j n j'."""
-    auto = [
-        [G.mul[G.mul[j][n]][G.inv[j]] for n in range(G.order)]
-        for j in range(G.order)
-    ]
-    return ActionOnGroup(G, G, auto, name="conjugation")
+    """G acting on itself by conjugation: j sends n to j n j', from the
+    conjugations by G.gens."""
+    images = [conjugates(G, range(G.order), G.inv[g]) for g in G.gens]
+    return action_from_generator_images(G, G, G.gens, images, name="conjugation")
 
 
 def power_map(n: int, k: int) -> list[int]:
@@ -232,17 +230,17 @@ def _q8c3_twist_perm() -> list[int]:
 
 
 def _d4_on_c4_action() -> ActionOnGroup:
-    D4, C4 = dihedral(4), cyclic(4)
-    ident = list(range(4))
-    auto = [C4.inv if g >= 4 else ident for g in range(8)]
-    return ActionOnGroup(D4, C4, auto, name="d4_proj")
+    # The rotation 1 acts trivially and the reflection 4 inverts.
+    C4 = cyclic(4)
+    return action_from_generator_images(dihedral(4), C4, [1, 4], [range(4), C4.inv],
+                                        name="d4_proj")
 
 
 def _s3_sign_action(n_order: int) -> ActionOnGroup:
-    S3, N = dihedral(3), cyclic(n_order)
-    ident = list(range(n_order))
-    auto = [list(N.inv) if g >= 3 else ident for g in range(6)]
-    return ActionOnGroup(S3, N, auto, name=f"s3_sign_c{n_order}")
+    # The rotation 1 acts trivially and the reflection 3 inverts.
+    N = cyclic(n_order)
+    return action_from_generator_images(dihedral(3), N, [1, 3], [range(n_order), N.inv],
+                                        name=f"s3_sign_c{n_order}")
 
 
 def _build_catalog() -> list[ActionInstance]:

@@ -137,6 +137,42 @@ def direct_product_table_by_formula(G: Group, H: Group) -> list[list[int]]:
             for a1 in range(G.order) for b1 in range(m)]
 
 
+def conjugation_table_by_formula(G: Group) -> list[list[int]]:
+    """G acting on itself by conjugation, entry by entry: j sends n to j n j'."""
+    return [[G.mul[G.mul[j][n]][G.inv[j]] for n in range(G.order)] for j in range(G.order)]
+
+
+def sign_action_table_by_formula(J: Group, N: Group, reflections: int) -> list[list[int]]:
+    """J acting on an abelian N through a sign: the elements from index
+    `reflections` on invert N, the others act trivially (the catalog's
+    D4 on C4 with reflections from 4, and S3 on C_n from 3)."""
+    ident = list(range(N.order))
+    return [list(N.inv) if j >= reflections else ident for j in range(J.order)]
+
+
+def cayley_tree(G: Group, gens) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning tree of the right Cayley graph of <gens>.
+
+    Rooted at the identity; each edge (x, slot, y) has y = x * gens[slot] and
+    reaches y for the first time, so the identity and the edge heads list the
+    subgroup generated, each element once, in discovery order.
+    """
+    edges: list[tuple[int, int, int]] = []
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for slot, g in enumerate(gens):
+                y = G.mul[x][g]
+                if y not in reached:
+                    reached.add(y)
+                    edges.append((x, slot, y))
+                    nxt.append(y)
+        frontier = nxt
+    return edges
+
+
 def subgroups_by_subset_scan(G: Group, m: int) -> list[tuple[int, ...]]:
     """All order-m subgroups found by testing every m-subset containing 0."""
     out = []
@@ -834,6 +870,9 @@ __all__ = [
     "quaternion8_table_by_formula",
     "heisenberg_table_by_formula",
     "direct_product_table_by_formula",
+    "conjugation_table_by_formula",
+    "sign_action_table_by_formula",
+    "cayley_tree",
     "subgroups_by_subset_scan",
     "complements_by_subgroup_scan",
     "lower_central_series_by_scan",

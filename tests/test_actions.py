@@ -97,8 +97,13 @@ def test_conjugation_action_requires_normalizing():
     D4 = dihedral(4)
     refl = subgroup_generated(D4, [4])
     rot = subgroup_generated(D4, [1])
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotNormalized, match="^element 1 does not normalize the target$"):
         conjugation_action_with_maps(D4, refl, rot)
+    # <2, 4> = {0, 2, 4, 6}: the rotation 2 is central, and the reflections
+    # 4 and 6 move the reflection 5.
+    with pytest.raises(NotNormalized, match="^element 4 does not normalize the target$"):
+        conjugation_action_with_maps(D4, subgroup_generated(D4, [5]),
+                                     subgroup_generated(D4, [2, 4]))
 
 
 def test_semidirect_c4_by_inversion_is_d4():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilcoh import groups
 from nilcoh.errors import NoIdentity, NoInverse, NotAssociative, NotNormal, OrderCapExceeded
 from nilcoh.groups import (
     Group,
@@ -102,6 +103,31 @@ def test_no_inverse_rejected():
     assert info.value.element == 1
 
 
+def test_group_from_table_checks_the_shape_once(monkeypatch):
+    # A table whose identity is at index 0 goes to Group as it is, and only
+    # Group checks its shape; one with the identity elsewhere is checked
+    # before the identity is moved, and again by Group.
+    calls = []
+    right_check = groups._check_table_shape
+    monkeypatch.setattr(groups, "_check_table_shape",
+                        lambda table: calls.append(len(table)) or right_check(table))
+    at_zero = [[[0]], [[0, 1], [1, 0]], dihedral_table_by_formula(4),
+               heisenberg_table_by_formula(3), [list(row) for row in cyclic(6).mul]]
+    for table in at_zero:
+        group_from_table(table)
+    assert calls == [len(table) for table in at_zero]
+    calls.clear()
+    val = [1, 2, 0]
+    group_from_table([[val.index((val[a] + val[b]) % 3) for b in range(3)] for a in range(3)])
+    assert calls == [3, 3]
+    for table, error, message in (([[0, 1], [1]], ValueError, "row 1 has length 1, expected 2"),
+                                  ([[0, 1], [1, 2]], ValueError, "table entry 2 out of range"),
+                                  ([[1, 0], [0]], ValueError, "row 1 has length 1, expected 2"),
+                                  ([], NoIdentity, "empty table")):
+        with pytest.raises(error, match=message):
+            group_from_table(table)
+
+
 def test_permutation_closure_dihedral():
     four_cycle = [1, 2, 3, 0]
     transposition = [0, 3, 2, 1]  # swaps points 1 and 3
@@ -163,11 +189,13 @@ BUILDERS = [
     ("Q8", quaternion8, quaternion8_table_by_formula),
     *((f"Heis{p}", lambda p=p: heisenberg(p), lambda p=p: heisenberg_table_by_formula(p))
       for p in (2, 3, 5)),
-    *((f"{a}x{b}", lambda a=a, b=b: direct_product(a(), b()),
+    *((name, lambda a=a, b=b: direct_product(a(), b()),
        lambda a=a, b=b: direct_product_table_by_formula(a(), b()))
-      for a, b in ((lambda: dihedral(4), quaternion8), (lambda: cyclic(3), lambda: heisenberg(3)),
-                   (lambda: cyclic(1), lambda: cyclic(5)), (lambda: cyclic(6), lambda: cyclic(1)),
-                   (lambda: group_from_permutations(S3_PERMS), lambda: cyclic(4)))),
+      for name, a, b in (("D4xQ8", lambda: dihedral(4), quaternion8),
+                         ("C3xHeis3", lambda: cyclic(3), lambda: heisenberg(3)),
+                         ("C1xC5", lambda: cyclic(1), lambda: cyclic(5)),
+                         ("C6xC1", lambda: cyclic(6), lambda: cyclic(1)),
+                         ("S3xC4", lambda: group_from_permutations(S3_PERMS), lambda: cyclic(4)))),
 ]
 
 

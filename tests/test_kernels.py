@@ -28,7 +28,9 @@ from nilcoh.groups import (
     quotient,
     subgroup_generated,
 )
+from nilcoh.harness.catalog import inversion_action
 from conftest import (
+    CATALOG,
     abelian,
     as_group_table_by_scan,
     catalog_by_id,
@@ -261,6 +263,76 @@ def test_a_swapped_permutation_row_can_describe_another_group(monkeypatch):
     assert group_from_permutations(perms).mul == permutation_table_by_pairs(perms, 4, 4)
     _swap_in_generator_row(monkeypatch, 0, 1, 3)
     assert group_from_permutations(perms).mul == cyclic(4).mul
+
+
+def _coset_subjects(P: SemidirectProduct) -> tuple[Subgroup, ...]:
+    return P.j_part(), P.n_part(), trivial_subgroup(P.group)
+
+
+def _point_swaps(size: int) -> set[tuple[int, int]]:
+    """Every pair of points up to 12 points, else pairs at the ends and the
+    middle, entry 0 among them."""
+    if size <= 12:
+        return {(a, b) for a in range(size) for b in range(a + 1, size)}
+    return {(0, 1), (0, size - 1), (1, size - 1), (size // 2, size // 2 + 1)}
+
+
+def _swap_in_coset_permutation(monkeypatch, slot, a, b):
+    """Make the walk of `coset_gset` see the permutation of generator
+    `slot` with entries a and b swapped."""
+    right_walk = actions._walk_points
+
+    def swapped(group, perms, size):
+        perms = list(perms)
+        s, perm = perms[slot]
+        perm = list(perm)
+        perm[a], perm[b] = perm[b], perm[a]
+        perms[slot] = (s, perm)
+        return right_walk(group, perms, size)
+
+    monkeypatch.setattr(actions, "_walk_points", swapped)
+
+
+@pytest.mark.parametrize("ident", [inst.id for inst in CATALOG])
+def test_a_swapped_entry_in_a_coset_permutation_is_rejected(monkeypatch, ident):
+    # coset_gset forms only the permutations of G.gens and walks them.  Every
+    # mutant with two entries of one of them swapped must raise: the walk
+    # refuses most, and the check that every x sends point 0 to the coset
+    # of x refuses those that form another G-set.
+    P = semidirect(catalog_by_id()[ident].action())
+    G = P.group
+    for H in _coset_subjects(P):
+        assert coset_gset(G, H).act == coset_action_by_scan(G, H)
+        for slot in range(len(G.gens)):
+            for a, b in _point_swaps(G.order // H.order):
+                _swap_in_coset_permutation(monkeypatch, slot, a, b)
+                with pytest.raises((NilcohError, ValueError)):
+                    coset_gset(G, H)
+                monkeypatch.undo()
+
+
+def test_a_swapped_coset_permutation_can_form_another_gset(monkeypatch):
+    # C2 swapping the factors of C2 x C2, on the four cosets of J = {0, 1}:
+    # the generator 1 of J swaps the cosets 1 and 2.  With those entries
+    # swapped it acts trivially, and the walk builds a G-set in which J
+    # acts trivially, which is not G/J; only the coset check refuses it, as
+    # element 4 sends point 0 to 1 and not to its coset 2.
+    P = semidirect(catalog_by_id()["c2_swap_c2c2"].action())
+    G, H = P.group, P.j_part()
+    right = coset_gset(G, H).act
+    assert (G.gens, right[1], right[2]) == ((1, 2), (0, 2, 1, 3), (1, 0, 3, 2))
+    _swap_in_coset_permutation(monkeypatch, 0, 1, 2)
+    other = actions._walk_points(G, [(1, right[1]), (2, right[2])], 4)
+    assert other[1] == (0, 1, 2, 3) and [p[0] for p in other] == [0, 0, 1, 1, 1, 1, 0, 0]
+    with pytest.raises(ValueError, match="^element 4 does not send the coset H to its own coset$"):
+        coset_gset(G, H)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_coset_gsets_of_the_ladder_match_the_oracle(n):
+    P = semidirect(inversion_action(cyclic(n)))
+    for H in _coset_subjects(P):
+        assert coset_gset(P.group, H).act == coset_action_by_scan(P.group, H)
 
 
 def _draw_permutation_group(draw) -> Group:

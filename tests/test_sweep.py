@@ -15,12 +15,13 @@ from hypothesis import given, settings, strategies as st
 from nilcoh import theorems
 from nilcoh.actions import action_from_generator_images, semidirect, trivial_action
 from nilcoh.cohomology import cocycles, cocycles_bruteforce, decomposition_map, h1, shared_primes
-from nilcoh.groups import Group, Subgroup, cayley_tree, compose, subgroup_generated
+from nilcoh.groups import Group, Subgroup, compose, subgroup_generated
 from nilcoh.structure import complements, prime_factors, subgroup_conjugacy_classes, sylow_subgroup
 from nilcoh.theorems import verify_prop2
 from conftest import (
     CATALOG,
     abelian,
+    cayley_tree,
     complements_by_subgroup_scan,
     cyclic,
     dihedral,

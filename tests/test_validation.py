@@ -10,14 +10,22 @@ oracles in conftest reject.
 import random
 from itertools import product
 
-from nilcoh.actions import ActionOnGroup, GSet, coset_gset, semidirect
+from nilcoh.actions import (
+    ActionOnGroup,
+    GSet,
+    conjugation_action_with_maps,
+    coset_gset,
+    semidirect,
+)
 from nilcoh.errors import NilcohError, NoIdentity, NoInverse, NotAssociative, NotNormal
 from nilcoh.groups import Group, GroupHom, quotient, subgroup_generated
+from nilcoh.harness.catalog import conjugation_self_action
 from conftest import (
     abelian,
     catalog_by_id,
     center,
     compose_by_scan,
+    conjugation_table_by_formula,
     cyclic,
     dihedral,
     direct_product,
@@ -25,6 +33,7 @@ from conftest import (
     heisenberg,
     homomorphic_by_scan,
     quaternion8,
+    sign_action_table_by_formula,
     trivial_subgroup,
 )
 
@@ -197,6 +206,34 @@ def test_corrupted_actions_match_oracle():
             assert verdict == _action_oracle(J, N, perms), (ident, perms)
             verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+
+
+# The full-table formulas of the catalog actions that are built from their
+# generators' images.
+ACTION_FORMULAS = {
+    "q8_conj_q8": lambda a: conjugation_table_by_formula(a.actor),
+    "d4_proj_c4": lambda a: sign_action_table_by_formula(a.actor, a.target, 4),
+    "s3_sign_c3": lambda a: sign_action_table_by_formula(a.actor, a.target, 3),
+    "s3_sign_c6": lambda a: sign_action_table_by_formula(a.actor, a.target, 3),
+}
+
+
+def test_catalog_actions_match_their_formula_and_the_oracle():
+    # Every catalog action, built from generator images, is an action by the
+    # all-pairs oracle, is accepted whole by ActionOnGroup, and is what
+    # conjugation realizes in its semidirect product.
+    for ident, inst in catalog_by_id().items():
+        action = inst.action()
+        J, N, auto = action.actor, action.target, action.auto
+        if ident in ACTION_FORMULAS:
+            assert [list(p) for p in auto] == ACTION_FORMULAS[ident](action), ident
+        assert _action_oracle(J, N, auto), ident
+        assert ActionOnGroup(J, N, [list(p) for p in auto]).auto == auto, ident
+        P = semidirect(action)
+        assert conjugation_action_with_maps(P.group, P.n_part(), P.j_part())[0].auto == auto
+    for G in (dihedral(4), dihedral(3), heisenberg(3), direct_product(dihedral(3), cyclic(2))):
+        assert [list(p) for p in conjugation_self_action(G).auto] == \
+            conjugation_table_by_formula(G)
 
 
 def test_normality_matches_oracle():
