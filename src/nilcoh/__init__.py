@@ -52,7 +52,6 @@ from .structure import (
     is_nilpotent,
     is_nilpotent_subgroup,
     locally_conjugate,
-    lower_central_series,
     p_parts,
     prime_factors,
     subgroup_conjugacy_classes,

@@ -174,7 +174,6 @@ def action_from_generator_images(
     for img in images:
         if not is_automorphism(N, img):
             raise NotAutomorphism(f"{list(img)} is not an automorphism of the target")
-    gens = [int(g) for g in gens]
     for g in gens:
         if not 0 <= g < J.order:
             raise ValueError(f"generator {g} outside group of order {J.order}")
@@ -237,7 +236,7 @@ def semidirect_embeddings(action: ActionOnGroup,
 
 
 class SemidirectProduct:
-    """The group N x| J for an action, with its embeddings and projection.
+    """The group N x| J for an action, with its embeddings.
 
     Element (n, j) has index n * |J| + j, so the identity is index 0, and
     the product (n1, j1)(n2, j2) = (n1 act(j1, n2), j1 j2).  The rows of the
@@ -249,11 +248,11 @@ class SemidirectProduct:
     every element, NotAHomomorphism says so.
     """
 
-    __slots__ = ("action", "group", "embed_N", "embed_J", "project_J")
+    __slots__ = ("action", "group", "embed_N", "embed_J")
 
-    def __init__(self, action: ActionOnGroup, order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, action: ActionOnGroup):
         N, J = action.target, action.actor
-        size, nj = _product_order(action, order_cap), J.order
+        size, nj = _product_order(action), J.order
         gens = [(n, 0) for n in N.gens] + [(0, j) for j in J.gens]
         rows = [(n * nj + j, _semidirect_row(action, n, j)) for n, j in gens]
         try:
@@ -268,7 +267,6 @@ class SemidirectProduct:
         self.action = action
         self.group = group
         self.embed_N, self.embed_J = embeddings
-        self.project_J = GroupHom(group, J, list(range(J.order)) * N.order)
 
     def n_part(self) -> Subgroup:
         return self.embed_N.image()
@@ -285,20 +283,19 @@ def _semidirect_row(action: ActionOnGroup, n1: int, j1: int) -> tuple[int, ...]:
                  for x in jrow)
 
 
-def _product_order(action: ActionOnGroup, order_cap: int) -> int:
-    """|N||J|, or OrderCapExceeded when it is above the cap."""
+def _product_order(action: ActionOnGroup) -> int:
+    """|N||J|, or OrderCapExceeded when it is above DEFAULT_ORDER_CAP."""
     size = action.target.order * action.actor.order
-    if size > order_cap:
-        raise OrderCapExceeded(f"|N x| J| = {size} exceeds cap {order_cap}")
+    if size > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(f"|N x| J| = {size} exceeds cap {DEFAULT_ORDER_CAP}")
     return size
 
 
-def semidirect(action: ActionOnGroup, order_cap: int = DEFAULT_ORDER_CAP) -> SemidirectProduct:
+def semidirect(action: ActionOnGroup) -> SemidirectProduct:
     """The action's semidirect product, built on the first call and kept on
-    the action.  The order cap is checked on every call."""
-    _product_order(action, order_cap)
+    the action."""
     if action._semidirect is None:
-        action._semidirect = SemidirectProduct(action, order_cap=order_cap)
+        action._semidirect = SemidirectProduct(action)
     return action._semidirect
 
 

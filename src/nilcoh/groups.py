@@ -37,9 +37,10 @@ class Group:
     entry by entry names the first witness, in this order: a two-sided
     identity at index 0; associativity by Light's test on `gens` (Clifford
     & Preston, *The Algebraic Theory of Semigroups* I, 1961); two-sided
-    inverses.  The entries must be Python ints; `group_from_table` converts
-    a raw table.  Every group the package builds from its generators' rows
-    is proven by the same walk, through `group_from_rows`.
+    inverses.  The entries must be Python ints, as the scenario boundary
+    requires of every table it reads.  Every group the package builds from
+    its generators' rows is proven by the same walk, through
+    `group_from_rows`.
 
     A map f with f(x*g) = f(x)f(g) for every x and every g in gens, and f(0)
     the identity, is a homomorphism: induction on the length of y as a word
@@ -68,11 +69,6 @@ class Group:
         """g^by = by' * g * by."""
         row = self.mul[self.inv[by]]
         return self.mul[row[g]][by]
-
-    def commutator(self, a: int, b: int) -> int:
-        """[a, b] = a' b' a b."""
-        t = self.mul[self.inv[a]][self.inv[b]]
-        return self.mul[self.mul[t][a]][b]
 
     def element_order(self, a: int) -> int:
         x, k = a, 1
@@ -215,7 +211,7 @@ class Subgroup:
     __slots__ = ("parent", "elements", "gens", "_set", "_pos")
 
     def __init__(self, parent: Group, elements: Iterable[int]):
-        elts = tuple(sorted(set(map(int, elements))))
+        elts = tuple(sorted(set(elements)))
         if 0 not in elts:
             raise ValueError("subgroup must contain the identity (index 0)")
         if elts[0] < 0 or elts[-1] >= parent.order:
@@ -313,7 +309,7 @@ class GroupHom:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source: Group, target: Group, images: Sequence[int]):
-        imgs = tuple(map(int, images))
+        imgs = tuple(images)
         if len(imgs) != source.order:
             raise ValueError("image list length does not match source order")
         if any(not 0 <= x < target.order for x in imgs):
@@ -346,9 +342,9 @@ def group_from_table(table: Sequence[Sequence[int]], name: str | None = None) ->
     A table whose row 0 and column 0 are the identity's goes to `Group` as
     it is, and `Group` checks its shape; any other table is checked for
     shape here, before its identity is looked for and moved to 0."""
-    rows = [list(map(int, row)) for row in table]
+    rows = tuple(map(tuple, table))
     n = len(rows)
-    if rows[:1] != [list(range(n))] or [row[:1] for row in rows] != [[x] for x in range(n)]:
+    if rows[:1] != (tuple(range(n)),) or [row[:1] for row in rows] != [(x,) for x in range(n)]:
         _check_table_shape(rows)
         e = next(
             (c for c in range(n) if all(rows[c][x] == x and rows[x][c] == x for x in range(n))),
@@ -449,7 +445,7 @@ def group_from_permutations(
     these are the generators' rows, and `group_from_rows` writes the rest of
     the table from them.
     """
-    gens = [tuple(map(int, p)) for p in generators]
+    gens = [tuple(p) for p in generators]
     if degree is None:
         degree = len(gens[0]) if gens else 0
     for p in gens:
@@ -483,7 +479,7 @@ def group_from_permutations(
 
 def subgroup_generated(G: Group, seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the seed elements."""
-    gens = sorted({int(x) for x in seeds})
+    gens = sorted(set(seeds))
     for x in gens:
         if not 0 <= x < G.order:
             raise ValueError(f"seed {x} outside group of order {G.order}")

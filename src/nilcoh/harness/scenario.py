@@ -5,9 +5,10 @@ reported as a ValidationError naming the constructor, and malformed JSON as a
 ParseError with line and column.  A group of order above DEFAULT_ORDER_CAP is
 rejected before its table is built, and so is a check that would run on a
 semidirect product above it.  Every builtin group's parameter and every
-table, permutation, image and element entry must be a JSON integer: `1.9`,
-`1.0`, `"1"` and `true` are refused here rather than converted, so the
-constructors behind this boundary never truncate one.
+table, permutation, image and element entry must be a JSON integer in a
+JSON list: `1.9`, `1.0`, `"1"` and `true` are refused here, and so is a
+field of another shape, such as the string `"10"` for a row, so the
+constructors behind this boundary take every entry as it is.
 """
 
 from __future__ import annotations
@@ -81,12 +82,13 @@ def _as_validation_error(where: str):
 
 
 def _require_integers(value, where: str, field: str, depth: int = 1) -> None:
-    """Refuse an entry that is not a JSON integer in a list (depth 1) or a
-    list of lists (depth 2).  Other shapes are left to the constructors,
-    which report them as before."""
+    """Refuse a field that is not a list of JSON integers (depth 1) or a
+    list of such lists (depth 2), naming the field: a string or any other
+    shape is refused here too, so no constructor iterates over one."""
     rows = [value] if depth == 1 else value
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        return
+        shape = "a list of integers" if depth == 1 else "a list of lists of integers"
+        raise ValidationError(where, f"{field} is not {shape}")
     if not {int}.issuperset(map(type, chain.from_iterable(rows))):
         bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
         raise ValidationError(where, f"{field} entry {json.dumps(bad)} is not an integer")
@@ -182,7 +184,6 @@ def subgroup_of_semidirect(P: SemidirectProduct, spec, where: str = "subgroup") 
             _require_integers(spec["generated_by"], where, "generated_by", depth=2)
             seeds = []
             for n, j in spec["generated_by"]:
-                n, j = int(n), int(j)
                 if not (0 <= n < nn and 0 <= j < nj):
                     raise ValidationError(
                         where, f"generated_by pair [{n}, {j}] outside |N| = {nn}, |J| = {nj}")
@@ -270,7 +271,7 @@ def _resolve_check_subgroups(spec: dict, scenario: Scenario, i: int) -> Subgroup
     if "group" in spec and spec["group"] not in scenario.groups:
         raise ValidationError(where, f"unknown group name {spec['group']!r}")
     if isinstance(spec.get("normal"), dict):
-        _require_integers(spec["normal"].get("generated_by"), where, "normal.generated_by")
+        _require_integers(spec["normal"].get("generated_by", []), where, "normal.generated_by")
     needs_action = spec.get("verify") in ("lemma1", "prop5") or spec.get("check") in KNOWN_CHECKS
     if needs_action and "action" not in spec:
         raise ValidationError(where, "this check needs an 'action' reference")
@@ -282,7 +283,7 @@ def _resolve_check_subgroups(spec: dict, scenario: Scenario, i: int) -> Subgroup
                   or spec.get("check") == "complements")
     if on_product and "action" in spec:
         with _as_validation_error(where):
-            _product_order(scenario.actions[spec["action"]], DEFAULT_ORDER_CAP)
+            _product_order(scenario.actions[spec["action"]])
     if spec.get("verify") == "prop5" and "h" in spec:
         with _as_validation_error(where):
             subgroup_of_semidirect(semidirect(scenario.actions[spec["action"]]),

@@ -45,61 +45,33 @@ def p_part(n: int, p: int) -> int:
     return m
 
 
-def lower_central_series(G: Group, within: Subgroup | None = None) -> list[Subgroup]:
-    """The lower central series of H = `within` (default: all of G), as
-    subgroups of G: H = g1 >= g2 >= ... with g_{i+1} = [g_i, H], until the
-    series stabilizes or reaches the trivial group.
-
-    If X = <A> and Y = <B>, then [X, Y] is the normal closure in XY of the
-    commutators [a, b] (Robinson, *A Course in the Theory of Groups*, 5.1.7).
-    So g_{i+1} is the normal closure in H of [x, h] over x in the generating
-    sequence of g_i and h in H.gens, not a scan of all |g_i| x |H| pairs,
-    and a subgroup's series is computed in G's table without re-indexing it
-    as a group of its own.
-    """
-    if within is None:
-        cur, top_gens = Subgroup(G, range(G.order)), G.gens
-    else:
-        cur, top_gens = within, within.gens
-    gens = top_gens
-    series = [cur]
-    while True:
-        seeds = {G.commutator(x, h) for x in gens for h in top_gens}
-        nxt = _normal_closure(G, seeds, top_gens)
-        if nxt.elements == cur.elements:
-            break
-        series.append(nxt)
-        if nxt.is_trivial():
-            break
-        cur, gens = nxt, nxt.gens
-    return series
-
-
-def _normal_closure(G: Group, seeds: set[int], gens: Sequence[int]) -> Subgroup:
-    """The smallest subgroup of G containing the seeds that is normalized by
-    every element of gens: the normal closure in <gens> of seeds inside it.
-
-    The conjugates by gens of the generators the walk found are adjoined
-    until they all lie in the closure; a subgroup whose generators stay
-    inside it under conjugation by every generator of <gens> is normalized
-    by it.
-    """
-    sequence, closure = generating_sequence(G, seeds)
-    while True:
-        fresh = {G.conj(x, g) for x in sequence for g in gens} - closure
-        if not fresh:
-            return Subgroup(G, closure)
-        sequence, closure = generating_sequence(G, sequence + tuple(fresh))
-
-
 def is_nilpotent(G: Group) -> bool:
-    return lower_central_series(G)[-1].is_trivial()
+    return _sylow_subgroups_normal(G, range(G.order))
 
 
 def is_nilpotent_subgroup(H: Subgroup) -> bool:
-    """Whether H is nilpotent, from its lower central series in the
-    parent's table."""
-    return lower_central_series(H.parent, within=H)[-1].is_trivial()
+    """Whether H is nilpotent, counted in the parent's table."""
+    return _sylow_subgroups_normal(H.parent, H.elements)
+
+
+def _sylow_subgroups_normal(G: Group, domain: Sequence[int]) -> bool:
+    """Whether the subgroup of G on `domain` is nilpotent.
+
+    A finite group is nilpotent exactly when each of its Sylow subgroups is
+    normal (Robinson, *A Course in the Theory of Groups*, 5.2.4), that is,
+    unique.  Every p-element lies in some Sylow p-subgroup, so a Sylow
+    p-subgroup is unique exactly when the p-elements number |H|_p, and then
+    they are that subgroup.  A group of prime-power order is nilpotent.
+    """
+    n = len(domain)
+    primes = prime_factors(n)
+    return len(primes) < 2 or all(
+        len(_p_elements(G, p, domain)) == p_part(n, p) for p in primes)
+
+
+def _p_elements(G: Group, p: int, domain: Sequence[int]) -> list[int]:
+    """The elements of `domain` of p-power order, those equal to their p-part."""
+    return [x for x, x_p in zip(domain, p_parts(G, p, domain)) if x_p == x]
 
 
 def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup:
@@ -117,7 +89,7 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup
     domain_set = set(domain)
     total = len(domain_set)
     target = p_part(total, p)
-    torsion = [x for x, x_p in zip(domain, p_parts(G, p, domain)) if x_p == x]
+    torsion = _p_elements(G, p, domain)
     if len(torsion) == target:
         # Unique Sylow subgroup (nilpotent case): the p-torsion is closed.
         return Subgroup(G, torsion)

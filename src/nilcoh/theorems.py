@@ -186,13 +186,6 @@ def _image_subgroup(pi, S: Subgroup) -> Subgroup:
     return Subgroup(pi.target, {pi(x) for x in S.elements})
 
 
-def _preimage_element(pi, qbar: int) -> int:
-    for g in range(pi.source.order):
-        if pi(g) == qbar:
-            return g
-    raise ProofStepFailed("lifting from the quotient")  # pragma: no cover
-
-
 def _j_part_factor(G: Group, J: Subgroup, N: Subgroup, g: int) -> int:
     """The N-part n of the factorization g = j n with j in J, n in N."""
     for j in J.elements:
@@ -231,7 +224,7 @@ def _recurse_in_quotient(
     data = _sylow_containment_data(Q, jbar, hbar)
     if None in data.values():
         raise ProofStepFailed("hypotheses degenerate in quotient")
-    return _preimage_element(pi, _proof_guided(Q, nbar, jbar, hbar, data))
+    return pi.images.index(_proof_guided(Q, nbar, jbar, hbar, data))
 
 
 def _two_prime_step(G: Group, N: Subgroup, J: Subgroup, H: Subgroup, p: int) -> int:

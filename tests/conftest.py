@@ -59,7 +59,6 @@ from nilcoh.structure import (
     is_nilpotent,
     is_nilpotent_subgroup,
     locally_conjugate,
-    lower_central_series,
     prime_factors,
     subgroup_conjugacy_classes,
     sylow_subgroup,
@@ -200,12 +199,15 @@ def complements_by_subgroup_scan(G: Group, N: Subgroup) -> list[Subgroup]:
 
 
 def lower_central_series_by_scan(G: Group) -> list[Subgroup]:
-    """The lower central series with g_{i+1} generated by [x, g] over every
-    x in g_i and every g in G, until it stabilizes or reaches 1."""
+    """The lower central series with g_{i+1} generated by the commutators
+    [x, g] = x' g' x g over every x in g_i and every g in G, until it
+    stabilizes or reaches 1."""
+    mul, inv = G.mul, G.inv
     series = [Subgroup(G, range(G.order))]
     while True:
         cur = series[-1]
-        comms = {G.commutator(x, g) for x in cur.elements for g in range(G.order)}
+        comms = {mul[mul[mul[inv[x]][inv[g]]][x]][g]
+                 for x in cur.elements for g in range(G.order)}
         nxt = subgroup_generated(G, comms)
         if nxt.elements == cur.elements:
             break
@@ -217,8 +219,9 @@ def lower_central_series_by_scan(G: Group) -> list[Subgroup]:
 
 def is_nilpotent_subgroup_by_table(H: Subgroup) -> bool:
     """Whether H is nilpotent, by re-indexing it as a standalone group and
-    computing that group's lower central series."""
-    return is_nilpotent(H.as_group()[0])
+    asking whether that group's lower central series, by the commutator
+    scan, ends at the trivial group."""
+    return lower_central_series_by_scan(H.as_group()[0])[-1].is_trivial()
 
 
 def subgroup_conjugacy_classes_by_scan(G: Group, subs: list[Subgroup],
@@ -274,9 +277,8 @@ def orbit_route_mismatches(G: Group, subs: list[Subgroup],
     on G, named: the conjugacy classes of subs under G and under each of
     spaces; the Sylow conjugates at each prime of |G|; on the coset space of
     each of spaces, the orbits of its first, middle and last point under G
-    and under each of spaces; and, for each of subs, nilpotency and the
-    lower central series in G's table against that of its standalone table,
-    mapped back to G."""
+    and under each of spaces; and, for each of subs, nilpotency in G's
+    table against the lower central series of its standalone table."""
     out = []
     movers = [None] + spaces
     for i, under in enumerate(movers):
@@ -296,10 +298,6 @@ def orbit_route_mismatches(G: Group, subs: list[Subgroup],
     for k, H in enumerate(subs):
         if is_nilpotent_subgroup(H) != is_nilpotent_subgroup_by_table(H):
             out.append(f"nilpotency of subs[{k}]")
-        HG, to_parent = H.as_group()
-        mapped = [tuple(to_parent[x] for x in K.elements) for K in lower_central_series(HG)]
-        if [K.elements for K in lower_central_series(G, within=H)] != mapped:
-            out.append(f"lower central series of subs[{k}]")
     return out
 
 

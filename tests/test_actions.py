@@ -198,14 +198,11 @@ def test_semidirect_embeddings_accept_exactly_the_semidirect_table():
 
 
 def test_semidirect_order_cap():
+    # |C_1025 x| C2| = 2050 is above the cap of 2048.
+    with pytest.raises(OrderCapExceeded):
+        semidirect(trivial_action(cyclic(2), cyclic(1025)))
     a = trivial_action(cyclic(4), cyclic(4))
-    with pytest.raises(OrderCapExceeded):
-        semidirect(a, order_cap=8)
-    # The cap is checked on every call, also once the product is kept.
-    P = semidirect(a)
-    with pytest.raises(OrderCapExceeded):
-        semidirect(a, order_cap=8)
-    assert semidirect(a, order_cap=16) is P
+    assert semidirect(a) is semidirect(a)
 
 
 def test_semidirect_table_matches_entrywise_oracle():

@@ -493,6 +493,31 @@ def test_cli_rejects_entries_that_are_not_integers(tmp_path, capsys, doc, where,
     assert f"{where}: {field} entry {bad} is not an integer" in err
 
 
+@pytest.mark.parametrize("doc, where, field", [
+    ({"groups": {"g": {"kind": "table", "mul": [[0, 1], "10"]}}}, "group 'g'", "mul"),
+    ({"groups": {"g": {"kind": "perm", "generators": ["120"]}}}, "group 'g'", "generators"),
+    ({"actions": {"a": {"actor": _C2, "target": _C4, "gens": "1",
+                        "images": [[0, 3, 2, 1]]}}}, "action 'a'", "gens"),
+    ({"actions": {"a": {"actor": _C2, "target": _C2, "gens": [1], "images": ["01"]}}},
+     "action 'a'", "images"),
+    ({"actions": {"t": {"builtin": "trivial", "actor": _C2, "target": _C2}},
+      "gsets": {"om": {"action": "t", "act": _REGULAR_C2C2[:3] + ["3210"]}}},
+     "gset 'om'", "act"),
+    (_gset_doc({"coset_of": {"elements": "01"}}), "gset 'om'", "elements"),
+    (_gset_doc({"coset_of": {"generated_by": ["01"]}}), "gset 'om'", "generated_by"),
+    ({"groups": {"g": _C4},
+      "checks": [{"verify": "prop2", "group": "g", "normal": {"generated_by": "1"}}]},
+     "check 0", "normal.generated_by"),
+])
+def test_cli_rejects_fields_that_are_not_integer_lists(tmp_path, capsys, doc, where, field):
+    # Digit strings used to be iterated and converted by the constructors:
+    # "mul": [[0, 1], "10"] loaded as C2.
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps({"id": "x", **doc}))
+    assert main(["suite", "--scenario", str(path)]) == 3
+    assert f"{where}: {field} is not a list of" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc, message", [
     # |J| = 2, so the pair [0, 3] is out of range.
     ({**_INV_C4, "checks": [{"verify": "prop5", "action": "inv",

@@ -13,7 +13,6 @@ from nilcoh.harness.catalog import CATALOG, EQ3_EXTRA, inversion_action
 from nilcoh.structure import (
     complements,
     is_nilpotent_subgroup,
-    lower_central_series,
     prime_factors,
     subgroup_conjugacy_classes,
     sylow_subgroup,
@@ -23,6 +22,7 @@ from conftest import (
     cyclic,
     dihedral,
     direct_product,
+    lower_central_series_by_scan,
     orbit_route_mismatches,
     trivial_subgroup,
 )
@@ -69,8 +69,8 @@ def test_orbit_routes_match_scans_on_two_permutation_groups(drawn):
 
 
 def test_lower_central_series_within_a_subgroup():
-    # S3 as a subgroup of S3 x C4 and of S4: the series in the parent's
-    # table stops at the rotations, as it does in S3's own table.
+    # S3 as a subgroup of S3 x C4 and of S4: its series, in its own table,
+    # stops at the rotations, and it is not nilpotent in the parent's table.
     S3xC4 = direct_product(dihedral(3), cyclic(4))
     S3 = Subgroup(S3xC4, (x for x in S3xC4.elements() if x % 4 == 0))
     S4 = group_from_permutations([[1, 2, 3, 0], [1, 0, 2, 3]])
@@ -78,11 +78,11 @@ def test_lower_central_series_within_a_subgroup():
     S3_in_S4 = Subgroup(S4, (x for x, perm in enumerate(perms) if perm[3] == 3))
     for H in (S3, S3_in_S4):
         assert H.order == 6
-        series = lower_central_series(H.parent, within=H)
+        series = lower_central_series_by_scan(H.as_group()[0])
         assert [K.order for K in series] == [6, 3]
         assert not is_nilpotent_subgroup(H)
     C4 = Subgroup(S3xC4, range(4))
-    assert [K.order for K in lower_central_series(S3xC4, within=C4)] == [4, 1]
+    assert [K.order for K in lower_central_series_by_scan(C4.as_group()[0])] == [4, 1]
     assert is_nilpotent_subgroup(C4)
     assert orbit_route_mismatches(S3xC4, [S3, C4], [S3]) == []
     assert orbit_route_mismatches(S4, [S3_in_S4], [S3_in_S4]) == []

@@ -21,7 +21,6 @@ from nilcoh.structure import (
     is_nilpotent,
     is_nilpotent_subgroup,
     locally_conjugate,
-    lower_central_series,
     p_part,
     prime_factors,
     subgroup_conjugacy_classes,
@@ -35,6 +34,7 @@ from conftest import (
     direct_product,
     heisenberg,
     intersection_lemma_by_scan,
+    is_nilpotent_subgroup_by_table,
     lower_central_series_by_scan,
     quaternion8,
     subgroups_by_subset_scan,
@@ -48,16 +48,10 @@ def test_prime_factors():
     assert p_part(72, 2) == 8 and p_part(72, 3) == 9
 
 
-def test_lower_central_series_abelian():
-    series = lower_central_series(cyclic(6))
-    assert len(series) == 2 and series[-1].is_trivial()
-
-
 def test_s3_not_nilpotent_series_stabilizes_at_rotations():
     S3 = dihedral(3)
-    series = lower_central_series(S3)
     assert not is_nilpotent(S3)
-    assert series[-1].elements == (0, 1, 2)
+    assert lower_central_series_by_scan(S3)[-1].elements == (0, 1, 2)
 
 
 def test_q8_and_heisenberg_nilpotent():
@@ -339,33 +333,46 @@ def test_over_budget_complements_stop_before_the_level_that_passes_it(monkeypatc
     assert len(walks) == 272
 
 
-def _lcs_groups():
+def _nilpotency_groups():
     groups = {}
     for inst in CATALOG + EQ3_EXTRA:
         action = inst.action()
         groups[f"{inst.id}/J"] = action.actor
         groups[f"{inst.id}/N"] = action.target
         groups[f"{inst.id}/NxJ"] = semidirect(action).group
-    groups["S3"] = dihedral(3)
-    groups["S4"] = group_from_permutations([[1, 2, 3, 0], [1, 0, 2, 3]])
+    for n in range(1, 40):
+        groups[f"C{n}"] = cyclic(n)
+        if n > 1:
+            groups[f"D{n}"] = dihedral(n)
+    S4 = group_from_permutations([[1, 2, 3, 0], [1, 0, 2, 3]])
+    groups["S4"] = S4
     groups["A5"] = group_from_permutations([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
-    groups["D16"] = dihedral(16)
-    groups["Heis5"] = heisenberg(5)
+    groups["S4xC3"] = direct_product(S4, cyclic(3))
     groups["S3xC4"] = direct_product(dihedral(3), cyclic(4))
+    for p in (3, 5, 7):
+        groups[f"Heis{p}"] = heisenberg(p)
+    for k in range(1, 11):                       # C2 inverting C_n up to the order cap
+        groups[f"C2xC{2 ** k}"] = semidirect(inversion_action(cyclic(2 ** k))).group
     return groups
 
 
-def test_lower_central_series_matches_commutator_scan():
-    mismatched = [name for name, G in _lcs_groups().items()
-                  if _elements(lower_central_series(G))
-                  != _elements(lower_central_series_by_scan(G))]
+def test_nilpotency_matches_the_lower_central_series():
+    # The Sylow count against the commutator scan, on each group and on the
+    # subgroups <a, b> for a, b among its first 12 elements.  A subgroup
+    # that is all of G is re-indexed to G's own table, so it takes G's verdict.
+    groups = _nilpotency_groups()
+    mismatched = []
+    for name, G in groups.items():
+        verdict = lower_central_series_by_scan(G)[-1].is_trivial()
+        if is_nilpotent(G) != verdict:
+            mismatched.append(name)
+        first = range(min(12, G.order))
+        subs = {subgroup_generated(G, [a, b]).elements for a in first for b in first if a <= b}
+        for elements in sorted(subs):
+            H = Subgroup(G, elements)
+            expected = verdict if H.order == G.order else is_nilpotent_subgroup_by_table(H)
+            if is_nilpotent_subgroup(H) != expected:
+                mismatched.append(f"{name} > {elements}")
     assert mismatched == []
-
-
-def test_lower_central_series_of_perfect_and_solvable_groups():
-    groups = _lcs_groups()
-    A5, S4 = groups["A5"], groups["S4"]
-    assert A5.order == 60 and _elements(lower_central_series(A5)) == [tuple(range(60))]
-    assert [S.order for S in lower_central_series(S4)] == [24, 12]
-    assert [S.order for S in lower_central_series(groups["D16"])] == [32, 8, 4, 2, 1]
-    assert [S.order for S in lower_central_series(groups["Heis5"])] == [125, 5, 1]
+    assert [is_nilpotent(groups[name]) for name in ("A5", "S4", "D16", "Heis5", "C6")] == [
+        False, False, True, True, True]

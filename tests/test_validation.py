@@ -113,11 +113,12 @@ def test_corrupted_group_tables_match_oracle():
 def _catalog_homs() -> list[GroupHom]:
     D4, Q8, C12 = dihedral(4), quaternion8(), cyclic(12)
     P = semidirect(catalog_by_id()["c2_inv_c4"].action())
+    J, N = P.action.actor, P.action.target
     return [
         quotient(D4, subgroup_generated(D4, [1]))[1],
         quotient(Q8, center(Q8))[1],
         quotient(C12, subgroup_generated(C12, [4]))[1],
-        P.embed_N, P.embed_J, P.project_J,
+        P.embed_N, P.embed_J, GroupHom(P.group, J, list(range(J.order)) * N.order),
         GroupHom(cyclic(2), cyclic(2), [0, 0]),
         GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1]),
     ]
