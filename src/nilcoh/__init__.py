@@ -46,6 +46,7 @@ from .groups import (
     subgroup_generated,
 )
 from .structure import (
+    complement_classes,
     complements,
     enumerate_subgroups_of_order,
     hall_pprime,

@@ -245,10 +245,11 @@ class SemidirectProduct:
     composition along their walk, which is at once the proof that the table
     is a group.  `semidirect_embeddings` then checks that it is the
     semidirect table of the action.  When the generators' rows do not reach
-    every element, NotAHomomorphism says so.
+    every element, NotAHomomorphism says so.  The embedded N and J are built
+    on the first call of `n_part` and `j_part` and kept.
     """
 
-    __slots__ = ("action", "group", "embed_N", "embed_J")
+    __slots__ = ("action", "group", "embed_N", "embed_J", "_n_part", "_j_part")
 
     def __init__(self, action: ActionOnGroup):
         N, J = action.target, action.actor
@@ -267,12 +268,18 @@ class SemidirectProduct:
         self.action = action
         self.group = group
         self.embed_N, self.embed_J = embeddings
+        self._n_part: Subgroup | None = None
+        self._j_part: Subgroup | None = None
 
     def n_part(self) -> Subgroup:
-        return self.embed_N.image()
+        if self._n_part is None:
+            self._n_part = self.embed_N.image()
+        return self._n_part
 
     def j_part(self) -> Subgroup:
-        return self.embed_J.image()
+        if self._j_part is None:
+            self._j_part = self.embed_J.image()
+        return self._j_part
 
 
 def _semidirect_row(action: ActionOnGroup, n1: int, j1: int) -> tuple[int, ...]:

@@ -331,6 +331,9 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
     J, N = action.actor, action.target
     if K is None:
         K = full_subgroup(J)
+    if K.parent is not J:
+        # Checked before the lookup, since the key holds only K's elements.
+        raise NotASubgroup("domain must be a subgroup of the acting group")
     key = K.elements
     cached = action._h1_cache.get(key)
     if cached is not None:

@@ -206,9 +206,15 @@ class Subgroup:
     has, they are all of an already validated group, and their number is
     the proof: `gens` is then `parent.gens`, the same walk's greedy
     sequence over range(|G|), and no walk runs.
+
+    A subgroup built by `generated_by` is the closure its own walk reaches
+    from the seeds it is given, so it needs no other proof, and its `gens`
+    is that walk's greedy sequence over the seeds, in their order.  A
+    normal subgroup keeps its complements once they are enumerated
+    (`structure.complements`).
     """
 
-    __slots__ = ("parent", "elements", "gens", "_set", "_pos")
+    __slots__ = ("parent", "elements", "gens", "_set", "_pos", "_complements")
 
     def __init__(self, parent: Group, elements: Iterable[int]):
         elts = tuple(sorted(set(elements)))
@@ -230,10 +236,28 @@ class Subgroup:
                 for b in elts:
                     if row[b] not in members:
                         raise ValueError(f"subgroup not closed under product at ({a}, {b})")
+        self._keep(parent, elts, walk)
+
+    @classmethod
+    def generated_by(cls, parent: Group, seeds: Sequence[int],
+                     limit: int | None = None) -> Subgroup | None:
+        """The subgroup that the seeds generate, built from the closure walk
+        over them (`generating_sequence`), or None when that walk reaches
+        more than `limit` elements."""
+        walk = generating_sequence(parent, seeds, limit)
+        if walk is None:
+            return None
+        H = cls.__new__(cls)
+        H._keep(parent, tuple(sorted(walk[1])), walk)
+        return H
+
+    def _keep(self, parent: Group, elts: tuple[int, ...],
+              walk: tuple[tuple[int, ...], set[int]]) -> None:
         self.parent = parent
         self.elements = elts
         self.gens, self._set = walk
         self._pos = {x: i for i, x in enumerate(elts)}
+        self._complements = None
 
     @property
     def order(self) -> int:
@@ -431,14 +455,14 @@ def _walk_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int]]]
 def group_from_permutations(
     generators: Sequence[Sequence[int]],
     degree: int | None = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
     name: str | None = None,
 ) -> Group:
     """Closure of a set of permutations under composition, as a table group.
 
     Permutations act on points 0..degree-1; the product p*q acts by
     (p*q)(i) = p(q(i)).  Raises OrderCapExceeded if the closure grows past
-    order_cap.  Elements are indexed in sorted order, so the identity is 0.
+    DEFAULT_ORDER_CAP.  Elements are indexed in sorted order, so the
+    identity is 0.
 
     The breadth-first closure forms g*p for every element p and generator g,
     which is the left multiplication L_g; relabelled by sorted position,
@@ -461,8 +485,8 @@ def group_from_permutations(
             q = take(g)
             k = found.get(q)
             if k is None:
-                if len(perms) >= order_cap:
-                    raise OrderCapExceeded(f"closure exceeds cap {order_cap}")
+                if len(perms) >= DEFAULT_ORDER_CAP:
+                    raise OrderCapExceeded(f"closure exceeds cap {DEFAULT_ORDER_CAP}")
                 k = found[q] = len(perms)
                 perms.append(q)
             left[slot].append(k)

@@ -13,7 +13,7 @@ import sys
 from ..actions import semidirect
 from ..cohomology import GENERATOR_ENUM_BUDGET, decomposition_map, h1
 from ..errors import NilcohError, ParseError, ValidationError
-from ..structure import DEFAULT_ENUM_BUDGET, complements, subgroup_conjugacy_classes
+from ..structure import DEFAULT_ENUM_BUDGET, complement_classes, complements
 from .catalog import CATALOG, EQ3_EXTRA, catalog_by_id
 from .scenario import KNOWN_VERIFIERS, load_scenario
 from .suite import (
@@ -116,7 +116,7 @@ def cmd_complements(args) -> int:
     P = semidirect(action)
     n_sub = P.n_part()
     comps = complements(P.group, n_sub, budget=_budget(args, DEFAULT_ENUM_BUDGET))
-    classes = subgroup_conjugacy_classes(P.group, comps, under=n_sub)
+    classes = complement_classes(P.group, n_sub)
     payload = {
         "instance": instance,
         "group_order": P.group.order,

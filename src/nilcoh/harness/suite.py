@@ -16,7 +16,7 @@ from ..actions import ActionOnGroup, coset_gset, semidirect
 from ..cohomology import cocycle_to_complement, cocycles_bruteforce, eq3_check, h1
 from ..errors import NilcohError, NotAbelian, UnknownCheck
 from ..groups import Group, subgroup_generated
-from ..structure import complements, subgroup_conjugacy_classes
+from ..structure import complement_classes, complements
 from ..theorems import (
     VerificationReport,
     verify_lemma1,
@@ -62,7 +62,7 @@ def correspondence_report(action, instance: str) -> VerificationReport:
     n_sub = P.n_part()
     report.hypotheses["within_order_cap"] = True
     comps = complements(G, n_sub)
-    classes = subgroup_conjugacy_classes(G, comps, under=n_sub)
+    classes = complement_classes(G, n_sub)
     H = h1(action)
     ok = H.size == len(classes)
     # The correspondence itself: class representatives map to pairwise
@@ -214,29 +214,26 @@ def default_suite(relaxed: bool = False) -> list[SuiteCheck]:
 
     # Local-to-global conjugacy of complements in ambient groups.
     add("ambient/prop3:d4_c4",
-        lambda: verify_prop3(dihedral(4), subgroup_generated(dihedral(4), [1]),
-                             "ambient/prop3:d4_c4", relaxed=relaxed),
+        lambda: _ambient_check(verify_prop3, dihedral(4), [1], "ambient/prop3:d4_c4", relaxed),
         expect_fail=True)
     add("ambient/prop3:s3_c3",
-        lambda: verify_prop3(dihedral(3), subgroup_generated(dihedral(3), [1]),
-                             "ambient/prop3:s3_c3", relaxed=relaxed))
+        lambda: _ambient_check(verify_prop3, dihedral(3), [1], "ambient/prop3:s3_c3", relaxed))
     add("ambient/prop3:c6_c3",
-        lambda: _prop3_on_c6(relaxed))
+        lambda: _ambient_check(verify_prop3, direct_product(cyclic(2), cyclic(3)), [1],
+                               "ambient/prop3:c6_c3", relaxed))
     checks.append(_action_check(by_id["c2_swap_c2c2"], "prop3", "c2_swap_c2c2/prop3",
                                 relaxed))
     add("ambient/prop2:d4_c4",
-        lambda: verify_prop2(dihedral(4), subgroup_generated(dihedral(4), [1]),
-                             "ambient/prop2:d4_c4", relaxed=relaxed))
+        lambda: _ambient_check(verify_prop2, dihedral(4), [1], "ambient/prop2:d4_c4", relaxed))
     add("ambient/prop2:s3_c3",
-        lambda: verify_prop2(dihedral(3), subgroup_generated(dihedral(3), [1]),
-                             "ambient/prop2:s3_c3", relaxed=relaxed))
+        lambda: _ambient_check(verify_prop2, dihedral(3), [1], "ambient/prop2:s3_c3", relaxed))
     return checks
 
 
-def _prop3_on_c6(relaxed: bool = False) -> VerificationReport:
-    G = direct_product(cyclic(2), cyclic(3))
-    return verify_prop3(G, subgroup_generated(G, [1]), "ambient/prop3:c6_c3",
-                        relaxed=relaxed)
+def _ambient_check(verify: Callable[..., VerificationReport], G: Group, n_seed: list[int],
+                   instance: str, relaxed: bool) -> VerificationReport:
+    """prop2 or prop3 on G and the normal subgroup of G that n_seed generates."""
+    return verify(G, subgroup_generated(G, n_seed), instance, relaxed=relaxed)
 
 
 # -- scenario execution ------------------------------------------------------------

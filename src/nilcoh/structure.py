@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BudgetExceeded, NotNilpotent, SearchBudgetExceeded
+from .errors import BudgetExceeded, NotASubgroup, NotNilpotent, SearchBudgetExceeded
 from .groups import (
     Group,
     Subgroup,
@@ -77,6 +77,7 @@ def _p_elements(G: Group, p: int, domain: Sequence[int]) -> list[int]:
 def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup:
     """A Sylow p-subgroup of G (or of `within`), as a subgroup of G.
 
+    A p-group `within` is its own Sylow p-subgroup and is returned itself.
     For a nilpotent ambient this is the unique set of p-power-order elements,
     the x equal to their p-part (`p_parts`).
     Otherwise a p-subgroup is grown by normalizer climbing: while |P| is short
@@ -85,6 +86,11 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup
     """
     if p < 2 or prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
+    if within is not None:
+        if within.parent is not G:
+            raise NotASubgroup("`within` must be a subgroup of G")
+        if p_part(within.order, p) == within.order:
+            return within
     domain = within.elements if within is not None else range(G.order)
     domain_set = set(domain)
     total = len(domain_set)
@@ -206,7 +212,7 @@ def complements(G: Group, N: Subgroup, budget: int = DEFAULT_ENUM_BUDGET,
     """All complements K of a normal subgroup N: K meets N trivially, KN = G.
     With `within` = S, the complements of N meet S in S, enumerated in G's
     table: read S for G and N meet S for N below.  N meet S must be normal
-    in S.
+    in S.  N and S must be subgroups of G (NotASubgroup otherwise).
 
     Enumerated by lifting generators of G/N (Celler, Neubüser & Wright, Acta
     Appl. Math. 21, 1990; Holt, Eick & O'Brien, *Handbook of Computational
@@ -232,9 +238,22 @@ def complements(G: Group, N: Subgroup, budget: int = DEFAULT_ENUM_BUDGET,
     in <N, t_1..t_{i-1}>, so the count is |N| times their number, summed
     over i = 1..d, which is at most |N| + |N|^2 + ... + |N|^d.
     BudgetExceeded is raised before the first level that would take the
-    count past the budget.  Only the last level keeps its closures, which
-    are the complements.  The result is sorted by element tuple.
+    count past the budget.  Only the last level builds subgroups: each
+    complement is `Subgroup.generated_by` its lifts, from the one walk that
+    finds it.  The result is sorted by element tuple.
+
+    Without `within`, the result is kept on N with the count it charged,
+    and a later call reads it.  The kept result answers to the caller's
+    budget as well: the count is over that budget exactly when the
+    enumeration would have stopped, and then BudgetExceeded is raised.
     """
+    if N.parent is not G or (within is not None and within.parent is not G):
+        raise NotASubgroup("N and `within` must be subgroups of G")
+    if within is None and N._complements is not None:
+        work, kept, _ = N._complements
+        if work > budget:
+            raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
+        return list(kept)
     if within is None:
         top, movers = G.elements(), G.gens
     else:
@@ -245,7 +264,9 @@ def complements(G: Group, N: Subgroup, budget: int = DEFAULT_ENUM_BUDGET,
     n_first = N.elements + tuple(g for g in top if g not in N)
     sequence = generating_sequence(G, n_first)[0]
     n_rank = sum(1 for g in sequence if g in N)
-    prefixes: list[tuple[tuple[int, ...], set[int] | None]] = [((), {0})]
+    prefixes: list[tuple[int, ...]] = [()]
+    # N = G is complemented by the trivial subgroup, and no level runs.
+    comps = [Subgroup.generated_by(G, ())] if n_rank == len(sequence) else []
     work = 0
     for i in range(n_rank, len(sequence)):
         # Every try of a level runs, so the budget is settled before it starts.
@@ -254,22 +275,43 @@ def complements(G: Group, N: Subgroup, budget: int = DEFAULT_ENUM_BUDGET,
             raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
         t = sequence[i]
         target = len(generating_sequence(G, sequence[:i + 1])[1]) // N.order
-        extended = []
-        for lifted, _ in prefixes:
-            for n in N.elements:
-                # The lifts map onto <t_1..t_i>N/N, so they generate at least
-                # `target` elements, and a walk within the bound reaches exactly it.
-                gens = lifted + (G.mul[t][n],)
-                walk = generating_sequence(G, gens, limit=target)
-                if walk is not None:
-                    extended.append((gens, walk[1] if i == len(sequence) - 1 else None))
-        prefixes = extended
-    return sorted((Subgroup(G, closure) for _, closure in prefixes),
-                  key=lambda K: K.elements)
+        # The lifts map onto <t_1..t_i>N/N, so they generate at least
+        # `target` elements, and a walk within the bound reaches exactly it.
+        lifts = (lifted + (G.mul[t][n],) for lifted in prefixes for n in N.elements)
+        if i < len(sequence) - 1:
+            prefixes = [gens for gens in lifts
+                        if generating_sequence(G, gens, limit=target) is not None]
+        else:
+            walked = (Subgroup.generated_by(G, gens, limit=target) for gens in lifts)
+            comps = sorted((K for K in walked if K is not None), key=lambda K: K.elements)
+    if within is None:
+        N._complements = (work, tuple(comps), None)
+    return comps
+
+
+def complement_classes(G: Group, N: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """The N-conjugacy classes of the complements that `complements(G, N)`
+    keeps on N, as index tuples into its list in first-seen order
+    (`subgroup_conjugacy_classes` under N), computed once and kept with
+    them.  When N keeps none, they are enumerated first, under the default
+    budget.
+
+    These are also their G-conjugacy classes: G = NK for a complement K, so
+    g = kn with k in K and n in N, and K^g = K^n.
+    """
+    if N.parent is not G:
+        raise NotASubgroup("N must be a subgroup of G")
+    if N._complements is None:
+        complements(G, N)
+    work, comps, classes = N._complements
+    if classes is None:
+        classes = tuple(map(tuple, subgroup_conjugacy_classes(G, comps, under=N)))
+        N._complements = (work, comps, classes)
+    return classes
 
 
 def subgroup_conjugacy_classes(
-    G: Group, subs: list[Subgroup], under: Subgroup | None = None
+    G: Group, subs: Sequence[Subgroup], under: Subgroup | None = None
 ) -> list[list[int]]:
     """Partition a list of subgroups into conjugacy classes under `under`
     (default: all of G).

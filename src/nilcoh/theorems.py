@@ -9,6 +9,7 @@ implementation bug, and the reporting channel exists to make that testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .actions import (
     ActionOnGroup,
@@ -46,6 +47,7 @@ from .groups import (
     quotient,
 )
 from .structure import (
+    complement_classes,
     complements,
     hall_pprime,
     is_nilpotent,
@@ -334,7 +336,9 @@ def verify_prop2(G: Group, N: Subgroup, instance: str = "",
     compared; the witness of a mismatch is the first pair (a, b), a < b in
     lexicographic order, that one partition joins and the other separates.
     complements() lifts the generators of G/N and is complete, so only its
-    work budget can fail the complements_enumerable hypothesis."""
+    work budget can fail the complements_enumerable hypothesis.  The
+    conjugacy classes are the N-classes kept with the complements
+    (`complement_classes`), which are their G-classes."""
     report = VerificationReport("prop2", instance, relaxed=relaxed)
     normal = _set_hypothesis(report, "n_normal", N.is_normal())
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
@@ -356,7 +360,7 @@ def verify_prop2(G: Group, N: Subgroup, instance: str = "",
                 f"NonNilpotentComplementSkipped: {skipped} complements excluded"
             )
         local = _local_keys(G, nilp)
-        conj = _class_labels(G, nilp)
+        conj = _labels(complement_classes(G, N)) if nilp else []
         mismatch = None
         pair = _first_disagreement(local, conj)
         if pair is not None:
@@ -377,7 +381,9 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
     """If some Sylow p-subgroup S of G has all complements of S-meet-N inside
     S conjugate in G (for every p), then all complements of N in G are
     conjugate.  complements() lifts the generators of each quotient and is
-    complete, so only its work budget can leave complements out."""
+    complete, so only its work budget can leave complements out.  The
+    conclusion reads the classes kept with the complements
+    (`complement_classes`)."""
     report = VerificationReport("prop3", instance, relaxed=relaxed)
     _set_hypothesis(report, "n_nilpotent", is_nilpotent_subgroup(N))
     if not N.is_normal():
@@ -417,9 +423,10 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
                             f"no Sylow {p}-subgroup has all local complements conjugate in G")
     if comps is not None and (report.hypotheses_met or relaxed):
         # All conjugate means one class; a pairwise scan would first fail at
-        # (0, b) for the least b outside the class of comps[0].
-        labels = _class_labels(G, comps)
-        b = next((b for b, c in enumerate(labels) if c != 0), None)
+        # (0, b) for the least b outside the class of comps[0], which opens
+        # the second class, as classes come in first-seen order.
+        classes = complement_classes(G, N)
+        b = min(classes[1]) if len(classes) > 1 else None
         bad = None if b is None else [list(comps[0].elements), list(comps[b].elements)]
         report.conclusion_verified = bad is None
         report.witness = bad if bad else {"complement_count": len(comps),
@@ -427,11 +434,11 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
     return report
 
 
-def _class_labels(G: Group, subs: list[Subgroup]) -> list[int]:
-    """For each of the subgroups, the index of its G-conjugacy class in
-    first-seen order, so the class of subs[0] is 0."""
-    labels = [0] * len(subs)
-    for c, members in enumerate(subgroup_conjugacy_classes(G, subs)):
+def _labels(classes: Sequence[Sequence[int]]) -> list[int]:
+    """For each of the subgroups that the classes partition, by index, the
+    index of its class."""
+    labels = [0] * sum(map(len, classes))
+    for c, members in enumerate(classes):
         for i in members:
             labels[i] = c
     return labels
@@ -444,7 +451,7 @@ def _local_keys(G: Group, subs: list[Subgroup]) -> list[tuple[int, ...]]:
     p-subgroups of one subgroup are conjugate within it."""
     primes = prime_factors(subs[0].order) if subs else []
     sylows = [sylow_subgroup(G, p, within=K) for K in subs for p in primes]
-    labels = iter(_class_labels(G, sylows))
+    labels = iter(_labels(subgroup_conjugacy_classes(G, sylows)))
     return [tuple(next(labels) for _ in primes) for _ in subs]
 
 

@@ -290,6 +290,18 @@ def test_h1_budget_holds_on_a_cached_result():
         h1(a, budget=2)
 
 
+def test_h1_refuses_a_domain_from_another_group_before_and_after_a_cached_call():
+    # The cache key holds only the domain's elements, which a subgroup of
+    # another group can share: full_subgroup(cyclic(2)) has J's elements.
+    action = inversion_action(cyclic(4))
+    foreign = full_subgroup(cyclic(2))
+    with pytest.raises(NotASubgroup):
+        h1(action, foreign)
+    h1(action)
+    with pytest.raises(NotASubgroup):
+        h1(action, foreign)
+
+
 def test_cohomologous_witnesses():
     a = inv_c4()
     zs = {c.values: c for c in cocycles(a)}

@@ -144,16 +144,18 @@ def test_permutation_closure_trivial_and_c2():
 
 
 def test_permutation_closure_cap():
-    with pytest.raises(OrderCapExceeded):
-        group_from_permutations([[1, 2, 3, 0]], order_cap=3)
+    # A 7-cycle and a transposition generate S7, of order 5,040, above the
+    # fixed cap of 2,048.
+    with pytest.raises(OrderCapExceeded, match="^closure exceeds cap 2048$"):
+        group_from_permutations([[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]])
 
 
 @st.composite
 def permutation_generators(draw):
     """One to three permutations of one degree from 2 to 7, and an order cap
-    small enough for the pairwise oracle; closures above it must be refused.
-    The 200 derandomized draws give groups from order 1 to 120 and about 70
-    refusals."""
+    small enough for the pairwise oracle, which refuses closures above it.
+    The 200 derandomized draws give groups from order 1 to 120, and about 70
+    closures that the oracle refuses and the test skips."""
     degree = draw(st.integers(2, 7))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
     return degree, gens, draw(st.integers(1, 200))
@@ -166,10 +168,8 @@ def test_permutation_table_matches_pairwise_oracle(case):
     try:
         expected = permutation_table_by_pairs(gens, degree, cap)
     except OrderCapExceeded:
-        with pytest.raises(OrderCapExceeded):
-            group_from_permutations(gens, degree=degree, order_cap=cap)
         return
-    G = group_from_permutations(gens, degree=degree, order_cap=cap)
+    G = group_from_permutations(gens, degree=degree)
     assert G.mul == expected
     assert same_as_validated(G)
 

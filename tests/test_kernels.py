@@ -337,13 +337,15 @@ def test_coset_gsets_of_the_ladder_match_the_oracle(n):
 
 def _draw_permutation_group(draw) -> Group:
     """A group generated by two permutations of degree 4 to 7, or by the
-    first alone when the closure passes order 120."""
+    first alone when the closure passes order 120 (the pairwise oracle's
+    cap)."""
     degree = draw(st.integers(4, 7))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=2))
     try:
-        return group_from_permutations(gens, degree=degree, order_cap=120)
+        permutation_table_by_pairs(gens, degree, 120)
     except OrderCapExceeded:
-        return group_from_permutations(gens[:1], degree=degree)
+        gens = gens[:1]
+    return group_from_permutations(gens, degree=degree)
 
 
 @st.composite

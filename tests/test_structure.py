@@ -1,10 +1,12 @@
 """Nilpotency, Sylow and Hall subgroups, subgroup enumeration, complements."""
 
+from collections import Counter
+
 import pytest
 
-from nilcoh import structure
+from nilcoh import groups, structure, theorems
 from nilcoh.actions import semidirect, trivial_action
-from nilcoh.errors import BudgetExceeded, NotNilpotent
+from nilcoh.errors import BudgetExceeded, NotASubgroup, NotNilpotent
 from nilcoh.groups import (
     Subgroup,
     are_conjugate_subgroups,
@@ -13,8 +15,11 @@ from nilcoh.groups import (
     group_from_permutations,
     subgroup_generated,
 )
+from nilcoh.harness import suite
 from nilcoh.harness.catalog import CATALOG, EQ3_EXTRA, inversion_action
+from nilcoh.harness.suite import correspondence_report
 from nilcoh.structure import (
+    complement_classes,
     complements,
     enumerate_subgroups_of_order,
     hall_pprime,
@@ -26,8 +31,10 @@ from nilcoh.structure import (
     subgroup_conjugacy_classes,
     sylow_subgroup,
 )
+from nilcoh.theorems import verify_prop2, verify_prop3
 from conftest import (
     abelian,
+    catalog_by_id,
     complements_by_subgroup_scan,
     cyclic,
     dihedral,
@@ -331,6 +338,114 @@ def test_over_budget_complements_stop_before_the_level_that_passes_it(monkeypatc
     with pytest.raises(BudgetExceeded, match="^subgroup enumeration exceeded budget 1000$"):
         complements(P.group, P.n_part(), budget=1000)
     assert len(walks) == 272
+
+
+def test_complements_are_kept_on_n_and_answer_to_the_callers_budget():
+    P = semidirect(catalog_by_id()["c3_inner_heis3"].build())   # a fresh action
+    G, N = P.group, P.n_part()
+    assert N is P.n_part() and P.j_part() is P.j_part()
+    S = sylow_subgroup(G, 3)
+    complements(G, N, within=S)                  # a call with `within` keeps nothing
+    with pytest.raises(BudgetExceeded):
+        complements(G, N, budget=26)             # nor does a call that stops
+    comps = complements(G, N)
+    assert len(comps) == 27
+    kept = complements(G, N, budget=27 + 27 * 27)
+    assert kept == comps and all(a is b for a, b in zip(kept, comps))
+    with pytest.raises(BudgetExceeded, match="^subgroup enumeration exceeded budget 26$"):
+        complements(G, N, budget=26)
+
+
+def test_complements_and_sylow_subgroups_refuse_a_subgroup_of_another_group():
+    G = dihedral(4)
+    foreign = subgroup_generated(abelian([2, 4]), [1])
+    with pytest.raises(NotASubgroup):
+        complements(G, foreign)
+    with pytest.raises(NotASubgroup):
+        complement_classes(G, foreign)
+    with pytest.raises(NotASubgroup):
+        complements(G, subgroup_generated(G, [1]), within=full_subgroup(dihedral(4)))
+    with pytest.raises(NotASubgroup):
+        sylow_subgroup(G, 2, within=foreign)
+
+
+def test_verifiers_after_the_correspondence_enumerate_no_complement_again(monkeypatch):
+    # correspondence_report, then prop2 and prop3 on the same product: only
+    # the first call of `complements` without `within` walks a closure, and
+    # the N-classes are partitioned once.
+    action = catalog_by_id()["q8_conj_q8"].build()              # a fresh action
+    P = semidirect(action)
+    real = structure.complements
+    calls, walks, partitions = [], [], []
+
+    def counted_complements(G, N, budget=structure.DEFAULT_ENUM_BUDGET, within=None):
+        if within is not None:
+            return real(G, N, budget, within)
+        calls.append(len(walks))
+        comps = real(G, N, budget)
+        calls.append(len(walks))
+        calls.append(comps)
+        return comps
+
+    def counted_walk(G, elements, limit=None):
+        walks.append(limit)
+        return generating_sequence(G, elements, limit)
+
+    def counted_partition(G, subs, under=None):
+        partitions.append(under)
+        return subgroup_conjugacy_classes(G, subs, under)
+
+    for module in (structure, theorems, suite):
+        monkeypatch.setattr(module, "complements", counted_complements)
+    for module in (structure, groups):
+        monkeypatch.setattr(module, "generating_sequence", counted_walk)
+    monkeypatch.setattr(structure, "subgroup_conjugacy_classes", counted_partition)
+    assert correspondence_report(action, "q8_conj_q8").passed
+    classes = complement_classes(P.group, P.n_part())
+    assert verify_prop2(P.group, P.n_part()).passed
+    verify_prop3(P.group, P.n_part(), relaxed=True)
+    assert complement_classes(P.group, P.n_part()) is classes
+    first, *later = [calls[i:i + 3] for i in range(0, len(calls), 3)]
+    assert first[1] > first[0] and len(first[2]) == 28 and len(later) == 2
+    for before, after, comps in later:
+        assert after == before
+        assert all(a is b for a, b in zip(comps, first[2]))
+    assert partitions.count(P.n_part()) == 1
+
+
+def test_each_complement_is_walked_once(monkeypatch):
+    # C2^3 acting trivially on C2^4: 4,096 complements, each built from the
+    # one bounded walk over its lifts that found it.
+    P = semidirect(trivial_action(abelian([2] * 3), abelian([2] * 4)))
+    G, N = P.group, P.n_part()
+    closures = Counter()
+
+    def counted(G, elements, limit=None):
+        walk = generating_sequence(G, elements, limit)
+        if walk is not None:
+            closures[frozenset(walk[1])] += 1
+        return walk
+
+    monkeypatch.setattr(structure, "generating_sequence", counted)
+    monkeypatch.setattr(groups, "generating_sequence", counted)
+    comps = complements(G, N)
+    assert len(comps) == 4096
+    assert {closures[frozenset(K.elements)] for K in comps} == {1}
+    # Each complement's gens are the walk's greedy sequence over its lifts.
+    assert {len(K.gens) for K in comps} == {3}
+    assert all(generating_sequence(G, K.gens)[1] == set(K.elements) for K in comps)
+
+
+def test_sylow_subgroup_of_a_p_group_is_the_group_itself():
+    P = semidirect(inversion_action(cyclic(8)))
+    G, N = P.group, P.n_part()
+    for K in complements(G, N) + [N]:
+        assert sylow_subgroup(G, 2, within=K) is K
+    P = semidirect(inversion_action(cyclic(6)))
+    for K in complements(P.group, P.n_part()):
+        assert sylow_subgroup(P.group, 2, within=K) is K
+    N = P.n_part()
+    assert sylow_subgroup(P.group, 2, within=N).elements == (0, 6)
 
 
 def _nilpotency_groups():

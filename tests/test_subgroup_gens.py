@@ -38,6 +38,7 @@ from conftest import (
     fixed_points_by_scan,
     normality_witness_by_scan,
     normalizer_by_scan,
+    permutation_table_by_pairs,
     quaternion8,
     subgroup_defect_by_scan,
 )
@@ -143,14 +144,15 @@ def test_generator_tests_match_element_scans_on_catalog_products(instance):
 @st.composite
 def groups_with_two_subgroups(draw):
     """A group generated by two permutations of degree 4 to 6 (by the first
-    alone when the closure passes order 48) and two subgroups, each
-    generated by one to three seeds."""
+    alone when the closure passes order 48, the pairwise oracle's cap) and
+    two subgroups, each generated by one to three seeds."""
     degree = draw(st.integers(4, 6))
     perms = draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=2))
     try:
-        G = group_from_permutations(perms, degree=degree, order_cap=48)
+        permutation_table_by_pairs(perms, degree, 48)
     except OrderCapExceeded:
-        G = group_from_permutations(perms[:1], degree=degree)
+        perms = perms[:1]
+    G = group_from_permutations(perms, degree=degree)
     seeds = st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3)
     return G, [subgroup_generated(G, draw(seeds)) for _ in range(2)]
 

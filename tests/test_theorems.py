@@ -386,10 +386,11 @@ def test_falsification_channel_fires_on_mutated_logic(monkeypatch):
 
 
 def _ambient_cases():
+    D4, S3 = dihedral(4), dihedral(3)
     S3xC2 = direct_product(dihedral(3), cyclic(2))
     C6 = direct_product(cyclic(2), cyclic(3))
-    yield "d4", dihedral(4), subgroup_generated(dihedral(4), [1])
-    yield "s3", dihedral(3), subgroup_generated(dihedral(3), [1])
+    yield "d4", D4, subgroup_generated(D4, [1])
+    yield "s3", S3, subgroup_generated(S3, [1])
     yield "s3xc2", S3xC2, Subgroup(S3xC2, [0, 1])
     yield "c6", C6, Subgroup(C6, [0, 1, 2])
     for inst in CATALOG:
