@@ -74,7 +74,10 @@ def _walk_points(group: Group, generator_perms: Iterable[tuple[int, Sequence[int
     P_s is the one given, since the identity's edges store or match it.
     This is the orbit walk of Holt, Eick & O'Brien (*Handbook of
     Computational Group Theory*, 2005, §4.1): one composition and at most
-    one comparison per (element, generator) pair.
+    one comparison per (element, generator) pair.  It keeps every edge,
+    where `groups._walk_rows` composes on tree edges only and proves the
+    rest by commuting its generators with its columns: that proof needs the
+    permutations to be regular, and a G-set need not be.
     """
     steps = [(s, composer(perm)) for s, perm in generator_perms]
     perms: list[tuple[int, ...] | None] = [None] * group.order

@@ -31,16 +31,21 @@ class Group:
     `gens` is the greedy generating sequence of the elements in index order,
     found by right multiplication from the identity.  The table is a group
     exactly when the walk of `group_from_rows` over the rows of `gens`
-    rebuilds it: that walk's rows always form a group table (Cayley's
-    theorem), and on a group table L_{x*s} = L_x after L_s, so it rebuilds
-    the table row for row.  When it fails or builds another table, a scan
-    entry by entry names the first witness, in this order: a two-sided
-    identity at index 0; associativity by Light's test on `gens` (Clifford
-    & Preston, *The Algebraic Theory of Semigroups* I, 1961); two-sided
-    inverses.  The entries must be Python ints, as the scenario boundary
-    requires of every table it reads.  Every group the package builds from
-    its generators' rows is proven by the same walk, through
-    `group_from_rows`.
+    rebuilds it.  That walk builds rows along a Cayley tree and accepts them
+    only when each L_s commutes with each column R_t (R_t(x) = x*t); the
+    group G the L_s generate then centralizes a set of maps that reach every
+    point from 0, so G is regular and the rows are its table carried over by
+    g -> g(0) (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005, §4.1; Dixon & Mortimer, *Permutation Groups*, 1996,
+    Thm 4.2A).  On a group table L_{x*s} = L_x after L_s and
+    s*(z*t) = (s*z)*t, so the walk rebuilds the table row for row.  When it
+    fails or builds another table, a scan entry by entry names the first
+    witness, in this order: a two-sided identity at index 0; associativity
+    by Light's test on `gens` (Clifford & Preston, *The Algebraic Theory of
+    Semigroups* I, 1961); two-sided inverses.  The entries must be Python
+    ints, as the scenario boundary requires of every table it reads.  Every
+    group the package builds from its generators' rows is proven by the
+    same walk, through `group_from_rows`.
 
     A map f with f(x*g) = f(x)f(g) for every x and every g in gens, and f(0)
     the identity, is a homomorphism: induction on the length of y as a word
@@ -402,24 +407,28 @@ def _walk_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int]]]
     package's one proof of groupness.
 
     Each L_s must be a permutation of range(order) with L_s[0] = s.  The walk
-    starts from the identity row; for every element x it reaches and every
-    generator s it forms L_x after L_s once.  The first such edge into
-    y = L_x[s] stores that composition as row y, and every other edge must
-    equal the row stored for its target: a mismatch at entry z is
-    (x*s)*z != x*(s*z) and raises NotAssociative(x, s, z).  Every element
-    must be reached (DoesNotGenerate otherwise).
+    starts from the identity row and builds rows along a breadth-first tree:
+    the first edge (x, s) into y = row_x[s] stores row_x after L_s as row y,
+    and every other edge is one index read.  Every element must be reached
+    (DoesNotGenerate otherwise).  Then, with R_t(x) = row_x[t] the column of
+    generator t, every pair of generators must satisfy L_s∘R_t = R_t∘L_s; a
+    mismatch at z is (s*z)*t != s*(z*t) and raises NotAssociative(s, z, t).
+    The test reads the given L_s, not row s, so two rows that claim one
+    element, or a row at index 0 that is not the identity, are refused.
 
-    The walk is a proof that the rows form a group table, by Cayley's
-    theorem and the orbit walk of Holt, Eick & O'Brien (*Handbook of
-    Computational Group Theory*, 2005, §4.1).  Every row is a permutation
-    with L_x[0] = x, the identity's edges store or match each L_s, and the
-    rows are closed under composition with the L_s.  So x -> L_x is a
-    bijection onto the permutation group the L_s generate, and
-    T[x][y] = L_x[y] is that group's composition carried over by the
-    bijection: identity, associativity and inverses follow.  The cost is one
-    composition and at most one row comparison per (element, generator)
-    pair.  inv[x], the position of 0 in row x, is read off L_s inverted when
-    the edge (x, s) first reaches x*s.
+    This proves the rows a group table (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005, §4.1; Dixon & Mortimer, *Permutation
+    Groups*, 1996, Thm 4.2A).  Let G be the permutation group the L_s
+    generate.  Each row_x is in G with row_x(0) = x, and the walk is the
+    orbit of 0 under the R_t, so the R_t reach every point from 0.  Every g
+    in G commutes with each R_t, so the points g fixes are closed under the
+    R_t; a g that fixes 0 fixes every point.  So G is regular, the n rows
+    are all of G, and T[x][y] = row_x[y] is G's composition carried over by
+    g -> g(0): identity, associativity and inverses follow.  Conversely the
+    rows of a group satisfy s*(z*t) = (s*z)*t, so no group is refused.  The
+    cost is n - 1 row compositions along the tree, d column reads and 2d²
+    compositions for d generators.  inv[y], the position of 0 in row y, is
+    read off L_s inverted when the tree edge (x, s) reaches y.
     """
     if order < 1:
         raise NoIdentity("empty table")
@@ -431,24 +440,28 @@ def _walk_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int]]]
                              f"0..{order - 1}")
         if row[0] != s:
             raise NoIdentity(f"entry 0 of the row of generator {s} is {row[0]}")
-        steps.append((s, composer(row), sorted(ident, key=row.__getitem__)))
+        steps.append((s, row, composer(row), sorted(ident, key=row.__getitem__)))
     rows: list[tuple[int, ...] | None] = [None] * order
     rows[0] = ident
     inv = [0] * order                      # inv[x]: the position of 0 in row x
     reached = [0]
     for x in reached:                      # reached grows while it is walked
         row = rows[x]
-        for s, take, back in steps:
+        for s, _, take, back in steps:
             y = row[s]
-            product = take(row)
             if rows[y] is None:
-                rows[y] = product
+                rows[y] = take(row)
                 inv[y] = back[inv[x]]      # row y is row x after L_s
                 reached.append(y)
-            elif rows[y] != product:
-                raise NotAssociative(x, s, next(z for z in ident if rows[y][z] != product[z]))
     if len(reached) != order:
         raise DoesNotGenerate(f"the generator rows reach {len(reached)} of {order} elements")
+    for t, *_ in steps:
+        column = tuple(map(itemgetter(t), rows))
+        after_column = composer(column)
+        for s, row, take, _ in steps:
+            left, right = after_column(row), take(column)
+            if left != right:
+                raise NotAssociative(s, next(z for z in ident if left[z] != right[z]), t)
     return tuple(rows), tuple(inv)
 
 

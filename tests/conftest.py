@@ -27,6 +27,7 @@ from nilcoh.cohomology import (
 )
 from nilcoh.errors import (
     BudgetExceeded,
+    DoesNotGenerate,
     DomainMismatch,
     NoIdentity,
     NoInverse,
@@ -37,6 +38,7 @@ from nilcoh.groups import (
     Group,
     GroupHom,
     Subgroup,
+    composer,
     conjugates,
     full_subgroup,
     generating_sequence,
@@ -399,6 +401,47 @@ def validate_by_light(table) -> tuple[tuple[int, ...], tuple[int, ...]]:
             raise NoInverse(a)
         inv.append(row.index(0))
     return gens, tuple(inv)
+
+
+def walk_rows_by_every_edge(order, generator_rows):
+    """The rows and the inverses of the group the rows L_s generate, by the
+    walk that composes every reached row with every generator's row.
+
+    The first edge into y = L_x[s] stores L_x after L_s as row y, and every
+    other edge must equal the row stored for its target: a mismatch at entry
+    z raises NotAssociative(x, s, z).  Every element must be reached
+    (DoesNotGenerate otherwise).  By Cayley's theorem the rows then form a
+    group table.  This is the oracle for `groups._walk_rows`, which builds
+    rows on the tree edges only and proves the rest by commutation."""
+    if order < 1:
+        raise NoIdentity("empty table")
+    ident = tuple(range(order))
+    steps = []
+    for s, row in generator_rows:
+        if sorted(row) != list(ident):
+            raise ValueError(f"the row of generator {s} is not a permutation of "
+                             f"0..{order - 1}")
+        if row[0] != s:
+            raise NoIdentity(f"entry 0 of the row of generator {s} is {row[0]}")
+        steps.append((s, composer(row), sorted(ident, key=row.__getitem__)))
+    rows = [None] * order
+    rows[0] = ident
+    inv = [0] * order                      # inv[x]: the position of 0 in row x
+    reached = [0]
+    for x in reached:                      # reached grows while it is walked
+        row = rows[x]
+        for s, take, back in steps:
+            y = row[s]
+            composed = take(row)
+            if rows[y] is None:
+                rows[y] = composed
+                inv[y] = back[inv[x]]      # row y is row x after L_s
+                reached.append(y)
+            elif rows[y] != composed:
+                raise NotAssociative(x, s, next(z for z in ident if rows[y][z] != composed[z]))
+    if len(reached) != order:
+        raise DoesNotGenerate(f"the generator rows reach {len(reached)} of {order} elements")
+    return tuple(rows), tuple(inv)
 
 
 def same_as_validated(G: Group) -> bool:

@@ -3,6 +3,7 @@ sizes, exact witness messages, the tree-built semidirect table against the
 product formula, and property tests against the scalar scans in conftest."""
 
 import re
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,7 @@ from conftest import (
     semidirect_table_by_formula,
     subgroup_defect_by_scan,
     trivial_subgroup,
+    walk_rows_by_every_edge,
 )
 
 
@@ -395,6 +397,88 @@ def test_row_walk_builds_the_group_and_accepts_only_groups(case):
     except (NotAssociative, DoesNotGenerate):
         return
     assert same_as_validated(W)
+
+
+def _small_row_sets():
+    """Every set of 1 or 2 generator rows of degree 1 to 5, and of 3 rows of
+    degree 4, as (degree, [(s, L_s), ...]) with s = L_s[0]: the generators
+    may repeat, claim one element twice, or sit at index 0."""
+    for degree in range(1, 6):
+        rows = [(row[0], row) for row in permutations(range(degree))]
+        for count in (1, 2):
+            for chosen in product(rows, repeat=count):
+                yield degree, list(chosen)
+    rows = [(row[0], row) for row in permutations(range(4))]
+    for chosen in product(rows, repeat=3):
+        yield 4, list(chosen)
+
+
+def _verdict(walk, order, rows):
+    try:
+        return walk(order, rows)
+    except (NotAssociative, DoesNotGenerate) as exc:
+        return type(exc)
+
+
+def test_row_walk_accepts_exactly_what_the_every_edge_walk_accepts():
+    # The tree walk with the commutation test against the walk that compares
+    # every edge, on every small row set.  Accepted sets get the same rows
+    # and inverses.  Refused sets may differ in the error only where the
+    # rows both miss an element and break a relation: the tree walk then
+    # says DoesNotGenerate, having checked the reach before any relation.
+    tried = accepted = 0
+    for order, rows in _small_row_sets():
+        tree, every_edge = (_verdict(walk, order, rows)
+                            for walk in (groups._walk_rows, walk_rows_by_every_edge))
+        tried += 1
+        if isinstance(every_edge, tuple):
+            accepted += 1
+            assert tree == every_edge, rows
+        elif tree is NotAssociative or every_edge is DoesNotGenerate:
+            assert tree is every_edge, rows
+        else:
+            assert tree is DoesNotGenerate, rows
+    assert (tried, accepted) == (28994, 442)
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([(1, (1, 2, 0)), (2, (2, 1, 0))], NotAssociative),        # S3: transitive, not regular
+    ([(1, (1, 2, 0)), (0, (0, 2, 1))], NotAssociative),        # a non-identity row at 0
+    ([(1, (1, 2, 3, 0)), (1, (1, 0, 3, 2))], NotAssociative),  # two rows claim element 1
+    ([(1, (1, 0, 3, 2))], DoesNotGenerate),                     # reaches 2 of 4 elements
+], ids=["s3_on_3_points", "non_identity_row_at_0", "two_rows_for_one_element", "short_reach"])
+def test_row_walk_refuses_named_row_sets(rows, error):
+    # In the first three the tree reaches every element, so only the
+    # commutation test of the given rows (not the rows the tree stored) can
+    # refuse them.
+    with pytest.raises(error):
+        groups._walk_rows(len(rows[0][1]), rows)
+
+
+@pytest.mark.parametrize("build, order, d, count", [
+    (lambda: semidirect(inversion_action(cyclic(256))).group, 512, 2, 511 + 8),
+    (lambda: abelian([2] * 6), 64, 6, 63 + 72),
+], ids=["c2_inv_c256", "c2^6"])
+def test_row_walk_composes_tree_edges_and_generator_pairs_only(monkeypatch, build, order, d,
+                                                               count):
+    # n - 1 compositions along the tree and 2d^2 for the commutation test,
+    # none on a non-tree edge; the every-edge walk made n*d.
+    G = build()
+    rows = [(s, G.mul[s]) for s in G.gens]
+    assert (G.order, len(rows)) == (order, d)
+    right_composer, made = groups.composer, []
+
+    def counting_composer(q):
+        take = right_composer(q)
+
+        def counted(p):
+            made.append(None)
+            return take(p)
+        return counted
+
+    monkeypatch.setattr(groups, "composer", counting_composer)
+    assert groups._walk_rows(G.order, rows) == (G.mul, G.inv)
+    assert len(made) == count
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
