@@ -40,6 +40,7 @@ from .groups import Group, Subgroup, compose, composer, conjugates, full_subgrou
 from .structure import (
     hall_pprime,
     is_nilpotent,
+    minimal_generators,
     p_part,
     p_parts,
     prime_factors,
@@ -78,7 +79,9 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
              budget: int = GENERATOR_ENUM_BUDGET) -> list[Cocycle]:
     """The complete set Z1(K, N), ordered by value table.
 
-    With g_1..g_d the generating sequence of K, the cocycles are built along
+    With g_1..g_d the sequence `minimal_generators(K)`, of the least length
+    d when K is nilpotent and the greedy `K.gens` otherwise, the budget
+    bounds |N|^d and the cocycles are built along
     the chain K_i = <g_1..g_i>, each cocycle phi on K_i extended to
     K_{i+1} = <K_i, g> by each value v in N at g = g_{i+1}.  The extension
     works on the right cosets K_i t (Holt, Eick and O'Brien, Handbook of
@@ -97,7 +100,8 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
     - Setting phi'(h t) = phi(h) * act(h, phi'(t)), the cocycle identity at
       (h t, s) reduces to the one at (t, s), since phi is a cocycle on K_i;
       and identities at (element, generator) pairs force it on all pairs
-      (the lemma on `Group.gens`, for j -> (phi'(j), j) in N x| J).  So the
+      (as in the lemma on `Group.gens`, by induction on the length of a word
+      in any generating sequence, for j -> (phi'(j), j) in N x| J).  So the
       checks are necessary and sufficient, with no normality needed.
 
     All v are tried at once, as vectors over N of the values at the
@@ -115,7 +119,7 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
         K = full_subgroup(J)
     if K.parent is not J:
         raise NotASubgroup("domain must be a subgroup of the acting group")
-    gens = K.gens
+    gens = minimal_generators(K)
     _check_budget(N.order, len(gens), budget)
     jmul, nmul, auto = J.mul, N.mul, action.auto
     zeros, everything = (0,) * N.order, tuple(range(N.order))
@@ -314,11 +318,15 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
     Classes are the orbits of Z1 under twisting by elements of N; they come
     out ordered by their least member, so the distinguished class is first.
 
-    A cocycle is fixed by its values on the generating sequence of K, so the
-    orbits are found on those coordinates alone.  Twisting is a right action
-    of N, and n in C = Z(N) meet the K-fixed points of N twists every
-    cocycle to itself: n' * phi(j) * act(j, n) = n' * phi(j) * n = phi(j).
-    So twisting by a transversal of N/C reaches each whole orbit.
+    A cocycle is fixed by its values on any generating sequence of K, so
+    the orbits are found on its values at `minimal_generators(K)` alone, the
+    d generators that `cocycles` extends along: d is the least number of
+    generators when K is nilpotent, and the length of the greedy `K.gens`
+    otherwise.  The budget bounds |N|^d, for a cached result too.  Twisting
+    is a right action of N, and n in C = Z(N) meet the K-fixed points of N
+    twists every cocycle to itself:
+    n' * phi(j) * act(j, n) = n' * phi(j) * n = phi(j).  So twisting by a
+    transversal of N/C reaches each whole orbit.
 
     The transversal leaves out the coset C itself.  When nothing else is in
     it, N/C = 1 and every class is a single cocycle, taken in one pass.
@@ -343,7 +351,7 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
         _check_budget(N.order, ngens, budget)
         return result
     zs = cocycles(action, K, budget=budget)
-    gens = K.gens
+    gens = minimal_generators(K)
     nmul = N.mul
     acts = [action.auto[g] for g in gens]
     # C: the elements that the generators of K fix and the generators of N
@@ -585,7 +593,9 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     defined when each column equals its class representatives' entries
     repeated over the class sizes, and lands in the fixed classes when every
     representative's entry is fixed.  Only when either test fails does the
-    class-by-class scan run, to name the first failing class.
+    class-by-class scan run, to name the first failing class.  When J is a
+    p-group, its Sylow subgroup's H1 is H1(J, N) itself, from `h1`'s cache,
+    and the column is each cocycle's own class, read off the index.
     """
     J = action.actor
     primes = shared_primes(action)
@@ -605,9 +615,11 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     starts = list(accumulate(sizes, initial=0))[:-1]
     columns = []
     for b in blocks:
-        whole = b.sylow.order == J.order
-        restricted = tables if whole else map(composer(b.sylow.elements), tables)
-        columns.append(tuple(map(b.h1_local._index.__getitem__, restricted)))
+        if b.h1_local is Hfull:
+            columns.append(owner)
+        else:
+            restricted = map(composer(b.sylow.elements), tables)
+            columns.append(tuple(map(b.h1_local._index.__getitem__, restricted)))
     firsts = [compose(column, starts) for column in columns]
     fixed = [set(b.fixed) for b in blocks]
     fast = all(column == compose(first, owner) and all(map(b_fixed.__contains__, first))

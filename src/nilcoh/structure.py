@@ -3,6 +3,7 @@ subgroups, subgroup enumeration, complements, and local conjugacy."""
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import BudgetExceeded, NotASubgroup, NotNilpotent, SearchBudgetExceeded
@@ -118,6 +119,56 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup
                 f"sylow search stalled at order {P.order} of {target}"
             )
     return P
+
+
+def minimal_generators(K: Subgroup) -> tuple[int, ...]:
+    """A generating sequence of the least length d(K) for a nilpotent K,
+    computed once and kept on K.  A K whose `gens` has fewer than two
+    elements is cyclic, and a K that is not nilpotent keeps its `gens`.
+
+    A set generates a p-group P exactly when its image spans P/Φ(P), for
+    Φ(P) = P'P^p the Frattini subgroup (Burnside's basis theorem; Robinson,
+    *A Course in the Theory of Groups*, 5.3.2), so d(P) = dim P/Φ(P).  Φ(P)
+    is the normal closure in P of the x^p and [x, y] over x, y in P.gens: it
+    lies in P'P^p, and P modulo it is generated by commuting elements of
+    order p, so it holds P'P^p.  The basis of P is each x in P.gens that
+    <Φ(P), basis so far> does not hold, the greedy sequence of P.gens after
+    Φ(P).  A nilpotent K is the direct product of its Sylow subgroups K_p,
+    so d(K) = max_p d(K_p), and its i-th generator is the product over p of
+    the i-th basis element of K_p, the identity where that basis is shorter:
+    the p-part of the product is a power of it, so the products generate
+    every K_p and K.
+    """
+    if len(K.gens) < 2:
+        return K.gens
+    if K._minimal_gens is None:
+        K._minimal_gens = _basis_product(K) if is_nilpotent_subgroup(K) else K.gens
+    return K._minimal_gens
+
+
+def _basis_product(K: Subgroup) -> tuple[int, ...]:
+    """`minimal_generators` of a nilpotent K with at least two generators."""
+    G = K.parent
+    mul, inv = G.mul, G.inv
+    bases = []
+    for p in prime_factors(K.order):
+        gens = sylow_subgroup(G, p, within=K).gens
+        seeds = [G.power(x, p) for x in gens]
+        seeds += [mul[mul[inv[x]][inv[y]]][mul[x][y]] for i, x in enumerate(gens)
+                  for y in gens[i + 1:]]
+        frattini, reached = generating_sequence(G, seeds)
+        # The normal closure: conjugates of Φ's generators by P's, until none
+        # is new.
+        while new := [y for g in gens for y in conjugates(G, frattini, g) if y not in reached]:
+            frattini, reached = generating_sequence(G, frattini + tuple(new))
+        bases.append(generating_sequence(G, frattini + gens)[0][len(frattini):])
+    out = []
+    for column in zip_longest(*bases, fillvalue=0):
+        x = 0
+        for b in column:
+            x = mul[x][b]
+        out.append(x)
+    return tuple(out)
 
 
 def hall_pprime(G: Group, p: int, within: Subgroup | None = None) -> Subgroup:

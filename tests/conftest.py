@@ -12,7 +12,7 @@ whole value tables, which anchors the conventions of `nilcoh.cohomology`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, count, product
 from operator import itemgetter
 
 import pytest
@@ -542,6 +542,17 @@ def closure_by_products(G: Group, elements) -> set[int]:
         closure = grown
 
 
+def min_generators_by_search(K: Subgroup) -> int:
+    """d(K), the least k such that some k elements of K generate it: every
+    k-subset of K's non-identity elements is closed by products, for
+    k = 0, 1, ... in turn.  Meant for |K| <= 32."""
+    assert K.order <= 32, K.order
+    G, others = K.parent, [x for x in K.elements if x]
+    return next(k for k in count()
+                if any(len(closure_by_products(G, subset)) == K.order
+                       for subset in combinations(others, k)))
+
+
 def as_group_table_by_scan(H: Subgroup) -> tuple[tuple[int, ...], ...]:
     """The table of H on positions 0..|H|-1, entry by entry."""
     pos = {x: i for i, x in enumerate(H.elements)}
@@ -935,6 +946,7 @@ __all__ = [
     "semidirect_table_by_loops",
     "semidirect_table_by_formula",
     "subgroup_defect_by_scan",
+    "min_generators_by_search",
     "as_group_table_by_scan",
     "coset_labels_by_scan",
     "quotient_table_by_scan",

@@ -2,6 +2,7 @@
 correspondence, restriction/conjugation/invariance, the Sylow-wise
 decomposition, and the abelian cross-check."""
 
+import re
 from itertools import product
 
 import pytest
@@ -46,6 +47,7 @@ from nilcoh.groups import (
 from nilcoh.harness.catalog import conjugation_self_action, inversion_action
 from nilcoh.structure import (
     complements,
+    enumerate_subgroups_of_order,
     hall_pprime,
     is_nilpotent,
     prime_factors,
@@ -62,11 +64,13 @@ from conftest import (
     complement_to_cocycle,
     conjugate_cocycle,
     cyclic,
+    dihedral,
     h1_classes_by_twist,
     heisenberg,
     homomorphisms_by_scan,
     invariant_classes_by_twist,
     primary_part,
+    quaternion8,
     trivial_subgroup,
     twist,
 )
@@ -288,6 +292,40 @@ def test_h1_budget_holds_on_a_cached_result():
     assert h1(a, budget=3) is H
     with pytest.raises(BudgetExceeded, match="exceeds budget 2"):
         h1(a, budget=2)
+
+
+def test_cocycles_and_h1_match_the_oracles_on_q8_and_d4_acting_on_themselves():
+    # Q8's greedy sequence (1, 2, 4) starts with its central involution and
+    # the enumeration walks (2, 4); D4 walks its greedy (1, 4).  The domains
+    # are the whole group and every subgroup of order 4, cyclic or Klein.
+    for G in (quaternion8(), dihedral(4)):
+        a = conjugation_self_action(G)
+        for K in [None] + enumerate_subgroups_of_order(G, 4, 2):
+            fast = [c.values for c in cocycles(a, K)]
+            assert fast == [c.values for c in cocycles_bruteforce(a, K)], (G.name, K)
+            got = [[c.values for c in cls] for cls in h1(a, K).classes]
+            assert got == h1_classes_by_twist(a, K), (G.name, K)
+
+
+def test_h1_budget_counts_the_least_number_of_generators():
+    # Heis(7) is 2-generated, so the budget bounds 343^2 candidates, not the
+    # 343^3 of its greedy sequence (1, 7, 49); the refusal comes before any
+    # enumeration.
+    a = conjugation_self_action(heisenberg(7))
+    with pytest.raises(BudgetExceeded,
+                       match=re.escape("|N|^#gens = 343^2 exceeds budget 100000")):
+        h1(a, budget=100_000)
+    with pytest.raises(BudgetExceeded, match=re.escape("343^2 exceeds budget 100000")):
+        cocycles(a, budget=100_000)
+
+
+def test_h1_budget_holds_on_a_cached_heisenberg_result():
+    # The cached result answers to the same d = 2 as the enumeration.
+    a = conjugation_self_action(heisenberg(3))
+    H = h1(a)
+    assert h1(a, budget=27 ** 2) is H
+    with pytest.raises(BudgetExceeded, match=re.escape("|N|^#gens = 27^2 exceeds budget 728")):
+        h1(a, budget=27 ** 2 - 1)
 
 
 def test_h1_refuses_a_domain_from_another_group_before_and_after_a_cached_call():
@@ -690,6 +728,36 @@ def _patch_fixed_classes(monkeypatch, change):
 
     real = cohomology.fixed_classes
     monkeypatch.setattr(cohomology, "fixed_classes", lambda H, S: change(H, real(H, S)))
+
+
+def _decomposition_fields(rep):
+    """Every field of a DecompositionReport, with each H1 as its class
+    tables and distinguished class and each subgroup as its elements."""
+    def classes(H):
+        return [[c.values for c in cls] for cls in H.classes], H.distinguished
+
+    blocks = [(b.prime, b.sylow.elements, b.hall.elements, classes(b.h1_local), b.fixed)
+              for b in rep.blocks]
+    return (rep.shared_primes, blocks, classes(rep.h1_full), rep.forward, rep.well_defined,
+            rep.point_preserved, rep.injective, rep.surjective, rep.failure)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2])),
+    lambda: conjugation_self_action(heisenberg(3)),
+], ids=["c2e3_triv_c2e4", "heis3_conj_heis3"])
+def test_decomposition_of_a_p_group_actor_reads_its_own_index(monkeypatch, build):
+    # J is its own Sylow subgroup, whose H1 is H1(J, N) from the cache, so
+    # each cocycle's local class is read off H1(J, N)'s index; a copy of the
+    # local H1 forces the lookup of every value table, with the same report.
+    own = decomposition_map(build())
+    assert own.blocks[0].h1_local is own.h1_full
+    _patch_local_h1(monkeypatch,
+                    lambda H: CohomologySet(H.action, H.domain, H.classes))
+    looked_up = decomposition_map(build())
+    assert looked_up.blocks[0].h1_local is not looked_up.h1_full
+    assert _decomposition_fields(own) == _decomposition_fields(looked_up)
+    assert own.bijective
 
 
 # Each fault, its instance, and the report's failure, forward images and

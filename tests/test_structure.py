@@ -26,6 +26,7 @@ from nilcoh.structure import (
     is_nilpotent,
     is_nilpotent_subgroup,
     locally_conjugate,
+    minimal_generators,
     p_part,
     prime_factors,
     subgroup_conjugacy_classes,
@@ -35,6 +36,7 @@ from nilcoh.theorems import verify_prop2, verify_prop3
 from conftest import (
     abelian,
     catalog_by_id,
+    closure_by_products,
     complements_by_subgroup_scan,
     cyclic,
     dihedral,
@@ -43,6 +45,7 @@ from conftest import (
     intersection_lemma_by_scan,
     is_nilpotent_subgroup_by_table,
     lower_central_series_by_scan,
+    min_generators_by_search,
     quaternion8,
     subgroups_by_subset_scan,
 )
@@ -446,6 +449,59 @@ def test_sylow_subgroup_of_a_p_group_is_the_group_itself():
         assert sylow_subgroup(P.group, 2, within=K) is K
     N = P.n_part()
     assert sylow_subgroup(P.group, 2, within=N).elements == (0, 6)
+
+
+def test_minimal_generators_pin_the_least_number_of_generators():
+    # Index 1 is central in Q8 and Heis(p), so the greedy `gens` spend a
+    # chain step on it; C6 and C4 x C2 x C3 need one generator fewer than
+    # their greedy sequences as well.
+    cases = [
+        (quaternion8(), (1, 2, 4), (2, 4)),
+        (heisenberg(3), (1, 3, 9), (3, 9)),
+        (heisenberg(5), (1, 5, 25), (5, 25)),
+        (abelian([2, 3]), (1, 3), (4,)),
+        (abelian([4, 2, 3]), (1, 3, 6), (4, 6)),
+        (abelian([2, 2, 2, 2]), (1, 2, 4, 8), (1, 2, 4, 8)),
+        (dihedral(4), (1, 4), (1, 4)),
+    ]
+    for G, greedy, least in cases:
+        K = full_subgroup(G)
+        assert minimal_generators(K) == least, G.name
+        assert minimal_generators(K) is minimal_generators(K), G.name
+        assert G.gens == K.gens == greedy, G.name
+        assert closure_by_products(G, least) == set(K.elements), G.name
+    assert [len(least) for _, _, least in cases] == [2, 2, 2, 1, 2, 4, 2]
+    # S3 is not nilpotent and keeps its greedy sequence.
+    S3 = full_subgroup(dihedral(3))
+    assert minimal_generators(S3) is S3.gens
+
+
+def _minimal_generator_groups():
+    """Every catalog actor and target, the sweep actors, and C2^3, C2^4 and
+    C5 x C5 of the benchmark's cocycle-heavy actions, once each."""
+    groups = {}
+    for inst in CATALOG:
+        action = inst.action()
+        for G in (action.actor, action.target):
+            groups.setdefault(G.mul, G)
+    for G in [cyclic(m) for m in (2, 3, 4, 6)] + [
+            abelian(f) for f in ([2, 2], [2, 4], [3, 3], [2, 6], [2, 2, 2], [2, 2, 2, 2],
+                                 [5, 5])]:
+        groups.setdefault(G.mul, G)
+    return list(groups.values())
+
+
+def test_minimal_generators_generate_with_the_least_length():
+    # On each group and each of its Sylow subgroups, against the least k
+    # for which some k elements generate, found by a search over subsets.
+    checked = 0
+    for G in _minimal_generator_groups():
+        for K in [full_subgroup(G)] + [sylow_subgroup(G, p) for p in prime_factors(G.order)]:
+            least = minimal_generators(K)
+            assert closure_by_products(G, least) == set(K.elements), (G.name, K)
+            assert len(least) == min_generators_by_search(K), (G.name, K)
+            checked += 1
+    assert checked >= 40
 
 
 def _nilpotency_groups():
