@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, product, repeat
+from itertools import accumulate, compress, count, islice, product, repeat
 from math import prod
 from operator import attrgetter, eq, getitem, itemgetter
 
@@ -113,6 +113,27 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
     |Z1(K_i, N)| * |N| candidates, at most |N|^(i+1), so the |N|^d that the
     budget bounds also bounds the candidates of all steps, within a factor
     of two when |N| > 1.
+
+    What a survivor does not change is done once per step, where the
+    transversal is walked (loop-invariant code motion; Aho, Lam, Sethi and
+    Ullman, Compilers, 2nd ed., 2006, 9.5).  The values at the
+    representatives reached from 1 by g alone (g, g^2, ...) read no value
+    of phi, and neither does a check with h = 1 whose edge generator is g
+    between two such representatives, such as the power relation g^m = 1:
+    it is tested once, and the v it rejects leave the candidate vector and
+    every such value for all survivors.  Where t' is such a representative,
+    act(h, phi'(t')) is one vector per step, and where t is one as well, the
+    check reads phi at h and at the edge's generator alone, so its outcome
+    is kept by that pair of values and read by every later survivor with
+    the same pair.  The composer over each such representative's vector is
+    built once per step, and when the vector is all of N in order its cells
+    are the fill rows themselves.  A fill row x -> phi(h) * act(h, x) is
+    N's row of phi(h), with no composition, for h in the kernel of the
+    action.  The same relations are tested on the same candidates, so the
+    tables are the same.  A shared value stands for phi's own only while
+    phi's candidates are all of the step's: once one of phi's own checks
+    drops a candidate, its remaining checks and its cells are computed from
+    its filtered vectors.
     """
     J, N = action.actor, action.target
     if K is None:
@@ -144,50 +165,87 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
         # Breadth-first transversal of the right cosets K_i t over sub, from
         # t = 1; where[x] = (coset of x, position in layout of h) for x = h t.
         # The first edge, 1 g = g, is a tree edge: coset 1 is K_i g.
+        # free[c] = phi'(t_c) for each t_c reached from 1 by g alone, the
+        # same for all survivors, and None for the others, whose tree edges
+        # `own` lists with the position of g_slot in the layout.
         reps = [0, g]
         where = {x: (0, k) for k, x in enumerate(layout)}
         where.update(zip([jmul[h][g] for h in layout], [(1, k) for k in range(size)]))
-        tree, checks = [], []
+        free, own, checks = [zeros, everything], [], []
         for c, t in enumerate(islice(reps, 1, None), start=1):  # reps grows meanwhile
             row, at = jmul[t], auto[t]
             for slot, s in enumerate(sub):
+                kr = 0 if slot == i else known[slot]
                 y = row[s]
                 hit = where.get(y)
                 if hit is None:
                     where.update(zip([jmul[h][y] for h in layout],
                                      [(len(reps), k) for k in range(size)]))
-                    tree.append((c, at, slot))
+                    if slot == i and free[c] is not None:
+                        free.append(times(free[c], at, free[1]))
+                    else:
+                        own.append((len(reps), c, at, slot, kr))
+                        free.append(None)
                     reps.append(y)
+                    continue
+                ct, kh = hit
+                if kh == 0 and slot == i and free[c] is not None and free[ct] is not None:
+                    # h = 1 acts as the identity: the check reads no value of
+                    # phi, and filters every free value for all survivors.
+                    lhs, rhs = free[ct], times(free[c], at, free[1])
+                    if lhs != rhs:
+                        take = composer(list(compress(count(), map(eq, lhs, rhs))))
+                        free = [v if v is None else take(v) for v in free]
                 else:
-                    ct, kh = hit
-                    checks.append((c, at, slot, kh, auto[layout[kh]], ct))
-        acting = [composer(auto[h]) for h in layout]
+                    checks.append((c, at, slot, kh, auto[layout[kh]], ct, kr))
+        # With t' free, act(h, phi'(t')) is the same for all survivors; with t
+        # free as well, the check reads phi at h and g_slot alone, and its
+        # outcome is kept by that pair of values.
+        checks = [(c, at, slot, kh, ah, ct, kr,
+                   None if free[ct] is None else compose(ah, free[ct]),
+                   None if free[ct] is None or free[c] is None else {})
+                  for c, at, slot, kh, ah, ct, kr in checks]
+        # The fill row x -> phi(h) * act(h, x) is N's row of phi(h) for each
+        # h in the kernel of the action; `moving` composes the others.
+        moving = [(k, composer(auto[h])) for k, h in enumerate(layout) if auto[h] != everything]
         layout = [jmul[h][t] for t in reps for h in layout]
         last = i == len(gens) - 1
         ascending = sorted(range(len(layout)), key=layout.__getitem__) if last else None
+        takes = [None if v is None or v is everything else composer(v) for v in free[1:]]
         grown: list[tuple[int, ...]] = []
         for phi in survivors:
             # The candidates at g are vectors over v in N, and so are the
-            # values at the coset representatives, val[c] = phi'(t_c).
-            a = [phi[k] for k in known]
-            rows = compose(nmul, phi)
-            val = [zeros, everything]
-            for c, at, slot in tree:
-                val.append(times(val[c], at, val[1] if slot == i else a[slot]))
-            for c, at, slot, kh, ah, ct in checks:
-                lhs = compose(rows[kh], compose(ah, val[ct]))
-                rhs = times(val[c], at, val[1] if slot == i else a[slot])
-                if lhs != rhs:
-                    keep = list(compress(count(), map(eq, lhs, rhs)))
+            # values at the coset representatives, val[c] = phi'(t_c).  The
+            # free values, the act(h, phi'(t')) vectors and the kept outcomes
+            # stand for phi's own while none of its checks dropped a candidate.
+            val = free.copy()
+            for n, c, at, slot, kr in own:
+                val[n] = times(val[c], at, val[1] if slot == i else phi[kr])
+            shared = True
+            for c, at, slot, kh, ah, ct, kr, acted, outcomes in checks:
+                x, y = phi[kh], phi[kr]
+                if shared and outcomes is not None and (x, y) in outcomes:
+                    keep = outcomes[x, y]
+                else:
+                    lhs = compose(nmul[x], acted if shared and acted is not None
+                                  else compose(ah, val[ct]))
+                    rhs = times(val[c], at, val[1] if slot == i else y)
+                    keep = None if lhs == rhs else list(compress(count(), map(eq, lhs, rhs)))
+                    if shared and outcomes is not None:
+                        outcomes[x, y] = keep
+                if keep is not None:
                     if not keep:
                         break
                     val = list(map(composer(keep), val))
+                    shared = False
             else:
                 # phi'(h t) = phi(h) * act(h, phi'(t)), a column per cell.
-                fills = [take(row) for take, row in zip(acting, rows)]
+                fills = list(compose(nmul, phi))
+                for k, take in moving:
+                    fills[k] = take(fills[k])
                 cells = [repeat(x, len(val[1])) for x in phi]
-                for vt in val[1:]:
-                    cells += map(composer(vt), fills)
+                for vt, take in zip(val[1:], takes if shared else repeat(None)):
+                    cells += fills if vt is everything else map(take or composer(vt), fills)
                 grown.extend(zip(*(compose(cells, ascending) if last else cells)))
         survivors = grown
     survivors.sort()
@@ -337,12 +395,12 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
     classes).
     """
     J, N = action.actor, action.target
-    if K is None:
-        K = full_subgroup(J)
-    if K.parent is not J:
+    if K is not None and K.parent is not J:
         # Checked before the lookup, since the key holds only K's elements.
         raise NotASubgroup("domain must be a subgroup of the acting group")
-    key = K.elements
+    # The whole of J is keyed by its elements in order, which are the
+    # elements of full_subgroup(J), built only on a miss.
+    key = tuple(range(J.order)) if K is None else K.elements
     cached = action._h1_cache.get(key)
     if cached is not None:
         # A cached result answers to the caller's budget as well, so the
@@ -350,6 +408,8 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
         ngens, result = cached
         _check_budget(N.order, ngens, budget)
         return result
+    if K is None:
+        K = full_subgroup(J)
     zs = cocycles(action, K, budget=budget)
     gens = minimal_generators(K)
     nmul = N.mul
@@ -595,7 +655,9 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     representative's entry is fixed.  Only when either test fails does the
     class-by-class scan run, to name the first failing class.  When J is a
     p-group, its Sylow subgroup's H1 is H1(J, N) itself, from `h1`'s cache,
-    and the column is each cocycle's own class, read off the index.
+    and the column is each cocycle's own class, read off the index.  A block
+    that restricts maps over the index's keys, the value tables in class
+    order, so no list of the tables is made.
     """
     J = action.actor
     primes = shared_primes(action)
@@ -608,8 +670,7 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
         blocks.append(PrimeBlock(p, Jp, hall, local, fixed_classes(local, hall)))
     Hfull = h1(action, budget=budget)
     # Hfull's domain is J itself, so a value table is indexed by element;
-    # its index lists the cocycles in class order, with their classes.
-    tables = list(map(attrgetter("values"), chain.from_iterable(Hfull.classes)))
+    # its index lists the value tables in class order, with their classes.
     owner = tuple(Hfull._index.values())
     sizes = list(map(len, Hfull.classes))
     starts = list(accumulate(sizes, initial=0))[:-1]
@@ -618,7 +679,7 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
         if b.h1_local is Hfull:
             columns.append(owner)
         else:
-            restricted = map(composer(b.sylow.elements), tables)
+            restricted = map(composer(b.sylow.elements), Hfull._index)
             columns.append(tuple(map(b.h1_local._index.__getitem__, restricted)))
     firsts = [compose(column, starts) for column in columns]
     fixed = [set(b.fixed) for b in blocks]

@@ -266,6 +266,97 @@ def test_h1_builds_one_generating_sequence(monkeypatch):
     assert calls == []
 
 
+def test_cached_h1_builds_no_subgroup(monkeypatch):
+    # A hit on the whole of J is looked up by range(|J|) before any domain
+    # is built: no Subgroup, and no walk.
+    import nilcoh.groups as groups
+
+    a = conjugation_self_action(heisenberg(3))
+    first = h1(a)
+    real_walk, real_init = groups.generating_sequence, groups.Subgroup.__init__
+    walks, built = [], []
+
+    def counted_walk(G, elements, limit=None):
+        walks.append(G)
+        return real_walk(G, elements, limit)
+
+    def counted_init(self, parent, elements):
+        built.append(parent)
+        real_init(self, parent, elements)
+
+    monkeypatch.setattr(groups, "generating_sequence", counted_walk)
+    monkeypatch.setattr(groups.Subgroup, "__init__", counted_init)
+    assert h1(a) is first
+    assert (walks, built) == ([], [])
+    with pytest.raises(NotASubgroup):
+        h1(a, full_subgroup(heisenberg(3)))
+
+
+def _inner_on_s3(J):
+    """J acting on S3 with every generator conjugating by one transposition."""
+    S3 = dihedral(3)
+    tau = next(x for x in range(1, S3.order) if S3.mul[x][x] == 0)
+    image = conjugates(S3, range(S3.order), tau)
+    return action_from_generator_images(J, S3, J.gens, [image] * len(J.gens))
+
+
+# id: (action, |Z1|).  The elementary abelian actors give every check of
+# the last step a pair of free representatives, so its outcome is kept by
+# value; C2^4 on C4 prunes by the power relation v^2 = 1, once per step;
+# on S3 a survivor's own checks prune after the shared ones, and then its
+# filtered vectors replace the shared values; C4 x C4 on C8 has steps with
+# free representatives g, g^2, g^3; C3 x C3 on Heis(3) reaches 297 from 27
+# candidates a step; C2^5 on C2^2 has 256 survivors at its last step.
+SHARING_PATHS = {
+    "c2e4_triv_c4": (lambda: trivial_action(abelian([2, 2, 2, 2]), cyclic(4)), 16),
+    "c2e3_inner_s3": (lambda: _inner_on_s3(abelian([2, 2, 2])), 22),
+    "c2e4_triv_s3": (lambda: trivial_action(abelian([2, 2, 2, 2]), dihedral(3)), 46),
+    "c4c2c2_triv_c2": (lambda: trivial_action(abelian([4, 2, 2]), cyclic(2)), 8),
+    "c4c4_triv_c8": (lambda: trivial_action(abelian([4, 4]), cyclic(8)), 16),
+    "c3c3_triv_heis3": (lambda: trivial_action(abelian([3, 3]), heisenberg(3)), 297),
+    "c2e5_triv_c2e2": (lambda: trivial_action(abelian([2] * 5), abelian([2, 2])), 1024),
+}
+
+
+@pytest.mark.parametrize("name", list(SHARING_PATHS))
+def test_cocycles_match_the_oracle_on_each_sharing_path(name):
+    build, z1 = SHARING_PATHS[name]
+    a = build()
+    J = a.actor
+    for K in [None] + [sylow_subgroup(J, p) for p in prime_factors(J.order)]:
+        fast = [c.values for c in cocycles(a, K)]
+        assert len(fast) == z1, K
+        assert fast == [c.values for c in cocycles_bruteforce(a, K)], K
+
+
+@pytest.mark.parametrize("build, composes, composers", [
+    (lambda: trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2])), 634, 0),
+    (lambda: conjugation_self_action(heisenberg(3)), 983, 166),
+], ids=["c2e3_triv_c2e4", "heis3_conj_heis3"])
+def test_cocycles_share_what_no_survivor_changes(monkeypatch, build, composes, composers):
+    # Redoing every step's shared work for each survivor made 3,205
+    # compositions and built 280 composers on C2^3 -> C2^4, and 1,195 and
+    # 222 on Heis(3) acting on itself.
+    from nilcoh import cohomology
+
+    a = build()
+    made = {"compose": 0, "composer": 0}
+    real_compose, real_composer = cohomology.compose, cohomology.composer
+
+    def counted_compose(p, q):
+        made["compose"] += 1
+        return real_compose(p, q)
+
+    def counted_composer(q):
+        made["composer"] += 1
+        return real_composer(q)
+
+    monkeypatch.setattr(cohomology, "compose", counted_compose)
+    monkeypatch.setattr(cohomology, "composer", counted_composer)
+    cocycles(a)
+    assert made == {"compose": composes, "composer": composers}
+
+
 def test_h1_classes_match_the_twist_partition_oracle():
     # Besides the catalog: trivial actions on abelian N, where N/C = 1 and
     # every class is one cocycle (4096 of them from C2^3 to C2^4); C2
