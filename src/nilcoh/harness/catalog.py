@@ -9,7 +9,6 @@ cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..actions import ActionOnGroup, action_from_generator_images, trivial_action
@@ -163,15 +162,16 @@ def power_map(n: int, k: int) -> list[int]:
 # -- catalog -----------------------------------------------------------------------
 
 
-@dataclass
 class ActionInstance:
-    """One catalog entry: a named action with classification tags."""
+    """One catalog entry: a named action with classification tags, built on
+    first use and kept."""
 
-    id: str
-    description: str
-    build: Callable[[], ActionOnGroup]
-    tags: frozenset[str] = frozenset()
-    _cached: ActionOnGroup | None = field(default=None, repr=False)
+    __slots__ = ("id", "description", "build", "tags", "_cached")
+
+    def __init__(self, id: str, description: str, build: Callable[[], ActionOnGroup],
+                 tags: frozenset[str] = frozenset()):
+        self.id, self.description, self.build, self.tags = id, description, build, tags
+        self._cached = None
 
     def action(self) -> ActionOnGroup:
         if self._cached is None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -50,22 +49,29 @@ KNOWN_VERIFIERS = ("lemma1", "prop2", "prop3", "prop5", "thm4")
 KNOWN_CHECKS = ("h1", "complements", "decompose")
 
 
-@dataclass
 class ScenarioCheck:
-    kind: str                 # verifier or computational check name
-    instance: str
-    spec: dict
-    expect_hypothesis_fail: bool = False
-    normal: Subgroup | None = None  # N of a prop2/prop3 check on a group
+    __slots__ = ("kind", "instance", "spec", "expect_hypothesis_fail", "normal")
+
+    def __init__(self, kind: str, instance: str, spec: dict,
+                 expect_hypothesis_fail: bool = False, normal: Subgroup | None = None):
+        self.kind = kind          # verifier or computational check name
+        self.instance, self.spec = instance, spec
+        self.expect_hypothesis_fail = expect_hypothesis_fail
+        self.normal = normal      # N of a prop2/prop3 check on a group
 
 
-@dataclass
 class Scenario:
-    id: str
-    groups: dict[str, Group] = field(default_factory=dict)
-    actions: dict[str, ActionOnGroup] = field(default_factory=dict)
-    gsets: dict[str, tuple[str, GSet]] = field(default_factory=dict)  # action name, gset
-    checks: list[ScenarioCheck] = field(default_factory=list)
+    __slots__ = ("id", "groups", "actions", "gsets", "checks")
+
+    def __init__(self, id: str, groups: dict[str, Group] | None = None,
+                 actions: dict[str, ActionOnGroup] | None = None,
+                 gsets: dict[str, tuple[str, GSet]] | None = None,
+                 checks: list[ScenarioCheck] | None = None):
+        self.id = id
+        self.groups = {} if groups is None else groups
+        self.actions = {} if actions is None else actions
+        self.gsets = {} if gsets is None else gsets  # action name, gset
+        self.checks = [] if checks is None else checks
 
 
 @contextmanager

@@ -8,8 +8,7 @@ error (the CLI maps load-time errors to 3).
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass
+import sys
 from typing import Callable, Iterable
 
 from ..actions import ActionOnGroup, coset_gset, semidirect
@@ -28,20 +27,21 @@ from ..theorems import (
 from .catalog import CATALOG, EQ3_EXTRA, ActionInstance, cyclic, dihedral, direct_product
 from .scenario import KNOWN_VERIFIERS, Scenario, ScenarioCheck, subgroup_of_semidirect
 
-log = logging.getLogger(__name__)
 
-
-@dataclass
 class SuiteCheck:
-    instance: str
-    run: Callable[[], VerificationReport]
-    expect_hypothesis_fail: bool = False
+    __slots__ = ("instance", "run", "expect_hypothesis_fail")
+
+    def __init__(self, instance: str, run: Callable[[], VerificationReport],
+                 expect_hypothesis_fail: bool = False):
+        self.instance, self.run = instance, run
+        self.expect_hypothesis_fail = expect_hypothesis_fail
 
 
-@dataclass
 class CheckOutcome:
-    report: VerificationReport
-    expect_hypothesis_fail: bool = False
+    __slots__ = ("report", "expect_hypothesis_fail")
+
+    def __init__(self, report: VerificationReport, expect_hypothesis_fail: bool = False):
+        self.report, self.expect_hypothesis_fail = report, expect_hypothesis_fail
 
     @property
     def ok(self) -> bool:
@@ -304,14 +304,17 @@ def _h1_report(scenario: Scenario, check: ScenarioCheck) -> VerificationReport:
 
 def run_checks(checks: Iterable[SuiteCheck]) -> list[CheckOutcome]:
     """Run each check; one that raises becomes an error record (exit 1) and
-    the checks after it still run."""
+    the checks after it still run.  An error that is not a NilcohError is a
+    bug, so its message and traceback go to stderr as well."""
     outcomes = []
     for check in checks:
         try:
             report = check.run()
         except Exception as exc:  # noqa: BLE001 - a crash must not end the suite
             if not isinstance(exc, NilcohError):
-                log.exception("check %s raised an unexpected error", check.instance)
+                import traceback
+                print(f"check {check.instance} raised an unexpected error", file=sys.stderr)
+                traceback.print_exc()
             report = VerificationReport("error", check.instance)
             report.hypotheses["ran"] = False
             report.details["ran"] = f"{type(exc).__name__}: {exc}"

@@ -8,7 +8,6 @@ implementation bug, and the reporting channel exists to make that testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .actions import (
@@ -59,21 +58,28 @@ from .structure import (
 )
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one verifier run on one instance."""
+    """Outcome of one verifier run on one instance.
 
-    theorem: str
-    instance: str
-    hypotheses: dict[str, bool] = field(default_factory=dict)
-    details: dict[str, str] = field(default_factory=dict)
-    conclusion_verified: bool | None = None
-    witness: object = None
-    notes: list[str] = field(default_factory=list)
-    relaxed: bool = False
-    # Outcome of user-supplied expectations (counts etc.); a miss fails the
-    # check without claiming a theorem falsification.
-    expectation_met: bool | None = None
+    `expectation_met` is the outcome of user-supplied expectations (counts
+    etc.); a miss fails the check without claiming a theorem falsification.
+    """
+
+    __slots__ = ("theorem", "instance", "hypotheses", "details", "conclusion_verified",
+                 "witness", "notes", "relaxed", "expectation_met")
+
+    def __init__(self, theorem: str, instance: str,
+                 hypotheses: dict[str, bool] | None = None,
+                 details: dict[str, str] | None = None,
+                 conclusion_verified: bool | None = None, witness: object = None,
+                 notes: list[str] | None = None, relaxed: bool = False,
+                 expectation_met: bool | None = None):
+        self.theorem, self.instance = theorem, instance
+        self.hypotheses = {} if hypotheses is None else hypotheses
+        self.details = {} if details is None else details
+        self.conclusion_verified, self.witness = conclusion_verified, witness
+        self.notes = [] if notes is None else notes
+        self.relaxed, self.expectation_met = relaxed, expectation_met
 
     @property
     def hypotheses_met(self) -> bool:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nilcoh
-from nilcoh.errors import ParseError, UnknownCheck, ValidationError
+from nilcoh.errors import NotAbelian, ParseError, UnknownCheck, ValidationError
 from nilcoh.harness.catalog import CATALOG, EQ3_EXTRA, abelian, catalog_by_id
 from nilcoh.harness.cli import main
 from nilcoh.harness.scenario import load_scenario
@@ -295,18 +295,30 @@ def test_cli_rejects_group_over_order_cap(tmp_path, capsys, spec):
     assert "group 'g'" in err and "OrderCapExceeded" in err and "2048" in err
 
 
-def test_run_checks_contains_unexpected_errors():
+def test_run_checks_contains_unexpected_errors(capsys):
     def crash():
         raise RuntimeError("boom")
 
-    checks = [SuiteCheck("crash", crash)] + default_suite()[:2]
+    def refused():
+        raise NotAbelian("N is not abelian")
+
+    checks = [SuiteCheck("crash", crash), SuiteCheck("refused", refused)] + default_suite()[:2]
     outcomes = run_checks(checks)
     record = outcomes[0].report.to_json()
     assert record["theorem"] == "error" and record["pass"] is False
     assert record["hypotheses"] == {"ran": {"met": False, "detail": "RuntimeError: boom"}}
     assert not record["falsification"]
-    assert [o.ok for o in outcomes] == [False, True, True]
+    assert outcomes[1].report.details["ran"] == "NotAbelian: N is not abelian"
+    assert [o.ok for o in outcomes] == [False, False, True, True]
     assert exit_code(outcomes) == 1
+    # The crash is a bug, so its message and traceback go to stderr; a
+    # NilcohError is a refusal the record states, and writes nothing.
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[:2] == ["check crash raised an unexpected error",
+                         "Traceback (most recent call last):"]
+    assert "in crash" in captured.err and lines[-1] == "RuntimeError: boom"
 
 
 def test_default_suite_instance_filter(capsys):
@@ -527,35 +539,37 @@ def test_cli_rejects_fields_that_are_not_integer_lists(tmp_path, capsys, doc, wh
       "checks": [{"verify": "prop3", "group": "d4", "normal": {"generated_by": [99]}}]},
      "seed 99 outside group of order 8"),
 ])
-def test_cli_rejects_bad_check_subgroups_at_load(tmp_path, capsys, caplog, doc, message):
+def test_cli_rejects_bad_check_subgroups_at_load(tmp_path, capsys, doc, message):
     # These specs used to be resolved only when the check ran, as an error
-    # record (exit 1); the seed outside D4 also logged a traceback.
+    # record (exit 1); the seed outside D4 also wrote a traceback.
     path = tmp_path / "bad.scn"
     path.write_text(json.dumps({"id": "x", **doc}))
     with pytest.raises(ValidationError, match="check 0"):
         load_scenario(path)
     assert main(["suite", "--scenario", str(path)]) == 3
-    assert f"check 0: {message}" in capsys.readouterr().err
-    assert not caplog.records
+    err = capsys.readouterr().err
+    assert f"check 0: {message}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("relaxed", [False, True])
-def test_prop3_on_a_non_normal_n_reports_the_hypothesis(tmp_path, capsys, caplog, relaxed):
+def test_prop3_on_a_non_normal_n_reports_the_hypothesis(tmp_path, capsys, relaxed):
     # <3> is generated by a reflection of S3.  complements() used to raise on
-    # it, which logged a traceback and printed an error record.
+    # it, which wrote a traceback and printed an error record.
     path = tmp_path / "s3.scn"
     path.write_text(json.dumps({
         "id": "x", "groups": {"s3": {"builtin": "dihedral", "n": 3}},
         "checks": [{"verify": "prop3", "group": "s3", "normal": {"generated_by": [3]}}]}))
     flags = ["--relaxed-hypotheses"] if relaxed else []
     assert main(["suite", "--scenario", str(path), "--format", "json", *flags]) == 1
-    record = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    assert captured.err == ""
     assert record["theorem"] == "prop3"
     assert record["hypotheses"] == {
         "n_nilpotent": {"met": True, "detail": ""},
         "n_normal": {"met": False, "detail": "N is not normal in G"}}
     assert (record["pass"], record["falsification"], record["witness"]) == (False, False, None)
-    assert not caplog.records
 
 
 _OVER_CAP = {"groups": {"c64": {"builtin": "cyclic", "n": 64}},

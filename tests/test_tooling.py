@@ -1,7 +1,11 @@
 """Source hygiene of the package: every module imports only names it uses,
-and every function, class and method it defines is used."""
+every function, class and method it defines is used, and importing it loads
+no costly standard module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -122,3 +126,15 @@ def test_unreferenced_definition_is_found():
     package["b.py"] = package["b.py"].replace("K().m\n", "K()\n")
     assert unreferenced(package, ["recursive(3)"], set()) == ["b.py: K.m"]
     assert unreferenced(package, ["recursive(3)", "K().m()"], set()) == []
+
+
+def test_import_loads_no_costly_standard_module():
+    # `dataclasses` pulls in inspect, ast and dis, and `logging` threading
+    # and more: several milliseconds of every run's start-up, for records
+    # and one error message the package writes by hand.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = ("import sys, nilcoh, nilcoh.harness; "
+             "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-s", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
