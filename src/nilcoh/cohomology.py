@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from itertools import accumulate, compress, count, islice, product, repeat
+from itertools import accumulate, compress, count, islice, pairwise, product, repeat
 from math import prod
 from operator import attrgetter, eq, getitem, itemgetter
 
@@ -350,35 +350,62 @@ def cocycles_bruteforce(action: ActionOnGroup, K: Subgroup | None = None,
 
 class CohomologySet:
     """H1(K, N): all cocycles partitioned into classes, with the class of the
-    all-identity cocycle distinguished."""
+    all-identity cocycle distinguished.
+
+    One flat store, which `h1` writes directly: each cocycle once, class by
+    class (`_cocycles`), the class number of each (`_owner`, a `range` when
+    every class is one cocycle), the position of each class's first member,
+    its representative (`_starts`), and the class of each value table
+    (`_index`).  The constructor takes any grouping into classes; `classes`
+    is built from the store when first read, then kept.
+    """
 
     def __init__(self, action: ActionOnGroup, domain: Subgroup,
                  classes: Iterable[Iterable[Cocycle]]):
-        self.action = action
-        self.domain = domain
-        self.classes = tuple(map(tuple, classes))
-        # Every cocycle's class, with the cocycles in class order.
-        self._index: dict[tuple[int, ...], int] = {
-            c.values: i for i, cls in enumerate(self.classes) for c in cls}
+        classes = tuple(map(tuple, classes))
+        sizes = list(map(len, classes))
+        self._fill(action, domain, [c for cls in classes for c in cls],
+                   [i for i, size in enumerate(sizes) for _ in range(size)],
+                   list(accumulate(sizes, initial=0))[:-1])
+
+    def _fill(self, action: ActionOnGroup, domain: Subgroup, cocycles: Sequence[Cocycle],
+              owner: Sequence[int], starts: Sequence[int]) -> CohomologySet:
+        self.action, self.domain = action, domain
+        self._cocycles, self._owner, self._starts = cocycles, owner, starts
+        self._index = dict(zip(map(attrgetter("values"), cocycles), owner))
         self.distinguished = self._index[(0,) * domain.order]
+        self._classes = None
+        return self
+
+    @property
+    def classes(self) -> tuple[tuple[Cocycle, ...], ...]:
+        if self._classes is None:
+            self._classes = tuple(map(self._members, range(self.size)))
+        return self._classes
+
+    def _members(self, i: int) -> tuple[Cocycle, ...]:
+        end = self._starts[i + 1] if i + 1 < self.size else None
+        return tuple(self._cocycles[self._starts[i]:end])
 
     @property
     def size(self) -> int:
-        return len(self.classes)
+        return len(self._starts)
 
     def rep(self, i: int) -> Cocycle:
-        return self.classes[i][0]
+        return self._cocycles[self._starts[i]]
 
     def reps(self) -> list[Cocycle]:
-        return [cls[0] for cls in self.classes]
+        return list(compose(self._cocycles, self._starts))
 
     def class_of(self, values: tuple[int, ...] | Cocycle) -> int:
         if isinstance(values, Cocycle):
+            if values.action is not self.action or values.domain != self.domain:
+                raise DomainMismatch("cocycle belongs to a different action or domain")
             values = values.values
         return self._index[values]
 
     def cocycle_count(self) -> int:
-        return sum(len(cls) for cls in self.classes)
+        return len(self._cocycles)
 
     def __repr__(self) -> str:
         return (
@@ -388,7 +415,7 @@ class CohomologySet:
 
     def to_json(self) -> dict:
         return {
-            "classes": [cls[0].to_json() for cls in self.classes],
+            "classes": [rep.to_json() for rep in self.reps()],
             "distinguished": self.distinguished,
         }
 
@@ -411,7 +438,8 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
     transversal of N/C reaches each whole orbit.
 
     The transversal leaves out the coset C itself.  When nothing else is in
-    it, N/C = 1 and every class is a single cocycle, taken in one pass.
+    it, N/C = 1 and every class is a single cocycle: the store is the list
+    that `cocycles` returned, with `range` for the class numbers and starts.
     Otherwise the orbits are walked from each cocycle not yet in a class, on
     its values at the d generators alone, twisted by the whole transversal
     at once (`_twist_orbits`).  No map over N is built per twist: the twists
@@ -452,18 +480,20 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
             covered.update(compose(nmul[n], fixed_central))
             transversal.append(n)
     if transversal and len(zs) > 1:
-        classes = _twist_orbits(zs, K.positions(gens), transversal, acts, N)
+        zs, owner, starts = _twist_orbits(zs, K.positions(gens), transversal, acts, N)
     else:
-        classes = zip(zs)
-    result = CohomologySet(action, K, classes)
+        owner = starts = range(len(zs))
+    result = CohomologySet.__new__(CohomologySet)._fill(action, K, zs, owner, starts)
     action._h1_cache[key] = (len(gens), result)
     return result
 
 
 def _twist_orbits(zs: list[Cocycle], at: tuple[int, ...], transversal: list[int],
-                  acts: list[Sequence[int]], N: Group) -> list[tuple[Cocycle, ...]]:
+                  acts: list[Sequence[int]], N: Group) -> tuple[tuple, list[int], list[int]]:
     """The orbits of the cocycles zs under twisting by 1 and by each n in the
-    transversal, each in zs's order and listed by least member.
+    transversal, each in zs's order and listed by least member, as the store
+    of `CohomologySet`: the cocycles orbit by orbit, the orbit of each, and
+    where each orbit starts.
 
     A cocycle is keyed by its values at the generators g, at the positions
     `at` of its table; `acts` holds act(g, -) for each g.  From each cocycle
@@ -479,7 +509,7 @@ def _twist_orbits(zs: list[Cocycle], at: tuple[int, ...], transversal: list[int]
     rights = [compose(au, transversal) for au in acts]
     columns: dict[int, tuple[int, ...]] = {}        # x -> (m * x for m in N), on demand
     assigned = [False] * len(zs)
-    orbits = []
+    order, owner, starts = [], [], []
     for i, key in enumerate(keys):
         if assigned[i]:
             continue
@@ -491,8 +521,10 @@ def _twist_orbits(zs: list[Cocycle], at: tuple[int, ...], transversal: list[int]
         members = sorted(set(map(index.__getitem__, zip(*twisted))).union((i,)))
         for j in members:
             assigned[j] = True
-        orbits.append(compose(zs, members))
-    return orbits
+        owner += repeat(len(starts), len(members))
+        starts.append(len(order))
+        order += members
+    return compose(zs, order), owner, starts
 
 
 # -- complement correspondence ---------------------------------------------------
@@ -560,7 +592,7 @@ def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
     out = range(H.size)
     for back, src in lookups:
         take = composer(src)
-        out = [i for i in out if H.class_of(compose(back, take(H.rep(i).values))) == i]
+        out = [i for i in out if H._index[compose(back, take(H.rep(i).values))] == i]
     for back, meet in scans:
         out = [i for i in out if twists_onto(H.rep(i).values, back, meet)]
     return tuple(out)
@@ -601,7 +633,7 @@ def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int,
     # H1(J, N)'s index holds every cocycle of Z1(J, N), since `cocycles` is
     # complete, so a table is a cocycle exactly when it is a key there.
     index = h1(action, budget=budget)._index
-    for phi in Hq.classes[class_index]:
+    for phi in Hq._members(class_index):
         cls = index.get(compose(phi.values, where))
         if cls is not None:
             return cls
@@ -674,15 +706,16 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     nilpotent, so that `verify_lemma1` tests each group once.
 
     Every cocycle of H1(J, N) is restricted at once: per block, one column
-    holds the local class of every cocycle, in class order.  The map is well
-    defined when each column equals its class representatives' entries
-    repeated over the class sizes, and lands in the fixed classes when every
-    representative's entry is fixed.  Only when either test fails does the
+    holds the local class of every cocycle of H1(J, N)'s store.  The map is
+    well defined when each column equals its representatives' entries read
+    through the store's owner column, and lands in the fixed classes when
+    every representative's entry is fixed, which a block whose classes are
+    all fixed need not test.  Only when either test fails does the
     class-by-class scan run, to name the first failing class.  When J is a
     p-group, its Sylow subgroup's H1 is H1(J, N) itself, from `h1`'s cache,
-    and the column is each cocycle's own class, read off the index.  A block
-    that restricts maps over the index's keys, the value tables in class
-    order, so no list of the tables is made.
+    and the column is the owner column.  A block that restricts maps over
+    the index's keys, the value tables in store order.  With one block the
+    images are compared as class numbers, not as one-tuples.
     """
     J = action.actor
     primes = shared_primes(action)
@@ -694,32 +727,31 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
         local = h1(action, Jp, budget=budget)
         blocks.append(PrimeBlock(p, Jp, hall, local, fixed_classes(local, hall)))
     Hfull = h1(action, budget=budget)
-    # Hfull's domain is J itself, so a value table is indexed by element;
-    # its index lists the value tables in class order, with their classes.
-    owner = tuple(Hfull._index.values())
-    sizes = list(map(len, Hfull.classes))
-    starts = list(accumulate(sizes, initial=0))[:-1]
-    columns = []
-    for b in blocks:
+    # Hfull's domain is J itself, so a value table is indexed by element.
+    owner, starts = Hfull._owner, Hfull._starts
+    columns, firsts, fast = [], [], True
+    fixed = [set(b.fixed) for b in blocks]
+    for b, b_fixed in zip(blocks, fixed):
         if b.h1_local is Hfull:
-            columns.append(owner)
+            column, first = owner, range(Hfull.size)  # owner[starts[i]] is i
         else:
             restricted = map(composer(b.sylow.elements), Hfull._index)
-            columns.append(tuple(map(b.h1_local._index.__getitem__, restricted)))
-    firsts = [compose(column, starts) for column in columns]
-    fixed = [set(b.fixed) for b in blocks]
-    fast = all(column == compose(first, owner) and all(map(b_fixed.__contains__, first))
-               for column, first, b_fixed in zip(columns, firsts, fixed))
+            column = tuple(map(b.h1_local._index.__getitem__, restricted))
+            first = compose(column, starts)
+            fast = fast and column == compose(first, owner)
+        fast = fast and (len(b_fixed) == b.h1_local.size or all(map(b_fixed.__contains__, first)))
+        columns.append(column)
+        firsts.append(first)
     if fast:
         well_defined, failure = True, None
         forward = list(zip(*firsts)) if blocks else [()] * Hfull.size
     else:
-        well_defined, failure, forward = _scan_classes(blocks, fixed, columns, sizes)
+        well_defined, failure, forward = _scan_classes(blocks, fixed, columns, starts)
     point = tuple(b.h1_local.distinguished for b in blocks)
     point_preserved = forward[Hfull.distinguished] == point
     if not point_preserved:
         failure = failure or "distinguished class does not map to the distinguished tuple"
-    images = set(forward)
+    images = set(firsts[0] if fast and len(blocks) == 1 else forward)
     injective = len(images) == len(forward)
     if not injective:
         failure = failure or "two classes restrict to the same local tuple"
@@ -728,7 +760,7 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     surjective = len(images) == prod(map(len, fixed)) and (
         fast or all(all(map(set.__contains__, fixed, image)) for image in images))
     if not surjective and failure is None:
-        missing = min(set(product(*fixed)) - images)
+        missing = min(set(product(*fixed)) - set(forward))
         failure = f"fixed local tuple {missing} has no preimage"
     return DecompositionReport(
         shared_primes=primes,
@@ -744,16 +776,14 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
 
 
 def _scan_classes(blocks: list[PrimeBlock], fixed: list[set[int]], columns: list[tuple[int, ...]],
-                  sizes: list[int]) -> tuple[bool, str | None, list[tuple[int, ...]]]:
+                  starts: Sequence[int]) -> tuple[bool, str | None, list[tuple[int, ...]]]:
     """Well-definedness, the first failure and the forward images, class by
     class, from the local class columns of `_decompose` (one per block, and
-    at least one); a class that restricts to several tuples is sent to the
-    least of them."""
+    at least one) and the class starts; a class that restricts to several
+    tuples is sent to the least of them."""
     well_defined, failure, forward = True, None, []
-    start = 0
-    for i, size in enumerate(sizes):
-        images = set(zip(*[column[start:start + size] for column in columns]))
-        start += size
+    for i, (start, end) in enumerate(pairwise([*starts, len(columns[0])])):
+        images = set(zip(*[column[start:end] for column in columns]))
         if len(images) != 1:
             well_defined = False
             failure = failure or f"class {i} restricts to multiple local class tuples"

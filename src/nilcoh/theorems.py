@@ -317,7 +317,7 @@ def _correspondence_finish(
     psi = next(
         (
             c
-            for c in h1(act).classes[ext_cls]
+            for c in h1(act)._members(ext_cls)
             if restrict(c, Kq).values == phi_q.values
         ),
         None,

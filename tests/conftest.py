@@ -23,6 +23,7 @@ from nilcoh.cohomology import (
     Cocycle,
     CohomologySet,
     cocycles_bruteforce,
+    h1,
     restrict,
 )
 from nilcoh.errors import (
@@ -711,6 +712,56 @@ def h1_classes_by_twist(action: ActionOnGroup,
     return classes
 
 
+def h1_store_matches_twist(action: ActionOnGroup, K: Subgroup | None = None) -> CohomologySet:
+    """Assert that every accessor of the H1 that `h1` stores agrees with the
+    H1 rebuilt through the public constructor from `h1_classes_by_twist`,
+    and `classes` also when it is first read after `reps()` or after
+    `class_of`; return the rebuilt H1.  Each stored H1 is fresh: the
+    action's H1 cache is emptied before `h1` runs."""
+    oracle = h1_classes_by_twist(action, K)
+    action._h1_cache.clear()
+    H = h1(action, K)
+    members = [[Cocycle(action, H.domain, values) for values in cls] for cls in oracle]
+    rebuilt = CohomologySet(action, H.domain, members)
+    every = [c for cls in members for c in cls]
+    assert H.reps() == rebuilt.reps()
+    assert H.classes == rebuilt.classes
+    assert [[c.values for c in cls] for cls in H.classes] == oracle
+    action._h1_cache.clear()
+    H = h1(action, K)
+    assert [H.class_of(c) for c in every] == [rebuilt.class_of(c) for c in every]
+    assert H.classes == rebuilt.classes
+    assert [H.class_of(c.values) for c in every] == [rebuilt.class_of(c) for c in every]
+    assert [H.rep(i) for i in range(H.size)] == rebuilt.reps()
+    assert (H.size, H.distinguished, H.cocycle_count(), H.to_json()) == (
+        rebuilt.size, rebuilt.distinguished, rebuilt.cocycle_count(), rebuilt.to_json())
+    return rebuilt
+
+
+def decomposition_fields_of_rebuilt(monkeypatch, action: ActionOnGroup,
+                                    rebuilt: dict) -> tuple:
+    """`decomposition_fields` of `decomposition_map(action)` while `h1`
+    returns rebuilt[None] for J and rebuilt[K.elements] for a subgroup K."""
+    from nilcoh import cohomology
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cohomology, "h1",
+                   lambda a, K=None, budget=None: rebuilt[None if K is None else K.elements])
+        return decomposition_fields(cohomology.decomposition_map(action))
+
+
+def decomposition_fields(rep) -> tuple:
+    """Every field of a DecompositionReport, with each H1 as its class
+    tables and distinguished class and each subgroup as its elements."""
+    def classes(H):
+        return [[c.values for c in cls] for cls in H.classes], H.distinguished
+
+    blocks = [(b.prime, b.sylow.elements, b.hall.elements, classes(b.h1_local), b.fixed)
+              for b in rep.blocks]
+    return (rep.shared_primes, blocks, classes(rep.h1_full), rep.forward, rep.well_defined,
+            rep.point_preserved, rep.injective, rep.surjective, rep.failure)
+
+
 def twist(phi: Cocycle, n: int) -> Cocycle:
     """The cohomologous cocycle j -> n' * phi(j) * act(j, n)."""
     N = phi.action.target
@@ -962,6 +1013,9 @@ __all__ = [
     "normality_witness_by_scan",
     "fixed_points_by_scan",
     "h1_classes_by_twist",
+    "h1_store_matches_twist",
+    "decomposition_fields_of_rebuilt",
+    "decomposition_fields",
     "twist",
     "cohomologous",
     "conjugate_cocycle",

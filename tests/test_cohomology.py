@@ -64,8 +64,11 @@ from conftest import (
     complement_to_cocycle,
     conjugate_cocycle,
     cyclic,
+    decomposition_fields,
+    decomposition_fields_of_rebuilt,
     dihedral,
     h1_classes_by_twist,
+    h1_store_matches_twist,
     heisenberg,
     homomorphisms_by_scan,
     invariant_classes_by_twist,
@@ -357,12 +360,14 @@ def test_cocycles_share_what_no_survivor_changes(monkeypatch, build, composes, c
     assert made == {"compose": composes, "composer": composers}
 
 
-def test_h1_classes_match_the_twist_partition_oracle():
+def test_h1_classes_match_the_twist_partition_oracle(monkeypatch):
     # Besides the catalog: trivial actions on abelian N, where N/C = 1 and
     # every class is one cocycle (4096 of them from C2^3 to C2^4); C2
     # inverting C_n, whose n cocycles form 2 classes through n/2 - 1 twists
-    # besides the central coset; and heis3 on itself.
-    actions = [(inst.id, inst.action()) for inst in CATALOG]
+    # besides the central coset; and heis3 on itself.  Every accessor of the
+    # stored H1 is checked, and the decomposition reads the stored H1s and
+    # the ones rebuilt from the oracle alike.
+    actions = [(inst.id, inst.build()) for inst in CATALOG]
     actions.append(("c2e3_triv_c2e4",
                     trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2]))))
     actions.append(("c2e4_triv_c5c5",
@@ -371,9 +376,10 @@ def test_h1_classes_match_the_twist_partition_oracle():
     actions.append(("heis3_conj_heis3", conjugation_self_action(heisenberg(3))))
     for iid, a in actions:
         J = a.actor
-        for K in [None] + [sylow_subgroup(J, p) for p in prime_factors(J.order)]:
-            got = [[c.values for c in cls] for cls in h1(a, K).classes]
-            assert got == h1_classes_by_twist(a, K), (iid, K)
+        rebuilt = {None if K is None else K.elements: h1_store_matches_twist(a, K)
+                   for K in [None] + [sylow_subgroup(J, p) for p in prime_factors(J.order)]}
+        stored = decomposition_fields(decomposition_map(a))
+        assert decomposition_fields_of_rebuilt(monkeypatch, a, rebuilt) == stored, iid
 
 
 def test_h1_budget_holds_on_a_cached_result():
@@ -429,6 +435,50 @@ def test_h1_refuses_a_domain_from_another_group_before_and_after_a_cached_call()
     h1(action)
     with pytest.raises(NotASubgroup):
         h1(action, foreign)
+
+
+def test_h1_calls_cocycles_once_per_cache_miss(monkeypatch):
+    # The benchmark's tracer counts enumerations at the module global
+    # `cocycles`: h1 calls it once for each result it builds, and not at all
+    # for a cached one.
+    from nilcoh import cohomology
+
+    real = cohomology.cocycles
+    calls = []
+
+    def counted(action, K=None, budget=cohomology.GENERATOR_ENUM_BUDGET):
+        calls.append(K.elements)
+        return real(action, K, budget)
+
+    monkeypatch.setattr(cohomology, "cocycles", counted)
+    a = conjugation_self_action(heisenberg(3))
+    K = sylow_subgroup(a.actor, 3)
+    P = subgroup_generated(a.actor, [1])
+    H = h1(a)
+    assert calls == [tuple(range(a.actor.order))]
+    assert h1(a) is H and h1(a, K) is H
+    assert len(calls) == 1
+    local = h1(a, P)
+    assert calls[1:] == [P.elements]
+    assert h1(a, P) is local and len(calls) == 2
+
+
+def test_class_of_refuses_a_cocycle_of_another_action_or_domain():
+    # A value table is looked up as it stands; a Cocycle must belong to the
+    # H1's action and domain, even where its values are a key there.
+    a = trivial_action(cyclic(2), cyclic(4))
+    H = h1(a)
+    assert [c.values for c in H.reps()] == [(0, 0), (0, 2)]
+    assert H.class_of((0, 2)) == 1
+    assert H.class_of(Cocycle(a, full_subgroup(a.actor), (0, 2))) == 1
+    with pytest.raises(KeyError):
+        H.class_of((0, 1))
+    other = inversion_action(cyclic(4))
+    for values in [(0, 2), (0, 1)]:
+        with pytest.raises(DomainMismatch):
+            H.class_of(Cocycle(other, full_subgroup(other.actor), values))
+    with pytest.raises(DomainMismatch):
+        H.class_of(Cocycle(a, trivial_subgroup(a.actor), (0,)))
 
 
 def test_cohomologous_witnesses():
@@ -821,33 +871,21 @@ def _patch_fixed_classes(monkeypatch, change):
     monkeypatch.setattr(cohomology, "fixed_classes", lambda H, S: change(H, real(H, S)))
 
 
-def _decomposition_fields(rep):
-    """Every field of a DecompositionReport, with each H1 as its class
-    tables and distinguished class and each subgroup as its elements."""
-    def classes(H):
-        return [[c.values for c in cls] for cls in H.classes], H.distinguished
-
-    blocks = [(b.prime, b.sylow.elements, b.hall.elements, classes(b.h1_local), b.fixed)
-              for b in rep.blocks]
-    return (rep.shared_primes, blocks, classes(rep.h1_full), rep.forward, rep.well_defined,
-            rep.point_preserved, rep.injective, rep.surjective, rep.failure)
-
-
 @pytest.mark.parametrize("build", [
     lambda: trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2])),
     lambda: conjugation_self_action(heisenberg(3)),
 ], ids=["c2e3_triv_c2e4", "heis3_conj_heis3"])
 def test_decomposition_of_a_p_group_actor_reads_its_own_index(monkeypatch, build):
     # J is its own Sylow subgroup, whose H1 is H1(J, N) from the cache, so
-    # each cocycle's local class is read off H1(J, N)'s index; a copy of the
-    # local H1 forces the lookup of every value table, with the same report.
+    # each cocycle's local class is its class in H1(J, N)'s store; a copy of
+    # the local H1 forces the lookup of every value table, with the same report.
     own = decomposition_map(build())
     assert own.blocks[0].h1_local is own.h1_full
     _patch_local_h1(monkeypatch,
                     lambda H: CohomologySet(H.action, H.domain, H.classes))
     looked_up = decomposition_map(build())
     assert looked_up.blocks[0].h1_local is not looked_up.h1_full
-    assert _decomposition_fields(own) == _decomposition_fields(looked_up)
+    assert decomposition_fields(own) == decomposition_fields(looked_up)
     assert own.bijective
 
 

@@ -28,7 +28,7 @@ from nilcoh.harness.suite import (
     scenario_checks,
 )
 from nilcoh.theorems import VerificationReport
-from conftest import abelian_table_by_decoding, same_as_validated, same_table
+from conftest import abelian_table_by_decoding, h1_classes_by_twist, same_as_validated, same_table
 
 
 def shipped_scenario_path():
@@ -217,6 +217,20 @@ def test_cli_catalog_and_h1(capsys):
     assert main(["h1", "--instance", "c2_inv_c4", "--format", "json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["cocycles"] == 4 and record["classes"] == 2
+
+
+def test_cli_h1_json_matches_the_twist_oracle_on_every_catalog_instance(capsys):
+    for iid, inst in catalog_by_id().items():
+        assert main(["h1", "--instance", iid, "--format", "json"]) == 0, iid
+        classes = h1_classes_by_twist(inst.action())
+        zero = (0,) * inst.action().actor.order
+        assert json.loads(capsys.readouterr().out) == {
+            "instance": iid,
+            "cocycles": sum(map(len, classes)),
+            "classes": len(classes),
+            "distinguished": next(i for i, cls in enumerate(classes) if zero in cls),
+            "representatives": [list(cls[0]) for cls in classes],
+        }, iid
 
 
 def test_cli_complements_and_decompose(capsys):

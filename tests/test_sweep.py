@@ -24,9 +24,11 @@ from conftest import (
     cayley_tree,
     complements_by_subgroup_scan,
     cyclic,
+    decomposition_fields,
+    decomposition_fields_of_rebuilt,
     dihedral,
     direct_product,
-    h1_classes_by_twist,
+    h1_store_matches_twist,
     is_nilpotent_subgroup_by_table,
     orbit_route_mismatches,
     quaternion8,
@@ -132,16 +134,19 @@ def test_orbit_routes_match_scans_on_the_sweep():
     assert instances > 150
 
 
-def test_h1_matches_the_twist_oracle_on_the_sweep():
+def test_h1_matches_the_twist_oracle_on_the_sweep(monkeypatch):
     # Every action of a cyclic actor in the sweep, on J and on each Sylow
-    # subgroup of J.
+    # subgroup of J; the decomposition reads the stored H1s and the ones
+    # rebuilt from the oracle alike.
     instances = 0
     for N in sweep_targets():
         for J in (cyclic(2), cyclic(3), cyclic(4), cyclic(6)):
             for action in _all_cyclic_actions(J, N):
-                for K in [None] + [sylow_subgroup(J, p) for p in prime_factors(J.order)]:
-                    classes = [[c.values for c in cls] for cls in h1(action, K).classes]
-                    assert classes == h1_classes_by_twist(action, K), (J.name, N.name, K)
+                rebuilt = {None if K is None else K.elements: h1_store_matches_twist(action, K)
+                           for K in [None] + [sylow_subgroup(J, p) for p in prime_factors(J.order)]}
+                stored = decomposition_fields(decomposition_map(action))
+                assert decomposition_fields_of_rebuilt(monkeypatch, action, rebuilt) == stored, (
+                    J.name, N.name)
                 instances += 1
     assert instances > 150
 
@@ -229,9 +234,7 @@ def test_chain_enumeration_matches_oracle_on_two_generator_actors(drawn):
         fast = [c.values for c in cocycles(action, domain)]
         brute = [c.values for c in cocycles_bruteforce(action, domain)]
         assert fast == brute, (action.actor.name, action.target.name, domain)
-        classes = [[c.values for c in cls] for cls in h1(action, domain).classes]
-        assert classes == h1_classes_by_twist(action, domain), (
-            action.actor.name, action.target.name, domain)
+        h1_store_matches_twist(action, domain)
 
 
 @st.composite
