@@ -24,7 +24,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, compress, count, islice, pairwise, product, repeat
 from math import prod
-from operator import attrgetter, eq, getitem, itemgetter
+from operator import eq, getitem, itemgetter
 
 from .actions import ActionOnGroup, SemidirectProduct
 from .errors import (
@@ -94,13 +94,33 @@ class Cocycle:
         return {"domain": list(self.domain.elements), "values": list(self.values)}
 
 
+class Z1(Sequence):
+    """Z1(K, N): the sorted value tables, each made a `Cocycle` only when read."""
+
+    __slots__ = ("action", "domain", "_tables")
+
+    def __init__(self, action: ActionOnGroup, domain: Subgroup, tables: list[tuple[int, ...]]):
+        self.action, self.domain, self._tables = action, domain, tables
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def __getitem__(self, i: int | slice) -> Cocycle | list[Cocycle]:
+        if isinstance(i, slice):
+            return _bulk_cocycles(self.action, self.domain, self._tables[i])
+        return Cocycle(self.action, self.domain, self._tables[i])
+
+    def __iter__(self):
+        return iter(_bulk_cocycles(self.action, self.domain, self._tables))
+
+
 def _check_budget(n_order: int, ngens: int, budget: int) -> None:
     if n_order ** ngens > budget:
         raise BudgetExceeded(f"|N|^#gens = {n_order}^{ngens} exceeds budget {budget}")
 
 
 def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
-             budget: int = GENERATOR_ENUM_BUDGET) -> list[Cocycle]:
+             budget: int = GENERATOR_ENUM_BUDGET) -> Z1:
     """The complete set Z1(K, N), ordered by value table.
 
     With g_1..g_d the sequence `minimal_generators(K)`, of the least length
@@ -273,17 +293,17 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
                 grown.extend(zip(*(compose(cells, ascending) if last else cells)))
         survivors = grown
     survivors.sort()
-    return _bulk_cocycles(action, K, survivors)
+    return Z1(action, K, survivors)
 
 
 def _bulk_cocycles(action: ActionOnGroup, K: Subgroup,
-                   tables: list[tuple[int, ...]]) -> list[Cocycle]:
-    """Cocycle(action, K, t) for each value table t, a field at a time: one
-    `object.__new__` pass makes the instances, and each slot's descriptor
-    sets that field on all of them, past the `__setattr__` that refuses
-    assignment, as `Cocycle.__init__` does one instance at a time.  For
-    4,096 tables this takes 1.2 ms, and as many constructor calls 2.4 ms
-    (best of 7, Python 3.11.7, one core of a 2-vCPU Xeon VM)."""
+                   tables: Sequence[tuple[int, ...]]) -> list[Cocycle]:
+    """Cocycle(action, K, t) for each value table t, as `Z1` and
+    `CohomologySet` read them, a field at a time: one `object.__new__` pass
+    makes the instances, and each slot's descriptor sets that field on all
+    of them, past the `__setattr__` that refuses assignment, as `__init__`
+    does.  For 4,096 tables this takes 1.2 ms, and as many constructor calls
+    2.4 ms (best of 7, Python 3.11.7, one core of a 2-vCPU Xeon VM)."""
     out = list(map(object.__new__, repeat(Cocycle, len(tables))))
     deque(map(Cocycle.action.__set__, out, repeat(action)), maxlen=0)
     deque(map(Cocycle.domain.__set__, out, repeat(K)), maxlen=0)
@@ -352,27 +372,27 @@ class CohomologySet:
     """H1(K, N): all cocycles partitioned into classes, with the class of the
     all-identity cocycle distinguished.
 
-    One flat store, which `h1` writes directly: each cocycle once, class by
-    class (`_cocycles`), the class number of each (`_owner`, a `range` when
-    every class is one cocycle), the position of each class's first member,
-    its representative (`_starts`), and the class of each value table
-    (`_index`).  The constructor takes any grouping into classes; `classes`
-    is built from the store when first read, then kept.
+    One flat store of value tables, which `h1` writes directly: each table
+    once, class by class (`_tables`), the class number of each (`_owner`, a
+    `range` when every class is one cocycle), the position of each class's
+    first member, its representative (`_starts`), and the class of each
+    table (`_index`).  The constructor takes any grouping of `Cocycle`s into
+    classes; `rep`, `reps`, `_members` and `classes` make them when read.
     """
 
     def __init__(self, action: ActionOnGroup, domain: Subgroup,
                  classes: Iterable[Iterable[Cocycle]]):
-        classes = tuple(map(tuple, classes))
+        classes = [[c.values for c in cls] for cls in classes]
         sizes = list(map(len, classes))
-        self._fill(action, domain, [c for cls in classes for c in cls],
+        self._fill(action, domain, [t for cls in classes for t in cls],
                    [i for i, size in enumerate(sizes) for _ in range(size)],
                    list(accumulate(sizes, initial=0))[:-1])
 
-    def _fill(self, action: ActionOnGroup, domain: Subgroup, cocycles: Sequence[Cocycle],
+    def _fill(self, action: ActionOnGroup, domain: Subgroup, tables: Sequence[tuple[int, ...]],
               owner: Sequence[int], starts: Sequence[int]) -> CohomologySet:
         self.action, self.domain = action, domain
-        self._cocycles, self._owner, self._starts = cocycles, owner, starts
-        self._index = dict(zip(map(attrgetter("values"), cocycles), owner))
+        self._tables, self._owner, self._starts = tables, owner, starts
+        self._index = dict(zip(tables, owner))
         self.distinguished = self._index[(0,) * domain.order]
         self._classes = None
         return self
@@ -380,22 +400,29 @@ class CohomologySet:
     @property
     def classes(self) -> tuple[tuple[Cocycle, ...], ...]:
         if self._classes is None:
-            self._classes = tuple(map(self._members, range(self.size)))
+            cs = _bulk_cocycles(self.action, self.domain, self._tables)
+            self._classes = tuple(tuple(cs[a:b]) for a, b in pairwise([*self._starts, len(cs)]))
         return self._classes
 
-    def _members(self, i: int) -> tuple[Cocycle, ...]:
+    def _member_tables(self, i: int) -> Sequence[tuple[int, ...]]:
         end = self._starts[i + 1] if i + 1 < self.size else None
-        return tuple(self._cocycles[self._starts[i]:end])
+        return self._tables[self._starts[i]:end]
+
+    def _members(self, i: int) -> tuple[Cocycle, ...]:
+        return tuple(_bulk_cocycles(self.action, self.domain, self._member_tables(i)))
+
+    def _rep_tables(self) -> tuple[tuple[int, ...], ...]:
+        return compose(self._tables, self._starts)
 
     @property
     def size(self) -> int:
         return len(self._starts)
 
     def rep(self, i: int) -> Cocycle:
-        return self._cocycles[self._starts[i]]
+        return Cocycle(self.action, self.domain, self._tables[self._starts[i]])
 
     def reps(self) -> list[Cocycle]:
-        return list(compose(self._cocycles, self._starts))
+        return _bulk_cocycles(self.action, self.domain, self._rep_tables())
 
     def class_of(self, values: tuple[int, ...] | Cocycle) -> int:
         if isinstance(values, Cocycle):
@@ -405,7 +432,7 @@ class CohomologySet:
         return self._index[values]
 
     def cocycle_count(self) -> int:
-        return len(self._cocycles)
+        return len(self._tables)
 
     def __repr__(self) -> str:
         return (
@@ -438,8 +465,8 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
     transversal of N/C reaches each whole orbit.
 
     The transversal leaves out the coset C itself.  When nothing else is in
-    it, N/C = 1 and every class is a single cocycle: the store is the list
-    that `cocycles` returned, with `range` for the class numbers and starts.
+    it, N/C = 1 and every class is a single cocycle: the store is the tables
+    of `cocycles`' result, with `range` for the class numbers and starts.
     Otherwise the orbits are walked from each cocycle not yet in a class, on
     its values at the d generators alone, twisted by the whole transversal
     at once (`_twist_orbits`).  No map over N is built per twist: the twists
@@ -462,7 +489,7 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
         return result
     if K is None:
         K = full_subgroup(J)
-    zs = cocycles(action, K, budget=budget)
+    tables = cocycles(action, K, budget=budget)._tables
     gens = minimal_generators(K)
     nmul = N.mul
     acts = [action.auto[g] for g in gens]
@@ -479,21 +506,21 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
         if n not in covered:
             covered.update(compose(nmul[n], fixed_central))
             transversal.append(n)
-    if transversal and len(zs) > 1:
-        zs, owner, starts = _twist_orbits(zs, K.positions(gens), transversal, acts, N)
+    if transversal and len(tables) > 1:
+        tables, owner, starts = _twist_orbits(tables, K.positions(gens), transversal, acts, N)
     else:
-        owner = starts = range(len(zs))
-    result = CohomologySet.__new__(CohomologySet)._fill(action, K, zs, owner, starts)
+        owner = starts = range(len(tables))
+    result = CohomologySet.__new__(CohomologySet)._fill(action, K, tables, owner, starts)
     action._h1_cache[key] = (len(gens), result)
     return result
 
 
-def _twist_orbits(zs: list[Cocycle], at: tuple[int, ...], transversal: list[int],
+def _twist_orbits(tables: list[tuple[int, ...]], at: tuple[int, ...], transversal: list[int],
                   acts: list[Sequence[int]], N: Group) -> tuple[tuple, list[int], list[int]]:
-    """The orbits of the cocycles zs under twisting by 1 and by each n in the
-    transversal, each in zs's order and listed by least member, as the store
-    of `CohomologySet`: the cocycles orbit by orbit, the orbit of each, and
-    where each orbit starts.
+    """The orbits of the cocycles, given by their sorted value tables, under
+    twisting by 1 and by each n in the transversal, each in table order and
+    listed by least member, as the store of `CohomologySet`: the tables
+    orbit by orbit, the orbit of each, and where each orbit starts.
 
     A cocycle is keyed by its values at the generators g, at the positions
     `at` of its table; `acts` holds act(g, -) for each g.  From each cocycle
@@ -502,13 +529,13 @@ def _twist_orbits(zs: list[Cocycle], at: tuple[int, ...], transversal: list[int]
     whatever the number of twists.  The column x -> (m * x for m in N) is
     built once per value x that occurs."""
     nmul = N.mul
-    keys = map(itemgetter(*at), map(attrgetter("values"), zs))
+    keys = map(itemgetter(*at), tables)
     keys = list(keys if len(at) > 1 else zip(keys))
     index = dict(zip(keys, count()))
     inverses = compose(N.inv, transversal)
     rights = [compose(au, transversal) for au in acts]
     columns: dict[int, tuple[int, ...]] = {}        # x -> (m * x for m in N), on demand
-    assigned = [False] * len(zs)
+    assigned = [False] * len(tables)
     order, owner, starts = [], [], []
     for i, key in enumerate(keys):
         if assigned[i]:
@@ -524,7 +551,7 @@ def _twist_orbits(zs: list[Cocycle], at: tuple[int, ...], transversal: list[int]
         owner += repeat(len(starts), len(members))
         starts.append(len(order))
         order += members
-    return compose(zs, order), owner, starts
+    return compose(tables, order), owner, starts
 
 
 # -- complement correspondence ---------------------------------------------------
@@ -589,12 +616,12 @@ def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
                        for kx, ax, ky in meet)
                    for n in range(N.order))
 
-    out = range(H.size)
+    out, tables, starts = range(H.size), H._tables, H._starts
     for back, src in lookups:
         take = composer(src)
-        out = [i for i in out if H._index[compose(back, take(H.rep(i).values))] == i]
+        out = [i for i in out if H._index[compose(back, take(tables[starts[i]]))] == i]
     for back, meet in scans:
-        out = [i for i in out if twists_onto(H.rep(i).values, back, meet)]
+        out = [i for i in out if twists_onto(tables[starts[i]], back, meet)]
     return tuple(out)
 
 
@@ -633,8 +660,8 @@ def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int,
     # H1(J, N)'s index holds every cocycle of Z1(J, N), since `cocycles` is
     # complete, so a table is a cocycle exactly when it is a key there.
     index = h1(action, budget=budget)._index
-    for phi in Hq._members(class_index):
-        cls = index.get(compose(phi.values, where))
+    for values in Hq._member_tables(class_index):
+        cls = index.get(compose(values, where))
         if cls is not None:
             return cls
     raise NoPreimageFound(
@@ -656,17 +683,21 @@ class PrimeBlock:
 class DecompositionReport:
     """Outcome of comparing H1(J, N) with the product of fixed local classes."""
 
-    __slots__ = ("shared_primes", "blocks", "h1_full", "forward", "well_defined",
+    __slots__ = ("shared_primes", "blocks", "h1_full", "_columns", "well_defined",
                  "point_preserved", "injective", "surjective", "failure")
 
     def __init__(self, shared_primes: tuple[int, ...], blocks: tuple[PrimeBlock, ...],
-                 h1_full: CohomologySet, forward: tuple[tuple[int, ...], ...],
+                 h1_full: CohomologySet, columns: list[Sequence[int]],
                  well_defined: bool, point_preserved: bool, injective: bool,
                  surjective: bool, failure: str | None):
         self.shared_primes, self.blocks, self.h1_full = shared_primes, blocks, h1_full
-        self.forward, self.well_defined = forward, well_defined
+        self._columns, self.well_defined = columns, well_defined
         self.point_preserved, self.injective = point_preserved, injective
         self.surjective, self.failure = surjective, failure
+
+    @property
+    def forward(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self._columns)) if self._columns else ((),) * self.h1_full.size
 
     @property
     def bijective(self) -> bool:
@@ -714,8 +745,8 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     class-by-class scan run, to name the first failing class.  When J is a
     p-group, its Sylow subgroup's H1 is H1(J, N) itself, from `h1`'s cache,
     and the column is the owner column.  A block that restricts maps over
-    the index's keys, the value tables in store order.  With one block the
-    images are compared as class numbers, not as one-tuples.
+    the index's keys, the value tables in store order.  `forward` is zipped
+    from each block's entries when read; one block's are compared as ints.
     """
     J = action.actor
     primes = shared_primes(action)
@@ -744,29 +775,28 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
         firsts.append(first)
     if fast:
         well_defined, failure = True, None
-        forward = list(zip(*firsts)) if blocks else [()] * Hfull.size
     else:
-        well_defined, failure, forward = _scan_classes(blocks, fixed, columns, starts)
+        well_defined, failure, firsts = _scan_classes(blocks, fixed, columns, starts)
     point = tuple(b.h1_local.distinguished for b in blocks)
-    point_preserved = forward[Hfull.distinguished] == point
+    point_preserved = tuple(first[Hfull.distinguished] for first in firsts) == point
     if not point_preserved:
         failure = failure or "distinguished class does not map to the distinguished tuple"
-    images = set(firsts[0] if fast and len(blocks) == 1 else forward)
-    injective = len(images) == len(forward)
+    images = set(firsts[0]) if len(blocks) == 1 else set(zip(*firsts)) if blocks else {()}
+    injective = len(images) == Hfull.size
     if not injective:
         failure = failure or "two classes restrict to the same local tuple"
     # On the fast path every image is a tuple of fixed classes, so the images
     # are all of them exactly when there are as many as fixed tuples.
     surjective = len(images) == prod(map(len, fixed)) and (
-        fast or all(all(map(set.__contains__, fixed, image)) for image in images))
+        fast or all(all(map(f.__contains__, first)) for f, first in zip(fixed, firsts)))
     if not surjective and failure is None:
-        missing = min(set(product(*fixed)) - set(forward))
+        missing = min(set(product(*fixed)) - set(zip(*firsts)))
         failure = f"fixed local tuple {missing} has no preimage"
     return DecompositionReport(
         shared_primes=primes,
         blocks=tuple(blocks),
         h1_full=Hfull,
-        forward=tuple(forward),
+        columns=firsts,
         well_defined=well_defined,
         point_preserved=point_preserved,
         injective=injective,
@@ -777,10 +807,10 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
 
 def _scan_classes(blocks: list[PrimeBlock], fixed: list[set[int]], columns: list[tuple[int, ...]],
                   starts: Sequence[int]) -> tuple[bool, str | None, list[tuple[int, ...]]]:
-    """Well-definedness, the first failure and the forward images, class by
-    class, from the local class columns of `_decompose` (one per block, and
-    at least one) and the class starts; a class that restricts to several
-    tuples is sent to the least of them."""
+    """Well-definedness, the first failure and the forward images as one
+    column per block, class by class, from the local class columns of
+    `_decompose` (one per block, and at least one) and the class starts; a
+    class that restricts to several tuples is sent to the least of them."""
     well_defined, failure, forward = True, None, []
     for i, (start, end) in enumerate(pairwise([*starts, len(columns[0])])):
         images = set(zip(*[column[start:end] for column in columns]))
@@ -795,7 +825,7 @@ def _scan_classes(blocks: list[PrimeBlock], fixed: list[set[int]], columns: list
                     "which the Hall subgroup does not fix"
                 )
         forward.append(image)
-    return well_defined, failure, forward
+    return well_defined, failure, list(zip(*forward))
 
 
 # -- abelian cross-check -----------------------------------------------------------
@@ -813,8 +843,8 @@ def _p_primary_classes(H: CohomologySet, p: int) -> tuple[int, ...]:
     N = H.action.target
     q = p_part(H.size, p)
     power = [N.power(n, q) for n in range(N.order)]
-    return tuple(i for i, phi in enumerate(H.reps())
-                 if H.class_of(compose(power, phi.values)) == H.distinguished)
+    return tuple(i for i, values in enumerate(H._rep_tables())
+                 if H.class_of(compose(power, values)) == H.distinguished)
 
 
 class Eq3Report:

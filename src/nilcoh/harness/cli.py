@@ -105,7 +105,7 @@ def cmd_h1(args) -> int:
         "cocycles": H.cocycle_count(),
         "classes": H.size,
         "distinguished": H.distinguished,
-        "representatives": [list(rep.values) for rep in H.reps()],
+        "representatives": list(map(list, H._rep_tables())),
     }
     _emit(payload, args.format)
     return 0

@@ -2,6 +2,7 @@
 correspondence, restriction/conjugation/invariance, the Sylow-wise
 decomposition, and the abelian cross-check."""
 
+import json
 import re
 from itertools import product
 
@@ -44,6 +45,7 @@ from nilcoh.groups import (
     normalizer,
     subgroup_generated,
 )
+from nilcoh.harness import cli
 from nilcoh.harness.catalog import conjugation_self_action, inversion_action
 from nilcoh.structure import (
     complements,
@@ -54,6 +56,7 @@ from nilcoh.structure import (
     subgroup_conjugacy_classes,
     sylow_subgroup,
 )
+from nilcoh.theorems import verify_lemma1
 from conftest import (
     CATALOG,
     abelian,
@@ -461,6 +464,47 @@ def test_h1_calls_cocycles_once_per_cache_miss(monkeypatch):
     local = h1(a, P)
     assert calls[1:] == [P.elements]
     assert h1(a, P) is local and len(calls) == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2])),
+    lambda: conjugation_self_action(heisenberg(3)),
+], ids=["c2e3_triv_c2e4", "heis3_conj_heis3"])
+def test_no_cocycle_is_made_unless_one_is_read(monkeypatch, capsys, build):
+    # Z1 and H1 store value tables.  h1, the decomposition check, the
+    # stable classes and `nilcoh h1` read class numbers and tables alone; a
+    # Cocycle is made only where a caller reads one.
+    from nilcoh import cohomology
+
+    made = []
+    real_init, real_bulk = Cocycle.__init__, cohomology._bulk_cocycles
+
+    def counted_init(self, action, domain, values):
+        made.append(values)
+        real_init(self, action, domain, values)
+
+    def counted_bulk(action, K, tables):
+        made.extend(tables)
+        return real_bulk(action, K, tables)
+
+    monkeypatch.setattr(Cocycle, "__init__", counted_init)
+    monkeypatch.setattr(cohomology, "_bulk_cocycles", counted_bulk)
+    a = build()
+    H = h1(a)
+    assert h1(a) is H
+    assert verify_lemma1(a, "lemma1").conclusion_verified
+    assert decomposition_map(a).bijective
+    assert fixed_classes(H, full_subgroup(a.actor))
+    monkeypatch.setattr(cli, "_resolve_action", lambda args: ("probe", a))
+    assert cli.main(["h1", "--instance", "probe", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"] == H.size
+    assert made == []
+    # Each read makes the Cocycles it returns.
+    assert H.rep(H.size - 1).values == H.reps()[-1].values
+    assert len(made) == 1 + H.size
+    assert len(H.classes) == H.size and len(made) == 1 + H.size + H.cocycle_count()
+    zs = list(cocycles(a))
+    assert len(made) == 1 + H.size + 2 * H.cocycle_count() == 1 + H.size + 2 * len(zs)
 
 
 def test_class_of_refuses_a_cocycle_of_another_action_or_domain():

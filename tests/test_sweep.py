@@ -14,7 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from nilcoh import theorems
 from nilcoh.actions import action_from_generator_images, semidirect, trivial_action
-from nilcoh.cohomology import cocycles, cocycles_bruteforce, decomposition_map, h1, shared_primes
+from nilcoh.cohomology import (
+    Cocycle,
+    cocycles,
+    cocycles_bruteforce,
+    decomposition_map,
+    h1,
+    restrict,
+    shared_primes,
+)
 from nilcoh.groups import Group, Subgroup, compose, subgroup_generated
 from nilcoh.structure import complements, prime_factors, subgroup_conjugacy_classes, sylow_subgroup
 from nilcoh.theorems import verify_prop2
@@ -151,6 +159,69 @@ def test_h1_matches_the_twist_oracle_on_the_sweep(monkeypatch):
     assert instances > 150
 
 
+def _catalog_and_sweep_actions():
+    """Every catalog action, built fresh, and every action of a cyclic actor
+    in the sweep."""
+    actions = [inst.build() for inst in CATALOG]
+    for N in sweep_targets():
+        for J in (cyclic(2), cyclic(3), cyclic(4), cyclic(6)):
+            actions += _all_cyclic_actions(J, N)
+    return actions
+
+
+def assert_z1_behaves_as_the_oracle_list(action, K):
+    """`cocycles(action, K)` read by len, index, slice, iteration, `in` and
+    `reversed` as the list that `cocycles_bruteforce` returns."""
+    z, old = cocycles(action, K), cocycles_bruteforce(action, K)
+    assert len(z) == len(old)
+    assert (z[0], z[-1], z[1:3]) == (old[0], old[-1], old[1:3])
+    with pytest.raises(IndexError):
+        z[len(old)]
+    assert list(z) == old
+    assert list(reversed(z)) == old[::-1]
+    foreign = Cocycle(trivial_action(action.actor, action.target), old[0].domain, old[0].values)
+    assert [c in z for c in (old[0], old[-1], foreign, old[0].values)] == [True, True, False, False]
+    assert all(c.action is action and c.domain is z.domain for c in z)
+    assert z.domain is (K if K is not None else old[0].domain)
+
+
+def test_z1_behaves_as_the_oracle_list_on_the_catalog_and_the_sweep():
+    # On J and on each Sylow subgroup of J, the domains of the sweep's H1
+    # checks; the drawn cyclic subgroups of two-generator actors follow.
+    instances = 0
+    for action in _catalog_and_sweep_actions():
+        J = action.actor
+        for K in [None] + [sylow_subgroup(J, p) for p in prime_factors(J.order)]:
+            assert_z1_behaves_as_the_oracle_list(action, K)
+        instances += 1
+    assert instances > 180
+
+
+def test_forward_images_match_their_class_by_class_definition():
+    # The report zips `forward` from its per-block columns; class by class it
+    # is the local class of each representative's restriction to each Sylow
+    # subgroup.  On every catalog and sweep action and on C2 x C2 acting on C8.
+    C2C2, C8 = abelian([2, 2]), cyclic(8)
+    involutions = [f for f in automorphisms(C8) if perm_order(f) <= 2]
+    actions = _catalog_and_sweep_actions() + [
+        action_from_generator_images(C2C2, C8, [2, 1], [f, g])
+        for f in involutions for g in involutions]
+    for action in actions:
+        rep = decomposition_map(action)
+        forward = tuple(tuple(b.h1_local.class_of(restrict(phi, b.sylow)) for b in rep.blocks)
+                        for phi in rep.h1_full.reps())
+        assert rep.forward == forward, (action.actor.name, action.target.name)
+        assert rep.to_json() == {
+            "shared_primes": list(rep.shared_primes),
+            "h1_size": rep.h1_full.size,
+            "local_fixed_sizes": [len(b.fixed) for b in rep.blocks],
+            "forward": [list(t) for t in forward],
+            "bijective": rep.bijective,
+            "failure": rep.failure,
+        }
+    assert len(actions) > 180
+
+
 def test_prop2_tests_one_complement_for_nilpotency(monkeypatch):
     # Every complement of N is isomorphic to G/N, so prop2 tests one of them
     # and keeps all or none: its "nilpotent" count equals a count over every
@@ -235,6 +306,14 @@ def test_chain_enumeration_matches_oracle_on_two_generator_actors(drawn):
         brute = [c.values for c in cocycles_bruteforce(action, domain)]
         assert fast == brute, (action.actor.name, action.target.name, domain)
         h1_store_matches_twist(action, domain)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(two_generator_actions())
+def test_z1_behaves_as_the_oracle_list_on_two_generator_actors(drawn):
+    action, K = drawn
+    for domain in (None, K):
+        assert_z1_behaves_as_the_oracle_list(action, domain)
 
 
 @st.composite
