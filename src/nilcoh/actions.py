@@ -114,8 +114,7 @@ class ActionOnGroup:
 
     __slots__ = ("actor", "target", "auto", "name", "_h1_cache", "_semidirect")
 
-    def __init__(self, actor: Group, target: Group, auto: Sequence[Sequence[int]],
-                 name: str | None = None):
+    def __init__(self, actor: Group, target: Group, auto: Sequence[Sequence[int]]):
         perms = tuple(map(tuple, auto))
         if len(perms) != actor.order:
             raise ValueError("need one permutation of N per element of J")
@@ -132,7 +131,7 @@ class ActionOnGroup:
                 raise NotAHomomorphism("identity of J must act as the identity map")
             raise NotAHomomorphism("action of product {}*{} differs from composed action"
                                    .format(*_first_mismatch(actor, perms)))
-        self._keep(actor, target, perms, name)
+        self._keep(actor, target, perms, None)
 
     def _keep(self, actor: Group, target: Group, auto: tuple, name: str | None) -> None:
         self.actor, self.target, self.auto, self.name = actor, target, auto, name
@@ -151,9 +150,9 @@ class ActionOnGroup:
         return f"<{tag}: |J|={self.actor.order} on |N|={self.target.order}>"
 
 
-def trivial_action(J: Group, N: Group, name: str | None = None) -> ActionOnGroup:
+def trivial_action(J: Group, N: Group) -> ActionOnGroup:
     return action_from_generator_images(J, N, J.gens, [range(N.order)] * len(J.gens),
-                                        name=name or "trivial")
+                                        name="trivial")
 
 
 def action_from_generator_images(
@@ -186,7 +185,7 @@ def action_from_generator_images(
 
 
 def conjugation_action_with_maps(
-    G: Group, N: Subgroup, J: Subgroup, name: str | None = None
+    G: Group, N: Subgroup, J: Subgroup
 ) -> tuple[ActionOnGroup, tuple[int, ...], tuple[int, ...]]:
     """The action of J on N by conjugation inside G, with the element maps of
     actor and target into G.
@@ -205,7 +204,7 @@ def conjugation_action_with_maps(
     Jg, j_map = J.as_group()
     Ng, n_map = N.as_group()
     images = [N.positions(conjugates(G, N.elements, G.inv[j])) for j in J.gens]
-    action = action_from_generator_images(Jg, Ng, J.positions(J.gens), images, name=name)
+    action = action_from_generator_images(Jg, Ng, J.positions(J.gens), images)
     return action, j_map, n_map
 
 

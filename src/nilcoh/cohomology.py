@@ -20,7 +20,6 @@ least value tables, and all reported sets are ordered by representative.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, compress, count, islice, pairwise, product, repeat
 from math import prod
@@ -95,7 +94,8 @@ class Cocycle:
 
 
 class Z1(Sequence):
-    """Z1(K, N): the sorted value tables, each made a `Cocycle` only when read."""
+    """Z1(K, N): the sorted value tables, each made a `Cocycle` only when read;
+    iteration reads them by index, as `Sequence` does."""
 
     __slots__ = ("action", "domain", "_tables")
 
@@ -107,11 +107,8 @@ class Z1(Sequence):
 
     def __getitem__(self, i: int | slice) -> Cocycle | list[Cocycle]:
         if isinstance(i, slice):
-            return _bulk_cocycles(self.action, self.domain, self._tables[i])
+            return [Cocycle(self.action, self.domain, t) for t in self._tables[i]]
         return Cocycle(self.action, self.domain, self._tables[i])
-
-    def __iter__(self):
-        return iter(_bulk_cocycles(self.action, self.domain, self._tables))
 
 
 def _check_budget(n_order: int, ngens: int, budget: int) -> None:
@@ -296,21 +293,6 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
     return Z1(action, K, survivors)
 
 
-def _bulk_cocycles(action: ActionOnGroup, K: Subgroup,
-                   tables: Sequence[tuple[int, ...]]) -> list[Cocycle]:
-    """Cocycle(action, K, t) for each value table t, as `Z1` and
-    `CohomologySet` read them, a field at a time: one `object.__new__` pass
-    makes the instances, and each slot's descriptor sets that field on all
-    of them, past the `__setattr__` that refuses assignment, as `__init__`
-    does.  For 4,096 tables this takes 1.2 ms, and as many constructor calls
-    2.4 ms (best of 7, Python 3.11.7, one core of a 2-vCPU Xeon VM)."""
-    out = list(map(object.__new__, repeat(Cocycle, len(tables))))
-    deque(map(Cocycle.action.__set__, out, repeat(action)), maxlen=0)
-    deque(map(Cocycle.domain.__set__, out, repeat(K)), maxlen=0)
-    deque(map(Cocycle.values.__set__, out, tables), maxlen=0)
-    return out
-
-
 def cocycles_bruteforce(action: ActionOnGroup, K: Subgroup | None = None,
                         budget: int = BRUTEFORCE_BUDGET) -> list[Cocycle]:
     """Independent oracle: test every map K -> N against the cocycle identity.
@@ -377,7 +359,7 @@ class CohomologySet:
     `range` when every class is one cocycle), the position of each class's
     first member, its representative (`_starts`), and the class of each
     table (`_index`).  The constructor takes any grouping of `Cocycle`s into
-    classes; `rep`, `reps`, `_members` and `classes` make them when read.
+    classes; `rep`, `reps` and `classes` make them when read.
     """
 
     def __init__(self, action: ActionOnGroup, domain: Subgroup,
@@ -400,16 +382,14 @@ class CohomologySet:
     @property
     def classes(self) -> tuple[tuple[Cocycle, ...], ...]:
         if self._classes is None:
-            cs = _bulk_cocycles(self.action, self.domain, self._tables)
-            self._classes = tuple(tuple(cs[a:b]) for a, b in pairwise([*self._starts, len(cs)]))
+            action, domain = self.action, self.domain
+            self._classes = tuple(tuple(Cocycle(action, domain, t) for t in self._member_tables(i))
+                                  for i in range(self.size))
         return self._classes
 
     def _member_tables(self, i: int) -> Sequence[tuple[int, ...]]:
         end = self._starts[i + 1] if i + 1 < self.size else None
         return self._tables[self._starts[i]:end]
-
-    def _members(self, i: int) -> tuple[Cocycle, ...]:
-        return tuple(_bulk_cocycles(self.action, self.domain, self._member_tables(i)))
 
     def _rep_tables(self) -> tuple[tuple[int, ...], ...]:
         return compose(self._tables, self._starts)
@@ -422,7 +402,7 @@ class CohomologySet:
         return Cocycle(self.action, self.domain, self._tables[self._starts[i]])
 
     def reps(self) -> list[Cocycle]:
-        return _bulk_cocycles(self.action, self.domain, self._rep_tables())
+        return [Cocycle(self.action, self.domain, t) for t in self._rep_tables()]
 
     def class_of(self, values: tuple[int, ...] | Cocycle) -> int:
         if isinstance(values, Cocycle):
@@ -634,8 +614,7 @@ def shared_primes(action: ActionOnGroup) -> tuple[int, ...]:
     return tuple(p for p in prime_factors(action.actor.order) if norder % p == 0)
 
 
-def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int,
-                      budget: int = GENERATOR_ENUM_BUDGET) -> int:
+def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int) -> int:
     """Extend a J'_q-fixed class of H1(J_q, N) to a class of H1(J, N) by the
     direct recipe ext(j' j) = phi(j), tried on every representative phi of
     the class, for j' in the Hall subgroup J'_q and j in J_q.
@@ -646,20 +625,20 @@ def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int,
     Math. Z. 84, 1964) some representative has values that J'_q fixes
     pointwise, and on it the recipe gives a cocycle.  So NoPreimageFound
     falsifies the decomposition on this instance.  The recipe's tables are
-    looked up in H1(J, N), which must be within the budget as well.
+    looked up in H1(J, N), which must be within `GENERATOR_ENUM_BUDGET` as well.
     """
     J = action.actor
     if not is_nilpotent(J) or not is_nilpotent(action.target):
         raise NotNilpotent("extension requires nilpotent actor and target")
     Jq = sylow_subgroup(J, q)
-    Hq = h1(action, Jq, budget=budget)
+    Hq = h1(action, Jq)
     full = full_subgroup(J)
     if class_index not in fixed_classes(Hq, hall_pprime(J, q, within=full)):
         raise ValueError(f"class {class_index} is not fixed by the Hall subgroup")
     where = Jq.positions(p_parts(J, q, range(J.order)))  # j -> place of its q-part in J_q
     # H1(J, N)'s index holds every cocycle of Z1(J, N), since `cocycles` is
     # complete, so a table is a cocycle exactly when it is a key there.
-    index = h1(action, budget=budget)._index
+    index = h1(action)._index
     for values in Hq._member_tables(class_index):
         cls = index.get(compose(values, where))
         if cls is not None:
@@ -876,7 +855,7 @@ class Eq3Report:
         }
 
 
-def eq3_check(action: ActionOnGroup, budget: int = GENERATOR_ENUM_BUDGET) -> Eq3Report:
+def eq3_check(action: ActionOnGroup) -> Eq3Report:
     """Verify the abelian primary decomposition of H1(J, N) for abelian N.
 
     For each shared prime p: the p-primary component of H1(J, N) must
@@ -887,7 +866,7 @@ def eq3_check(action: ActionOnGroup, budget: int = GENERATOR_ENUM_BUDGET) -> Eq3
     if not N.is_abelian():
         raise NotAbelian("the abelian cross-check needs an abelian target")
     J = action.actor
-    H = h1(action, budget=budget)
+    H = h1(action)
     whole = full_subgroup(J)
     primes = shared_primes(action)
     inv_sizes = []
@@ -895,7 +874,7 @@ def eq3_check(action: ActionOnGroup, budget: int = GENERATOR_ENUM_BUDGET) -> Eq3
     restrictions_ok = True
     for p in primes:
         Jp = sylow_subgroup(J, p)
-        local = h1(action, Jp, budget=budget)
+        local = h1(action, Jp)
         inv = fixed_classes(local, whole)
         inv_sizes.append(len(inv))
         images = [local.class_of(restrict(H.rep(i), Jp)) for i in _p_primary_classes(H, p)]

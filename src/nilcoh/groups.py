@@ -54,10 +54,10 @@ class Group:
 
     __slots__ = ("order", "mul", "inv", "gens", "name", "_full")
 
-    def __init__(self, mul: Sequence[Sequence[int]], name: str | None = None):
+    def __init__(self, mul: Sequence[Sequence[int]]):
         table = tuple(map(tuple, mul))
         self.order = _check_table_shape(table)
-        self.mul, self.name, self._full = table, name, None
+        self.mul, self.name, self._full = table, None, None
         self.gens = generating_sequence(self, range(self.order))[0]
         try:
             rows, self.inv = _walk_rows(self.order, [(g, table[g]) for g in self.gens])
@@ -376,7 +376,7 @@ class GroupHom:
 # -- constructors --------------------------------------------------------------
 
 
-def group_from_table(table: Sequence[Sequence[int]], name: str | None = None) -> Group:
+def group_from_table(table: Sequence[Sequence[int]]) -> Group:
     """Validate a raw multiplication table and canonicalize the identity to 0.
 
     A table whose row 0 and column 0 are the identity's goes to `Group` as
@@ -396,7 +396,7 @@ def group_from_table(table: Sequence[Sequence[int]], name: str | None = None) ->
         sigma = list(range(n))
         sigma[0], sigma[e] = e, 0
         rows = [[sigma[rows[sigma[a]][sigma[b]]] for b in range(n)] for a in range(n)]
-    return Group(rows, name=name)
+    return Group(rows)
 
 
 def group_from_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int]]],
@@ -479,7 +479,6 @@ def _walk_rows(order: int, generator_rows: Iterable[tuple[int, Sequence[int]]]
 def group_from_permutations(
     generators: Sequence[Sequence[int]],
     degree: int | None = None,
-    name: str | None = None,
 ) -> Group:
     """Closure of a set of permutations under composition, as a table group.
 
@@ -522,7 +521,7 @@ def group_from_permutations(
         rank[d] = i
     rows = [(rank[found[g]], compose(rank, compose(moves, by_rank)))
             for g, moves in zip(gens, left)]
-    return group_from_rows(n, rows, name=name)
+    return group_from_rows(n, rows)
 
 
 def subgroup_generated(G: Group, seeds: Iterable[int]) -> Subgroup:

@@ -63,15 +63,12 @@ class ScenarioCheck:
 class Scenario:
     __slots__ = ("id", "groups", "actions", "gsets", "checks")
 
-    def __init__(self, id: str, groups: dict[str, Group] | None = None,
-                 actions: dict[str, ActionOnGroup] | None = None,
-                 gsets: dict[str, tuple[str, GSet]] | None = None,
-                 checks: list[ScenarioCheck] | None = None):
+    def __init__(self, id: str):
         self.id = id
-        self.groups = {} if groups is None else groups
-        self.actions = {} if actions is None else actions
-        self.gsets = {} if gsets is None else gsets  # action name, gset
-        self.checks = [] if checks is None else checks
+        self.groups: dict[str, Group] = {}
+        self.actions: dict[str, ActionOnGroup] = {}
+        self.gsets: dict[str, tuple[str, GSet]] = {}  # action name, gset
+        self.checks: list[ScenarioCheck] = []
 
 
 @contextmanager
@@ -256,7 +253,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 kind=kind,
                 instance=f"{scenario.id}/{i}:{kind}",
                 spec=spec,
-                expect_hypothesis_fail=bool(spec.get("expect_hypothesis_fail")),
+                expect_hypothesis_fail=spec.get("expect_hypothesis_fail", False),
                 normal=_resolve_check_subgroups(spec, scenario, i),
             )
         )
@@ -267,9 +264,17 @@ def _resolve_check_subgroups(spec: dict, scenario: Scenario, i: int) -> Subgroup
     """Check the references of check i and resolve its subgroup specs: a
     check that runs on an action's semidirect product must keep it within
     the order cap, a prop5 check's "h" is built once to validate it, and the
-    normal subgroup of a prop2/prop3 check on a group is returned.  Every
-    failure is a ValidationError naming the check."""
+    normal subgroup of a prop2/prop3 check on a group is returned.  An h1
+    check's limit and expected counts must be JSON integers, and
+    "expect_hypothesis_fail" a JSON boolean.  Every failure is a
+    ValidationError naming the check."""
     where = f"check {i}"
+    if type(spec.get("expect_hypothesis_fail", False)) is not bool:
+        raise ValidationError(where, "expect_hypothesis_fail is not true or false")
+    if spec.get("check") == "h1":
+        for field in ("oracle_limit", "expect_classes", "expect_cocycles"):
+            if field in spec:
+                _require_integers([spec[field]], where, field)
     if "action" in spec and spec["action"] not in scenario.actions:
         raise ValidationError(where, f"unknown action name {spec['action']!r}")
     if "gset" in spec and spec["gset"] not in scenario.gsets:

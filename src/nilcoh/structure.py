@@ -209,9 +209,7 @@ def p_parts(G: Group, p: int, elements: Sequence[int]) -> tuple[int, ...]:
     return compose(part, elements)
 
 
-def enumerate_subgroups_of_order(
-    G: Group, m: int, max_gens: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> list[Subgroup]:
+def enumerate_subgroups_of_order(G: Group, m: int, max_gens: int) -> list[Subgroup]:
     """All subgroups of order m generated by at most max_gens elements.
 
     Complete whenever every group of order m is max_gens-generated; 3 covers
@@ -240,9 +238,9 @@ def enumerate_subgroups_of_order(
                 if m % G.element_order(g) != 0:
                     continue
                 work += 1
-                if work > budget:
+                if work > DEFAULT_ENUM_BUDGET:
                     raise BudgetExceeded(
-                        f"subgroup enumeration exceeded budget {budget}"
+                        f"subgroup enumeration exceeded budget {DEFAULT_ENUM_BUDGET}"
                     )
                 walk = generating_sequence(G, elts + (g,), limit=m)
                 if walk is None or m % len(walk[1]) != 0:

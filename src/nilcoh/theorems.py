@@ -20,13 +20,11 @@ from .actions import (
     stabilizer,
 )
 from .cohomology import (
-    Cocycle,
     GENERATOR_ENUM_BUDGET,
     _decompose,
     extend_from_sylow,
     fixed_classes,
     h1,
-    restrict,
 )
 from .errors import (
     BudgetExceeded,
@@ -40,6 +38,7 @@ from .groups import (
     Subgroup,
     are_conjugate_subgroups,
     centralizer,
+    compose,
     conjugacy_orbit,
     conjugates_into,
     conjugator_into,
@@ -68,18 +67,10 @@ class VerificationReport:
     __slots__ = ("theorem", "instance", "hypotheses", "details", "conclusion_verified",
                  "witness", "notes", "relaxed", "expectation_met")
 
-    def __init__(self, theorem: str, instance: str,
-                 hypotheses: dict[str, bool] | None = None,
-                 details: dict[str, str] | None = None,
-                 conclusion_verified: bool | None = None, witness: object = None,
-                 notes: list[str] | None = None, relaxed: bool = False,
-                 expectation_met: bool | None = None):
-        self.theorem, self.instance = theorem, instance
-        self.hypotheses = {} if hypotheses is None else hypotheses
-        self.details = {} if details is None else details
-        self.conclusion_verified, self.witness = conclusion_verified, witness
-        self.notes = [] if notes is None else notes
-        self.relaxed, self.expectation_met = relaxed, expectation_met
+    def __init__(self, theorem: str, instance: str, relaxed: bool = False):
+        self.theorem, self.instance, self.relaxed = theorem, instance, relaxed
+        self.hypotheses, self.details, self.notes = {}, {}, []
+        self.conclusion_verified = self.witness = self.expectation_met = None
 
     @property
     def hypotheses_met(self) -> bool:
@@ -308,23 +299,19 @@ def _correspondence_finish(
     # phi restricted to K_q must take values in H-meet-N.
     if any(values[i] not in HN for i in Kq.elements):
         raise ProofStepFailed("restricted cocycle values outside H")
-    phi_q = Cocycle(act, Kq, tuple(mpos[values[i]] for i in Kq.elements))
+    phi_q = tuple(mpos[values[i]] for i in Kq.elements)
     Hq = h1(act, Kq)
-    cls = Hq.class_of(phi_q.values)
+    cls = Hq.class_of(phi_q)
     if cls not in fixed_classes(Hq, hall_pprime(Kg, q)):
         raise ProofStepFailed("restricted class not Hall-fixed")
     ext_cls = extend_from_sylow(act, q, cls)
-    psi = next(
-        (
-            c
-            for c in h1(act)._members(ext_cls)
-            if restrict(c, Kq).values == phi_q.values
-        ),
-        None,
-    )
+    # H1(Kg, N)'s tables are indexed by element, so psi restricts to K_q at
+    # K_q's elements.
+    psi = next((t for t in h1(act)._member_tables(ext_cls)
+                if compose(t, Kq.elements) == phi_q), None)
     if psi is None:
         raise ProofStepFailed("aligning the extension with the q-part")
-    L = Subgroup(G, (G.mul[mmap[psi.value_at(i)]][kmap[i]] for i in range(Kg.order)))
+    L = Subgroup(G, (G.mul[mmap[psi[i]]][kmap[i]] for i in range(Kg.order)))
     conj = are_conjugate_subgroups(G, J, L)
     if conj is None or not conjugates_into(G, J, H, conj):
         raise ProofStepFailed("final conjugation onto the complement in H")
@@ -404,8 +391,8 @@ def verify_prop3(G: Group, N: Subgroup, instance: str = "",
     if comps is not None:
         _set_hypothesis(report, "splits_over_n", bool(comps))
     if comps:
-        Q, _ = quotient(G, N)
-        _set_hypothesis(report, "quotient_nilpotent", is_nilpotent(Q))
+        # Every complement is isomorphic to G/N, as in verify_prop2.
+        _set_hypothesis(report, "quotient_nilpotent", is_nilpotent_subgroup(comps[0]))
     certified: dict[int, list[int]] = {}
     for p in prime_factors(G.order):
         good, stopped, sylows = None, [], _all_sylow_conjugates(G, p)

@@ -833,7 +833,7 @@ def primary_part(action: ActionOnGroup, q: int) -> PrimaryPart:
     from_parent = {x: i for i, x in enumerate(to_parent)}
     auto = [[from_parent[action.auto[j][x]] for x in to_parent]
             for j in range(action.actor.order)]
-    induced = ActionOnGroup(action.actor, sub, auto, name=f"{action.name}@{q}")
+    induced = ActionOnGroup(action.actor, sub, auto)
     return PrimaryPart(induced, to_parent,
                        tuple(from_parent[proj_parent[n]] for n in range(N.order)))
 

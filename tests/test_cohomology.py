@@ -474,21 +474,14 @@ def test_no_cocycle_is_made_unless_one_is_read(monkeypatch, capsys, build):
     # Z1 and H1 store value tables.  h1, the decomposition check, the
     # stable classes and `nilcoh h1` read class numbers and tables alone; a
     # Cocycle is made only where a caller reads one.
-    from nilcoh import cohomology
-
     made = []
-    real_init, real_bulk = Cocycle.__init__, cohomology._bulk_cocycles
+    real_init = Cocycle.__init__
 
     def counted_init(self, action, domain, values):
         made.append(values)
         real_init(self, action, domain, values)
 
-    def counted_bulk(action, K, tables):
-        made.extend(tables)
-        return real_bulk(action, K, tables)
-
     monkeypatch.setattr(Cocycle, "__init__", counted_init)
-    monkeypatch.setattr(cohomology, "_bulk_cocycles", counted_bulk)
     a = build()
     H = h1(a)
     assert h1(a) is H
@@ -556,9 +549,9 @@ def test_h1_partition_is_twist_orbit():
 
 
 def test_cocycle_is_a_frozen_value_object():
-    # Cocycles come out of `cocycles` built a slot at a time; they must act
-    # as constructed ones: no assignment, no instance dict, and equality and
-    # hashing by (action, domain, values).
+    # A Cocycle read from `cocycles` is made by its constructor, as any
+    # other; it is a value: no assignment, no instance dict, and equality
+    # and hashing by (action, domain, values).
     from dataclasses import FrozenInstanceError
 
     a = inv_c4()

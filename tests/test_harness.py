@@ -177,6 +177,29 @@ def test_failing_expectation_fails_suite(tmp_path):
     assert exit_code(outcomes) == 1
 
 
+@pytest.mark.parametrize("field,value", [
+    *((field, value) for field in ("oracle_limit", "expect_classes", "expect_cocycles")
+      for value in ("8", 2.0, True)),
+    ("expect_hypothesis_fail", "no"),
+])
+def test_cli_refuses_check_fields_of_another_type(tmp_path, capsys, field, value):
+    # Refused at load as input errors: a string limit used to raise a
+    # TypeError inside the h1 check, 2.0 to pass for the count 2, true for
+    # the limit 1, and "no" to count as true.
+    doc = {
+        "id": "x",
+        "groups": {"c4": {"builtin": "cyclic", "n": 4}},
+        "actions": {"a": {"builtin": "inversion", "target": "c4"}},
+        "checks": [{"check": "h1", "action": "a", field: value}],
+    }
+    path = tmp_path / "typed.scn"
+    path.write_text(json.dumps(doc))
+    assert main(["suite", "--scenario", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and f"check 0: {field}" in err
+    assert "Traceback" not in err
+
+
 def test_report_emit_json_lines():
     scenario = load_scenario(shipped_scenario_path())
     outcomes = run_checks(scenario_checks(scenario))

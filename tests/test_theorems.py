@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcoh.actions import coset_gset, semidirect, trivial_action
-from nilcoh.cohomology import h1
+from nilcoh.cohomology import Cocycle, h1
 from nilcoh import theorems
 from nilcoh.errors import HypothesisNotMet, NoPreimageFound, ProofStepFailed
 from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated
@@ -200,6 +200,29 @@ def test_verify_prop5_evaluates_its_hypotheses_once(monkeypatch, catalog, iid, h
     assert calls == {"_prop5_setting_checks": 1, "_sylow_containment_data": 1}
     assert not report.falsification
     assert report.passed == report.hypotheses_met
+
+
+def test_proof_guided_route_makes_no_cocycle(monkeypatch, catalog):
+    # The correspondence step reads its cocycles as H1's value tables: it
+    # finds the extension of the q-part among the tables of its class.
+    made, finished = [], []
+    real_init, real_finish = Cocycle.__init__, theorems._correspondence_finish
+
+    def counted_init(self, action, domain, values):
+        made.append(values)
+        real_init(self, action, domain, values)
+
+    def counted_finish(*args):
+        finished.append(args)
+        return real_finish(*args)
+
+    monkeypatch.setattr(Cocycle, "__init__", counted_init)
+    monkeypatch.setattr(theorems, "_correspondence_finish", counted_finish)
+    P = semidirect(catalog["c6_inv_c6"].action())
+    H = subgroup_of_semidirect(P, {"generated_by": [[0, 1], [3, 0]]}).conjugate_by(6)
+    assert _proof_guided(P.group, P.n_part(), P.j_part(), H) == 24
+    assert len(finished) == 1
+    assert made == []
 
 
 def test_verify_thm4_does_not_recheck_prop5_hypotheses(monkeypatch):

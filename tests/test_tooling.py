@@ -1,6 +1,7 @@
 """Source hygiene of the package: every module imports only names it uses,
-every function, class and method it defines is used, and importing it loads
-no costly standard module it does not need."""
+every function, class and method it defines is used, every optional
+parameter is set by some call, and importing it loads no costly standard
+module it does not need."""
 
 import ast
 import os
@@ -126,6 +127,87 @@ def test_unreferenced_definition_is_found():
     package["b.py"] = package["b.py"].replace("K().m\n", "K()\n")
     assert unreferenced(package, ["recursive(3)"], set()) == ["b.py: K.m"]
     assert unreferenced(package, ["recursive(3)", "K().m()"], set()) == []
+
+
+def optional_parameters(node: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter of the function that has a
+    default, the position counted from the first argument that a call
+    passes (after the `skip` bound ones) and None for a keyword-only one."""
+    positional = (node.args.posonlyargs + node.args.args)[skip:]
+    first = len(positional) - len(node.args.defaults)
+    return [(a.arg, k) for k, a in enumerate(positional) if k >= first] + [(a.arg, None) for a, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                  if default is not None]
+
+
+def sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call may set the parameter: by keyword, by position, or
+    through `*args` or `**kwargs`."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position
+                                     or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_parameters(package: dict[str, str], others: list[str]) -> list[str]:
+    """The optional parameters of the package's functions, methods and class
+    constructors (`__init__`, called by the class name) that no call in the
+    package or the other sources sets, as "module: name(parameters)".  Calls
+    match by name as in `unreferenced`: a function or class by its name or
+    as an attribute, a method only as an attribute."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                key = node.func.id if isinstance(node.func, ast.Name) else f".{node.func.attr}"
+                calls.setdefault(key, []).append(node)
+    out = []
+    for module, tree in trees.items():
+        for qualified, name, node in definitions(tree):
+            method = "." in qualified
+            bound = method or isinstance(node, ast.ClassDef)    # self or cls
+            if isinstance(node, ast.ClassDef):
+                node = next((item for item in node.body if isinstance(item, ast.FunctionDef)
+                             and item.name == "__init__"), None)
+                if node is None:
+                    continue
+            keys = [f".{name}"] if method else [name, f".{name}"]
+            unset = [p for p, position in optional_parameters(node, int(bound))
+                     if not any(sets(call, p, position) for key in keys
+                                for call in calls.get(key, []))]
+            if unset:
+                out.append(f"{module}: {qualified}({', '.join(unset)})")
+    return out
+
+
+# The optional parameters that no call in the package or the benchmark sets,
+# each with the reason it stays.
+UNSET_BY_DESIGN = {
+    "cohomology.py: cocycles_bruteforce(K, budget)":
+        "the oracle's domain and budget, which the tests it serves set",
+    "harness/cli.py: main(argv)":
+        "the entry point's arguments, which the console script takes from sys.argv",
+}
+
+
+def test_every_optional_parameter_has_a_caller():
+    package = {str(p.relative_to(PACKAGE)): p.read_text() for p in MODULES}
+    bench = [p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))]
+    assert unset_parameters(package, bench) == list(UNSET_BY_DESIGN)
+
+
+def test_unset_parameter_is_found():
+    package = {"a.py": "def f(x, y=1, *, z=2):\n    return x\n\n"
+                       "class K:\n    def __init__(self, a=0):\n        self.a = a\n\n"
+                       "    def m(self, b=None):\n        return b\n"}
+    assert unset_parameters(package, []) == ["a.py: f(y, z)", "a.py: K(a)", "a.py: K.m(b)"]
+    # By position and by keyword; a method is called only as an attribute.
+    assert unset_parameters(package, ["f(0, 1)", "K(a=1)", "m(0)"]) == ["a.py: f(z)",
+                                                                       "a.py: K.m(b)"]
+    # Through *args and **kwargs; the bound self takes no argument of a call.
+    assert unset_parameters(package, ["mod.f(*xs, **kw)", "K(*xs)", "k.m(0)"]) == []
+    assert unset_parameters(package, ["f(0, *xs)", "K()", "k.m()"]) == [
+        "a.py: f(z)", "a.py: K(a)", "a.py: K.m(b)"]
 
 
 def test_import_loads_no_costly_standard_module():
