@@ -29,7 +29,6 @@ from .cohomology import (
     extend_from_sylow,
     fixed_classes,
     h1,
-    restrict,
     shared_primes,
 )
 from .groups import (

@@ -20,10 +20,10 @@ least value tables, and all reported sets are ordered by representative.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from itertools import accumulate, compress, count, islice, pairwise, product, repeat
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress, count, islice, product, repeat
 from math import prod
-from operator import eq, getitem, itemgetter
+from operator import eq, getitem, itemgetter, ne
 
 from .actions import ActionOnGroup, SemidirectProduct
 from .errors import (
@@ -354,30 +354,20 @@ class CohomologySet:
     """H1(K, N): all cocycles partitioned into classes, with the class of the
     all-identity cocycle distinguished.
 
-    One flat store of value tables, which `h1` writes directly: each table
-    once, class by class (`_tables`), the class number of each (`_owner`, a
-    `range` when every class is one cocycle), the position of each class's
-    first member, its representative (`_starts`), and the class of each
-    table (`_index`).  The constructor takes any grouping of `Cocycle`s into
-    classes; `rep`, `reps` and `classes` make them when read.
+    One flat store of value tables, as `h1` builds it: each table once,
+    class by class (`tables`), the class number of each (`owner`, a `range`
+    when every class is one cocycle), and the position of each class's
+    first member, its representative (`starts`).  The class of each table
+    is indexed (`_index`); `reps` and `classes` make `Cocycle`s when read.
     """
 
-    def __init__(self, action: ActionOnGroup, domain: Subgroup,
-                 classes: Iterable[Iterable[Cocycle]]):
-        classes = [[c.values for c in cls] for cls in classes]
-        sizes = list(map(len, classes))
-        self._fill(action, domain, [t for cls in classes for t in cls],
-                   [i for i, size in enumerate(sizes) for _ in range(size)],
-                   list(accumulate(sizes, initial=0))[:-1])
-
-    def _fill(self, action: ActionOnGroup, domain: Subgroup, tables: Sequence[tuple[int, ...]],
-              owner: Sequence[int], starts: Sequence[int]) -> CohomologySet:
+    def __init__(self, action: ActionOnGroup, domain: Subgroup, tables: Sequence[tuple[int, ...]],
+                 owner: Sequence[int], starts: Sequence[int]):
         self.action, self.domain = action, domain
         self._tables, self._owner, self._starts = tables, owner, starts
         self._index = dict(zip(tables, owner))
         self.distinguished = self._index[(0,) * domain.order]
         self._classes = None
-        return self
 
     @property
     def classes(self) -> tuple[tuple[Cocycle, ...], ...]:
@@ -397,9 +387,6 @@ class CohomologySet:
     @property
     def size(self) -> int:
         return len(self._starts)
-
-    def rep(self, i: int) -> Cocycle:
-        return Cocycle(self.action, self.domain, self._tables[self._starts[i]])
 
     def reps(self) -> list[Cocycle]:
         return [Cocycle(self.action, self.domain, t) for t in self._rep_tables()]
@@ -490,7 +477,7 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
         tables, owner, starts = _twist_orbits(tables, K.positions(gens), transversal, acts, N)
     else:
         owner = starts = range(len(tables))
-    result = CohomologySet.__new__(CohomologySet)._fill(action, K, tables, owner, starts)
+    result = CohomologySet(action, K, tables, owner, starts)
     action._h1_cache[key] = (len(gens), result)
     return result
 
@@ -549,16 +536,14 @@ def cocycle_to_complement(P: SemidirectProduct, phi: Cocycle) -> Subgroup:
     return Subgroup(P.group, (phi.value_at(j) * nj + j for j in range(nj)))
 
 
-# -- restriction, conjugation, invariance ----------------------------------------
+# -- restriction and stable classes --------------------------------------------------
 
 
-def restrict(phi: Cocycle, K2: Subgroup) -> Cocycle:
-    """Restriction of a cocycle to a subgroup of its domain."""
-    try:
-        where = phi.domain.positions(K2.elements)
-    except KeyError:
-        raise NotASubgroup("restriction target is not contained in the domain") from None
-    return Cocycle(phi.action, K2, compose(phi.values, where))
+def _local_classes(local: CohomologySet, tables: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """The class in `local` of each value table on all of J, restricted to
+    `local.domain`: a table on J is indexed by element, so the restriction
+    reads it at the domain's elements."""
+    return map(local._index.__getitem__, map(composer(local.domain.elements), tables))
 
 
 def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
@@ -660,7 +645,11 @@ class PrimeBlock:
 
 
 class DecompositionReport:
-    """Outcome of comparing H1(J, N) with the product of fixed local classes."""
+    """Outcome of comparing H1(J, N) with the product of fixed local classes.
+
+    `forward[i]` is the local class tuple of class i's representative.  All
+    members of a class restrict to it unless the report is not
+    `well_defined`, which falsifies the decomposition."""
 
     __slots__ = ("shared_primes", "blocks", "h1_full", "_columns", "well_defined",
                  "point_preserved", "injective", "surjective", "failure")
@@ -715,17 +704,21 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     """decomposition_map for an action already known to be nilpotent on
     nilpotent, so that `verify_lemma1` tests each group once.
 
-    Every cocycle of H1(J, N) is restricted at once: per block, one column
-    holds the local class of every cocycle of H1(J, N)'s store.  The map is
-    well defined when each column equals its representatives' entries read
-    through the store's owner column, and lands in the fixed classes when
-    every representative's entry is fixed, which a block whose classes are
-    all fixed need not test.  Only when either test fails does the
-    class-by-class scan run, to name the first failing class.  When J is a
-    p-group, its Sylow subgroup's H1 is H1(J, N) itself, from `h1`'s cache,
-    and the column is the owner column.  A block that restricts maps over
-    the index's keys, the value tables in store order.  `forward` is zipped
-    from each block's entries when read; one block's are compared as ints.
+    One pass over the blocks.  Per block, one column holds the local class
+    of every cocycle of H1(J, N)'s store, restricted at once over the
+    index's keys, the value tables in store order; when J is a p-group, its
+    Sylow subgroup's H1 is H1(J, N) itself, from `h1`'s cache, and the
+    column is the owner column.  Class i is sent to its representative's
+    entries.  The map is well defined when each column equals those entries
+    read through the owner column, and lands in the fixed classes when
+    every entry is fixed, which a block whose classes are all fixed need not
+    test.  Only a failed test looks for its witness: the owner of the first
+    differing position is the least class that restricts to several tuples,
+    and the first unfixed entry the least class sent outside the fixed
+    classes.  The report names the least failing class; on one class, a
+    split comes before the blocks' fixedness, in block order.  `forward` is
+    zipped from each block's entries when read; one block's are compared as
+    ints.
     """
     J = action.actor
     primes = shared_primes(action)
@@ -737,25 +730,28 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
         local = h1(action, Jp, budget=budget)
         blocks.append(PrimeBlock(p, Jp, hall, local, fixed_classes(local, hall)))
     Hfull = h1(action, budget=budget)
-    # Hfull's domain is J itself, so a value table is indexed by element.
     owner, starts = Hfull._owner, Hfull._starts
-    columns, firsts, fast = [], [], True
-    fixed = [set(b.fixed) for b in blocks]
-    for b, b_fixed in zip(blocks, fixed):
-        if b.h1_local is Hfull:
-            column, first = owner, range(Hfull.size)  # owner[starts[i]] is i
+    firsts, faults = [], []     # faults: (class, rank, message), rank 0 for a split
+    for rank, b in enumerate(blocks, start=1):
+        local = b.h1_local
+        if local is Hfull:
+            first = range(Hfull.size)  # owner[starts[i]] is i
         else:
-            restricted = map(composer(b.sylow.elements), Hfull._index)
-            column = tuple(map(b.h1_local._index.__getitem__, restricted))
+            column = tuple(_local_classes(local, Hfull._index))
             first = compose(column, starts)
-            fast = fast and column == compose(first, owner)
-        fast = fast and (len(b_fixed) == b.h1_local.size or all(map(b_fixed.__contains__, first)))
-        columns.append(column)
+            if column != compose(first, owner):
+                i = owner[next(compress(count(), map(ne, column, compose(first, owner))))]
+                faults.append((i, 0, f"class {i} restricts to multiple local class tuples"))
+        if len(b.fixed) != local.size:
+            fixed = set(b.fixed)
+            if not all(map(fixed.__contains__, first)):
+                i = next(i for i, x in enumerate(first) if x not in fixed)
+                faults.append((i, rank, f"class {i} restricts at p={b.prime} to class "
+                                        f"{first[i]}, which the Hall subgroup does not fix"))
         firsts.append(first)
-    if fast:
-        well_defined, failure = True, None
-    else:
-        well_defined, failure, firsts = _scan_classes(blocks, fixed, columns, starts)
+    well_defined = all(rank for _, rank, _ in faults)
+    all_fixed = not any(rank for _, rank, _ in faults)
+    failure = min(faults)[2] if faults else None
     point = tuple(b.h1_local.distinguished for b in blocks)
     point_preserved = tuple(first[Hfull.distinguished] for first in firsts) == point
     if not point_preserved:
@@ -764,12 +760,11 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     injective = len(images) == Hfull.size
     if not injective:
         failure = failure or "two classes restrict to the same local tuple"
-    # On the fast path every image is a tuple of fixed classes, so the images
-    # are all of them exactly when there are as many as fixed tuples.
-    surjective = len(images) == prod(map(len, fixed)) and (
-        fast or all(all(map(f.__contains__, first)) for f, first in zip(fixed, firsts)))
+    # With every image a tuple of fixed classes, the images are all of them
+    # exactly when there are as many as fixed tuples.
+    surjective = all_fixed and len(images) == prod(len(b.fixed) for b in blocks)
     if not surjective and failure is None:
-        missing = min(set(product(*fixed)) - set(zip(*firsts)))
+        missing = min(set(product(*(b.fixed for b in blocks))) - set(zip(*firsts)))
         failure = f"fixed local tuple {missing} has no preimage"
     return DecompositionReport(
         shared_primes=primes,
@@ -782,29 +777,6 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
         surjective=surjective,
         failure=failure,
     )
-
-
-def _scan_classes(blocks: list[PrimeBlock], fixed: list[set[int]], columns: list[tuple[int, ...]],
-                  starts: Sequence[int]) -> tuple[bool, str | None, list[tuple[int, ...]]]:
-    """Well-definedness, the first failure and the forward images as one
-    column per block, class by class, from the local class columns of
-    `_decompose` (one per block, and at least one) and the class starts; a
-    class that restricts to several tuples is sent to the least of them."""
-    well_defined, failure, forward = True, None, []
-    for i, (start, end) in enumerate(pairwise([*starts, len(columns[0])])):
-        images = set(zip(*[column[start:end] for column in columns]))
-        if len(images) != 1:
-            well_defined = False
-            failure = failure or f"class {i} restricts to multiple local class tuples"
-        image = min(images)
-        for b, b_fixed, local_class in zip(blocks, fixed, image):
-            if local_class not in b_fixed:
-                failure = failure or (
-                    f"class {i} restricts at p={b.prime} to class {local_class}, "
-                    "which the Hall subgroup does not fix"
-                )
-        forward.append(image)
-    return well_defined, failure, list(zip(*forward))
 
 
 # -- abelian cross-check -----------------------------------------------------------
@@ -877,7 +849,8 @@ def eq3_check(action: ActionOnGroup) -> Eq3Report:
         local = h1(action, Jp)
         inv = fixed_classes(local, whole)
         inv_sizes.append(len(inv))
-        images = [local.class_of(restrict(H.rep(i), Jp)) for i in _p_primary_classes(H, p)]
+        primary = compose(H._rep_tables(), _p_primary_classes(H, p))
+        images = list(_local_classes(local, primary))
         if len(set(images)) != len(images):
             restrictions_ok = False
             failure = failure or f"restriction at p={p} is not injective on the primary part"

@@ -220,7 +220,9 @@ def _reject_duplicate_names(pairs):
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and fully validate a scenario file."""
+    """Parse and fully validate a scenario file.  The "groups", "actions"
+    and "gsets" sections, where present and not null, must be JSON objects,
+    and "checks" a JSON list."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_names)
@@ -229,6 +231,10 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(doc, dict) or "id" not in doc:
         raise ValidationError("scenario", "document must be an object with an 'id'")
     scenario = Scenario(id=str(doc["id"]))
+    for section, shape in (("groups", dict), ("actions", dict), ("gsets", dict), ("checks", list)):
+        if doc.get(section) is not None and type(doc[section]) is not shape:
+            kind = "an object" if shape is dict else "a list"
+            raise ValidationError("scenario", f"{section!r} must be {kind}")
     for name, spec in (doc.get("groups") or {}).items():
         scenario.groups[name] = _build_group(spec, scenario.groups, f"group {name!r}")
     for name, spec in (doc.get("actions") or {}).items():
@@ -265,9 +271,10 @@ def _resolve_check_subgroups(spec: dict, scenario: Scenario, i: int) -> Subgroup
     check that runs on an action's semidirect product must keep it within
     the order cap, a prop5 check's "h" is built once to validate it, and the
     normal subgroup of a prop2/prop3 check on a group is returned.  An h1
-    check's limit and expected counts must be JSON integers, and
-    "expect_hypothesis_fail" a JSON boolean.  Every failure is a
-    ValidationError naming the check."""
+    check's limit and expected counts must be JSON integers,
+    "expect_hypothesis_fail" a JSON boolean, and an "action", "gset" or
+    "group" reference a JSON string.  Every failure is a ValidationError
+    naming the check."""
     where = f"check {i}"
     if type(spec.get("expect_hypothesis_fail", False)) is not bool:
         raise ValidationError(where, "expect_hypothesis_fail is not true or false")
@@ -275,12 +282,12 @@ def _resolve_check_subgroups(spec: dict, scenario: Scenario, i: int) -> Subgroup
         for field in ("oracle_limit", "expect_classes", "expect_cocycles"):
             if field in spec:
                 _require_integers([spec[field]], where, field)
-    if "action" in spec and spec["action"] not in scenario.actions:
-        raise ValidationError(where, f"unknown action name {spec['action']!r}")
-    if "gset" in spec and spec["gset"] not in scenario.gsets:
-        raise ValidationError(where, f"unknown gset name {spec['gset']!r}")
-    if "group" in spec and spec["group"] not in scenario.groups:
-        raise ValidationError(where, f"unknown group name {spec['group']!r}")
+    for field, names in (("action", scenario.actions), ("gset", scenario.gsets),
+                         ("group", scenario.groups)):
+        if field in spec and type(spec[field]) is not str:
+            raise ValidationError(where, f"{field} is not a name")
+        if field in spec and spec[field] not in names:
+            raise ValidationError(where, f"unknown {field} name {spec[field]!r}")
     if isinstance(spec.get("normal"), dict):
         _require_integers(spec["normal"].get("generated_by", []), where, "normal.generated_by")
     needs_action = spec.get("verify") in ("lemma1", "prop5") or spec.get("check") in KNOWN_CHECKS

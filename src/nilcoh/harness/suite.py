@@ -18,6 +18,7 @@ from ..groups import Group, subgroup_generated
 from ..structure import complement_classes, complements
 from ..theorems import (
     VerificationReport,
+    _labels,
     verify_lemma1,
     verify_prop2,
     verify_prop3,
@@ -76,11 +77,8 @@ def correspondence_report(action, instance: str) -> VerificationReport:
         ok = False
     else:
         comp_index = {K.elements: i for i, K in enumerate(comps)}
-        class_of_comp = {}
-        for ci, members in enumerate(classes):
-            for m in members:
-                class_of_comp[m] = ci
-        hit_classes = {class_of_comp[comp_index[K.elements]] for K in mapped}
+        labels = _labels(classes)
+        hit_classes = {labels[comp_index[K.elements]] for K in mapped}
         if len(hit_classes) != len(classes):
             ok = False
     report.conclusion_verified = ok

@@ -12,7 +12,7 @@ whole value tables, which anchors the conventions of `nilcoh.cohomology`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, count, product
+from itertools import accumulate, chain, combinations, count, product
 from operator import itemgetter
 
 import pytest
@@ -24,7 +24,6 @@ from nilcoh.cohomology import (
     CohomologySet,
     cocycles_bruteforce,
     h1,
-    restrict,
 )
 from nilcoh.errors import (
     BudgetExceeded,
@@ -32,6 +31,7 @@ from nilcoh.errors import (
     DomainMismatch,
     NoIdentity,
     NoInverse,
+    NotASubgroup,
     NotAssociative,
     OrderCapExceeded,
 )
@@ -712,9 +712,21 @@ def h1_classes_by_twist(action: ActionOnGroup,
     return classes
 
 
+def h1_of_classes(action: ActionOnGroup, domain: Subgroup,
+                  classes: list[list[Cocycle]]) -> CohomologySet:
+    """The H1 whose classes are the given groups of Cocycles, in their order,
+    with the store built from them: the tables class by class, the class of
+    each, and where each class starts."""
+    tables = [[c.values for c in cls] for cls in classes]
+    sizes = list(map(len, tables))
+    return CohomologySet(action, domain, [t for cls in tables for t in cls],
+                         [i for i, size in enumerate(sizes) for _ in range(size)],
+                         list(accumulate(sizes, initial=0))[:-1])
+
+
 def h1_store_matches_twist(action: ActionOnGroup, K: Subgroup | None = None) -> CohomologySet:
     """Assert that every accessor of the H1 that `h1` stores agrees with the
-    H1 rebuilt through the public constructor from `h1_classes_by_twist`,
+    H1 rebuilt by `h1_of_classes` from `h1_classes_by_twist`,
     and `classes` also when it is first read after `reps()` or after
     `class_of`; return the rebuilt H1.  Each stored H1 is fresh: the
     action's H1 cache is emptied before `h1` runs."""
@@ -722,7 +734,7 @@ def h1_store_matches_twist(action: ActionOnGroup, K: Subgroup | None = None) -> 
     action._h1_cache.clear()
     H = h1(action, K)
     members = [[Cocycle(action, H.domain, values) for values in cls] for cls in oracle]
-    rebuilt = CohomologySet(action, H.domain, members)
+    rebuilt = h1_of_classes(action, H.domain, members)
     every = [c for cls in members for c in cls]
     assert H.reps() == rebuilt.reps()
     assert H.classes == rebuilt.classes
@@ -732,7 +744,7 @@ def h1_store_matches_twist(action: ActionOnGroup, K: Subgroup | None = None) -> 
     assert [H.class_of(c) for c in every] == [rebuilt.class_of(c) for c in every]
     assert H.classes == rebuilt.classes
     assert [H.class_of(c.values) for c in every] == [rebuilt.class_of(c) for c in every]
-    assert [H.rep(i) for i in range(H.size)] == rebuilt.reps()
+    assert H.reps() == rebuilt.reps()
     assert (H.size, H.distinguished, H.cocycle_count(), H.to_json()) == (
         rebuilt.size, rebuilt.distinguished, rebuilt.cocycle_count(), rebuilt.to_json())
     return rebuilt
@@ -760,6 +772,15 @@ def decomposition_fields(rep) -> tuple:
               for b in rep.blocks]
     return (rep.shared_primes, blocks, classes(rep.h1_full), rep.forward, rep.well_defined,
             rep.point_preserved, rep.injective, rep.surjective, rep.failure)
+
+
+def restrict(phi: Cocycle, K2: Subgroup) -> Cocycle:
+    """The restriction of a cocycle to a subgroup of its domain."""
+    try:
+        where = phi.domain.positions(K2.elements)
+    except KeyError:
+        raise NotASubgroup("restriction target is not contained in the domain") from None
+    return Cocycle(phi.action, K2, tuple(phi.values[k] for k in where))
 
 
 def twist(phi: Cocycle, n: int) -> Cocycle:
@@ -1013,9 +1034,11 @@ __all__ = [
     "normality_witness_by_scan",
     "fixed_points_by_scan",
     "h1_classes_by_twist",
+    "h1_of_classes",
     "h1_store_matches_twist",
     "decomposition_fields_of_rebuilt",
     "decomposition_fields",
+    "restrict",
     "twist",
     "cohomologous",
     "conjugate_cocycle",

@@ -17,7 +17,6 @@ from nilcoh.actions import (
 )
 from nilcoh.cohomology import (
     Cocycle,
-    CohomologySet,
     cocycle_to_complement,
     cocycles,
     cocycles_bruteforce,
@@ -26,7 +25,6 @@ from nilcoh.cohomology import (
     extend_from_sylow,
     fixed_classes,
     h1,
-    restrict,
     shared_primes,
 )
 from nilcoh.errors import (
@@ -46,7 +44,7 @@ from nilcoh.groups import (
     subgroup_generated,
 )
 from nilcoh.harness import cli
-from nilcoh.harness.catalog import conjugation_self_action, inversion_action
+from nilcoh.harness.catalog import catalog_by_id, conjugation_self_action, inversion_action
 from nilcoh.structure import (
     complements,
     enumerate_subgroups_of_order,
@@ -71,12 +69,14 @@ from conftest import (
     decomposition_fields_of_rebuilt,
     dihedral,
     h1_classes_by_twist,
+    h1_of_classes,
     h1_store_matches_twist,
     heisenberg,
     homomorphisms_by_scan,
     invariant_classes_by_twist,
     primary_part,
     quaternion8,
+    restrict,
     trivial_subgroup,
     twist,
 )
@@ -469,11 +469,12 @@ def test_h1_calls_cocycles_once_per_cache_miss(monkeypatch):
 @pytest.mark.parametrize("build", [
     lambda: trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2])),
     lambda: conjugation_self_action(heisenberg(3)),
-], ids=["c2e3_triv_c2e4", "heis3_conj_heis3"])
+    lambda: catalog_by_id()["c6_inv_c6"].action(),
+], ids=["c2e3_triv_c2e4", "heis3_conj_heis3", "c6_inv_c6"])
 def test_no_cocycle_is_made_unless_one_is_read(monkeypatch, capsys, build):
     # Z1 and H1 store value tables.  h1, the decomposition check, the
-    # stable classes and `nilcoh h1` read class numbers and tables alone; a
-    # Cocycle is made only where a caller reads one.
+    # abelian cross-check, the stable classes and `nilcoh h1` read class
+    # numbers and tables alone; a Cocycle is made only where a caller reads one.
     made = []
     real_init = Cocycle.__init__
 
@@ -487,17 +488,18 @@ def test_no_cocycle_is_made_unless_one_is_read(monkeypatch, capsys, build):
     assert h1(a) is H
     assert verify_lemma1(a, "lemma1").conclusion_verified
     assert decomposition_map(a).bijective
+    if a.target.is_abelian():
+        assert eq3_check(a).ok
     assert fixed_classes(H, full_subgroup(a.actor))
     monkeypatch.setattr(cli, "_resolve_action", lambda args: ("probe", a))
     assert cli.main(["h1", "--instance", "probe", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["classes"] == H.size
     assert made == []
     # Each read makes the Cocycles it returns.
-    assert H.rep(H.size - 1).values == H.reps()[-1].values
-    assert len(made) == 1 + H.size
-    assert len(H.classes) == H.size and len(made) == 1 + H.size + H.cocycle_count()
+    assert len(H.reps()) == H.size and len(made) == H.size
+    assert len(H.classes) == H.size and len(made) == H.size + H.cocycle_count()
     zs = list(cocycles(a))
-    assert len(made) == 1 + H.size + 2 * H.cocycle_count() == 1 + H.size + 2 * len(zs)
+    assert len(made) == H.size + 2 * H.cocycle_count() == H.size + 2 * len(zs)
 
 
 def test_class_of_refuses_a_cocycle_of_another_action_or_domain():
@@ -545,7 +547,7 @@ def test_h1_partition_is_twist_orbit():
         orbit = {twist(rep, n).values for n in range(N.order)}
         assert orbit == {c.values for c in cls}
     assert H.distinguished == 0
-    assert H.rep(0).values == (0,) * H.domain.order
+    assert H.reps()[0].values == (0,) * H.domain.order
 
 
 def test_cocycle_is_a_frozen_value_object():
@@ -687,7 +689,7 @@ def test_conjugation_composes():
 
     a = catalog_by_id()["c6_inv_c6"].action()
     J = a.actor
-    phi = h1(a).rep(1)
+    phi = h1(a).reps()[1]
     for j1 in range(J.order):
         for j2 in range(J.order):
             lhs = conjugate_cocycle(conjugate_cocycle(phi, j1), j2)
@@ -887,17 +889,22 @@ def _patch_local_h1(monkeypatch, rebuild):
 
 
 def _split_classes(H):
-    return CohomologySet(H.action, H.domain, [[c] for cls in H.classes for c in cls])
+    return h1_of_classes(H.action, H.domain, [[c] for cls in H.classes for c in cls])
+
+
+def _split_and_reverse_classes(H):
+    return h1_of_classes(H.action, H.domain,
+                         [[c] for cls in reversed(H.classes) for c in reversed(cls)])
 
 
 def _move_distinguished(H):
-    moved = CohomologySet(H.action, H.domain, H.classes)
+    moved = h1_of_classes(H.action, H.domain, H.classes)
     moved.distinguished = H.size - 1
     return moved
 
 
 def _merge_first_classes(H):
-    return CohomologySet(H.action, H.domain,
+    return h1_of_classes(H.action, H.domain,
                          [H.classes[0] + H.classes[1]] + list(H.classes[2:]))
 
 
@@ -919,7 +926,7 @@ def test_decomposition_of_a_p_group_actor_reads_its_own_index(monkeypatch, build
     own = decomposition_map(build())
     assert own.blocks[0].h1_local is own.h1_full
     _patch_local_h1(monkeypatch,
-                    lambda H: CohomologySet(H.action, H.domain, H.classes))
+                    lambda H: h1_of_classes(H.action, H.domain, H.classes))
     looked_up = decomposition_map(build())
     assert looked_up.blocks[0].h1_local is not looked_up.h1_full
     assert decomposition_fields(own) == decomposition_fields(looked_up)
@@ -927,8 +934,9 @@ def test_decomposition_of_a_p_group_actor_reads_its_own_index(monkeypatch, build
 
 
 # Each fault, its instance, and the report's failure, forward images and
-# (well_defined, point_preserved, injective, surjective), as the class-by-
-# class scan of every cocycle reports them.
+# (well_defined, point_preserved, injective, surjective).  The failure names
+# the least failing class, a split before the blocks' fixedness, and each
+# class is sent to its representative's local tuple.
 DECOMPOSITION_FAULTS = {
     "local_h1_splits_a_class": (
         "c6_inv_c6", lambda mp: _patch_local_h1(mp, _split_classes),
@@ -954,6 +962,21 @@ DECOMPOSITION_FAULTS = {
         "c6_inv_c6", lambda mp: _patch_fixed_classes(mp, lambda H, fixed: tuple(range(H.size))),
         "fixed local tuple (0, 1) has no preimage",
         ((0, 0), (1, 0)), (True, True, True, False)),
+    # The first block, p = 2, finds class 1 unfixed; the second, p = 3,
+    # class 0, which is named.
+    "fixed_classes_drops_classes_at_two_primes": (
+        "c6_inv_c6", lambda mp: _patch_fixed_classes(
+            mp, lambda H, fixed: tuple(c for c in fixed if c != 3 - H.domain.order)),
+        "class 0 restricts at p=3 to class 0, which the Hall subgroup does not fix",
+        ((0, 0), (1, 0)), (True, True, True, False)),
+    # Each local cocycle its own class, numbered down from the last: class 0's
+    # members restrict at p=2 to classes 3, 4 and 5, and its representative,
+    # the zero cocycle, to 5; class 1's to 0, 1 and 2, and its representative
+    # to 2.  The least tuples would be (3, 2) and (0, 2).
+    "local_h1_splits_and_renumbers_classes": (
+        "c6_inv_c6", lambda mp: _patch_local_h1(mp, _split_and_reverse_classes),
+        "class 0 restricts to multiple local class tuples",
+        ((5, 2), (2, 2)), (False, True, True, False)),
 }
 
 
@@ -1020,7 +1043,7 @@ def test_extend_from_sylow_round_trip():
                 Hfull = h1(b)
                 for cls in fixed_classes(local, hall_pprime(J, q)):
                     ext = extend_from_sylow(b, q, cls)
-                    back = restrict(Hfull.rep(ext), Jq)
+                    back = restrict(Hfull.reps()[ext], Jq)
                     assert local.class_of(back.values) == cls, (inst.id, q, cls)
                     if cls == local.distinguished:
                         assert ext == Hfull.distinguished
@@ -1042,7 +1065,7 @@ def test_extend_from_sylow_raises_when_the_recipe_fails(monkeypatch):
     J2 = sylow_subgroup(J, 2)
     local = h1(a, J2)
     assert local.distinguished != 1 and 1 in fixed_classes(local, hall_pprime(J, 2))
-    back = restrict(h1(a).rep(extend_from_sylow(a, 2, 1)), J2)
+    back = restrict(h1(a).reps()[extend_from_sylow(a, 2, 1)], J2)
     assert local.class_of(back.values) == 1
     real = cohomology.p_parts
     monkeypatch.setattr(cohomology, "p_parts",

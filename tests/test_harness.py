@@ -11,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import nilcoh
 from nilcoh.errors import NotAbelian, ParseError, UnknownCheck, ValidationError
@@ -198,6 +199,70 @@ def test_cli_refuses_check_fields_of_another_type(tmp_path, capsys, field, value
     err = capsys.readouterr().err
     assert "input error" in err and f"check 0: {field}" in err
     assert "Traceback" not in err
+
+
+_TYPED_BASE = {
+    "id": "x",
+    "groups": {"c4": {"builtin": "cyclic", "n": 4}, "d4": {"builtin": "dihedral", "n": 4}},
+    "actions": {"a": {"builtin": "inversion", "target": "c4"}},
+    "gsets": {"omega": {"action": "a", "coset_of": "embedded_j"}},
+}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"checks": [{"check": "h1", "action": ["a"]}]}, "check 0: action is not a name"),
+    ({"checks": [{"verify": "thm4", "gset": {"omega": 1}}]}, "check 0: gset is not a name"),
+    ({"checks": [{"verify": "prop2", "group": 4}]}, "check 0: group is not a name"),
+    ({"groups": [1]}, "scenario: 'groups' must be an object"),
+    ({"actions": "a"}, "scenario: 'actions' must be an object"),
+    ({"gsets": True}, "scenario: 'gsets' must be an object"),
+    ({"checks": 3}, "scenario: 'checks' must be a list"),
+], ids=["action_list", "gset_object", "group_int", "groups_list", "actions_string",
+        "gsets_bool", "checks_int"])
+def test_cli_refuses_references_and_sections_of_another_type(tmp_path, capsys, change, message):
+    # Refused at load as input errors: a list as a reference used to raise
+    # "unhashable type", and a section that is not an object or list an
+    # AttributeError or TypeError, each with a traceback and exit 1.
+    path = tmp_path / "typed.scn"
+    path.write_text(json.dumps({**_TYPED_BASE, **change}))
+    assert main(["suite", "--scenario", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+    assert "Traceback" not in err
+
+
+_FUZZ_BASE = {**_TYPED_BASE, "checks": [
+    {"verify": "lemma1", "action": "a"},
+    {"check": "h1", "action": "a", "oracle_limit": 4, "expect_classes": 2, "expect_cocycles": 4},
+    {"verify": "thm4", "gset": "omega", "expect_hypothesis_fail": False},
+    {"verify": "prop2", "group": "d4", "normal": {"generated_by": [1]}},
+    {"verify": "prop5", "action": "a", "h": "embedded_j"},
+    {"check": "complements", "action": "a"},
+]}
+_FUZZ_PLACES = [(section,) for section in ("id", "groups", "actions", "gsets", "checks")] + [
+    ("checks", i, field) for i, check in enumerate(_FUZZ_BASE["checks"]) for field in check]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(place=st.sampled_from(_FUZZ_PLACES),
+       value=st.one_of(st.lists(st.integers(0, 4), max_size=2),
+                       st.dictionaries(st.sampled_from(["a", "n", "elements"]),
+                                       st.integers(0, 4), max_size=1),
+                       st.sampled_from(["", "a", "c4", "omega", "embedded_j"]),
+                       st.integers(-1, 9), st.floats(-1, 9), st.booleans(), st.none()))
+def test_suite_survives_a_field_of_another_type(tmp_path, capsys, place, value):
+    # A valid scenario with one section or check field replaced by a JSON
+    # value of another type runs or is refused: exit 0 to 3, no traceback.
+    doc = json.loads(json.dumps(_FUZZ_BASE))
+    *outer, last = place
+    holder = reduce(lambda node, key: node[key], outer, doc)
+    assume(type(value) is not type(holder[last]))
+    holder[last] = value
+    path = tmp_path / "fuzz.scn"
+    path.write_text(json.dumps(doc))
+    assert main(["suite", "--scenario", str(path)]) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_report_emit_json_lines():

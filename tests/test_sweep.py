@@ -20,7 +20,6 @@ from nilcoh.cohomology import (
     cocycles_bruteforce,
     decomposition_map,
     h1,
-    restrict,
     shared_primes,
 )
 from nilcoh.groups import Group, Subgroup, compose, subgroup_generated
@@ -40,6 +39,7 @@ from conftest import (
     is_nilpotent_subgroup_by_table,
     orbit_route_mismatches,
     quaternion8,
+    restrict,
     same_as_validated,
     semidirect_table_by_formula,
     trivial_subgroup,
