@@ -138,13 +138,6 @@ class ActionOnGroup:
         self._h1_cache: dict = {}
         self._semidirect: SemidirectProduct | None = None
 
-    def act(self, j: int, n: int) -> int:
-        return self.auto[j][n]
-
-    def is_trivial(self) -> bool:
-        ident = tuple(range(self.target.order))
-        return all(p == ident for p in self.auto)
-
     def __repr__(self) -> str:
         tag = self.name or "action"
         return f"<{tag}: |J|={self.actor.order} on |N|={self.target.order}>"

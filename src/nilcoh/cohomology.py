@@ -89,9 +89,6 @@ class Cocycle:
     def __repr__(self) -> str:
         return f"<cocycle on K of order {self.domain.order}: {self.values}>"
 
-    def to_json(self) -> dict:
-        return {"domain": list(self.domain.elements), "values": list(self.values)}
-
 
 class Z1(Sequence):
     """Z1(K, N): the sorted value tables, each made a `Cocycle` only when read;
@@ -406,12 +403,6 @@ class CohomologySet:
             f"<H1: {self.size} classes from {self.cocycle_count()} cocycles "
             f"on K of order {self.domain.order}>"
         )
-
-    def to_json(self) -> dict:
-        return {
-            "classes": [rep.to_json() for rep in self.reps()],
-            "distinguished": self.distinguished,
-        }
 
 
 def h1(action: ActionOnGroup, K: Subgroup | None = None,

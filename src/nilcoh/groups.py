@@ -96,9 +96,6 @@ class Group:
         tag = self.name or "Group"
         return f"<{tag} of order {self.order}>"
 
-    def to_json(self) -> dict:
-        return {"kind": "table", "n": self.order, "mul": [list(row) for row in self.mul]}
-
 
 def _check_table_shape(table: Sequence[Sequence[int]]) -> int:
     """The order of a square table whose entries all lie in [0, order).
@@ -334,9 +331,6 @@ class Subgroup:
         if not respects_generators(G, mul, elts):
             raise ValueError("the re-indexed rows are not the subgroup's")
         return G, elts
-
-    def to_json(self) -> list[int]:
-        return list(self.elements)
 
 
 class GroupHom:

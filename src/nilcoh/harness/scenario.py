@@ -136,8 +136,10 @@ def _build_group(spec, groups: dict[str, Group], where: str) -> Group:
             return group_from_table(spec["mul"])
         if kind == "perm":
             _require_integers(spec["generators"], where, "generators", depth=2)
-            return group_from_permutations(spec["generators"],
-                                           degree=spec.get("degree"))
+            degree = spec.get("degree")
+            if degree is not None:
+                _require_integers([degree], where, "degree")
+            return group_from_permutations(spec["generators"], degree=degree)
     raise ValidationError(where, f"unrecognized group spec {spec!r}")
 
 

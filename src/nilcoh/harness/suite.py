@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from typing import Callable, Iterable
 
 from ..actions import ActionOnGroup, coset_gset, semidirect
 from ..cohomology import cocycle_to_complement, cocycles_bruteforce, eq3_check, h1
 from ..errors import NilcohError, NotAbelian, UnknownCheck
-from ..groups import Group, subgroup_generated
+from ..groups import subgroup_generated
 from ..structure import complement_classes, complements
 from ..theorems import (
     VerificationReport,
@@ -127,37 +128,15 @@ def verify_on_action(theorem: str, action: ActionOnGroup, instance: str,
     raise UnknownCheck(theorem)
 
 
-def _action_check(inst: ActionInstance, theorem: str, instance: str,
-                  relaxed: bool, h="embedded_j", expect_fail: bool = False) -> SuiteCheck:
-    return SuiteCheck(
-        instance,
-        lambda: verify_on_action(theorem, inst.action(), instance, relaxed, h),
-        expect_hypothesis_fail=expect_fail,
-    )
-
-
-def _ambient_prop5_check(tag: str, build: Callable[[], tuple[Group, list[int], list[int], list[int]]],
-                         expect_fail: bool = False,
-                         relaxed: bool = False) -> SuiteCheck:
-    def run() -> VerificationReport:
-        G, n_seed, j_seed, h_seed = build()
-        return verify_prop5(
-            G,
-            subgroup_generated(G, n_seed),
-            subgroup_generated(G, j_seed),
-            subgroup_generated(G, h_seed),
-            instance=f"ambient/prop5:{tag}", relaxed=relaxed,
-        )
-
-    return SuiteCheck(f"ambient/prop5:{tag}", run, expect_hypothesis_fail=expect_fail)
-
-
 _SUPPLEMENT = {"generated_by": [[0, 1], [3, 0]]}
 _Q8_CENTER_SUPPLEMENT = {"generated_by": [[0, 2], [0, 4], [1, 0]]}
 
-# The curated fixed-point and conjugator checks on semidirect products:
-# (catalog id, theorem, tag, subgroup spec, expect_hypothesis_fail).  For
-# thm4 the spec names the subgroup whose coset space is Omega, for prop5 H.
+# The checks after the catalog battery and eq3, in report order: (source,
+# theorem, tag, spec, expect_hypothesis_fail).  A catalog id as source runs
+# verify_on_action on its action, with spec naming the subgroup whose coset
+# space is thm4's Omega or prop5's H.  A group builder as source runs prop2,
+# prop3 or prop5 on the group it builds, with spec the generator seeds of N
+# (then J and H for prop5).
 CURATED_CHECKS = (
     ("c2_inv_c4", "thm4", "omega_j", "embedded_j", False),
     ("c2_inv_c4", "thm4", "omega_other_class", {"generated_by": [[1, 1]]}, True),
@@ -175,63 +154,52 @@ CURATED_CHECKS = (
     ("c6_inv_c12", "prop5", "supplement", {"generated_by": [[0, 1], [6, 0]]}, False),
     ("q8_conj_q8", "prop5", "center_supplement", _Q8_CENTER_SUPPLEMENT, False),
     ("c6_twist_q8c3", "prop5", "supplement", _SUPPLEMENT, False),
+    (lambda: dihedral(4), "prop5", "d4_contains_j", ([1], [4], [4, 2]), False),
+    (lambda: dihedral(4), "prop5", "d4_wrong_class", ([1], [4], [5, 2]), True),
+    # Local-to-global conjugacy of complements in ambient groups.
+    (lambda: dihedral(4), "prop3", "d4_c4", ([1],), True),
+    (lambda: dihedral(3), "prop3", "s3_c3", ([1],), False),
+    (lambda: direct_product(cyclic(2), cyclic(3)), "prop3", "c6_c3", ([1],), False),
+    ("c2_swap_c2c2", "prop3", "", None, False),
+    (lambda: dihedral(4), "prop2", "d4_c4", ([1],), False),
+    (lambda: dihedral(3), "prop2", "s3_c3", ([1],), False),
 )
+
+
+def _run_row(source, theorem: str, instance: str, spec, relaxed: bool) -> VerificationReport:
+    """One suite check: a catalog action through the correspondence, eq3 or
+    verify_on_action, or a built group through an ambient verifier."""
+    if not isinstance(source, ActionInstance):
+        G = source()
+        subgroups = [subgroup_generated(G, seed) for seed in spec]
+        verify = {"prop2": verify_prop2, "prop3": verify_prop3, "prop5": verify_prop5}[theorem]
+        return verify(G, *subgroups, instance, relaxed=relaxed)
+    action = source.action()
+    if theorem == "correspondence":
+        return correspondence_report(action, instance)
+    if theorem == "eq3":
+        return eq3_report(action, instance)
+    return verify_on_action(theorem, action, instance, relaxed, spec)
 
 
 def default_suite(relaxed: bool = False) -> list[SuiteCheck]:
     """The shipped suite: every catalog action through the decomposition,
-    correspondence, and complement-conjugacy verifiers, plus curated
-    fixed-point, conjugator, and hypothesis-failure instances."""
-    checks: list[SuiteCheck] = []
-
-    def add(instance: str, fn: Callable[[], VerificationReport],
-            expect_fail: bool = False) -> None:
-        checks.append(SuiteCheck(instance, fn, expect_hypothesis_fail=expect_fail))
-
-    for inst in CATALOG:
-        checks.append(_action_check(inst, "lemma1", f"{inst.id}/lemma1", relaxed))
-        add(f"{inst.id}/correspondence",
-            lambda inst=inst: correspondence_report(
-                inst.action(), f"{inst.id}/correspondence"))
-        checks.append(_action_check(inst, "prop2", f"{inst.id}/prop2", relaxed))
-    for inst in CATALOG + EQ3_EXTRA:
-        if "abelian_n" in inst.tags:
-            add(f"{inst.id}/eq3",
-                lambda inst=inst: eq3_report(inst.action(), f"{inst.id}/eq3"))
-
-    by_id = {inst.id: inst for inst in CATALOG}
-    for inst_id, theorem, tag, spec, expect_fail in CURATED_CHECKS:
-        checks.append(_action_check(by_id[inst_id], theorem, f"{inst_id}/{theorem}:{tag}",
-                                    relaxed, spec, expect_fail))
-    checks.append(_ambient_prop5_check(
-        "d4_contains_j", lambda: (dihedral(4), [1], [4], [4, 2]),
-        relaxed=relaxed))
-    checks.append(_ambient_prop5_check(
-        "d4_wrong_class", lambda: (dihedral(4), [1], [4], [5, 2]),
-        expect_fail=True, relaxed=relaxed))
-
-    # Local-to-global conjugacy of complements in ambient groups.
-    add("ambient/prop3:d4_c4",
-        lambda: _ambient_check(verify_prop3, dihedral(4), [1], "ambient/prop3:d4_c4", relaxed),
-        expect_fail=True)
-    add("ambient/prop3:s3_c3",
-        lambda: _ambient_check(verify_prop3, dihedral(3), [1], "ambient/prop3:s3_c3", relaxed))
-    add("ambient/prop3:c6_c3",
-        lambda: _ambient_check(verify_prop3, direct_product(cyclic(2), cyclic(3)), [1],
-                               "ambient/prop3:c6_c3", relaxed))
-    checks.append(_action_check(by_id["c2_swap_c2c2"], "prop3", "c2_swap_c2c2/prop3",
-                                relaxed))
-    add("ambient/prop2:d4_c4",
-        lambda: _ambient_check(verify_prop2, dihedral(4), [1], "ambient/prop2:d4_c4", relaxed))
-    add("ambient/prop2:s3_c3",
-        lambda: _ambient_check(verify_prop2, dihedral(3), [1], "ambient/prop2:s3_c3", relaxed))
+    correspondence, and complement-conjugacy verifiers, eq3 on every abelian
+    N, then the curated fixed-point, conjugator, and hypothesis-failure
+    checks."""
+    rows = [(inst.id, theorem, "", None, False) for inst in CATALOG
+            for theorem in ("lemma1", "correspondence", "prop2")]
+    rows += [(inst.id, "eq3", "", None, False) for inst in CATALOG + EQ3_EXTRA
+             if "abelian_n" in inst.tags]
+    by_id = {inst.id: inst for inst in CATALOG + EQ3_EXTRA}
+    checks = []
+    for source, theorem, tag, spec, expect_fail in rows + list(CURATED_CHECKS):
+        prefix = source if isinstance(source, str) else "ambient"
+        instance = f"{prefix}/{theorem}:{tag}" if tag else f"{prefix}/{theorem}"
+        inst = by_id[source] if isinstance(source, str) else source
+        checks.append(SuiteCheck(instance, partial(_run_row, inst, theorem, instance, spec,
+                                                   relaxed), expect_fail))
     return checks
-
-
-def _ambient_check(verify: Callable[..., VerificationReport], G: Group, n_seed: list[int],
-                   instance: str, relaxed: bool) -> VerificationReport:
-    """prop2 or prop3 on G and the normal subgroup of G that n_seed generates."""
-    return verify(G, subgroup_generated(G, n_seed), instance, relaxed=relaxed)
 
 
 # -- scenario execution ------------------------------------------------------------

@@ -231,19 +231,33 @@ def test_cli_refuses_references_and_sections_of_another_type(tmp_path, capsys, c
     assert "Traceback" not in err
 
 
-_FUZZ_BASE = {**_TYPED_BASE, "checks": [
-    {"verify": "lemma1", "action": "a"},
-    {"check": "h1", "action": "a", "oracle_limit": 4, "expect_classes": 2, "expect_cocycles": 4},
-    {"verify": "thm4", "gset": "omega", "expect_hypothesis_fail": False},
-    {"verify": "prop2", "group": "d4", "normal": {"generated_by": [1]}},
-    {"verify": "prop5", "action": "a", "h": "embedded_j"},
-    {"check": "complements", "action": "a"},
-]}
+_FUZZ_BASE = {
+    "id": "x",
+    "groups": {**_TYPED_BASE["groups"],
+               "p1": {"kind": "perm", "degree": 1, "generators": [[0]]},
+               "t2": {"kind": "table", "mul": [[0, 1], [1, 0]]}},
+    "actions": {**_TYPED_BASE["actions"],
+                "e": {"actor": "t2", "target": "c4", "gens": [1], "images": [[0, 3, 2, 1]]}},
+    "gsets": {**_TYPED_BASE["gsets"], "point": {"action": "e", "act": [[0]] * 8}},
+    "checks": [
+        {"verify": "lemma1", "action": "a"},
+        {"check": "h1", "action": "a", "oracle_limit": 4, "expect_classes": 2,
+         "expect_cocycles": 4},
+        {"verify": "thm4", "gset": "omega", "expect_hypothesis_fail": False},
+        {"verify": "prop2", "group": "d4", "normal": {"generated_by": [1]}},
+        {"verify": "prop5", "action": "a", "h": "embedded_j"},
+        {"check": "complements", "action": "a"},
+    ],
+}
+# Each section, each check field and each field of a group, action or G-set spec.
 _FUZZ_PLACES = [(section,) for section in ("id", "groups", "actions", "gsets", "checks")] + [
-    ("checks", i, field) for i, check in enumerate(_FUZZ_BASE["checks"]) for field in check]
+    (section, key, field) for section in ("groups", "actions", "gsets", "checks")
+    for key, spec in (enumerate(_FUZZ_BASE[section]) if section == "checks"
+                      else _FUZZ_BASE[section].items())
+    for field in spec]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None,
+@settings(derandomize=True, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(place=st.sampled_from(_FUZZ_PLACES),
        value=st.one_of(st.lists(st.integers(0, 4), max_size=2),
@@ -252,8 +266,9 @@ _FUZZ_PLACES = [(section,) for section in ("id", "groups", "actions", "gsets", "
                        st.sampled_from(["", "a", "c4", "omega", "embedded_j"]),
                        st.integers(-1, 9), st.floats(-1, 9), st.booleans(), st.none()))
 def test_suite_survives_a_field_of_another_type(tmp_path, capsys, place, value):
-    # A valid scenario with one section or check field replaced by a JSON
-    # value of another type runs or is refused: exit 0 to 3, no traceback.
+    # A valid scenario with one section, check field or field of a group,
+    # action or G-set spec replaced by a JSON value of another type runs or
+    # is refused: exit 0 to 3, no traceback.
     doc = json.loads(json.dumps(_FUZZ_BASE))
     *outer, last = place
     holder = reduce(lambda node, key: node[key], outer, doc)
@@ -478,11 +493,11 @@ def test_cli_budget_exceeded_is_reported(capsys):
     assert "BudgetExceeded: subgroup enumeration" in capsys.readouterr().err
 
 
-_SHARED_DISPATCH = [(inst_id, theorem, f"{inst_id}/{theorem}:{tag}", spec)
-                    for inst_id, theorem, tag, spec, _ in CURATED_CHECKS] + [
+_SHARED_DISPATCH = [(inst_id, theorem, f"{inst_id}/{theorem}" + (f":{tag}" if tag else ""), spec)
+                    for inst_id, theorem, tag, spec, _ in CURATED_CHECKS
+                    if isinstance(inst_id, str)] + [
     ("c6_inv_c6", "lemma1", "c6_inv_c6/lemma1", None),
     ("c6_inv_c6", "prop2", "c6_inv_c6/prop2", None),
-    ("c2_swap_c2c2", "prop3", "c2_swap_c2c2/prop3", None),
 ]
 
 
@@ -597,6 +612,13 @@ _REGULAR_C2C2 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     ({"groups": {"g": {"builtin": "heisenberg", "p": "3"}}}, "group 'g'", "p", '"3"'),
     ({"groups": {"g": {"builtin": "abelian", "factors": [2, False]}}},
      "group 'g'", "factors", "false"),
+    # "degree": true used to load as degree 1.
+    ({"groups": {"g": {"kind": "perm", "degree": True, "generators": [[0]]}}},
+     "group 'g'", "degree", "true"),
+    ({"groups": {"g": {"kind": "perm", "degree": "1", "generators": [[0]]}}},
+     "group 'g'", "degree", '"1"'),
+    ({"groups": {"g": {"kind": "perm", "degree": 1.0, "generators": [[0]]}}},
+     "group 'g'", "degree", "1.0"),
 ])
 def test_cli_rejects_entries_that_are_not_integers(tmp_path, capsys, doc, where, field, bad):
     # int() used to truncate such entries silently: [[0, 1.9], [1, 0]] loaded as C2.
@@ -736,11 +758,10 @@ def test_serialization_round_trips():
     inst = catalog_by_id()["c2_inv_c4"]
     action = inst.action()
     G = action.target
-    assert same_table(group_from_table(G.to_json()["mul"]), G)
+    assert same_table(group_from_table([list(row) for row in G.mul]), G)
     H = h1(action)
-    blob = H.to_json()
-    assert blob["distinguished"] == 0
-    assert [c["values"] for c in blob["classes"]] == [[0, 0], [0, 1]]
+    assert H.distinguished == 0
+    assert H._rep_tables() == ((0, 0), (0, 1))
 
 
 def test_default_suite_builds_one_semidirect_product_per_action(monkeypatch):

@@ -19,7 +19,6 @@ from nilcoh.structure import (
     p_part,
     p_parts,
     prime_factors,
-    subgroup_conjugacy_classes,
     sylow_subgroup,
 )
 from nilcoh.theorems import verify_lemma1, verify_prop3
@@ -30,6 +29,7 @@ from conftest import (
     is_p_power,
     primary_projection_by_scan,
     subgroups_by_subset_scan,
+    sylow_conjugates_by_scan,
 )
 
 INSTANCES = CATALOG + EQ3_EXTRA
@@ -117,7 +117,8 @@ def _within_mismatches(G, normals) -> list:
     out = []
     for N in normals:
         for p in prime_factors(G.order):
-            for S in theorems._all_sylow_conjugates(G, p):
+            for elements in sylow_conjugates_by_scan(G, p):
+                S = Subgroup(G, elements)
                 ours = [K.elements for K in complements(G, N, within=S)]
                 if ours != [K.elements for K in complements_within_by_table(G, N, S)]:
                     out.append((N.elements, S.elements))
@@ -156,10 +157,11 @@ def test_prop3_records_equal_with_the_table_route(monkeypatch, n):
                           for relaxed in (False, True))]
 
     ours = records()
-    monkeypatch.setattr(
-        theorems, "_sylow_local_complements_conjugate",
-        lambda G, S, N: len(subgroup_conjugacy_classes(
-            G, complements_within_by_table(G, N, S))) <= 1)
+
+    def by_table(G, N, within=None):
+        return complements(G, N) if within is None else complements_within_by_table(G, N, within)
+
+    monkeypatch.setattr(theorems, "complements", by_table)
     assert records() == ours
 
 
@@ -177,9 +179,8 @@ def test_prop3_states_nothing_a_stopped_enumeration_left_undecided(monkeypatch, 
                                        "local_conjugacy_p2"]
     assert report.details == {
         "complements_enumerable": "subgroup enumeration exceeded budget 0",
-        "local_conjugacy_p2": "undecided: the local complement enumeration stopped on "
-                              "1 of 1 Sylow 2-subgroups: subgroup enumeration exceeded "
-                              "budget 0",
+        "local_conjugacy_p2": "undecided: the local complement enumeration stopped: "
+                              "subgroup enumeration exceeded budget 0",
     }
     assert report.conclusion_verified is None and report.witness is None
     assert not report.passed and not report.falsification

@@ -13,7 +13,7 @@ from nilcoh.errors import HypothesisNotMet, NoPreimageFound, ProofStepFailed
 from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated
 from nilcoh.harness.scenario import subgroup_of_semidirect
 from nilcoh.harness.suite import default_suite
-from nilcoh.structure import complements
+from nilcoh.structure import complements, prime_factors
 from nilcoh.theorems import (
     find_conjugator,
     verify_lemma1,
@@ -22,7 +22,7 @@ from nilcoh.theorems import (
     verify_prop5,
     verify_thm4,
 )
-from nilcoh.harness.catalog import cyclic_action
+from nilcoh.harness.catalog import EQ3_EXTRA, catalog_by_id, cyclic_action
 from conftest import (
     CATALOG,
     abelian,
@@ -416,7 +416,9 @@ def _ambient_cases():
     yield "s3", S3, subgroup_generated(S3, [1])
     yield "s3xc2", S3xC2, Subgroup(S3xC2, [0, 1])
     yield "c6", C6, Subgroup(C6, [0, 1, 2])
-    for inst in CATALOG:
+    # EQ3_EXTRA's actors are not nilpotent, and their products have nine
+    # Sylow 2-subgroups, the most of any catalog product.
+    for inst in CATALOG + EQ3_EXTRA:
         P = semidirect(inst.action())
         yield inst.id, P.group, P.n_part()
 
@@ -427,6 +429,23 @@ def test_partition_verifiers_match_pairwise_oracles():
         assert verify_prop3(G, N, iid).to_json() == prop3_pairwise_by_scan(G, N, iid).to_json(), iid
         relaxed = verify_prop3(G, N, iid, relaxed=True)
         assert relaxed.to_json() == prop3_pairwise_by_scan(G, N, iid, relaxed=True).to_json(), iid
+
+
+@pytest.mark.parametrize("iid", ["s3_sign_c6", "c6_twist_q8c3", "c2_inv_c6"])
+def test_prop3_enumerates_local_complements_once_per_prime(monkeypatch, iid):
+    # The condition holds at one Sylow p-subgroup exactly when it holds at
+    # every conjugate, so each prime is decided on one of them.
+    local = []
+
+    def counted(G, N, *args, **kwargs):
+        if kwargs.get("within") is not None:
+            local.append(kwargs["within"])
+        return complements(G, N, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "complements", counted)
+    P = semidirect(catalog_by_id()[iid].action())
+    verify_prop3(P.group, P.n_part(), iid)
+    assert len(local) == len(prime_factors(P.group.order))
 
 
 @pytest.mark.parametrize("keys,local", [

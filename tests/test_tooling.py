@@ -1,7 +1,8 @@
 """Source hygiene of the package: every module imports only names it uses,
-every function, class and method it defines is used, every optional
-parameter is set by some call, and importing it loads no costly standard
-module it does not need."""
+every function, class and method it defines is used, every method whose
+name another class shares has a named caller, every optional parameter is
+set by some call, and importing it loads no costly standard module it does
+not need."""
 
 import ast
 import os
@@ -127,6 +128,69 @@ def test_unreferenced_definition_is_found():
     package["b.py"] = package["b.py"].replace("K().m\n", "K()\n")
     assert unreferenced(package, ["recursive(3)"], set()) == ["b.py: K.m"]
     assert unreferenced(package, ["recursive(3)", "K().m()"], set()) == []
+
+
+def shared_name_methods(package: dict[str, str]) -> list[str]:
+    """The methods of the package's classes, as "module: Class.method", whose
+    name another class of the package also defines as a method or lists in
+    its `__slots__`.  `unreferenced` matches a method by its attribute name
+    alone, so a read of the other class's attribute keeps such a method
+    alive whether or not anything calls it."""
+    owners: dict[str, set[str]] = {}
+    methods = []
+    for module, source in package.items():
+        for cls in (n for n in ast.parse(source).body if isinstance(n, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    if not (item.name.startswith("__") and item.name.endswith("__")):
+                        methods.append((module, cls.name, item.name))
+                        owners.setdefault(item.name, set()).add(f"{module}: {cls.name}")
+                elif isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+                    for slot in ast.walk(item.value):
+                        if isinstance(slot, ast.Constant) and isinstance(slot.value, str):
+                            owners.setdefault(slot.value, set()).add(f"{module}: {cls.name}")
+    return [f"{module}: {cls}.{name}" for module, cls, name in methods
+            if len(owners[name]) > 1]
+
+
+# Each package method whose name another package class shares, with a package
+# or benchmark function ("file: qualified name") that calls it.
+SHARED_NAME_CALLERS = {
+    "actions.py: ActionOnGroup._keep": "actions.py: action_from_generator_images",
+    "cohomology.py: DecompositionReport.to_json": "harness/cli.py: cmd_decompose",
+    "cohomology.py: Eq3Report.ok": "harness/suite.py: eq3_report",
+    "cohomology.py: Eq3Report.to_json": "harness/suite.py: eq3_report",
+    "cohomology.py: CohomologySet.size": "harness/suite.py: correspondence_report",
+    "groups.py: Group.elements": "structure.py: complements",
+    "groups.py: Subgroup._keep": "groups.py: Subgroup.generated_by",
+    "groups.py: Subgroup.order": "theorems.py: _prop5_setting_checks",
+    "harness/catalog.py: ActionInstance.action": "harness/suite.py: _run_row",
+    "harness/suite.py: CheckOutcome.ok": "harness/suite.py: exit_code",
+    "theorems.py: VerificationReport.to_json": "harness/suite.py: report_emit",
+}
+
+
+def test_every_method_behind_a_shared_name_has_a_caller():
+    package = {str(p.relative_to(PACKAGE)): p.read_text() for p in MODULES}
+    assert sorted(shared_name_methods(package)) == sorted(SHARED_NAME_CALLERS)
+    for method, caller in SHARED_NAME_CALLERS.items():
+        path, qualified = caller.split(": ")
+        root = PERFBENCH.parent if path.startswith("perfbench/") else PACKAGE
+        node = next(node for q, _, node in definitions(ast.parse((root / path).read_text()))
+                    if q == qualified)
+        assert referenced_names(node)["." + method.rsplit(".", 1)[1]], (method, caller)
+
+
+def test_shared_name_method_is_found():
+    package = {
+        "a.py": "class A:\n    __slots__ = ('size',)\n\n    def run(self):\n        pass\n",
+        "b.py": "class B:\n    def size(self):\n        pass\n\n    def __len__(self):\n"
+                "        return 0\n\n    def run(self):\n        pass\n",
+        "c.py": "class C:\n    def __len__(self):\n        return 1\n\n    def own(self):\n"
+                "        pass\n",
+    }
+    assert shared_name_methods(package) == ["a.py: A.run", "b.py: B.size", "b.py: B.run"]
 
 
 def optional_parameters(node: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:
