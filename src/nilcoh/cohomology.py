@@ -12,18 +12,21 @@ Enumeration extends cocycles one generator at a time along the chain of
 subgroups that a generating sequence spans (Celler, Neubueser and Wright,
 Acta Appl. Math. 21, 1990), coset by coset: a candidate value at the new
 generator is tested on the Schreier relations of the right cosets of the
-subgroup so far, and only the survivors are expanded to whole value tables.
-A brute-force oracle stands alongside.  H1 is partitioned on the values at
-the generators alone.  Class representatives are the lexicographically
-least value tables, and all reported sets are ordered by representative.
+subgroup so far, and only the survivors are extended.  A cocycle is kept as
+one int, the code of its values at the generators, and its value table is
+made only when it is read.  A brute-force oracle stands alongside.  H1 is
+partitioned on the codes alone.  Class representatives are the
+lexicographically least value tables, and all reported sets are ordered by
+representative.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, count, islice, product, repeat
 from math import prod
-from operator import eq, getitem, itemgetter, ne
+from operator import add, eq, floordiv, getitem, mod, mul, ne
 
 from .actions import ActionOnGroup, SemidirectProduct
 from .errors import (
@@ -34,7 +37,15 @@ from .errors import (
     NotASubgroup,
     NotNilpotent,
 )
-from .groups import Group, Subgroup, compose, composer, conjugates, full_subgroup
+from .groups import (
+    Group,
+    Subgroup,
+    compose,
+    composer,
+    conjugates,
+    full_subgroup,
+    generating_sequence,
+)
 from .structure import (
     hall_pprime,
     is_nilpotent,
@@ -90,22 +101,119 @@ class Cocycle:
         return f"<cocycle on K of order {self.domain.order}: {self.values}>"
 
 
+class _CayleyTree:
+    """The cocycles on a subgroup K as codes, and their values along K's
+    Cayley tree.
+
+    With g_1..g_d the sequence `minimal_generators(K)` that `cocycles`
+    extends along, a cocycle phi is fixed by its values at the g_i, so its
+    code, the sum of phi(g_i) * |N|^(d-i), is one int below |N|^d.
+    Breadth first from 1, each other x in K is reached by one edge
+    x = t g_slot, and phi(t g) = phi(t) * act(t, phi(g)) gives phi(x) from
+    phi(t): |K| lookups make one table, and one whole-column step per edge
+    of x's tree word gives the values at x of many cocycles at once.
+    """
+
+    __slots__ = ("action", "domain", "gens", "_edges")
+
+    def __init__(self, action: ActionOnGroup, domain: Subgroup):
+        self.action, self.domain = action, domain
+        self.gens = minimal_generators(domain)
+        self._edges = None
+
+    def edges(self) -> dict[int, tuple[int, int, Sequence[int], int, int]]:
+        """x -> (t, slot, act(t, -), x's position, t's position) with
+        x = t g_slot, for each x != 1 of the domain in the order reached;
+        walked on the first read and kept."""
+        if self._edges is None:
+            jmul, auto, pos = self.action.actor.mul, self.action.auto, self.domain.position
+            up, reached = {}, [0]
+            for t in reached:                  # reached grows while it is walked
+                row = jmul[t]
+                for slot, g in enumerate(self.gens):
+                    x = row[g]
+                    if x and x not in up:
+                        up[x] = (t, slot, auto[t], pos(x), pos(t))
+                        reached.append(x)
+            self._edges = up
+        return self._edges
+
+    def code(self, values: Sequence[int]) -> int:
+        """The code of the value table, read at the generators alone."""
+        code, radix = 0, self.action.target.order
+        for v in compose(values, self.domain.positions(self.gens)):
+            code = code * radix + v
+        return code
+
+    def tables(self, codes: Iterable[int]) -> Iterator[tuple[int, ...]]:
+        """The value table of the cocycle with each code, made when it is
+        read."""
+        radix, nmul, d, n = (self.action.target.order, self.action.target.mul,
+                             len(self.gens), self.domain.order)
+        edges = list(self.edges().values())
+        for code in codes:
+            digits = [0] * d
+            for k in reversed(range(d)):
+                code, digits[k] = divmod(code, radix)
+            val = [0] * n
+            for _, slot, at, kx, kt in edges:
+                val[kx] = nmul[val[kt]][at[digits[slot]]]
+            yield tuple(val)
+
+    def slots(self, codes: Sequence[int]) -> list[list[int]]:
+        """The digit columns of the codes: their values at g_1..g_d."""
+        radix, out = self.action.target.order, []
+        for k in reversed(range(len(self.gens))):
+            out.append(list(map(mod, map(floordiv, codes, repeat(radix ** k)), repeat(radix))))
+        return out
+
+    def columns(self, slots: list[list[int]], xs: Sequence[int]) -> list[list[int]]:
+        """The values at each x != 1 in xs of the cocycles whose digit columns
+        are `slots`, a column per edge of x's tree word; words share the
+        columns of their common prefixes."""
+        nmul, up = self.action.target.mul, self.edges()
+        got = {}
+        for x in xs:
+            path = []
+            while x and x not in got:
+                path.append(x)
+                x = up[x][0]
+            for y in reversed(path):
+                t, slot, at, _, _ = up[y]
+                got[y] = slots[slot] if t == 0 else list(
+                    map(getitem, compose(nmul, got[t]), compose(at, slots[slot])))
+        return [got[x] for x in xs]
+
+
+def _encode(columns: list[Sequence[int]], radix: int, size: int) -> list[int]:
+    """The codes of `size` cocycles from their digit columns, most
+    significant first."""
+    if not columns:
+        return [0] * size
+    codes = columns[0]
+    for column in columns[1:]:
+        codes = map(add, map(mul, codes, repeat(radix)), column)
+    return list(codes)
+
+
 class Z1(Sequence):
-    """Z1(K, N): the sorted value tables, each made a `Cocycle` only when read;
-    iteration reads them by index, as `Sequence` does."""
+    """Z1(K, N): the codes of the cocycles (`_CayleyTree`) in table order; a
+    cocycle's table, and its `Cocycle`, are made only when it is read.
+    Iteration reads them by index, as `Sequence` does."""
 
-    __slots__ = ("action", "domain", "_tables")
+    __slots__ = ("action", "domain", "_codes", "_tree")
 
-    def __init__(self, action: ActionOnGroup, domain: Subgroup, tables: list[tuple[int, ...]]):
-        self.action, self.domain, self._tables = action, domain, tables
+    def __init__(self, action: ActionOnGroup, domain: Subgroup, codes: Sequence[int]):
+        self.action, self.domain, self._codes = action, domain, codes
+        self._tree = _CayleyTree(action, domain)
 
     def __len__(self) -> int:
-        return len(self._tables)
+        return len(self._codes)
 
     def __getitem__(self, i: int | slice) -> Cocycle | list[Cocycle]:
-        if isinstance(i, slice):
-            return [Cocycle(self.action, self.domain, t) for t in self._tables[i]]
-        return Cocycle(self.action, self.domain, self._tables[i])
+        tables = self._tree.tables(self._codes[i] if isinstance(i, slice) else (self._codes[i],))
+        made = [Cocycle(self.action, self.domain, t) for t in tables]
+        return made if isinstance(i, slice) else made[0]
 
 
 def _check_budget(n_order: int, ngens: int, budget: int) -> None:
@@ -115,7 +223,8 @@ def _check_budget(n_order: int, ngens: int, budget: int) -> None:
 
 def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
              budget: int = GENERATOR_ENUM_BUDGET) -> Z1:
-    """The complete set Z1(K, N), ordered by value table.
+    """The complete set Z1(K, N) as codes (`_CayleyTree`), ordered by value
+    table.
 
     With g_1..g_d the sequence `minimal_generators(K)`, of the least length
     d when K is nilpotent and the greedy `K.gens` otherwise, the budget
@@ -143,14 +252,27 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
       checks are necessary and sufficient, with no normality needed.
 
     All v are tried at once, as vectors over N of the values at the
-    representatives; each check keeps the v that pass it.  Only the
-    survivors get their |K_{i+1}| - |K_i| new cells, a whole column of
-    candidates per cell.  K_i keeps its positions in K_{i+1}'s tables, which
-    list K_i and then each further coset as h t over K_i's order; the last
-    step lays its columns out in ascending element order.  Step i tries
-    |Z1(K_i, N)| * |N| candidates, at most |N|^(i+1), so the |N|^d that the
-    budget bounds also bounds the candidates of all steps, within a factor
-    of two when |N| > 1.
+    representatives; each check keeps the v that pass it.  Before the last
+    step, only the survivors get their |K_{i+1}| - |K_i| new cells, a whole
+    column of candidates per cell.  K_i keeps its positions in K_{i+1}'s
+    tables, which list K_i and then each further coset as h t over K_i's
+    order.  The last step writes no cells: a survivor phi with code c on
+    K_{d-1} and each v that passes phi's checks give the code c * |N| + v.
+    Step i tries |Z1(K_i, N)| * |N| candidates, at most |N|^(i+1), so the
+    |N|^d that the budget bounds also bounds the candidates of all steps,
+    within a factor of two when |N| > 1, and the codes: they fit 8-byte
+    entries for any budget below 2^63.
+
+    Each step extends its survivors in their order by ascending v, so the
+    codes come out in code order, the lexicographic order of
+    (phi(g_1), ..., phi(g_d)).  Let h_1 < ... < h_m be the greedy generating
+    sequence of K's elements in index order.  Value tables compare as
+    (phi(h_1), ..., phi(h_m)) do: where two cocycles first differ at some
+    h_k, they agree on <h_1..h_{k-1}>, which holds every smaller element.
+    So code order is table order when g_1..g_d is that sequence, which the
+    walk tests: each g_i must be the least element of K outside K_{i-1}.
+    Otherwise the last step also reads each survivor's values at h_1..h_m,
+    phi'(h t) for h t = h_k, and the codes are sorted by them.
 
     What a survivor does not change is done once per step, where the
     transversal is walked (loop-invariant code motion; Aho, Lam, Sethi and
@@ -180,8 +302,8 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
         raise NotASubgroup("domain must be a subgroup of the acting group")
     gens = minimal_generators(K)
     _check_budget(N.order, len(gens), budget)
-    jmul, nmul, auto = J.mul, N.mul, action.auto
-    zeros, everything = (0,) * N.order, tuple(range(N.order))
+    jmul, nmul, auto, radix = J.mul, N.mul, action.auto, N.order
+    zeros, everything = (0,) * radix, tuple(range(radix))
     columns: dict[int, tuple[int, ...]] = {}        # u -> (x*u for x in N), on demand
 
     def times(xs: tuple[int, ...], at: tuple[int, ...], w) -> tuple[int, ...]:
@@ -195,8 +317,14 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
 
     # The survivors on K_i, as value tables over `layout`, the elements of
     # K_i in coset order: K_{i+1} lists K_i, then each further coset K_i t
-    # as h t for h in K_i's layout, so K_i keeps its positions.
+    # as h t for h in K_i's layout, so K_i keeps its positions.  The last
+    # step writes codes alone; the zero cocycle on K = 1 has code 0.
     layout, survivors = [0], [(0,)]
+    codes = array("q") if radix ** len(gens) <= 1 << 63 else []
+    if not gens:
+        codes.append(0)
+    in_order = True                 # each g_i so far is least in K outside K_{i-1}
+    keys: list[int] | None = None   # the values at h_1..h_m as codes, when not in order
     for i, g in enumerate(gens):
         sub, size = gens[:i + 1], len(layout)
         known = [layout.index(s) for s in gens[:i]]
@@ -208,6 +336,7 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
         # `own` lists with the position of g_slot in the layout.
         reps = [0, g]
         where = {x: (0, k) for k, x in enumerate(layout)}
+        in_order = in_order and all(map(where.__contains__, K.elements[:K.position(g)]))
         where.update(zip([jmul[h][g] for h in layout], [(1, k) for k in range(size)]))
         free, own, checks = [zeros, everything], [], []
         for c, t in enumerate(islice(reps, 1, None), start=1):  # reps grows meanwhile
@@ -236,6 +365,11 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
                         free = [v if v is None else take(v) for v in free]
                 else:
                     checks.append((c, at, slot, kh, auto[layout[kh]], ct, kr))
+        last = i == len(gens) - 1
+        if last and not in_order:
+            keys = []
+            at_h = [(c, kh, auto[layout[kh]])
+                    for c, kh in map(where.__getitem__, generating_sequence(J, K.elements)[0])]
         # With t' free, act(h, phi'(t')) is the same for all survivors; with t
         # free as well, the check reads phi at h and g_slot alone, and its
         # outcome is kept by that pair of values.
@@ -245,11 +379,11 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
                   for c, at, slot, kh, ah, ct, kr in checks]
         # The fill row x -> phi(h) * act(h, x) is N's row of phi(h) for each
         # h in the kernel of the action; `moving` composes the others.
-        moving = [(k, composer(auto[h])) for k, h in enumerate(layout) if auto[h] != everything]
-        layout = [jmul[h][t] for t in reps for h in layout]
-        last = i == len(gens) - 1
-        ascending = sorted(range(len(layout)), key=layout.__getitem__) if last else None
-        takes = [None if v is None or v is everything else composer(v) for v in free[1:]]
+        if not last:
+            moving = [(k, composer(auto[h])) for k, h in enumerate(layout)
+                      if auto[h] != everything]
+            layout = [jmul[h][t] for t in reps for h in layout]
+            takes = [None if v is None or v is everything else composer(v) for v in free[1:]]
         grown: list[tuple[int, ...]] = []
         for phi in survivors:
             # The candidates at g are vectors over v in N, and so are the
@@ -277,6 +411,15 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
                     val = list(map(composer(keep), val))
                     shared = False
             else:
+                if last:
+                    base = 0
+                    for k in known:
+                        base = base * radix + phi[k]
+                    codes.extend(map((base * radix).__add__, val[1]))
+                    if keys is not None:
+                        keys += _encode([compose(nmul[phi[kh]], compose(ah, val[c]))
+                                         for c, kh, ah in at_h], radix, len(val[1]))
+                    continue
                 # phi'(h t) = phi(h) * act(h, phi'(t)), a column per cell.
                 fills = list(compose(nmul, phi))
                 for k, take in moving:
@@ -284,10 +427,13 @@ def cocycles(action: ActionOnGroup, K: Subgroup | None = None,
                 cells = [repeat(x, len(val[1])) for x in phi]
                 for vt, take in zip(val[1:], takes if shared else repeat(None)):
                     cells += fills if vt is everything else map(take or composer(vt), fills)
-                grown.extend(zip(*(compose(cells, ascending) if last else cells)))
+                grown.extend(zip(*cells))
         survivors = grown
-    survivors.sort()
-    return Z1(action, K, survivors)
+    if keys is not None:
+        keyed = sorted(zip(keys, codes))
+        del codes[:]
+        codes.extend(code for _, code in keyed)
+    return Z1(action, K, codes)
 
 
 def cocycles_bruteforce(action: ActionOnGroup, K: Subgroup | None = None,
@@ -351,19 +497,22 @@ class CohomologySet:
     """H1(K, N): all cocycles partitioned into classes, with the class of the
     all-identity cocycle distinguished.
 
-    One flat store of value tables, as `h1` builds it: each table once,
-    class by class (`tables`), the class number of each (`owner`, a `range`
-    when every class is one cocycle), and the position of each class's
-    first member, its representative (`starts`).  The class of each table
-    is indexed (`_index`); `reps` and `classes` make `Cocycle`s when read.
+    One flat store of cocycle codes (`_CayleyTree`), as `h1` builds it: each
+    code once, class by class (`codes`), the class number of each (`owner`, a
+    `range` when every class is one cocycle), and the position of each
+    class's first member, its representative (`starts`).  The zero cocycle
+    has code 0.  The class of each code is indexed on the first lookup.
+    `reps`, `classes` and a lookup by value table make the tables they read
+    along K's Cayley tree, and keep none.
     """
 
-    def __init__(self, action: ActionOnGroup, domain: Subgroup, tables: Sequence[tuple[int, ...]],
+    def __init__(self, action: ActionOnGroup, domain: Subgroup, codes: Sequence[int],
                  owner: Sequence[int], starts: Sequence[int]):
         self.action, self.domain = action, domain
-        self._tables, self._owner, self._starts = tables, owner, starts
-        self._index = dict(zip(tables, owner))
-        self.distinguished = self._index[(0,) * domain.order]
+        self._codes, self._owner, self._starts = codes, owner, starts
+        self._tree = _CayleyTree(action, domain)
+        self._index = None
+        self.distinguished = owner[codes.index(0)]
         self._classes = None
 
     @property
@@ -374,12 +523,21 @@ class CohomologySet:
                                   for i in range(self.size))
         return self._classes
 
-    def _member_tables(self, i: int) -> Sequence[tuple[int, ...]]:
+    def _lookup(self) -> dict[int, int]:
+        """code -> class number, built on the first call and kept."""
+        if self._index is None:
+            self._index = dict(zip(self._codes, self._owner))
+        return self._index
+
+    def _member_tables(self, i: int) -> Iterator[tuple[int, ...]]:
         end = self._starts[i + 1] if i + 1 < self.size else None
-        return self._tables[self._starts[i]:end]
+        return self._tree.tables(self._codes[self._starts[i]:end])
+
+    def _rep_codes(self) -> tuple[int, ...]:
+        return compose(self._codes, self._starts)
 
     def _rep_tables(self) -> tuple[tuple[int, ...], ...]:
-        return compose(self._tables, self._starts)
+        return tuple(self._tree.tables(self._rep_codes()))
 
     @property
     def size(self) -> int:
@@ -389,14 +547,23 @@ class CohomologySet:
         return [Cocycle(self.action, self.domain, t) for t in self._rep_tables()]
 
     def class_of(self, values: tuple[int, ...] | Cocycle) -> int:
+        """The class of a value table, or of a Cocycle of this action and
+        domain; KeyError when it is no cocycle.  The table's code is read at
+        the generators alone, so the whole table is compared with the table
+        that the code makes."""
         if isinstance(values, Cocycle):
             if values.action is not self.action or values.domain != self.domain:
                 raise DomainMismatch("cocycle belongs to a different action or domain")
             values = values.values
-        return self._index[values]
+        tree = self._tree
+        code = tree.code(values) if len(values) == self.domain.order else None
+        cls = self._lookup().get(code)
+        if cls is None or next(tree.tables((code,))) != values:
+            raise KeyError(values)
+        return cls
 
     def cocycle_count(self) -> int:
-        return len(self._tables)
+        return len(self._codes)
 
     def __repr__(self) -> str:
         return (
@@ -413,23 +580,23 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
     out ordered by their least member, so the distinguished class is first.
 
     A cocycle is fixed by its values on any generating sequence of K, so
-    the orbits are found on its values at `minimal_generators(K)` alone, the
-    d generators that `cocycles` extends along: d is the least number of
-    generators when K is nilpotent, and the length of the greedy `K.gens`
-    otherwise.  The budget bounds |N|^d, for a cached result too.  Twisting
-    is a right action of N, and n in C = Z(N) meet the K-fixed points of N
-    twists every cocycle to itself:
+    the orbits are found on the codes of `cocycles`, its values at
+    `minimal_generators(K)`, the d generators that `cocycles` extends along:
+    d is the least number of generators when K is nilpotent, and the length
+    of the greedy `K.gens` otherwise.  The budget bounds |N|^d, for a cached
+    result too.  Twisting is a right action of N, and n in C = Z(N) meet
+    the K-fixed points of N twists every cocycle to itself:
     n' * phi(j) * act(j, n) = n' * phi(j) * n = phi(j).  So twisting by a
     transversal of N/C reaches each whole orbit.
 
     The transversal leaves out the coset C itself.  When nothing else is in
-    it, N/C = 1 and every class is a single cocycle: the store is the tables
+    it, N/C = 1 and every class is a single cocycle: the store is the codes
     of `cocycles`' result, with `range` for the class numbers and starts.
     Otherwise the orbits are walked from each cocycle not yet in a class, on
-    its values at the d generators alone, twisted by the whole transversal
-    at once (`_twist_orbits`).  No map over N is built per twist: the twists
-    can far outnumber the classes (C2 inverting C_256 has 127 twists and 2
-    classes).
+    its code alone, twisted by the whole transversal at once
+    (`_twist_orbits`).  No map over N is built per twist: the twists can far
+    outnumber the classes (C2 inverting C_256 has 127 twists and 2 classes).
+    No value table is made.
     """
     J, N = action.actor, action.target
     if K is not None and K.parent is not J:
@@ -447,7 +614,7 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
         return result
     if K is None:
         K = full_subgroup(J)
-    tables = cocycles(action, K, budget=budget)._tables
+    codes = cocycles(action, K, budget=budget)._codes
     gens = minimal_generators(K)
     nmul = N.mul
     acts = [action.auto[g] for g in gens]
@@ -464,52 +631,57 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
         if n not in covered:
             covered.update(compose(nmul[n], fixed_central))
             transversal.append(n)
-    if transversal and len(tables) > 1:
-        tables, owner, starts = _twist_orbits(tables, K.positions(gens), transversal, acts, N)
+    if transversal and len(codes) > 1:
+        codes, owner, starts = _twist_orbits(codes, transversal, acts, N)
     else:
-        owner = starts = range(len(tables))
-    result = CohomologySet(action, K, tables, owner, starts)
+        owner = starts = range(len(codes))
+    result = CohomologySet(action, K, codes, owner, starts)
     action._h1_cache[key] = (len(gens), result)
     return result
 
 
-def _twist_orbits(tables: list[tuple[int, ...]], at: tuple[int, ...], transversal: list[int],
-                  acts: list[Sequence[int]], N: Group) -> tuple[tuple, list[int], list[int]]:
-    """The orbits of the cocycles, given by their sorted value tables, under
+def _twist_orbits(codes: Sequence[int], transversal: list[int], acts: list[Sequence[int]],
+                  N: Group) -> tuple[Sequence[int], list[int], list[int]]:
+    """The orbits of the cocycles, given by their codes in table order, under
     twisting by 1 and by each n in the transversal, each in table order and
-    listed by least member, as the store of `CohomologySet`: the tables
-    orbit by orbit, the orbit of each, and where each orbit starts.
+    listed by least member, as the store of `CohomologySet`: the codes orbit
+    by orbit, the orbit of each, and where each orbit starts.
 
-    A cocycle is keyed by its values at the generators g, at the positions
-    `at` of its table; `acts` holds act(g, -) for each g.  From each cocycle
-    not yet in an orbit, the twisted values n' * x * act(g, n) at g form one
+    Twisting acts on a code digit by digit: the value x at a generator g
+    becomes n' * x * act(g, n), for `acts` holding act(g, -) for each g.
+    From each cocycle not yet in an orbit, each digit's twists form one
     vector over the whole transversal, a few compositions per generator
-    whatever the number of twists.  The column x -> (m * x for m in N) is
-    built once per value x that occurs."""
-    nmul = N.mul
-    keys = map(itemgetter(*at), tables)
-    keys = list(keys if len(at) > 1 else zip(keys))
-    index = dict(zip(keys, count()))
+    whatever the number of twists, and the twisted codes are read off those
+    vectors.  The rows of n' * x over the transversal are built once per
+    value x that occurs."""
+    nmul, radix = N.mul, N.order
+    index = dict(zip(codes, count()))
     inverses = compose(N.inv, transversal)
     rights = [compose(au, transversal) for au in acts]
-    columns: dict[int, tuple[int, ...]] = {}        # x -> (m * x for m in N), on demand
-    assigned = [False] * len(tables)
+    rows: dict[int, tuple[tuple[int, ...], ...]] = {}     # x -> rows of n' * x, on demand
+    assigned = [False] * len(codes)
+    digits = [0] * len(acts)
     order, owner, starts = [], [], []
-    for i, key in enumerate(keys):
+    for i, code in enumerate(codes):
         if assigned[i]:
             continue
-        twisted = []
-        for x, right in zip(key, rights):
-            if x not in columns:
-                columns[x] = tuple([row[x] for row in nmul])
-            twisted.append(map(getitem, compose(nmul, compose(columns[x], inverses)), right))
-        members = sorted(set(map(index.__getitem__, zip(*twisted))).union((i,)))
+        for k in reversed(range(len(digits))):
+            code, digits[k] = divmod(code, radix)
+        twins = None
+        for x, right in zip(digits, rights):
+            if x not in rows:
+                rows[x] = compose(nmul, compose([row[x] for row in nmul], inverses))
+            twisted = map(getitem, rows[x], right)
+            twins = twisted if twins is None else map(add, map(mul, twins, repeat(radix)), twisted)
+        members = sorted(set(map(index.__getitem__, twins)).union((i,)))
         for j in members:
             assigned[j] = True
         owner += repeat(len(starts), len(members))
         starts.append(len(order))
         order += members
-    return compose(tables, order), owner, starts
+    store = codes[:0]
+    store.extend(compose(codes, order))
+    return store, owner, starts
 
 
 # -- complement correspondence ---------------------------------------------------
@@ -530,14 +702,19 @@ def cocycle_to_complement(P: SemidirectProduct, phi: Cocycle) -> Subgroup:
 # -- restriction and stable classes --------------------------------------------------
 
 
-def _local_classes(local: CohomologySet, tables: Iterable[tuple[int, ...]]) -> Iterator[int]:
-    """The class in `local` of each value table on all of J, restricted to
-    `local.domain`: a table on J is indexed by element, so the restriction
-    reads it at the domain's elements."""
-    return map(local._index.__getitem__, map(composer(local.domain.elements), tables))
+def _local_classes(local: CohomologySet, H: CohomologySet,
+                   codes: Sequence[int]) -> Iterator[int]:
+    """The class in `local` of the restriction to `local.domain` of each
+    cocycle of H, given by its code: the restriction's code is read off its
+    values at the domain's generators, each a column computed along that
+    element's tree word in H's domain from the codes' digits."""
+    tree = H._tree
+    values = tree.columns(tree.slots(codes), local._tree.gens)
+    return map(local._lookup().__getitem__,
+               _encode(values, H.action.target.order, len(codes)))
 
 
-def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
+def fixed_classes(H: CohomologySet, S: Subgroup) -> Sequence[int]:
     """The classes of H1(K, N) that every s in S fixes: the stable classes
     (Cartan and Eilenberg, Homological Algebra, 1956, Ch. XII).
 
@@ -548,21 +725,29 @@ def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
 
     When every generator of S conjugates K.gens into K, S normalizes K and
     acts on H1(K, N), so a class that S.gens fix is fixed by all of S, and
-    only S.gens are tried.
+    only S.gens are tried.  With no s to try, every class is fixed, and the
+    answer is `range(H.size)`, not a listing of it.
+
+    phi^s is a cocycle on K^s = K when s normalizes K, so the lookup reads
+    its code: its values at K's generators g are act(s', phi(s g s')),
+    whole columns over the representatives computed along the tree words
+    of the s g s'.
     """
     action, K = H.action, H.domain
     G, N = K.parent, action.target
     nmul, ninv, auto = N.mul, N.inv, action.auto
+    tree = H._tree
     normalizes = all(y in K for s in S.gens for y in conjugates(G, K.gens, s))
     # phi^s has value act(s', phi(s x s')) at x in K^s; x lies in K meet K^s
     # exactly when s x s' lies in K.
     lookups, scans = [], []
     for s in (S.gens if normalizes else S.elements):
         sinv = G.inv[s]
-        meet = [(kx, auto[x], K.position(y)) for kx, x in enumerate(K.elements)
-                if (y := G.conj(x, sinv)) in K]
-        if len(meet) == K.order:
-            lookups.append((auto[sinv], [ky for _, _, ky in meet]))
+        meet = None if normalizes else [(kx, auto[x], K.position(y))
+                                        for kx, x in enumerate(K.elements)
+                                        if (y := G.conj(x, sinv)) in K]
+        if meet is None or len(meet) == K.order:
+            lookups.append((auto[sinv], conjugates(G, tree.gens, sinv)))
         else:
             scans.append((auto[sinv], meet))
 
@@ -572,12 +757,20 @@ def fixed_classes(H: CohomologySet, S: Subgroup) -> tuple[int, ...]:
                        for kx, ax, ky in meet)
                    for n in range(N.order))
 
-    out, tables, starts = range(H.size), H._tables, H._starts
-    for back, src in lookups:
-        take = composer(src)
-        out = [i for i in out if H._index[compose(back, take(tables[starts[i]]))] == i]
-    for back, meet in scans:
-        out = [i for i in out if twists_onto(tables[starts[i]], back, meet)]
+    out = range(H.size)
+    if not (lookups or scans):
+        return out
+    reps = H._rep_codes()
+    if lookups:
+        slots, index = tree.slots(reps), H._lookup()
+        for back, ys in lookups:
+            values = map(compose, repeat(back), tree.columns(slots, ys))
+            images = _encode(list(values), N.order, len(reps))
+            out = [i for i in out if index[images[i]] == i]
+    if scans:
+        tables = dict(zip(out, tree.tables(compose(reps, out))))
+        for back, meet in scans:
+            out = [i for i in out if twists_onto(tables[i], back, meet)]
     return tuple(out)
 
 
@@ -612,13 +805,15 @@ def extend_from_sylow(action: ActionOnGroup, q: int, class_index: int) -> int:
     if class_index not in fixed_classes(Hq, hall_pprime(J, q, within=full)):
         raise ValueError(f"class {class_index} is not fixed by the Hall subgroup")
     where = Jq.positions(p_parts(J, q, range(J.order)))  # j -> place of its q-part in J_q
-    # H1(J, N)'s index holds every cocycle of Z1(J, N), since `cocycles` is
-    # complete, so a table is a cocycle exactly when it is a key there.
-    index = h1(action)._index
+    # H1(J, N) holds every cocycle of Z1(J, N), since `cocycles` is complete,
+    # and `class_of` compares the whole table with its code's, so a table is
+    # taken exactly when it is a cocycle.
+    Hfull = h1(action)
     for values in Hq._member_tables(class_index):
-        cls = index.get(compose(values, where))
-        if cls is not None:
-            return cls
+        try:
+            return Hfull.class_of(compose(values, where))
+        except KeyError:
+            pass
     raise NoPreimageFound(
         f"no representative of fixed class {class_index} at q={q} extends to J"
     )
@@ -696,9 +891,9 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     nilpotent, so that `verify_lemma1` tests each group once.
 
     One pass over the blocks.  Per block, one column holds the local class
-    of every cocycle of H1(J, N)'s store, restricted at once over the
-    index's keys, the value tables in store order; when J is a p-group, its
-    Sylow subgroup's H1 is H1(J, N) itself, from `h1`'s cache, and the
+    of every cocycle of H1(J, N)'s store, restricted at once from the
+    store's codes in store order (`_local_classes`); when J is a p-group,
+    its Sylow subgroup's H1 is H1(J, N) itself, from `h1`'s cache, and the
     column is the owner column.  Class i is sent to its representative's
     entries.  The map is well defined when each column equals those entries
     read through the owner column, and lands in the fixed classes when
@@ -709,7 +904,7 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     classes.  The report names the least failing class; on one class, a
     split comes before the blocks' fixedness, in block order.  `forward` is
     zipped from each block's entries when read; one block's are compared as
-    ints.
+    ints, and counted without a listing when the block is H1(J, N) itself.
     """
     J = action.actor
     primes = shared_primes(action)
@@ -728,7 +923,7 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
         if local is Hfull:
             first = range(Hfull.size)  # owner[starts[i]] is i
         else:
-            column = tuple(_local_classes(local, Hfull._index))
+            column = tuple(_local_classes(local, Hfull, Hfull._codes))
             first = compose(column, starts)
             if column != compose(first, owner):
                 i = owner[next(compress(count(), map(ne, column, compose(first, owner))))]
@@ -747,13 +942,18 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
     point_preserved = tuple(first[Hfull.distinguished] for first in firsts) == point
     if not point_preserved:
         failure = failure or "distinguished class does not map to the distinguished tuple"
-    images = set(firsts[0]) if len(blocks) == 1 else set(zip(*firsts)) if blocks else {()}
-    injective = len(images) == Hfull.size
+    # A block whose local H1 is H1(J, N) sends class i to i: its images are
+    # counted, not listed.
+    if len(blocks) == 1:
+        images = Hfull.size if isinstance(firsts[0], range) else len(set(firsts[0]))
+    else:
+        images = len(set(zip(*firsts))) if blocks else 1
+    injective = images == Hfull.size
     if not injective:
         failure = failure or "two classes restrict to the same local tuple"
     # With every image a tuple of fixed classes, the images are all of them
     # exactly when there are as many as fixed tuples.
-    surjective = all_fixed and len(images) == prod(len(b.fixed) for b in blocks)
+    surjective = all_fixed and images == prod(len(b.fixed) for b in blocks)
     if not surjective and failure is None:
         missing = min(set(product(*(b.fixed for b in blocks))) - set(zip(*firsts)))
         failure = f"fixed local tuple {missing} has no preimage"
@@ -780,13 +980,17 @@ def _p_primary_classes(H: CohomologySet, p: int) -> tuple[int, ...]:
     representatives, and a class's order divides |H1|.  So a class is
     p-primary exactly when its q-th power is the identity class, for q the
     p-part of |H1|; that power is the class of the representative's
-    pointwise q-th power, one composition with n -> n^q.
+    pointwise q-th power.  n -> n^q is an endomorphism of N that every
+    automorphism commutes with, so that power is a cocycle, and its code is
+    the representative's digits raised to the q-th power, one composition
+    with n -> n^q per digit column.
     """
     N = H.action.target
     q = p_part(H.size, p)
     power = [N.power(n, q) for n in range(N.order)]
-    return tuple(i for i, values in enumerate(H._rep_tables())
-                 if H.class_of(compose(power, values)) == H.distinguished)
+    reps, index = H._rep_codes(), H._lookup()
+    powers = _encode(list(map(compose, repeat(power), H._tree.slots(reps))), N.order, len(reps))
+    return tuple(i for i, code in enumerate(powers) if index[code] == H.distinguished)
 
 
 class Eq3Report:
@@ -840,8 +1044,8 @@ def eq3_check(action: ActionOnGroup) -> Eq3Report:
         local = h1(action, Jp)
         inv = fixed_classes(local, whole)
         inv_sizes.append(len(inv))
-        primary = compose(H._rep_tables(), _p_primary_classes(H, p))
-        images = list(_local_classes(local, primary))
+        primary = compose(H._rep_codes(), _p_primary_classes(H, p))
+        images = list(_local_classes(local, H, primary))
         if len(set(images)) != len(images):
             restrictions_ok = False
             failure = failure or f"restriction at p={p} is not injective on the primary part"

@@ -484,11 +484,16 @@ def group_from_permutations(
     The breadth-first closure forms g*p for every element p and generator g,
     which is the left multiplication L_g; relabelled by sorted position,
     these are the generators' rows, and `group_from_rows` writes the rest of
-    the table from them.
+    the table from them.  No generators give the trivial group, whatever the
+    degree, with nothing built on the points.
     """
+    if degree is not None and degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     gens = [tuple(p) for p in generators]
+    if not gens:
+        return group_from_rows(1, [])
     if degree is None:
-        degree = len(gens[0]) if gens else 0
+        degree = len(gens[0])
     for p in gens:
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise ValueError(f"{p} is not a permutation of 0..{degree - 1}")

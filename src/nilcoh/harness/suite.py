@@ -250,7 +250,7 @@ def _h1_report(scenario: Scenario, check: ScenarioCheck) -> VerificationReport:
     ok = True
     oracle_limit = check.spec.get("oracle_limit", 8)
     if action.actor.order <= oracle_limit and action.target.order <= oracle_limit:
-        fast = sorted(H._tables)
+        fast = sorted(H._tree.tables(H._codes))
         ok &= fast == [c.values for c in cocycles_bruteforce(action)]
         report.hypotheses["oracle_in_budget"] = True
     report.conclusion_verified = ok

@@ -21,6 +21,7 @@ from nilcoh.actions import ActionOnGroup, GSet, coset_gset
 from nilcoh.cohomology import (
     Cocycle,
     CohomologySet,
+    _CayleyTree,
     cocycles_bruteforce,
     h1,
 )
@@ -715,11 +716,12 @@ def h1_classes_by_twist(action: ActionOnGroup,
 def h1_of_classes(action: ActionOnGroup, domain: Subgroup,
                   classes: list[list[Cocycle]]) -> CohomologySet:
     """The H1 whose classes are the given groups of Cocycles, in their order,
-    with the store built from them: the tables class by class, the class of
+    with the store built from them: the codes class by class, the class of
     each, and where each class starts."""
-    tables = [[c.values for c in cls] for cls in classes]
-    sizes = list(map(len, tables))
-    return CohomologySet(action, domain, [t for cls in tables for t in cls],
+    code = _CayleyTree(action, domain).code
+    codes = [[code(c.values) for c in cls] for cls in classes]
+    sizes = list(map(len, codes))
+    return CohomologySet(action, domain, [c for cls in codes for c in cls],
                          [i for i, size in enumerate(sizes) for _ in range(size)],
                          list(accumulate(sizes, initial=0))[:-1])
 

@@ -50,6 +50,7 @@ from nilcoh.structure import (
     enumerate_subgroups_of_order,
     hall_pprime,
     is_nilpotent,
+    minimal_generators,
     prime_factors,
     subgroup_conjugacy_classes,
     sylow_subgroup,
@@ -336,13 +337,14 @@ def test_cocycles_match_the_oracle_on_each_sharing_path(name):
 
 
 @pytest.mark.parametrize("build, composes, composers", [
-    (lambda: trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2])), 634, 0),
-    (lambda: conjugation_self_action(heisenberg(3)), 983, 166),
+    (lambda: trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2])), 122, 0),
+    (lambda: conjugation_self_action(heisenberg(3)), 1091, 1),
 ], ids=["c2e3_triv_c2e4", "heis3_conj_heis3"])
 def test_cocycles_share_what_no_survivor_changes(monkeypatch, build, composes, composers):
     # Redoing every step's shared work for each survivor made 3,205
     # compositions and built 280 composers on C2^3 -> C2^4, and 1,195 and
-    # 222 on Heis(3) acting on itself.
+    # 222 on Heis(3) acting on itself.  Writing the last step's value
+    # tables, not codes, made 634 and 0, and 983 and 166.
     from nilcoh import cohomology
 
     a = build()
@@ -518,6 +520,93 @@ def test_class_of_refuses_a_cocycle_of_another_action_or_domain():
             H.class_of(Cocycle(other, full_subgroup(other.actor), values))
     with pytest.raises(DomainMismatch):
         H.class_of(Cocycle(a, trivial_subgroup(a.actor), (0,)))
+
+
+def _changed_off_the_generators(H):
+    """Each representative's table with its value at one element changed,
+    the first that is neither 1 nor one of the generators its code is read
+    at, so that the changed table still has the representative's code."""
+    gens, order = minimal_generators(H.domain), H.action.target.order
+    k = next((k for k, x in enumerate(H.domain.elements) if x and x not in gens), None)
+    if k is None:
+        return []
+    return [rep[:k] + ((rep[k] + 1) % order,) + rep[k + 1:] for rep in H._rep_tables()]
+
+
+def test_class_of_refuses_a_table_that_matches_only_at_the_generators():
+    # H1 keys a cocycle by its values at the generators, so a lookup by a
+    # table that is not known to be a cocycle compares the whole table.  The
+    # Sylow domains are those of theorems' `Hq.class_of(phi_q)`.
+    changed = 0
+    for iid in ("c6_inv_c6", "c2c2_on_c4", "c3_inner_heis3", "q8_conj_q8", "c6_twist_q8c3"):
+        a = catalog_by_id()[iid].action()
+        for K in [None] + [sylow_subgroup(a.actor, p) for p in prime_factors(a.actor.order)]:
+            H = h1(a, K)
+            for table in _changed_off_the_generators(H):
+                with pytest.raises(KeyError):
+                    H.class_of(table)
+                with pytest.raises(KeyError):
+                    H.class_of(Cocycle(a, H.domain, table))
+                changed += 1
+    assert changed >= 30
+
+
+def test_extend_from_sylow_refuses_a_recipe_that_matches_only_at_the_generators(monkeypatch):
+    # The recipe is broken at one element x of J off J's generators: x is sent
+    # to another element of J_2 than its 2-part.  Every recipe table keeps the
+    # values of a true extension at the generators, where its code is read,
+    # so only the comparison of whole tables can refuse it.
+    from nilcoh import cohomology
+
+    a = catalog_by_id()["c6_inv_c6"].action()
+    J = a.actor
+    J2 = sylow_subgroup(J, 2)
+    assert extend_from_sylow(a, 2, 1) != h1(a).distinguished
+    x = next(x for x in range(1, J.order) if x not in minimal_generators(full_subgroup(J)))
+    real = cohomology.p_parts
+
+    def broken(G, p, elements):
+        parts = list(real(G, p, elements))
+        parts[x] = next(y for y in J2.elements if y != parts[x])
+        return parts
+
+    monkeypatch.setattr(cohomology, "p_parts", broken)
+    with pytest.raises(NoPreimageFound):
+        extend_from_sylow(a, 2, 1)
+
+
+@pytest.mark.parametrize("enumerate_or_partition, count", [
+    (cocycles, len), (h1, lambda H: H.cocycle_count())], ids=["cocycles", "h1"])
+def test_z1_and_h1_keep_no_table_per_cocycle(enumerate_or_partition, count):
+    # 4,096 cocycles on C2^3 -> C2^4: a tuple of their 8 values each would
+    # keep about 0.5 MB.  The store keeps one 8-byte code per cocycle.
+    import gc
+    import tracemalloc
+
+    a = trivial_action(abelian([2, 2, 2]), abelian([2, 2, 2, 2]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = enumerate_or_partition(a)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count(kept) == 4096
+    assert retained < 16 * 4096
+
+
+def test_codes_past_eight_bytes_are_kept_in_a_list():
+    # Under a budget of 10^21, C2^6 -> C_2048 has codes below 2048^6 = 2^66,
+    # past 8-byte entries; the 64 homomorphisms still come out in table
+    # order, each its own class.
+    a = trivial_action(abelian([2] * 6), cyclic(2048))
+    z = cocycles(a, budget=10 ** 21)
+    tables = [c.values for c in z]
+    assert len(set(tables)) == 64 and tables == sorted(tables)
+    assert all(check_cocycle(a, z.domain, t) for t in tables)
+    H = h1(a, budget=10 ** 21)
+    assert [H.class_of(t) for t in tables] == list(range(64))
 
 
 def test_cohomologous_witnesses():
@@ -731,7 +820,8 @@ def test_invariants_match_hall_fixed_classes_for_nilpotent_actor():
             K = sylow_subgroup(a.actor, p)
             local = h1(a, K)
             hall = hall_pprime(a.actor, p)
-            assert fixed_classes(local, full_subgroup(a.actor)) == fixed_classes(local, hall)
+            assert (tuple(fixed_classes(local, full_subgroup(a.actor)))
+                    == tuple(fixed_classes(local, hall)))
 
 
 def test_fixed_classes_match_conjugate_cocycle():
@@ -756,7 +846,7 @@ def test_fixed_classes_match_conjugate_cocycle():
                       for p in prime_factors(J.order)]
         for K, S in pairs:
             local = h1(a, K)
-            assert fixed_classes(local, S) == invariant_classes_by_twist(local, S), \
+            assert tuple(fixed_classes(local, S)) == invariant_classes_by_twist(local, S), \
                 (a.name, K, S)
         non_normal += sum(not K.is_normal() for K in domains)
     assert non_normal >= 10

@@ -366,6 +366,29 @@ def test_cli_relaxed_suite_matches_golden(capsys):
     assert capsys.readouterr().out == GOLDEN_RELAXED_SUITE.read_text(encoding="utf-8")
 
 
+GOLDEN_H1_CATALOG = Path(__file__).resolve().parent / "golden" / "h1_catalog.jsonl"
+
+
+def h1_catalog_records(capsys) -> str:
+    """One JSON line per run of `nilcoh h1 --format json` and of `nilcoh
+    decompose` on each catalog and EQ3_EXTRA instance: its arguments, exit
+    code, stdout and stderr.  `tests/golden/h1_catalog.jsonl` holds these
+    lines as the code wrote them before H1 kept its cocycles as codes."""
+    lines = []
+    for inst in CATALOG + EQ3_EXTRA:
+        for argv in (["h1", "--instance", inst.id, "--format", "json"],
+                     ["decompose", "--instance", inst.id]):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            lines.append(json.dumps({"argv": argv, "exit": code, "stdout": out, "stderr": err},
+                                    sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+def test_cli_h1_and_decompose_match_golden(capsys):
+    assert h1_catalog_records(capsys) == GOLDEN_H1_CATALOG.read_text(encoding="utf-8")
+
+
 def test_cli_unknown_instance_is_input_error(capsys):
     assert main(["h1", "--instance", "nope"]) == 3
     capsys.readouterr()
@@ -627,6 +650,29 @@ def test_cli_rejects_entries_that_are_not_integers(tmp_path, capsys, doc, where,
     assert main(["suite", "--scenario", str(path)]) == 3
     err = capsys.readouterr().err
     assert f"{where}: {field} entry {bad} is not an integer" in err
+
+
+def test_perm_group_without_generators_builds_nothing_on_its_degree(tmp_path, capsys):
+    # With no generators the group is trivial whatever the degree; the
+    # identity permutation of degree 2,000,000 used to be built first, a
+    # 16 MB tuple (76 MB with its ints).  A negative degree is refused.
+    import tracemalloc
+
+    path = tmp_path / "big.scn"
+    path.write_text(json.dumps({"id": "x", "groups": {
+        "g": {"kind": "perm", "degree": 2_000_000, "generators": []}}}))
+    tracemalloc.start()
+    try:
+        scenario = load_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scenario.groups["g"].order == 1
+    assert peak < 1_000_000
+    path.write_text(json.dumps({"id": "x", "groups": {
+        "g": {"kind": "perm", "degree": -3, "generators": []}}}))
+    assert main(["suite", "--scenario", str(path)]) == 3
+    assert "group 'g': degree -3 is negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc, where, field", [
