@@ -43,6 +43,7 @@ from .groups import (
     compose,
     composer,
     conjugates,
+    conjugates_into,
     full_subgroup,
     generating_sequence,
 )
@@ -599,21 +600,17 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
     No value table is made.
     """
     J, N = action.actor, action.target
-    if K is not None and K.parent is not J:
+    K = full_subgroup(J) if K is None else K
+    if K.parent is not J:
         # Checked before the lookup, since the key holds only K's elements.
         raise NotASubgroup("domain must be a subgroup of the acting group")
-    # The whole of J is keyed by its elements in order, which are the
-    # elements of full_subgroup(J), built only on a miss.
-    key = tuple(range(J.order)) if K is None else K.elements
-    cached = action._h1_cache.get(key)
+    cached = action._h1_cache.get(K.elements)
     if cached is not None:
         # A cached result answers to the caller's budget as well, so the
         # outcome does not depend on what ran before.
         ngens, result = cached
         _check_budget(N.order, ngens, budget)
         return result
-    if K is None:
-        K = full_subgroup(J)
     codes = cocycles(action, K, budget=budget)._codes
     gens = minimal_generators(K)
     nmul = N.mul
@@ -636,7 +633,7 @@ def h1(action: ActionOnGroup, K: Subgroup | None = None,
     else:
         owner = starts = range(len(codes))
     result = CohomologySet(action, K, codes, owner, starts)
-    action._h1_cache[key] = (len(gens), result)
+    action._h1_cache[K.elements] = (len(gens), result)
     return result
 
 
@@ -703,13 +700,18 @@ def cocycle_to_complement(P: SemidirectProduct, phi: Cocycle) -> Subgroup:
 
 
 def _local_classes(local: CohomologySet, H: CohomologySet,
-                   codes: Sequence[int]) -> Iterator[int]:
-    """The class in `local` of the restriction to `local.domain` of each
-    cocycle of H, given by its code: the restriction's code is read off its
-    values at the domain's generators, each a column computed along that
-    element's tree word in H's domain from the codes' digits."""
-    tree = H._tree
-    values = tree.columns(tree.slots(codes), local._tree.gens)
+                   codes: Sequence[int], s: int) -> Iterator[int]:
+    """The class in `local` of the restriction to `local.domain` of the
+    conjugate phi^s of each cocycle phi of H, given by its code, for
+    `local.domain` inside K meet K^s: phi^s has value act(s', phi(s y s'))
+    at y.  Its code is read off those values at the domain's generators
+    y, each a column computed along the tree word of s y s' in H's domain
+    from the codes' digits; s = 0, the identity, restricts phi itself."""
+    tree, G = H._tree, H.domain.parent
+    sinv = G.inv[s]
+    values = tree.columns(tree.slots(codes), conjugates(G, local._tree.gens, sinv))
+    if s:
+        values = list(map(compose, repeat(H.action.auto[sinv]), values))
     return map(local._lookup().__getitem__,
                _encode(values, H.action.target.order, len(codes)))
 
@@ -719,58 +721,36 @@ def fixed_classes(H: CohomologySet, S: Subgroup) -> Sequence[int]:
     (Cartan and Eilenberg, Homological Algebra, 1956, Ch. XII).
 
     Class i is kept when, for every s, its representative phi and the
-    conjugate phi^s agree up to coboundary on K meet K^s.  When s normalizes
-    K, K^s = K and this is a lookup in H's partition.  Otherwise the two
-    restricted value tables are compared by twisting over N.
+    conjugate phi^s restrict to the same class of H1(K meet K^s, N), which
+    is H itself when s normalizes K (`_local_classes`).  H1 of a smaller
+    meet is `h1`'s, from its cache, and answers to `GENERATOR_ENUM_BUDGET`
+    like any `h1`; each distinct meet is built, enumerated and restricted
+    to once per call.
 
     When every generator of S conjugates K.gens into K, S normalizes K and
     acts on H1(K, N), so a class that S.gens fix is fixed by all of S, and
     only S.gens are tried.  With no s to try, every class is fixed, and the
     answer is `range(H.size)`, not a listing of it.
-
-    phi^s is a cocycle on K^s = K when s normalizes K, so the lookup reads
-    its code: its values at K's generators g are act(s', phi(s g s')),
-    whole columns over the representatives computed along the tree words
-    of the s g s'.
     """
     action, K = H.action, H.domain
-    G, N = K.parent, action.target
-    nmul, ninv, auto = N.mul, N.inv, action.auto
-    tree = H._tree
-    normalizes = all(y in K for s in S.gens for y in conjugates(G, K.gens, s))
-    # phi^s has value act(s', phi(s x s')) at x in K^s; x lies in K meet K^s
-    # exactly when s x s' lies in K.
-    lookups, scans = [], []
-    for s in (S.gens if normalizes else S.elements):
-        sinv = G.inv[s]
-        meet = None if normalizes else [(kx, auto[x], K.position(y))
-                                        for kx, x in enumerate(K.elements)
-                                        if (y := G.conj(x, sinv)) in K]
-        if meet is None or len(meet) == K.order:
-            lookups.append((auto[sinv], conjugates(G, tree.gens, sinv)))
-        else:
-            scans.append((auto[sinv], meet))
-
-    def twists_onto(values: tuple[int, ...], back, meet) -> bool:
-        """Some n in N has n' * phi(x) * act(x, n) = phi^s(x) on the meet."""
-        return any(all(nmul[nmul[ninv[n]][values[kx]]][ax[n]] == back[values[ky]]
-                       for kx, ax, ky in meet)
-                   for n in range(N.order))
-
+    G = K.parent
+    normalizes = all(conjugates_into(G, K, K, s) for s in S.gens)
+    tries = S.gens if normalizes else S.elements
     out = range(H.size)
-    if not (lookups or scans):
+    if not tries:
         return out
+    # x lies in K meet K^s exactly when s x s' lies in K.
+    meets: dict[tuple[int, ...], list[int]] = {}
+    for s in tries:
+        inside = map(K.__contains__, conjugates(G, K.elements, G.inv[s]))
+        meets.setdefault(tuple(compress(K.elements, inside)), []).append(s)
     reps = H._rep_codes()
-    if lookups:
-        slots, index = tree.slots(reps), H._lookup()
-        for back, ys in lookups:
-            values = map(compose, repeat(back), tree.columns(slots, ys))
-            images = _encode(list(values), N.order, len(reps))
-            out = [i for i in out if index[images[i]] == i]
-    if scans:
-        tables = dict(zip(out, tree.tables(compose(reps, out))))
-        for back, meet in scans:
-            out = [i for i in out if twists_onto(tables[i], back, meet)]
+    for meet, ss in meets.items():
+        local = H if meet == K.elements else h1(action, Subgroup(G, meet))
+        own = list(_local_classes(local, H, reps, 0))
+        for s in ss:
+            images = list(_local_classes(local, H, reps, s))
+            out = [i for i in out if images[i] == own[i]]
     return tuple(out)
 
 
@@ -923,7 +903,7 @@ def _decompose(action: ActionOnGroup, budget: int) -> DecompositionReport:
         if local is Hfull:
             first = range(Hfull.size)  # owner[starts[i]] is i
         else:
-            column = tuple(_local_classes(local, Hfull, Hfull._codes))
+            column = tuple(_local_classes(local, Hfull, Hfull._codes, 0))
             first = compose(column, starts)
             if column != compose(first, owner):
                 i = owner[next(compress(count(), map(ne, column, compose(first, owner))))]
@@ -1045,7 +1025,7 @@ def eq3_check(action: ActionOnGroup) -> Eq3Report:
         inv = fixed_classes(local, whole)
         inv_sizes.append(len(inv))
         primary = compose(H._rep_codes(), _p_primary_classes(H, p))
-        images = list(_local_classes(local, H, primary))
+        images = list(_local_classes(local, H, primary, 0))
         if len(set(images)) != len(images):
             restrictions_ok = False
             failure = failure or f"restriction at p={p} is not injective on the primary part"

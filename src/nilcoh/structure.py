@@ -100,8 +100,6 @@ def sylow_subgroup(G: Group, p: int, within: Subgroup | None = None) -> Subgroup
     if len(torsion) == target:
         # Unique Sylow subgroup (nilpotent case): the p-torsion is closed.
         return Subgroup(G, torsion)
-    if target == 1:
-        return Subgroup(G, (0,))
     seed = min(torsion[1:], key=lambda x: (G.element_order(x), x))
     P = subgroup_generated(G, [seed])
     while P.order < target:

@@ -829,8 +829,8 @@ def test_fixed_classes_match_conjugate_cocycle():
     # its normalizer and under J.  The normalizer can act on it nontrivially;
     # in the Heisenberg group, y and y' even conjugate x differently.  A
     # reflection subgroup of S3 or D4 is not normal: it meets some K^s in less
-    # than K, where fixed_classes twists.  Each Hall subgroup centralizes its
-    # Sylow subgroup.
+    # than K, where fixed_classes reads H1 of that meet.  Each Hall subgroup
+    # centralizes its Sylow subgroup.
     from nilcoh.harness.catalog import EQ3_EXTRA
 
     actions = [inst.action() for inst in CATALOG + EQ3_EXTRA]
@@ -850,8 +850,8 @@ def test_fixed_classes_match_conjugate_cocycle():
                 (a.name, K, S)
         non_normal += sum(not K.is_normal() for K in domains)
     assert non_normal >= 10
-    # The Sylow 2-subgroup P = D4 of S4 is self-normalizing, so only the
-    # twist scan can reject: 2 of the 4 classes of Hom(P, C2) are stable, as
+    # The Sylow 2-subgroup P = D4 of S4 is self-normalizing, so only a
+    # smaller meet can reject: 2 of the 4 classes of Hom(P, C2) are stable, as
     # many as Hom(S4, C2) has (Cartan and Eilenberg, Ch. XII).
     S4 = group_from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
     a = trivial_action(S4, cyclic(2))
@@ -887,6 +887,25 @@ def test_fixed_classes_on_generators_only_when_s_normalizes_k():
     assert fixed_classes(H, full_subgroup(S4)) == invariant_classes_by_twist(
         H, full_subgroup(S4)) == (0, 4, 8, 12)
     assert fixed_classes(H, normalizer(S4, P)) == tuple(range(16))
+
+
+def test_fixed_classes_reads_h1_of_each_distinct_meet_once(monkeypatch):
+    # The 16 elements of S4 outside P = D4 conjugate P to the two other
+    # Sylow 2-subgroups, and P meets each in the Klein four-group V4: one
+    # new domain, enumerated once, decides all 16.
+    from nilcoh import cohomology
+
+    S4 = group_from_permutations(S4_PERMS)
+    a = trivial_action(S4, abelian([2, 2]))
+    P = sylow_subgroup(S4, 2)
+    H = h1(a, P)
+    domains, real_h1 = [], cohomology.h1
+    monkeypatch.setattr(cohomology, "h1",
+                        lambda action, K=None: domains.append(K) or real_h1(action, K))
+    assert fixed_classes(H, full_subgroup(S4)) == (0, 4, 8, 12)
+    [V4] = domains
+    assert V4.order == 4 and V4.is_normal() and set(V4.elements) < set(P.elements)
+    assert all(S4.element_order(x) <= 2 for x in V4.elements)
 
 
 def test_all_classes_invariant_when_domain_is_whole_group():
@@ -998,11 +1017,16 @@ def _merge_first_classes(H):
                          [H.classes[0] + H.classes[1]] + list(H.classes[2:]))
 
 
-def _patch_fixed_classes(monkeypatch, change):
+def _patch_cohomology(monkeypatch, name, change):
+    """Replace a cohomology function f by args -> change(args[0], f(*args))."""
     from nilcoh import cohomology
 
-    real = cohomology.fixed_classes
-    monkeypatch.setattr(cohomology, "fixed_classes", lambda H, S: change(H, real(H, S)))
+    real = getattr(cohomology, name)
+    monkeypatch.setattr(cohomology, name, lambda *args: change(args[0], real(*args)))
+
+
+def _patch_fixed_classes(monkeypatch, change):
+    _patch_cohomology(monkeypatch, "fixed_classes", change)
 
 
 @pytest.mark.parametrize("build", [
@@ -1242,6 +1266,36 @@ def test_eq3_on_abelian_catalog_instances():
             continue
         report = eq3_check(inst.action())
         assert report.ok, (inst.id, report.failure)
+
+
+# Each fault, its instance, and the report's failure and flags
+# (product_matches, restrictions_bijective).
+EQ3_FAULTS = {
+    "primary_part_is_every_class": (
+        "c6_inv_c6", lambda mp: _patch_cohomology(
+            mp, "_p_primary_classes", lambda H, primary: tuple(range(H.size))),
+        "restriction at p=3 is not injective on the primary part", (True, False)),
+    "primary_part_is_the_identity_class": (
+        "c2_inv_c4", lambda mp: _patch_cohomology(
+            mp, "_p_primary_classes", lambda H, primary: (0,)),
+        "restriction at p=2 does not map the primary part onto the invariant classes",
+        (True, False)),
+    "first_shared_prime_dropped": (
+        "c6_inv_c6", lambda mp: _patch_cohomology(
+            mp, "shared_primes", lambda action, primes: primes[1:]),
+        "|H1| = 2 but invariant class counts multiply to 1", (False, True)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EQ3_FAULTS))
+def test_eq3_failures_name_their_witness(monkeypatch, fault):
+    iid, patch, failure, flags = EQ3_FAULTS[fault]
+    a = catalog_by_id()[iid].action()
+    patch(monkeypatch)
+    report = eq3_check(a)
+    assert report.failure == failure
+    assert (report.product_matches, report.restrictions_bijective) == flags
+    assert not report.ok
 
 
 def test_eq3_builds_no_subgroup_to_decide_invariance(monkeypatch):

@@ -6,13 +6,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh.actions import coset_gset, semidirect, trivial_action
+from nilcoh.actions import GSet, coset_gset, semidirect, trivial_action
 from nilcoh.cohomology import Cocycle, h1
 from nilcoh import theorems
-from nilcoh.errors import HypothesisNotMet, NoPreimageFound, ProofStepFailed
+from nilcoh.errors import BudgetExceeded, HypothesisNotMet, NoPreimageFound, ProofStepFailed
 from nilcoh.groups import Subgroup, full_subgroup, subgroup_generated
 from nilcoh.harness.scenario import subgroup_of_semidirect
-from nilcoh.harness.suite import default_suite
+from nilcoh.harness.suite import default_suite, verify_on_action
 from nilcoh.structure import complements, prime_factors
 from nilcoh.theorems import (
     find_conjugator,
@@ -22,7 +22,7 @@ from nilcoh.theorems import (
     verify_prop5,
     verify_thm4,
 )
-from nilcoh.harness.catalog import EQ3_EXTRA, catalog_by_id, cyclic_action
+from nilcoh.harness.catalog import EQ3_EXTRA, catalog_by_id, cyclic_action, power_map
 from conftest import (
     CATALOG,
     abelian,
@@ -375,6 +375,96 @@ def test_verify_lemma1_wraps_decomposition():
     bad = verify_lemma1(trivial_action(S3, cyclic(3)), "s3-actor")
     assert not bad.hypotheses_met
     assert bad.hypotheses["j_nilpotent"] is False
+
+
+def test_lemma1_past_the_generator_budget_is_an_unmet_hypothesis():
+    # |N|^d = 125^4 passes the budget, so nothing is enumerated.
+    report = verify_lemma1(trivial_action(abelian([2] * 4), abelian([5] * 3)), "c2e4_c5e3")
+    assert report.hypotheses == {"j_nilpotent": True, "n_nilpotent": True,
+                                 "enumerable": False}
+    assert report.details["enumerable"] == "|N|^#gens = 125^4 exceeds budget 10000000"
+    assert report.conclusion_verified is None and not report.falsification
+
+
+def test_lemma1_reports_the_decomposition_failure_as_its_witness(monkeypatch, catalog):
+    real = theorems._decompose
+
+    def merged(action, budget):
+        dec = real(action, budget)
+        dec.injective, dec.failure = False, "two classes restrict to the same local tuple"
+        return dec
+
+    monkeypatch.setattr(theorems, "_decompose", merged)
+    report = verify_lemma1(catalog["c6_inv_c6"].action(), "c6_inv_c6")
+    assert report.hypotheses_met and report.falsification
+    assert report.witness == {"failure": "two classes restrict to the same local tuple"}
+
+
+def test_prop2_past_the_complement_budget_is_an_unmet_hypothesis():
+    # Hom(C2^3, C2^6) has 64^3 elements: the third lifting level would take
+    # the closure count past the budget.
+    report = verify_on_action("prop2", trivial_action(abelian([2] * 3), abelian([2] * 6)),
+                              "c2e3_c2e6")
+    assert report.hypotheses == {"n_normal": True, "n_nilpotent": True,
+                                 "complements_enumerable": False}
+    assert report.details["complements_enumerable"] == \
+        "subgroup enumeration exceeded budget 200000"
+    assert report.conclusion_verified is None and not report.falsification
+
+
+def test_prop5_notes_a_proof_guided_route_past_its_budget(monkeypatch, catalog):
+    # The exhaustive scan stands; the guided route is noted, not failed.
+    def stopped(*args):
+        raise BudgetExceeded("guided route stopped")
+
+    monkeypatch.setattr(theorems, "_proof_guided", stopped)
+    report = verify_on_action("prop5", catalog["c6_inv_c6"].action(), "c6_inv_c6")
+    assert report.passed and report.witness == 0
+    assert report.notes == ["proof_guided not evaluated: guided route stopped"]
+
+
+def test_thm4_relaxed_witness_from_the_direct_scan_alone(catalog):
+    # The regular G-set of N x| J plus one fixed point: N is not transitive,
+    # the stabilizer of point 0 is trivial and holds no conjugate of J, and
+    # only the direct scan finds the fixed point 8.
+    action = catalog["c2_inv_c4"].action()
+    G = semidirect(action).group
+    omega = GSet(G, [list(G.mul[g]) + [G.order] for g in range(G.order)])
+    report = verify_thm4(action, omega, "regular_plus_point", relaxed=True)
+    assert report.hypotheses["n_transitive"] is False
+    assert report.conclusion_verified and report.witness == 8
+    assert report.notes == ["stabilizer route failed: no conjugate of J lies in G_alpha",
+                            "witness from direct scan only"]
+    assert not report.falsification
+
+
+def test_prop5_guided_route_unwinds_a_conjugate_of_h(monkeypatch, catalog):
+    # The two-prime step recurses into G/N_3, where the image of H does not
+    # hold the Sylow 2-subgroup of J's image: the single-prime step there
+    # conjugates H to hold it and unwinds the conjugator it finds.
+    conjugators, real = [], Subgroup.conjugate_by
+    monkeypatch.setattr(Subgroup, "conjugate_by",
+                        lambda self, g: conjugators.append(g) or real(self, g))
+    report = verify_on_action("prop5", catalog["c6_inv_c12"].action(), "c6_inv_c12",
+                              h={"elements": [0, 2, 4, 13, 15, 17]})
+    assert report.passed and report.witness == 7
+    assert report.notes == ["proof_guided conjugator 30"]
+    assert conjugators == [18]
+
+
+def test_prop5_guided_route_lifts_through_the_central_intersection(monkeypatch):
+    # N = C9 is abelian, so its center is N, which meets H in C3: the step
+    # solves the problem in G/C3 and lifts the conjugator.
+    kernels, real = [], theorems._recurse_in_quotient
+    monkeypatch.setattr(theorems, "_recurse_in_quotient",
+                        lambda *args: kernels.append(args[4].elements) or real(*args))
+    action = cyclic_action(cyclic(6), cyclic(9), power_map(9, 2))
+    H = [0, 2, 4, 7, 9, 11, 18, 20, 22, 25, 27, 29, 36, 38, 40, 43, 45, 47]
+    report = verify_on_action("prop5", action, "c6_pow2_c9", h={"elements": H})
+    assert report.passed and report.witness == 6
+    assert report.notes == ["proof_guided conjugator 6"]
+    N = semidirect(action).n_part()
+    assert kernels[0] == tuple(x for x in H if x in N) == (0, 18, 36)
 
 
 def test_intersection_lemma_examples():
