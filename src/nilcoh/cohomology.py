@@ -44,6 +44,7 @@ from .groups import (
     composer,
     conjugates,
     conjugates_into,
+    coset_representatives,
     full_subgroup,
     generating_sequence,
 )
@@ -729,13 +730,19 @@ def fixed_classes(H: CohomologySet, S: Subgroup) -> Sequence[int]:
 
     When every generator of S conjugates K.gens into K, S normalizes K and
     acts on H1(K, N), so a class that S.gens fix is fixed by all of S, and
-    only S.gens are tried.  With no s to try, every class is fixed, and the
-    answer is `range(H.size)`, not a listing of it.
+    only S.gens are tried.  Otherwise s and k*s test alike for k in K meet
+    S (phi^k is cohomologous to phi on K, and K^(k*s) = K^s), so one s is
+    tried per right coset of K meet S in S, the inverse of the least
+    element of a left coset, and none for K meet S itself.  With no s to
+    try, every class is fixed, and the answer is `range(H.size)`, not a
+    listing of it.
     """
     action, K = H.action, H.domain
     G = K.parent
-    normalizes = all(conjugates_into(G, K, K, s) for s in S.gens)
-    tries = S.gens if normalizes else S.elements
+    tries = S.gens
+    if not all(conjugates_into(G, K, K, s) for s in S.gens):
+        shared = Subgroup(G, [x for x in S.elements if x in K])
+        tries = [G.inv[r] for r in coset_representatives(G, shared)[0][1:] if r in S]
     out = range(H.size)
     if not tries:
         return out

@@ -28,23 +28,27 @@ class Group:
     """A finite group given by its full multiplication table.
 
     `gens` is the greedy generating sequence of the elements in index order,
-    found by right multiplication from the identity.  The table is a group
-    exactly when the walk of `group_from_rows` over the rows of `gens`
-    rebuilds it.  That walk builds rows along a Cayley tree and accepts them
-    only when each L_s commutes with each column R_t (R_t(x) = x*t); the
-    group G the L_s generate then centralizes a set of maps that reach every
-    point from 0, so G is regular and the rows are its table carried over by
+    found by the closure walk over whole left cosets (`generating_sequence`)
+    once index 0 is checked to be a two-sided identity, which also makes
+    that walk end on a table that is not a group.  There every element is
+    still a product of `gens`, which are all of range(1, n) when the powers
+    of some element cycle without reaching 0.  The table is a group exactly
+    when the walk of `group_from_rows` over the rows of `gens` rebuilds it.
+    That walk builds rows along a Cayley tree and accepts them only when
+    each L_s commutes with each column R_t (R_t(x) = x*t); the group G the
+    L_s generate then centralizes a set of maps that reach every point from
+    0, so G is regular and the rows are its table carried over by
     g -> g(0) (Holt, Eick & O'Brien, *Handbook of Computational Group
     Theory*, 2005, §4.1; Dixon & Mortimer, *Permutation Groups*, 1996,
     Thm 4.2A).  On a group table L_{x*s} = L_x after L_s and
     s*(z*t) = (s*z)*t, so the walk rebuilds the table row for row.  When it
     fails or builds another table, a scan entry by entry names the first
-    witness, in this order: a two-sided identity at index 0; associativity
-    by Light's test on `gens` (Clifford & Preston, *The Algebraic Theory of
-    Semigroups* I, 1961); two-sided inverses.  The entries must be Python
-    ints, as the scenario boundary requires of every table it reads.  Every
-    group the package builds from its generators' rows is proven by the
-    same walk, through `group_from_rows`.
+    witness, in this order: associativity by Light's test on `gens`, which
+    is complete as every element is a product of them (Clifford & Preston,
+    *The Algebraic Theory of Semigroups* I, 1961); two-sided inverses.  The
+    entries must be Python ints, as the scenario boundary requires of every
+    table it reads.  Every group the package builds from its generators'
+    rows is proven by the same walk, through `group_from_rows`.
 
     A map f with f(x*g) = f(x)f(g) for every x and every g in gens, and f(0)
     the identity, is a homomorphism: induction on the length of y as a word
@@ -58,7 +62,11 @@ class Group:
         table = tuple(map(tuple, mul))
         self.order = _check_table_shape(table)
         self.mul, self.name, self._full = table, None, None
-        self.gens = generating_sequence(self, range(self.order))[0]
+        ident = tuple(range(self.order))
+        if table[0] != ident or tuple(row[0] for row in table) != ident:
+            raise NoIdentity("index 0 is not a two-sided identity")
+        walk = generating_sequence(self, ident)   # None only on powers that miss 0
+        self.gens = walk[0] if walk else ident[1:]
         try:
             rows, self.inv = _walk_rows(self.order, [(g, table[g]) for g in self.gens])
         except (NilcohError, ValueError):
@@ -119,15 +127,14 @@ def _check_table_shape(table: Sequence[Sequence[int]]) -> int:
 
 
 def _raise_first_defect(table: tuple[tuple[int, ...], ...], gens: Sequence[int]) -> None:
-    """Raise the first group axiom the square table breaks, with its witness:
-    NoIdentity, then NotAssociative(x, g, y) for the first generator g, row
-    x and entry y where (x*g)*y != x*(g*y), then NoInverse.  Associativity
+    """Raise the first group axiom that the square table, whose identity is
+    at index 0, breaks, with its witness: NotAssociative(x, g, y) for the
+    first generator g, row x and entry y where (x*g)*y != x*(g*y), then
+    NoInverse.  Associativity
     is compared a whole row at a time, the row of x*g against row x after
     the row of g, and only the first row that differs is scanned entry by
     entry."""
     ident = range(len(table))
-    if table[0] != tuple(ident) or any(row[0] != x for x, row in zip(ident, table)):
-        raise NoIdentity("index 0 is not a two-sided identity")
     for g in gens:
         after_g = composer(table[g])
         for x, row in enumerate(table):
@@ -210,9 +217,9 @@ class Subgroup:
 
     `gens` is the greedy generating sequence of the elements in index order.
     The walk that finds it reaches <gens> = <elements>, which holds every
-    element, so elements that hold the identity are a subgroup exactly when
-    the walk reaches no more of them (`generating_sequence`, bounded by
-    |H|).  Only when it reaches more does a scan of inverses and products
+    element, one whole left coset at a time, so elements that hold the
+    identity are a subgroup exactly when the walk reaches no more of them
+    (`generating_sequence`, bounded by |H|).  Only when it reaches more does a scan of inverses and products
     name the first witness.  When there are as many elements as the parent
     has, they are all of an already validated group, and their number is
     the proof: `gens` is then `parent.gens`, the same walk's greedy
@@ -539,33 +546,48 @@ def generating_sequence(G: Group, elements: Iterable[int], limit: int | None = N
     before it do not generate) and the set of elements they generate, or
     None as soon as that set holds more than `limit` elements.
 
-    The closure is the set reached from the identity by right multiplication
-    with the generators (Holt, Eick & O'Brien, *Handbook of Computational
-    Group Theory*, 2005, §4.1).  It is closed under the earlier generators,
-    so a new generator x extends it from the products r*x alone: each
-    element reached is multiplied by every generator once.  On a table not
-    yet known to be associative (`Group.__init__`) this is still the closure
-    by right multiplication, which reaches every element.
+    The closure grows one whole left coset at a time (Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, 2005, §4.1).  A new generator
+    x is adjoined to H, the closure of the generators before it, by listing
+    its powers, stopping once past the bound; B is the larger of H and <x>.
+    The left cosets yB of <H, x> are then walked outward from B by left
+    multiplication with every generator: g*y is read off the row of g, and
+    each new coset costs one C-level composition of the row of y with B.
+    In a group the left closure of a set is its right closure, so the
+    greedy sequence and the closure are those of right multiplication.
+    On a table with its identity at 0 that is not yet known to be a group
+    (`Group.__init__`) the walk still ends: powers that cycle without
+    reaching 0 pass the bound, which returns None, and each new coset holds
+    y*0 = y.
     """
     mul = G.mul
     bound = G.order if limit is None else limit
     gens: list[int] = []
+    lefts: list[tuple[int, ...]] = []         # the rows of gens: g*y = row_g[y]
     reached = {0}
     for x in elements:
         if x in reached:
             continue
         gens.append(x)
-        frontier = [mul[r][x] for r in reached]
-        while frontier:
-            nxt: list[int] = []
-            for y in frontier:
-                if y not in reached:
-                    reached.add(y)
+        lefts.append(xrow := mul[x])
+        powers, p = [0], x
+        while p and len(powers) <= bound:
+            powers.append(p)
+            p = xrow[p]
+        if len(powers) > bound:               # |<x>| > bound, or a cycle that misses 0
+            return None
+        if len(powers) > len(reached):        # B = <x>, the larger
+            reached = set(powers)
+        coset = composer(reached)             # y -> yB
+        reps = [0]
+        for y in reps:                        # reps grows while it is walked
+            for row in lefts:
+                z = row[y]
+                if z not in reached:
+                    reached.update(coset(mul[z]))
                     if len(reached) > bound:
                         return None
-                    row = mul[y]
-                    nxt += [row[g] for g in gens]
-            frontier = nxt
+                    reps.append(z)
     return tuple(gens), reached
 
 

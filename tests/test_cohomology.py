@@ -908,6 +908,28 @@ def test_fixed_classes_reads_h1_of_each_distinct_meet_once(monkeypatch):
     assert all(S4.element_order(x) <= 2 for x in V4.elements)
 
 
+def test_fixed_classes_tries_one_element_per_right_coset(monkeypatch):
+    # P = D4 does not normalize itself out of S4's 3 cosets of it: one pass
+    # restricts each representative to V4, and one each conjugates it by an
+    # element of the two cosets other than P, where every element of S4 made
+    # 26 passes.  `invariant_classes_by_twist` agrees.
+    from nilcoh import cohomology
+
+    S4 = group_from_permutations(S4_PERMS)
+    a = trivial_action(S4, abelian([2, 2]))
+    P = sylow_subgroup(S4, 2)
+    H = h1(a, P)
+    passes, real_local_classes = [], cohomology._local_classes
+    monkeypatch.setattr(cohomology, "_local_classes",
+                        lambda *args: passes.append(args[3]) or real_local_classes(*args))
+    assert fixed_classes(H, full_subgroup(S4)) == (0, 4, 8, 12)
+    assert len(passes) == 3 and passes[0] == 0
+    assert [x in P for x in passes[1:]] == [False, False]
+    assert P.conjugate_by(passes[1]) != P.conjugate_by(passes[2])
+    monkeypatch.undo()
+    assert fixed_classes(H, full_subgroup(S4)) == invariant_classes_by_twist(H, full_subgroup(S4))
+
+
 def test_all_classes_invariant_when_domain_is_whole_group():
     a = inv_c4()
     H = h1(a)
